@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -33,6 +32,10 @@ from .pipeline import (
 from .reference import match_all
 
 _DEFAULT_BENCH_SIZES = (579, 638, 882, 1021)
+
+
+class ReportFormatError(ValueError):
+    """Raised for a saved match report that is not a JSON match report."""
 
 
 def _positive_int(text: str) -> int:
@@ -85,26 +88,16 @@ def _write_out(path: str | None, writer) -> None:
             fh.close()
 
 
+def _write_json(path: str | None, obj) -> None:
+    _write_out(path, lambda fh: json.dump(obj, fh, indent=2, allow_nan=False))
+
+
 def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(
         block_size=args.block_size,
         clock_hz=args.clock_hz,
         threshold_mode=args.threshold_mode,
     )
-
-
-def _match_payload(m) -> dict:
-    return {
-        "query_index": m.query_index,
-        "matched": m.matched,
-        "best_index": m.best_index,
-        "min_angle": m.min_angle,
-        "second_min_angle": m.second_min_angle,
-        "query_xy": list(m.query_xy),
-        "best_xy": list(m.best_xy) if m.best_xy is not None else None,
-        "min_raw": m.min_raw,
-        "second_min_raw": m.second_min_raw,
-    }
 
 
 def cmd_generate(args) -> int:
@@ -158,8 +151,8 @@ def cmd_match(args) -> int:
     if args.format == "csv":
         _write_out(args.output, lambda fh: write_matches_csv(matches, fh))
     else:
-        report["matches"] = [_match_payload(m) for m in matches]
-        _write_out(args.output, lambda fh: json.dump(report, fh, indent=2))
+        report["matches"] = [vars(m) for m in matches]
+        _write_json(args.output, report)
     return 0
 
 
@@ -168,14 +161,15 @@ def _agreement(ref_matches, pipe_matches, threshold: float) -> dict:
     for ref, pipe in zip(ref_matches, pipe_matches):
         if ref.matched == pipe.matched:
             continue
+        # Both angles are 0 when the second is: the ratio is undefined.
         ratio = (ref.min_angle / ref.second_min_angle
-                 if ref.second_min_angle > 0 else math.inf)
+                 if ref.second_min_angle > 0 else None)
         disagreements.append({
             "query_index": ref.query_index,
             "reference_matched": ref.matched,
             "pipeline_matched": pipe.matched,
             "ratio": ratio,
-            "ratio_margin": ratio - threshold,
+            "ratio_margin": None if ratio is None else ratio - threshold,
         })
     total = len(ref_matches)
     agreeing = total - len(disagreements)
@@ -188,13 +182,25 @@ def _agreement(ref_matches, pipe_matches, threshold: float) -> dict:
     }
 
 
+def _report_matches(path: str) -> list[dict]:
+    """The ``matches`` rows of a saved ``siftmatch match`` JSON report."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            report = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ReportFormatError(f"{path}: not a JSON report: {exc}") from None
+    rows = report.get("matches") if isinstance(report, dict) else None
+    if not isinstance(rows, list) or not all(
+            isinstance(row, dict) and "query_index" in row and "matched" in row
+            for row in rows):
+        raise ReportFormatError(f"{path}: no \"matches\" list of match rows")
+    return rows
+
+
 def cmd_compare(args) -> int:
     if args.reports:
         path_a, path_b = args.reports
-        with open(path_a, "r", encoding="ascii") as fh:
-            a = json.load(fh)["matches"]
-        with open(path_b, "r", encoding="ascii") as fh:
-            b = json.load(fh)["matches"]
+        a, b = _report_matches(path_a), _report_matches(path_b)
         if len(a) != len(b):
             raise ValueError(
                 f"mismatched query counts: {len(a)} vs {len(b)}")
@@ -217,7 +223,7 @@ def cmd_compare(args) -> int:
         ref = match_all(queries, db, args.threshold)
         pipe = run_pipeline(queries, db, _pipeline_config(args))
         result = _agreement(ref, pipe.matches, args.threshold)
-    _write_out(args.output, lambda fh: json.dump(result, fh, indent=2))
+    _write_json(args.output, result)
     print(f"agreement: {result['agreement_fraction']:.4%} "
           f"({result['agreements']}/{result['num_queries']})", file=sys.stderr)
     return 0
@@ -269,7 +275,7 @@ def cmd_bench(args) -> int:
             "elapsed_ms": cycles / cfg.clock_hz * 1e3,
         })
     if args.json:
-        _write_out(args.output, lambda fh: json.dump(rows, fh, indent=2))
+        _write_json(args.output, rows)
     else:
         def write(fh):
             fh.write(f"{'m':>6} {'n':>6} {'blocks':>7} {'cycles':>12} {'ms':>9}\n")
@@ -356,11 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DescriptorFormatError as exc:
+    except (DescriptorFormatError, ReportFormatError) as exc:
         print(f"siftmatch: error: format: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"siftmatch: error: io: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"siftmatch: error: io: {exc}", file=sys.stderr)

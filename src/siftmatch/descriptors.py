@@ -72,10 +72,13 @@ class DescriptorSet:
 
     ``floats`` is (m, 128) float64, ``raws`` is the matching (m, 128) uint16
     UQ1.15 view, ``xy`` is (m, 2) uint16.  Order is load order and stable.
+    ``raw_exact`` records that ``floats == raws * 2**-15`` exactly, as for
+    every set built by :meth:`from_raws`; the engines then use ``floats``
+    itself as an exact GEMM operand (see :mod:`siftmatch.search`).
     """
 
     def __init__(self, image_id: str, floats: np.ndarray, raws: np.ndarray,
-                 xy: np.ndarray):
+                 xy: np.ndarray, *, raw_exact: bool = False):
         floats = np.asarray(floats, dtype=np.float64)
         raws = np.asarray(raws, dtype=np.uint16)
         xy = np.asarray(xy, dtype=np.uint16)
@@ -89,6 +92,7 @@ class DescriptorSet:
         self.floats = floats
         self.raws = raws
         self.xy = xy
+        self.raw_exact = raw_exact
         for arr in (self.floats, self.raws, self.xy):
             arr.setflags(write=False)
 
@@ -106,7 +110,7 @@ class DescriptorSet:
         """Build a set from UQ1.15 raws; the float view is exact (raw / 2**15)."""
         raws = np.asarray(raws, dtype=np.uint16)
         floats = raws.astype(np.float64) * UQ1_15.lsb
-        return cls(image_id, floats, raws, xy)
+        return cls(image_id, floats, raws, xy, raw_exact=True)
 
     def __len__(self) -> int:
         return self.floats.shape[0]

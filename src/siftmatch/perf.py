@@ -37,8 +37,8 @@ class RooflineConfig:
     peak_ops_per_cycle: int = 1
 
     def __post_init__(self) -> None:
-        if self.clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
+        if not 0 < self.clock_hz < math.inf:
+            raise ValueError("clock_hz must be positive and finite")
         if self.descriptor_bytes < 1:
             raise ValueError("descriptor_bytes must be >= 1")
         if self.peak_ops_per_cycle < 1:
@@ -59,10 +59,13 @@ class RooflinePoint:
 def attainable_throughput(bandwidth: float,
                           cfg: RooflineConfig = RooflineConfig()) -> RooflinePoint:
     """Attainable op rate at a given memory bandwidth (bytes/s)."""
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < bandwidth < math.inf:
+        raise ValueError("bandwidth must be positive and finite")
     bytes_per_cycle = bandwidth / cfg.clock_hz
-    cycles_per_descriptor = math.ceil(cfg.descriptor_bytes / bytes_per_cycle)
+    cycles = cfg.descriptor_bytes / bytes_per_cycle if bytes_per_cycle else math.inf
+    if cycles == math.inf:
+        raise ValueError(f"bandwidth {bandwidth!r} is too small to move a descriptor")
+    cycles_per_descriptor = math.ceil(cycles)
     ops = cfg.clock_hz / cycles_per_descriptor
     if ops >= cfg.peak_ops_per_s:
         return RooflinePoint(bandwidth, cfg.peak_ops_per_s, "compute")

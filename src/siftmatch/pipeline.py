@@ -18,11 +18,10 @@ descriptors:
   multiplier (``exact_0_6`` mode instead applies the reference 0.6 rule on
   the dequantized angles).
 
-Cycle accounting is decoupled from the functional evaluation: the verdicts
-of :func:`run_pipeline` equal a plain sequential loop over
-``dot_product_core -> cordic_arccos -> min_find -> match_check``, while
-``total_cycles`` comes from the analytic schedule below and always equals
-:func:`predict_cycles`:
+The scalar ops (:func:`dot_product_core`, ``cordic_arccos``,
+:func:`min_find`, :func:`match_check`) are the specification and the test
+oracle.  :func:`run_pipeline` does not re-enact the block schedule: its
+cycle count is analytic and equals :func:`predict_cycles`:
 
     block_size * fetch_cycles            (serial fill of the first block;
                                           later fetches overlap compute)
@@ -31,12 +30,19 @@ of :func:`run_pipeline` equal a plain sequential loop over
                                           block still burn their cycles)
   + dot + cosine + min_find + match_check stages (drain of the last result)
 
+Its verdicts come from the tiled search of :mod:`siftmatch.search`: an
+exact float64 GEMM gives the adder tree's integer sum ``w``, ``rint(w *
+2**-15)`` is its nearest-even narrowing, and :func:`arccos_table` holds
+``cordic_arccos`` of every UQ1.15 input.  A block flush only resets the
+tracker, so the search equals the scalar composition bit for bit.
+
 Each invocation is an independent, deterministic state machine.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +50,8 @@ import numpy as np
 from .cordic import AngleSample, CordicConfig, DEFAULT_CONFIG, arccos_table
 from .descriptors import Descriptor, DescriptorSet
 from .fixedpoint import UQ1_15, UQ2_14, FxSample, QFormat, round_shift_even
-from .reference import MatchResult
+from .reference import MatchResult, match_results
+from .search import exact_dots, top_two
 
 __all__ = [
     "MinPairEntry",
@@ -87,8 +94,8 @@ class PipelineConfig:
                      "match_check_stages", "min_find_stages"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
+        if not 0 < self.clock_hz < math.inf:
+            raise ValueError("clock_hz must be positive and finite")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ValueError(f"threshold_mode must be one of {THRESHOLD_MODES}")
 
@@ -137,7 +144,7 @@ def min_find(current: AngleSample, current_index: int,
     return prev
 
 
-def match_check(entry: MinPairEntry, mode: str = "binary_10011") -> bool:
+def match_check(entry: MinPairEntry, mode: str = "exact_0_6") -> bool:
     """Ratio-test verdict for a finished slot.
 
     ``binary_10011`` is the multiplier-free hardware rule
@@ -169,16 +176,21 @@ def dot_product_core(a: Descriptor, b: Descriptor) -> FxSample:
     return FxSample(min(raw, UQ1_15.max_raw), UQ1_15)
 
 
-def dot_raw_matrix(queries: DescriptorSet, db: DescriptorSet) -> np.ndarray:
-    """All-pairs UQ1.15 dot raws, bit-identical to :func:`dot_product_core`.
+def _exact_floats(s: DescriptorSet) -> np.ndarray:
+    return s.floats if s.raw_exact else s.raws * UQ1_15.lsb
 
-    Integer matmul of the raw views is exact, and exact addition is
-    associative, so it equals the adder tree; narrowing is the same
-    nearest-even shift.
-    """
-    wide = queries.raws.astype(np.int64) @ db.raws.astype(np.int64).T
-    raws = round_shift_even(wide, 15)
-    return np.minimum(raws, UQ1_15.max_raw)
+
+def _narrow(dots: np.ndarray) -> np.ndarray:
+    """Saturated nearest-even UQ1.15 raws of exact dots ``w * 2**-30``, in place."""
+    np.multiply(dots, 2.0 ** UQ1_15.fraction_bits, out=dots)
+    np.rint(dots, out=dots)
+    np.minimum(dots, UQ1_15.max_raw, out=dots)
+    return dots.astype(np.intp)
+
+
+def dot_raw_matrix(queries: DescriptorSet, db: DescriptorSet) -> np.ndarray:
+    """All-pairs UQ1.15 dot raws, bit-identical to :func:`dot_product_core`."""
+    return _narrow(exact_dots(_exact_floats(queries), _exact_floats(db)))
 
 
 @dataclass(frozen=True)
@@ -193,27 +205,7 @@ class RunReport:
     matches: list[MatchResult]
 
     def to_json_dict(self) -> dict:
-        return {
-            "total_cycles": self.total_cycles,
-            "elapsed_seconds_at_clock": self.elapsed_seconds_at_clock,
-            "clock_hz": self.clock_hz,
-            "blocks_processed": self.blocks_processed,
-            "dot_products_executed": self.dot_products_executed,
-            "matches": [
-                {
-                    "query_index": m.query_index,
-                    "matched": m.matched,
-                    "best_index": m.best_index,
-                    "min_angle": m.min_angle,
-                    "second_min_angle": m.second_min_angle,
-                    "query_xy": list(m.query_xy),
-                    "best_xy": list(m.best_xy) if m.best_xy is not None else None,
-                    "min_raw": m.min_raw,
-                    "second_min_raw": m.second_min_raw,
-                }
-                for m in self.matches
-            ],
-        }
+        return {**vars(self), "matches": [dict(vars(m)) for m in self.matches]}
 
 
 def write_matches_csv(matches: list[MatchResult], fileobj) -> None:
@@ -221,15 +213,10 @@ def write_matches_csv(matches: list[MatchResult], fileobj) -> None:
     writer = csv.writer(fileobj)
     writer.writerow(["k", "matched", "best_index", "qx", "qy", "bx", "by",
                      "min_raw", "secmin_raw"])
-    for m in matches:
-        bx, by = m.best_xy if m.best_xy is not None else ("", "")
-        writer.writerow([
-            m.query_index, int(m.matched),
-            m.best_index if m.best_index is not None else "",
-            m.query_xy[0], m.query_xy[1], bx, by,
-            m.min_raw if m.min_raw is not None else "",
-            m.second_min_raw if m.second_min_raw is not None else "",
-        ])
+    for m in matches:  # csv writes None as an empty field
+        writer.writerow([m.query_index, int(m.matched), m.best_index,
+                         *m.query_xy, *(m.best_xy or (None, None)),
+                         m.min_raw, m.second_min_raw])
 
 
 def predict_cycles(m: int, n: int, cfg: PipelineConfig = PipelineConfig()) -> int:
@@ -241,79 +228,43 @@ def predict_cycles(m: int, n: int, cfg: PipelineConfig = PipelineConfig()) -> in
     return fill + blocks * n * cfg.block_size + cfg.drain_cycles
 
 
-def _block_verdicts(q_raws: np.ndarray, db: DescriptorSet,
-                    cfg: PipelineConfig, table: np.ndarray):
-    """Functional evaluation of one cached query block against the full stream."""
-    n = len(db)
-    wide = q_raws.astype(np.int64) @ db.raws.astype(np.int64).T
-    dot16 = np.minimum(round_shift_even(wide, 15), UQ1_15.max_raw)
-    angles = table[dot16].astype(np.int64)
-
-    # Flushed minimum-cache entries: any real angle displaces the sentinels.
-    best = np.argmin(angles, axis=1)
-    if n == 1:
-        amin = angles[:, 0]
-        asec = np.full_like(amin, _SENTINEL_RAW)
-    else:
-        two = np.partition(angles, 1, axis=1)[:, :2]
-        amin = two.min(axis=1)
-        asec = two.max(axis=1)
-
-    if cfg.threshold_mode == "binary_10011":
-        matched = (amin << 5) < (asec << 1) + asec + (asec << 4)
-    else:
-        matched = amin * _ANGLE_LSB < 0.6 * (asec * _ANGLE_LSB)
-    return best, amin, asec, matched
-
-
 def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
                  cfg: PipelineConfig = PipelineConfig(), *,
                  collect_matches: bool = True) -> RunReport:
     """Run the modeled accelerator: verdicts plus an exact cycle count.
 
-    The per-block loop mirrors the hardware schedule (fill block cache,
-    stream the database, flush the minimum cache between blocks); the cycle
-    counter is advanced analytically per block and always equals
-    :func:`predict_cycles`.  ``collect_matches=False`` skips the functional
-    evaluation and reports timing only.
+    No per-block loop: ``total_cycles`` is :func:`predict_cycles`,
+    ``blocks_processed`` is ``ceil(m / block_size)``, and the verdicts come
+    from one tiled search (see the module docstring).
+    ``collect_matches=False`` skips the verdicts and reports timing only.
     """
     m, n = len(queries), len(db)
     if m == 0 or n == 0:
         raise ValueError("query and database sets must be non-empty")
 
-    cycles = cfg.block_size * cfg.fetch_cycles_per_descriptor
-    table = arccos_table(cfg.cordic) if collect_matches else None
+    cycles = predict_cycles(m, n, cfg)
     matches: list[MatchResult] = []
-    blocks = 0
-    for start in range(0, m, cfg.block_size):
-        blocks += 1
-        cycles += n * cfg.block_size  # idle slots of a partial block included
-        if not collect_matches:
-            continue
-        stop = min(start + cfg.block_size, m)
-        best, amin, asec, matched = _block_verdicts(
-            queries.raws[start:stop], db, cfg, table)
-        for row in range(stop - start):
-            k = start + row
-            j = int(best[row])
-            matches.append(MatchResult(
-                query_index=k,
-                best_index=j,
-                min_angle=float(amin[row]) * _ANGLE_LSB,
-                second_min_angle=float(asec[row]) * _ANGLE_LSB,
-                matched=bool(matched[row]),
-                query_xy=(int(queries.xy[k, 0]), int(queries.xy[k, 1])),
-                best_xy=(int(db.xy[j, 0]), int(db.xy[j, 1])),
-                min_raw=int(amin[row]),
-                second_min_raw=int(asec[row]),
-            ))
-    cycles += cfg.drain_cycles
+    if collect_matches:
+        table = arccos_table(cfg.cordic)
+        best, amin, asec = top_two(_exact_floats(queries), _exact_floats(db),
+                                   lambda dots: table[_narrow(dots)],
+                                   _SENTINEL_RAW)
+        amin = amin.astype(np.int64)
+        asec = asec.astype(np.int64)
+        min_angle = amin * _ANGLE_LSB
+        second_angle = asec * _ANGLE_LSB
+        if cfg.threshold_mode == "binary_10011":
+            matched = (amin << 5) < (asec << 1) + asec + (asec << 4)
+        else:
+            matched = min_angle < 0.6 * second_angle
+        matches = match_results(queries, db, best, min_angle, second_angle,
+                                matched, amin, asec)
 
     return RunReport(
         total_cycles=cycles,
         elapsed_seconds_at_clock=cycles / cfg.clock_hz,
         clock_hz=cfg.clock_hz,
-        blocks_processed=blocks,
+        blocks_processed=-(-m // cfg.block_size),
         dot_products_executed=m * n,
         matches=matches,
     )

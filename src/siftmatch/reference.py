@@ -5,20 +5,24 @@ arccos(clamp(dot, 0, 1)) to every database descriptor, takes the two
 smallest, and accepts the nearest neighbor only when
 ``min < threshold * second_min`` (threshold 0.6 by default).
 
-Summation order for dot products is strict left-to-right over the 128
-elements, so results are bit-reproducible; the batched matrix path below
-accumulates element-by-element in the same order and therefore produces
-bit-identical floats to the scalar ops.  Everything here is stateless.
+Dot products equal a strict left-to-right sum over the 128 elements, so
+results are bit-reproducible.  :func:`match_all` runs the tiled search of
+:mod:`siftmatch.search` with one BLAS GEMM per tile when both sets are
+``raw_exact`` (every ``.siftdb`` load): every partial sum is exact there, so
+any summation order gives the left-to-right bits.  Other sets (text files,
+``from_floats``) take the strict-order :func:`dot_matrix`, one tile at a
+time.  Everything here is stateless.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .descriptors import DESCRIPTOR_LEN, Descriptor, DescriptorSet
+from .search import exact_dots, top_two
 
 __all__ = [
     "MatchResult",
@@ -28,6 +32,7 @@ __all__ = [
     "dot_product",
     "match_all",
     "match_one",
+    "match_results",
 ]
 
 # Stand-in second minimum for a single-descriptor database: no real angle can
@@ -43,14 +48,15 @@ class MatchResult:
 
     ``min_angle <= second_min_angle`` always; ``matched`` implies
     ``best_index`` is set.  ``min_raw``/``second_min_raw`` are populated only
-    by the fixed-point pipeline engine (UQ2.14 raws).
+    by the fixed-point pipeline engine (UQ2.14 raws).  Field order is the
+    key order of a report row, which is ``vars(result)``.
     """
 
     query_index: int
+    matched: bool
     best_index: int | None
     min_angle: float
     second_min_angle: float
-    matched: bool
     query_xy: tuple[int, int]
     best_xy: tuple[int, int] | None
     min_raw: int | None = None
@@ -84,36 +90,23 @@ def angular_distance(a: Descriptor, b: Descriptor) -> float:
     return float(np.arccos(np.clip(dot_product(a, b), 0.0, 1.0)))
 
 
-def _angle_rows(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
-    dots = dot_matrix(queries, database)
-    return np.arccos(np.clip(dots, 0.0, 1.0))
+def _angles(dots: np.ndarray) -> np.ndarray:
+    """arccos of the clamped dot products, in place."""
+    return np.arccos(np.clip(dots, 0.0, 1.0, out=dots), out=dots)
 
 
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-
-
-def _row_result(query_index: int, angles: np.ndarray, threshold: float,
-                queries: DescriptorSet, db: DescriptorSet) -> MatchResult:
-    best = int(np.argmin(angles))  # first occurrence: smallest index wins ties
-    if angles.shape[0] == 1:
-        min_angle = float(angles[0])
-        second = SECOND_MIN_SURROGATE
-    else:
-        two = np.partition(angles, 1)[:2]
-        min_angle = float(two.min())
-        second = float(two.max())
-    matched = min_angle < threshold * second
-    return MatchResult(
-        query_index=query_index,
-        best_index=best,
-        min_angle=min_angle,
-        second_min_angle=second,
-        matched=matched,
-        query_xy=(int(queries.xy[query_index, 0]), int(queries.xy[query_index, 1])),
-        best_xy=(int(db.xy[best, 0]), int(db.xy[best, 1])),
-    )
+def match_results(queries: DescriptorSet, db: DescriptorSet, best: np.ndarray,
+                  min_angle: np.ndarray, second_angle: np.ndarray,
+                  matched: np.ndarray, min_raw: np.ndarray | None = None,
+                  second_raw: np.ndarray | None = None) -> list[MatchResult]:
+    """One :class:`MatchResult` per query from columnar search results."""
+    no_raws = [None] * len(best)
+    return [MatchResult(k, *row) for k, row in enumerate(zip(
+        matched.tolist(), best.tolist(), min_angle.tolist(),
+        second_angle.tolist(), map(tuple, queries.xy.tolist()),
+        map(tuple, db.xy[best].tolist()),
+        no_raws if min_raw is None else min_raw.tolist(),
+        no_raws if second_raw is None else second_raw.tolist()))]
 
 
 def match_one(query: Descriptor, db: DescriptorSet,
@@ -124,28 +117,22 @@ def match_one(query: Descriptor, db: DescriptorSet,
     The database must be non-empty; with a single entry the second minimum
     is the pi surrogate (see :data:`SECOND_MIN_SURROGATE`).
     """
-    _check_threshold(threshold)
-    if len(db) == 0:
-        raise ValueError("database is empty")
-    angles = _angle_rows(query.elements[None, :], db.floats)[0]
-    result = _row_result(0, angles, threshold, _single_set(query), db)
-    return MatchResult(**{**result.__dict__, "query_index": query_index,
-                          "query_xy": query.xy})
-
-
-def _single_set(d: Descriptor) -> DescriptorSet:
-    return DescriptorSet("query", d.elements[None, :], d.raws[None, :],
-                         np.array([[d.x, d.y]], dtype=np.uint16))
+    single = DescriptorSet("query", query.elements[None, :], query.raws[None, :],
+                           np.array([query.xy], dtype=np.uint16))
+    return replace(match_all(single, db, threshold)[0], query_index=query_index)
 
 
 def match_all(queries: DescriptorSet, db: DescriptorSet,
               threshold: float = DEFAULT_THRESHOLD) -> list[MatchResult]:
     """Match every query descriptor; output order equals query order."""
-    _check_threshold(threshold)
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if len(queries) == 0:
         return []
     if len(db) == 0:
         raise ValueError("database is empty")
-    angles = _angle_rows(queries.floats, db.floats)
-    return [_row_result(k, angles[k], threshold, queries, db)
-            for k in range(len(queries))]
+    exact = queries.raw_exact and db.raw_exact
+    best, low, high = top_two(queries.floats, db.floats, _angles,
+                              SECOND_MIN_SURROGATE,
+                              exact_dots if exact else dot_matrix)
+    return match_results(queries, db, best, low, high, low < threshold * high)

@@ -4,12 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from siftmatch.cli import main
+from siftmatch.cli import _agreement, main
 from siftmatch.fixedpoint import UQ2_14
+from siftmatch.reference import MatchResult
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def assert_one_error(capsys, category):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"siftmatch: error: {category}:")
 
 
 @pytest.fixture
@@ -126,6 +132,25 @@ class TestCompare:
         assert code == 1
         assert "mismatched query counts" in capsys.readouterr().err
 
+    def test_report_without_matches_is_format_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"engine": "reference"}))
+        assert run_cli("compare", "--reports", str(bad), str(bad)) == 1
+        assert_one_error(capsys, "format")
+
+    def test_report_not_json_is_format_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("k,matched\n0,1\n")
+        assert run_cli("compare", "--reports", str(bad), str(bad)) == 1
+        assert_one_error(capsys, "format")
+
+    def test_undefined_ratio_is_null(self):
+        def result(matched):
+            return MatchResult(0, matched, 0, 0.0, 0.0, (0, 0), (0, 0))
+        out = _agreement([result(False)], [result(True)], 0.6)
+        row = json.loads(json.dumps(out, allow_nan=False))["disagreements"][0]
+        assert row["ratio"] is None and row["ratio_margin"] is None
+
     def test_needs_inputs(self, capsys):
         assert run_cli("compare") == 1
         assert "error: domain:" in capsys.readouterr().err
@@ -143,6 +168,28 @@ class TestRoofline:
     def test_empty_range_is_error(self, capsys):
         assert run_cli("roofline", "--bandwidths", "") == 1
         assert "error: domain:" in capsys.readouterr().err
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_match_clock(self, dataset, tmp_path, capsys, value):
+        out = tmp_path / "pipe.json"
+        assert run_cli("match", "-q", f"{dataset}_a.siftdb",
+                       "-d", f"{dataset}_b.siftdb", "--engine", "pipeline",
+                       "--clock-hz", value, "-o", str(out)) == 1
+        assert_one_error(capsys, "domain")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("roofline", "--bandwidths", "inf"),
+        ("roofline", "--bandwidths", "3.2e9,nan"),
+        ("roofline", "--bandwidths", "1e-300"),
+        ("roofline", "--clock-hz", "nan"),
+        ("bench", "--clock-hz", "inf"),
+    ])
+    def test_rejected(self, capsys, args):
+        assert run_cli(*args) == 1
+        assert_one_error(capsys, "domain")
 
 
 class TestCharacterize:

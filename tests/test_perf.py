@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ GB = 1e9
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"clock_hz": 0}, {"descriptor_bytes": 0}, {"peak_ops_per_cycle": 0},
+        {"clock_hz": math.nan}, {"clock_hz": math.inf},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -51,6 +53,11 @@ class TestAttainableThroughput:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             attainable_throughput(0.0)
+
+    @pytest.mark.parametrize("bw", [math.inf, math.nan, 1e-300, 5e-324])
+    def test_rejects_non_finite_and_vanishing(self, bw):
+        with pytest.raises(ValueError):
+            attainable_throughput(bw)
 
 
 class TestSweep:

@@ -1,15 +1,18 @@
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from siftmatch import search
 from siftmatch.cordic import AngleSample, cordic_arccos
 from siftmatch.descriptors import DESCRIPTOR_LEN, DescriptorSet, generate_synthetic
 from siftmatch.fixedpoint import UQ1_15, UQ2_14, FxSample
 from siftmatch.pipeline import (
+    THRESHOLD_MODES,
     MinPairEntry,
     PipelineConfig,
     dot_product_core,
@@ -62,6 +65,8 @@ class TestConfig:
         {"cosine_stages": 0},
         {"clock_hz": 0.0},
         {"threshold_mode": "always"},
+        {"clock_hz": math.nan},
+        {"clock_hz": math.inf},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -361,6 +366,82 @@ class TestRunPipeline:
             if e.matched != b.matched:
                 ratio = e.min_raw / e.second_min_raw
                 assert 0.59375 <= ratio < 0.6
+
+
+@st.composite
+def adversarial_sets(draw):
+    """Query and database sets built to stress the tiled search kernel.
+
+    Database rows may repeat (exact angle ties), rows of 32768 raws saturate
+    every dot product, a single database row leaves the 0xFFFF sentinel as
+    second minimum, queries may copy database rows, and ``from_floats`` sets
+    carry floats that are not ``raw * 2**-15``.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def row(kind):
+        r = np.zeros(DESCRIPTOR_LEN, dtype=np.int64)
+        if kind == "saturating":
+            r[:] = 1 << 15
+        elif kind == "one_hot":
+            r[rng.integers(DESCRIPTOR_LEN)] = 1 << 15
+        elif kind == "sparse":
+            r[rng.choice(DESCRIPTOR_LEN, 3)] = rng.integers(0, (1 << 15) + 1, 3)
+        else:
+            r[:] = rng.integers(0, 5800, DESCRIPTOR_LEN)
+        return r
+
+    kinds = st.sampled_from(["saturating", "one_hot", "sparse", "dense"])
+    n = draw(st.integers(1, 5))
+    db_rows = [row(draw(kinds)) for _ in range(n)]
+    db_rows += [db_rows[i] for i in draw(st.lists(st.integers(0, n - 1),
+                                                  max_size=3))]
+    q_rows = [db_rows[draw(st.integers(0, len(db_rows) - 1))]
+              if draw(st.booleans()) else row(draw(kinds))
+              for _ in range(draw(st.integers(1, 6)))]
+    exact = draw(st.booleans())
+
+    def build(rows):
+        raws = np.array(rows, dtype=np.uint16)
+        xy = rng.integers(0, 1024, (len(rows), 2))
+        if exact:
+            return DescriptorSet.from_raws("h", raws, xy)
+        # an offset far below half an LSB: same raws, inexact floats
+        floats = np.clip(raws * UQ1_15.lsb + 1e-7, 0.0, 1.0)
+        return DescriptorSet.from_floats("h", floats, xy)
+
+    queries, db = build(q_rows), build(db_rows)
+    assert queries.raw_exact == db.raw_exact == exact
+    assert np.array_equal(queries.raws, np.array(q_rows, dtype=np.uint16))
+    return queries, db
+
+
+class TestSearchKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(adversarial_sets(), st.sampled_from(THRESHOLD_MODES),
+           st.integers(1, 12), st.integers(1, 5))
+    def test_equals_scalar_composition(self, sets, mode, tile, block):
+        queries, db = sets
+        cfg = PipelineConfig(block_size=block, threshold_mode=mode)
+        with mock.patch.object(search, "TILE_DOTS", tile):  # several tiles
+            report = run_pipeline(queries, db, cfg)
+            dots = dot_raw_matrix(queries, db)
+        got = [(m.matched, m.best_index, m.min_raw, m.second_min_raw)
+               for m in report.matches]
+        assert got == sequential_verdicts(queries, db, cfg)
+        assert report.total_cycles == predict_cycles(len(queries), len(db), cfg)
+        for i, q in enumerate(queries):
+            for j, d in enumerate(db):
+                assert dots[i, j] == dot_product_core(q, d).raw
+
+    def test_ties_go_to_earliest_index(self):
+        raws = np.zeros((3, DESCRIPTOR_LEN), dtype=np.uint16)
+        raws[:, 0] = 1 << 15
+        db = DescriptorSet.from_raws("d", raws, np.zeros((3, 2)))
+        report = run_pipeline(subset(db, 1), db, PipelineConfig())
+        m = report.matches[0]
+        assert (m.best_index, m.min_raw, m.second_min_raw) == (0, 0, 0)
+        assert not m.matched
 
 
 class TestReporting:

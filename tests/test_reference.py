@@ -1,9 +1,12 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from siftmatch import search
 from siftmatch.descriptors import DESCRIPTOR_LEN, DescriptorSet, generate_synthetic
 from siftmatch.reference import (
     SECOND_MIN_SURROGATE,
@@ -209,3 +212,33 @@ class TestInvariants:
                    if r.min_angle < r.second_min_angle)
         near_zero = match_all(q, db, 1e-12)
         assert not any(r.matched for r in near_zero if r.min_angle > 0)
+
+
+class TestBlasPath:
+    """Raw-exact sets take one BLAS GEMM per tile; it must give the bits of
+    the strict left-to-right :func:`dot_matrix`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from([1 << 15, 5800, 40]), st.integers(1, 20))
+    def test_bit_equal_to_strict_order(self, seed, m, n, top, tile):
+        rng = np.random.default_rng(seed)
+        q_raws = rng.integers(0, top + 1, (m, DESCRIPTOR_LEN)).astype(np.uint16)
+        d_raws = rng.integers(0, top + 1, (n, DESCRIPTOR_LEN)).astype(np.uint16)
+        d_raws[rng.integers(n)] = q_raws[0]  # an exact angle-0 pair
+        q = DescriptorSet.from_raws("q", q_raws, np.zeros((m, 2)))
+        d = DescriptorSet.from_raws("d", d_raws, np.zeros((n, 2)))
+        assert np.array_equal(search.exact_dots(q.floats, d.floats),
+                              dot_matrix(q.floats, d.floats))
+        strict_q = DescriptorSet("q", q.floats, q.raws, q.xy)
+        strict_d = DescriptorSet("d", d.floats, d.raws, d.xy)
+        assert not strict_q.raw_exact and not strict_d.raw_exact
+        with mock.patch.object(search, "TILE_DOTS", tile):
+            assert match_all(q, d) == match_all(strict_q, strict_d)
+
+    def test_inexact_sets_keep_strict_order(self, rng):
+        q = make_set(random_unit(rng, 8))
+        db = make_set(random_unit(rng, 40))
+        angles = np.arccos(np.clip(dot_matrix(q.floats, db.floats), 0.0, 1.0))
+        results = match_all(q, db, 0.6)
+        assert [r.min_angle for r in results] == angles.min(axis=1).tolist()
