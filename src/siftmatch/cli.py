@@ -29,7 +29,7 @@ from .pipeline import (
     run_pipeline,
     write_matches_csv,
 )
-from .reference import match_all
+from .reference import match_all, report_json_chunks
 
 _DEFAULT_BENCH_SIZES = (579, 638, 882, 1021)
 
@@ -89,7 +89,9 @@ def _write_out(path: str | None, writer) -> None:
 
 
 def _write_json(path: str | None, obj) -> None:
-    _write_out(path, lambda fh: json.dump(obj, fh, indent=2, allow_nan=False))
+    # Encode before opening, so an unencodable value leaves no partial file.
+    text = json.dumps(obj, indent=2, allow_nan=False)
+    _write_out(path, lambda fh: fh.write(text))
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -151,8 +153,8 @@ def cmd_match(args) -> int:
     if args.format == "csv":
         _write_out(args.output, lambda fh: write_matches_csv(matches, fh))
     else:
-        report["matches"] = [vars(m) for m in matches]
-        _write_json(args.output, report)
+        chunks = report_json_chunks(report, matches)
+        _write_out(args.output, lambda fh: fh.writelines(chunks))
     return 0
 
 

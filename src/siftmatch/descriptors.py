@@ -194,10 +194,13 @@ def _load_text(path: str) -> DescriptorSet:
                 raise DescriptorFormatError(
                     f"{path}: descriptor {i} has {len(tokens) - 2} elements, "
                     f"expected {DESCRIPTOR_LEN}")
-            x, y = int(tokens[0]), int(tokens[1])
+            try:
+                x, y = int(tokens[0]), int(tokens[1])
+                row = np.array([float(t) for t in tokens[2:]], dtype=np.float64)
+            except ValueError as exc:
+                raise DescriptorFormatError(f"{path}: descriptor {i}: {exc}") from None
             if not (0 <= x <= _COORD_MAX and 0 <= y <= _COORD_MAX):
                 raise DescriptorFormatError(f"{path}: descriptor {i} coordinates out of range")
-            row = np.array([float(t) for t in tokens[2:]], dtype=np.float64)
             if not np.all(np.isfinite(row)):
                 raise DescriptorFormatError(f"{path}: descriptor {i} has non-finite element")
             if (row < 0).any() or (row > 1).any():

@@ -41,7 +41,6 @@ Each invocation is an independent, deterministic state machine.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -50,7 +49,7 @@ import numpy as np
 from .cordic import AngleSample, CordicConfig, DEFAULT_CONFIG, arccos_table
 from .descriptors import Descriptor, DescriptorSet
 from .fixedpoint import UQ1_15, UQ2_14, FxSample, QFormat, round_shift_even
-from .reference import MatchResult, match_results
+from .reference import MatchColumns, match_results, write_matches_csv
 from .search import exact_dots, top_two
 
 __all__ = [
@@ -202,21 +201,10 @@ class RunReport:
     clock_hz: float
     blocks_processed: int
     dot_products_executed: int
-    matches: list[MatchResult]
+    matches: MatchColumns
 
     def to_json_dict(self) -> dict:
         return {**vars(self), "matches": [dict(vars(m)) for m in self.matches]}
-
-
-def write_matches_csv(matches: list[MatchResult], fileobj) -> None:
-    """Emit verdicts as ``k, matched, best_index, qx, qy, bx, by, min_raw, secmin_raw``."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["k", "matched", "best_index", "qx", "qy", "bx", "by",
-                     "min_raw", "secmin_raw"])
-    for m in matches:  # csv writes None as an empty field
-        writer.writerow([m.query_index, int(m.matched), m.best_index,
-                         *m.query_xy, *(m.best_xy or (None, None)),
-                         m.min_raw, m.second_min_raw])
 
 
 def predict_cycles(m: int, n: int, cfg: PipelineConfig = PipelineConfig()) -> int:
@@ -243,7 +231,11 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
         raise ValueError("query and database sets must be non-empty")
 
     cycles = predict_cycles(m, n, cfg)
-    matches: list[MatchResult] = []
+    elapsed = cycles / cfg.clock_hz
+    if not math.isfinite(elapsed):
+        raise ValueError(f"clock_hz {cfg.clock_hz!r} is too small: "
+                         f"{cycles} cycles take {elapsed} s")
+    matches = MatchColumns.empty()
     if collect_matches:
         table = arccos_table(cfg.cordic)
         best, amin, asec = top_two(_exact_floats(queries), _exact_floats(db),
@@ -262,7 +254,7 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
 
     return RunReport(
         total_cycles=cycles,
-        elapsed_seconds_at_clock=cycles / cfg.clock_hz,
+        elapsed_seconds_at_clock=elapsed,
         clock_hz=cfg.clock_hz,
         blocks_processed=-(-m // cfg.block_size),
         dot_products_executed=m * n,

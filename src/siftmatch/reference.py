@@ -12,12 +12,23 @@ results are bit-reproducible.  :func:`match_all` runs the tiled search of
 any summation order gives the left-to-right bits.  Other sets (text files,
 ``from_floats``) take the strict-order :func:`dot_matrix`, one tile at a
 time.  Everything here is stateless.
+
+Results stay columnar from the search to the output file:
+:func:`match_results` wraps the search's arrays in a :class:`MatchColumns`,
+which reads as a sequence of :class:`MatchResult` but builds a row object
+only when one is asked for.  :func:`report_json_chunks` and
+:func:`write_matches_csv` write report rows straight from the columns'
+``tolist()``; the JSON row template is made from the :class:`MatchResult`
+fields, so the bytes equal ``json.dumps(indent=2)`` of ``vars(result)``.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,6 +36,8 @@ from .descriptors import DESCRIPTOR_LEN, Descriptor, DescriptorSet
 from .search import exact_dots, top_two
 
 __all__ = [
+    "CHUNK_ROWS",
+    "MatchColumns",
     "MatchResult",
     "SECOND_MIN_SURROGATE",
     "angular_distance",
@@ -33,6 +46,8 @@ __all__ = [
     "match_all",
     "match_one",
     "match_results",
+    "report_json_chunks",
+    "write_matches_csv",
 ]
 
 # Stand-in second minimum for a single-descriptor database: no real angle can
@@ -40,6 +55,10 @@ __all__ = [
 SECOND_MIN_SURROGATE = math.pi
 
 DEFAULT_THRESHOLD = 0.6
+
+# Report rows per written piece: large enough that the per-piece overhead
+# vanishes, small enough that a piece's text and row values stay a few MB.
+CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -61,6 +80,128 @@ class MatchResult:
     best_xy: tuple[int, int] | None
     min_raw: int | None = None
     second_min_raw: int | None = None
+
+
+# What False, True and None become in each output.
+_OBJECTS = (False, True, None)
+_JSON = ("false", "true", "null")
+_CSV = (0, 1, None)  # csv writes None as an empty field
+
+# One report row as json.dumps(indent=2) writes it inside "matches": every
+# field of MatchResult in order, an (x, y) pair as a two-line list.  The
+# values are filled in as text: str() of a finite float is its repr, which
+# is what json writes.
+_JSON_ROW = "    {\n" + ",\n".join(
+    f"      {json.dumps(f.name)}: "
+    + ("[\n        %s,\n        %s\n      ]" if f.name.endswith("_xy") else "%s")
+    for f in fields(MatchResult)) + "\n    }"
+
+
+@dataclass(frozen=True, eq=False)
+class MatchColumns(Sequence):
+    """Verdicts for all queries as columns, one array entry per query.
+
+    ``best`` holds best indices, ``query_xy``/``best_xy`` are (m, 2) and the
+    raw columns are ``None`` for the reference engine.  It is a sequence of
+    :class:`MatchResult`, compares equal to a list of them, and builds a
+    row object only on indexing or iteration.
+    """
+
+    best: np.ndarray
+    min_angle: np.ndarray
+    second_min_angle: np.ndarray
+    matched: np.ndarray
+    query_xy: np.ndarray
+    best_xy: np.ndarray
+    min_raw: np.ndarray | None = None
+    second_min_raw: np.ndarray | None = None
+
+    @classmethod
+    def empty(cls) -> "MatchColumns":
+        xy = np.empty((0, 2), dtype=np.uint16)
+        return cls(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0),
+                   np.empty(0, dtype=bool), xy, xy)
+
+    def __len__(self) -> int:
+        return len(self.best)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = range(len(self))[index]
+        return next(self._results(k, k + 1))
+
+    def __iter__(self) -> Iterator[MatchResult]:
+        return self._results(0, len(self))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def _results(self, start: int, stop: int) -> Iterator[MatchResult]:
+        for (k, matched, best, low, high, qx, qy, bx, by, raw_low,
+             raw_high) in self._rows(start, stop, _OBJECTS):
+            yield MatchResult(k, matched, best, low, high, (qx, qy), (bx, by),
+                              raw_low, raw_high)
+
+    def _rows(self, start: int, stop: int, literals) -> Iterator[tuple]:
+        """Rows ``start:stop`` as plain values in :class:`MatchResult` field
+        order, each (x, y) pair split in two; ``literals`` stand for False,
+        True and None."""
+        stop = min(stop, len(self))
+        cut = slice(start, stop)
+        false, true, none = literals
+        absent = [none] * (stop - start)
+        return zip(
+            range(start, stop),
+            [true if flag else false for flag in self.matched[cut].tolist()],
+            self.best[cut].tolist(),
+            self.min_angle[cut].tolist(),
+            self.second_min_angle[cut].tolist(),
+            *self.query_xy[cut].T.tolist(),
+            *self.best_xy[cut].T.tolist(),
+            absent if self.min_raw is None else self.min_raw[cut].tolist(),
+            absent if self.second_min_raw is None
+            else self.second_min_raw[cut].tolist())
+
+
+def report_json_chunks(header: dict, matches: MatchColumns) -> Iterator[str]:
+    """The text of ``json.dumps({**header, "matches": rows}, indent=2,
+    allow_nan=False)``, where ``rows`` are ``vars()`` of each result, in
+    pieces of :data:`CHUNK_ROWS` rows.
+
+    Raises ``ValueError`` for a non-finite angle or header value before any
+    text is produced, so a caller never writes part of a report.
+    """
+    for angles in (matches.min_angle, matches.second_min_angle):
+        if not np.isfinite(angles).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+    head = json.dumps({**header, "matches": []}, indent=2, allow_nan=False)
+    if not len(matches):
+        return iter((head,))
+    return _json_pieces(head[:-len("]\n}")], matches)
+
+
+def _json_pieces(head: str, matches: MatchColumns) -> Iterator[str]:
+    separator = "\n"
+    for start in range(0, len(matches), CHUNK_ROWS):
+        rows = matches._rows(start, start + CHUNK_ROWS, _JSON)
+        yield head + separator + ",\n".join(_JSON_ROW % row for row in rows)
+        head, separator = "", ",\n"
+    yield "\n  ]\n}"
+
+
+def write_matches_csv(matches: MatchColumns, fileobj) -> None:
+    """Emit verdicts as ``k, matched, best_index, qx, qy, bx, by, min_raw, secmin_raw``."""
+    writer = csv.writer(fileobj)
+    writer.writerow(["k", "matched", "best_index", "qx", "qy", "bx", "by",
+                     "min_raw", "secmin_raw"])
+    for start in range(0, len(matches), CHUNK_ROWS):
+        writer.writerows(
+            (k, matched, best, qx, qy, bx, by, raw_low, raw_high)
+            for k, matched, best, _, _, qx, qy, bx, by, raw_low, raw_high
+            in matches._rows(start, start + CHUNK_ROWS, _CSV))
 
 
 def dot_matrix(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
@@ -98,15 +239,10 @@ def _angles(dots: np.ndarray) -> np.ndarray:
 def match_results(queries: DescriptorSet, db: DescriptorSet, best: np.ndarray,
                   min_angle: np.ndarray, second_angle: np.ndarray,
                   matched: np.ndarray, min_raw: np.ndarray | None = None,
-                  second_raw: np.ndarray | None = None) -> list[MatchResult]:
-    """One :class:`MatchResult` per query from columnar search results."""
-    no_raws = [None] * len(best)
-    return [MatchResult(k, *row) for k, row in enumerate(zip(
-        matched.tolist(), best.tolist(), min_angle.tolist(),
-        second_angle.tolist(), map(tuple, queries.xy.tolist()),
-        map(tuple, db.xy[best].tolist()),
-        no_raws if min_raw is None else min_raw.tolist(),
-        no_raws if second_raw is None else second_raw.tolist()))]
+                  second_raw: np.ndarray | None = None) -> MatchColumns:
+    """The columnar result of a search: one entry per query."""
+    return MatchColumns(best, min_angle, second_angle, matched, queries.xy,
+                        db.xy[best], min_raw, second_raw)
 
 
 def match_one(query: Descriptor, db: DescriptorSet,
@@ -123,12 +259,12 @@ def match_one(query: Descriptor, db: DescriptorSet,
 
 
 def match_all(queries: DescriptorSet, db: DescriptorSet,
-              threshold: float = DEFAULT_THRESHOLD) -> list[MatchResult]:
+              threshold: float = DEFAULT_THRESHOLD) -> MatchColumns:
     """Match every query descriptor; output order equals query order."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if len(queries) == 0:
-        return []
+        return MatchColumns.empty()
     if len(db) == 0:
         raise ValueError("database is empty")
     exact = queries.raw_exact and db.raw_exact

@@ -99,6 +99,25 @@ class TestMatch:
         assert code == 1
         assert "error: format:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column,token", [(0, "1.5"), (7, "x")])
+    def test_non_numeric_text_field_is_format_error(self, tmp_path, capsys,
+                                                    column, token):
+        prefix = str(tmp_path / "t")
+        run_cli("generate", "-m", "3", "--format", "text", "-o", prefix)
+        lines = (tmp_path / "t_a.siftd").read_text().splitlines()
+        fields = lines[2].split()
+        fields[column] = token
+        lines[2] = " ".join(fields)
+        bad = tmp_path / "bad.siftd"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.json"
+        assert run_cli("match", "-q", str(bad), "-d", f"{prefix}_b.siftd",
+                       "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "descriptor 1:" in err
+        assert err.count("\n") == 1 and err.startswith("siftmatch: error: format:")
+        assert not out.exists()
+
 
 class TestCompare:
     def test_engines_agree_on_easy_data(self, dataset, tmp_path, capsys):
@@ -171,12 +190,29 @@ class TestRoofline:
 
 
 class TestNonFinite:
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e-310"])
     def test_match_clock(self, dataset, tmp_path, capsys, value):
         out = tmp_path / "pipe.json"
         assert run_cli("match", "-q", f"{dataset}_a.siftdb",
                        "-d", f"{dataset}_b.siftdb", "--engine", "pipeline",
                        "--clock-hz", value, "-o", str(out)) == 1
+        assert_one_error(capsys, "domain")
+        assert not out.exists()
+
+    def test_subnormal_clock_csv(self, dataset, tmp_path, capsys):
+        # 1e-310 is finite and positive, but cycles / clock_hz overflows
+        out = tmp_path / "pipe.csv"
+        assert run_cli("match", "-q", f"{dataset}_a.siftdb",
+                       "-d", f"{dataset}_b.siftdb", "--engine", "pipeline",
+                       "--clock-hz", "1e-310", "--format", "csv",
+                       "-o", str(out)) == 1
+        assert_one_error(capsys, "domain")
+        assert not out.exists()
+
+    def test_unencodable_json_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert run_cli("bench", "--json", "--clock-hz", "1e-310",
+                       "-o", str(out)) == 1
         assert_one_error(capsys, "domain")
         assert not out.exists()
 

@@ -1,4 +1,8 @@
+import csv
+import io
+import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -6,15 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siftmatch import search
+from siftmatch import reference, search
 from siftmatch.descriptors import DESCRIPTOR_LEN, DescriptorSet, generate_synthetic
+from siftmatch.pipeline import PipelineConfig, run_pipeline, write_matches_csv
 from siftmatch.reference import (
     SECOND_MIN_SURROGATE,
+    MatchResult,
     angular_distance,
     dot_matrix,
     dot_product,
     match_all,
     match_one,
+    report_json_chunks,
 )
 
 
@@ -242,3 +249,127 @@ class TestBlasPath:
         angles = np.arccos(np.clip(dot_matrix(q.floats, db.floats), 0.0, 1.0))
         results = match_all(q, db, 0.6)
         assert [r.min_angle for r in results] == angles.min(axis=1).tolist()
+
+
+def listed(columns):
+    """The list of result objects the engines returned before results were
+    columnar, built from the same columns."""
+    no_raws = [None] * len(columns.best)
+    return [MatchResult(k, *row) for k, row in enumerate(zip(
+        columns.matched.tolist(), columns.best.tolist(),
+        columns.min_angle.tolist(), columns.second_min_angle.tolist(),
+        map(tuple, columns.query_xy.tolist()),
+        map(tuple, columns.best_xy.tolist()),
+        no_raws if columns.min_raw is None else columns.min_raw.tolist(),
+        no_raws if columns.second_min_raw is None
+        else columns.second_min_raw.tolist()))]
+
+
+def listed_csv(rows):
+    """The per-row csv.writer loop that wrote CSV reports from result objects."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["k", "matched", "best_index", "qx", "qy", "bx", "by",
+                     "min_raw", "secmin_raw"])
+    for m in rows:
+        writer.writerow([m.query_index, int(m.matched), m.best_index,
+                         *m.query_xy, *(m.best_xy or (None, None)),
+                         m.min_raw, m.second_min_raw])
+    return buf.getvalue()
+
+
+def report_case(seed, engine, mode, m, n, raw_exact, copies):
+    """Match m random queries (the first ``copies`` duplicating database
+    rows) against n rows with one engine; returns (header, columns)."""
+    rng = np.random.default_rng(seed)
+    db_rows = random_unit(rng, n)
+    q_rows = random_unit(rng, m) if m else np.empty((0, DESCRIPTOR_LEN))
+    copies = min(copies, m)
+    q_rows[:copies] = db_rows[rng.integers(0, n, copies)]
+
+    def build(rows, name):
+        xy = rng.integers(0, 1 << 16, (len(rows), 2))
+        if raw_exact:  # as loaded from .siftdb
+            return DescriptorSet.from_raws(
+                name, make_set(rows).raws, xy)
+        return DescriptorSet.from_floats(name, rows, xy)  # as from .siftd
+
+    q, db = build(q_rows, "q"), build(db_rows, "d")
+    header = {"engine": engine, "queries": "q", "database": "d",
+              "num_queries": m, "num_database": n}
+    if engine == "reference":
+        threshold = 0.6 if mode == "exact_0_6" else 0.4
+        header["threshold"] = threshold
+        return header, match_all(q, db, threshold)
+    run = run_pipeline(q, db, PipelineConfig(threshold_mode=mode))
+    header.update({"threshold_mode": mode, "clock_hz": run.clock_hz,
+                   "elapsed_seconds_at_clock": run.elapsed_seconds_at_clock})
+    return header, run.matches
+
+
+def check_report(header, columns, chunk):
+    rows = listed(columns)
+    assert list(columns) == rows and columns == rows and len(columns) == len(rows)
+    if rows:
+        assert columns[-1] == rows[-1] and columns[1:3] == rows[1:3]
+        flipped = rows[:-1] + [replace(rows[-1], matched=not rows[-1].matched)]
+        assert columns != flipped and flipped != columns
+    with mock.patch.object(reference, "CHUNK_ROWS", chunk):
+        pieces = list(report_json_chunks(header, columns))
+        buf = io.StringIO()
+        write_matches_csv(columns, buf)
+    assert "".join(pieces) == json.dumps(
+        {**header, "matches": [vars(r) for r in rows]}, indent=2)
+    assert len(pieces) == (1 if not rows else -(-len(rows) // chunk) + 1)
+    assert buf.getvalue() == listed_csv(rows)
+
+
+class TestReportWriter:
+    """The columnar row writer gives the bytes of json.dumps(indent=2) and
+    of the per-row csv.writer loop over result objects."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["reference", "pipeline"]),
+           st.sampled_from(["exact_0_6", "binary_10011"]),
+           st.integers(0, 9), st.integers(1, 5), st.booleans(),
+           st.integers(0, 9), st.integers(1, 4))
+    def test_bytes_equal_object_serialization(self, seed, engine, mode, m, n,
+                                              raw_exact, copies, chunk):
+        m = max(m, int(engine == "pipeline"))  # the pipeline needs a query
+        check_report(*report_case(seed, engine, mode, m, n, raw_exact, copies),
+                     chunk)
+
+    @pytest.mark.parametrize("engine,m,n", [
+        ("reference", 0, 3),   # "matches": []
+        ("reference", 5, 1),   # second minimum is the pi surrogate
+        ("pipeline", 5, 1),    # second minimum is the 0xFFFF sentinel
+        ("pipeline", 7, 4),    # chunk boundary inside the rows
+    ])
+    def test_edge_shapes(self, engine, m, n):
+        header, columns = report_case(3, engine, "exact_0_6", m, n, True, 2)
+        if n == 1 and m:
+            assert set(columns.second_min_angle.tolist()) == {
+                SECOND_MIN_SURROGATE if engine == "reference"
+                else 0xFFFF * 2.0 ** -14}
+        check_report(header, columns, 3)
+
+    @pytest.mark.parametrize("column", ["min_angle", "second_min_angle"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_is_rejected(self, column, value):
+        header, columns = report_case(4, "reference", "exact_0_6", 4, 3,
+                                      False, 0)
+        angles = getattr(columns, column).copy()
+        angles[2] = value
+        bad = replace(columns, **{column: angles})
+        with pytest.raises(ValueError):  # what json.dumps does today
+            json.dumps({**header, "matches": [vars(r) for r in listed(bad)]},
+                       indent=2, allow_nan=False)
+        with pytest.raises(ValueError):
+            report_json_chunks(header, bad)
+
+    def test_non_finite_header_is_rejected(self):
+        header, columns = report_case(5, "pipeline", "exact_0_6", 4, 3, True, 0)
+        with pytest.raises(ValueError):
+            report_json_chunks({**header, "elapsed_seconds_at_clock": math.inf},
+                               columns)
