@@ -25,6 +25,7 @@ from .fixedpoint import UQ1_15, UQ2_14
 from .perf import RooflineConfig, roofline_sweep, write_roofline_csv
 from .pipeline import (
     PipelineConfig,
+    elapsed_seconds,
     predict_cycles,
     run_pipeline,
     write_matches_csv,
@@ -274,7 +275,7 @@ def cmd_bench(args) -> int:
             "n": args.db_size,
             "blocks": -(-m // cfg.block_size),
             "total_cycles": cycles,
-            "elapsed_ms": cycles / cfg.clock_hz * 1e3,
+            "elapsed_ms": elapsed_seconds(cycles, cfg) * 1e3,
         })
     if args.json:
         _write_json(args.output, rows)

@@ -4,7 +4,11 @@ A descriptor is a 128-element non-negative feature vector (values in [0, 1],
 L2 norm ~1) plus a 16-bit (x, y) pixel location.  Every descriptor carries
 two synchronized views: float64 elements and their UQ1.15 quantization, so
 the float reference matcher and the fixed-point hardware model consume the
-same data.  Sets are immutable after construction and safe to share.
+same data.  A set read from a binary file keeps only its 16-bit raws, as the
+hardware streams them; its float view is exactly ``raw * 2**-15``, derived
+on first access of :attr:`DescriptorSet.floats` (the engines never ask for
+it: they convert one query tile at a time).  Sets are immutable after
+construction and safe to share.
 
 Two on-disk formats are supported:
 
@@ -19,6 +23,7 @@ Both round-trip bit-exactly.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -48,6 +53,9 @@ _COORD_MAX = 0xFFFF
 # through the binary format.
 NORM_TOLERANCE = 1e-3
 
+# Rows per block when a whole set is scanned on load (1 MiB of floats).
+_BLOCK_ROWS = 1024
+
 
 class DescriptorFormatError(ValueError):
     """Raised for malformed or out-of-contract descriptor files."""
@@ -70,31 +78,53 @@ class Descriptor:
 class DescriptorSet:
     """Ordered, immutable collection of descriptors for one image.
 
-    ``floats`` is (m, 128) float64, ``raws`` is the matching (m, 128) uint16
-    UQ1.15 view, ``xy`` is (m, 2) uint16.  Order is load order and stable.
-    ``raw_exact`` records that ``floats == raws * 2**-15`` exactly, as for
-    every set built by :meth:`from_raws`; the engines then use ``floats``
-    itself as an exact GEMM operand (see :mod:`siftmatch.search`).
+    ``raws`` is (m, 128) uint16 UQ1.15, ``xy`` is (m, 2) uint16 and
+    ``floats`` the (m, 128) float64 view.  Order is load order and stable.
+    ``floats`` may be ``None``: the set is then ``raw_exact``, its float
+    view is ``raws * 2**-15``, derived on first access of :attr:`floats` and
+    kept, and the engines run exact GEMMs on the raws (see
+    :mod:`siftmatch.search`).  Every set built by :meth:`from_raws`, such as
+    a ``.siftdb`` load, is raw-exact.
     """
 
-    def __init__(self, image_id: str, floats: np.ndarray, raws: np.ndarray,
-                 xy: np.ndarray, *, raw_exact: bool = False):
-        floats = np.asarray(floats, dtype=np.float64)
+    def __init__(self, image_id: str, floats: np.ndarray | None,
+                 raws: np.ndarray, xy: np.ndarray):
         raws = np.asarray(raws, dtype=np.uint16)
         xy = np.asarray(xy, dtype=np.uint16)
-        if floats.ndim != 2 or floats.shape[1] != DESCRIPTOR_LEN:
-            raise ValueError(f"floats must be (m, {DESCRIPTOR_LEN})")
-        if raws.shape != floats.shape:
-            raise ValueError("raw view shape must match float view")
-        if xy.shape != (floats.shape[0], 2):
+        if floats is not None:
+            floats = np.asarray(floats, dtype=np.float64)
+            if floats.ndim != 2 or floats.shape[1] != DESCRIPTOR_LEN:
+                raise ValueError(f"floats must be (m, {DESCRIPTOR_LEN})")
+            if raws.shape != floats.shape:
+                raise ValueError("raw view shape must match float view")
+            floats.setflags(write=False)
+        elif raws.ndim != 2 or raws.shape[1] != DESCRIPTOR_LEN:
+            raise ValueError(f"raws must be (m, {DESCRIPTOR_LEN})")
+        if xy.shape != (raws.shape[0], 2):
             raise ValueError("xy must be (m, 2)")
         self.image_id = image_id
-        self.floats = floats
         self.raws = raws
         self.xy = xy
-        self.raw_exact = raw_exact
-        for arr in (self.floats, self.raws, self.xy):
+        self.raw_exact = floats is None
+        self._floats = floats
+        for arr in (self.raws, self.xy):
             arr.setflags(write=False)
+
+    @property
+    def floats(self) -> np.ndarray:
+        """(m, 128) float64 elements; derived from the raws on first access."""
+        if self._floats is None:
+            self._floats = self._float_rows(slice(None))
+        return self._floats
+
+    def _float_rows(self, rows) -> np.ndarray:
+        """Read-only float elements of ``rows`` (an index or a slice),
+        without deriving the whole float view."""
+        if self._floats is not None:
+            return self._floats[rows]
+        floats = self.raws[rows] * UQ1_15.lsb
+        floats.setflags(write=False)
+        return floats
 
     @classmethod
     def from_floats(cls, image_id: str, floats: np.ndarray,
@@ -107,16 +137,14 @@ class DescriptorSet:
     @classmethod
     def from_raws(cls, image_id: str, raws: np.ndarray,
                   xy: np.ndarray) -> "DescriptorSet":
-        """Build a set from UQ1.15 raws; the float view is exact (raw / 2**15)."""
-        raws = np.asarray(raws, dtype=np.uint16)
-        floats = raws.astype(np.float64) * UQ1_15.lsb
-        return cls(image_id, floats, raws, xy, raw_exact=True)
+        """Build a raw-exact set from UQ1.15 raws; no float view is stored."""
+        return cls(image_id, None, raws, xy)
 
     def __len__(self) -> int:
-        return self.floats.shape[0]
+        return self.raws.shape[0]
 
     def __getitem__(self, index: int) -> Descriptor:
-        return Descriptor(elements=self.floats[index], raws=self.raws[index],
+        return Descriptor(elements=self._float_rows(index), raws=self.raws[index],
                           x=int(self.xy[index, 0]), y=int(self.xy[index, 1]))
 
     def __iter__(self):
@@ -135,8 +163,19 @@ def _infer_format(path: str, format_tag: str | None) -> str:
     raise ValueError(f"cannot infer format from {path!r}; pass format_tag")
 
 
+def _row_norms(set_: DescriptorSet) -> np.ndarray:
+    """L2 norm of every descriptor, :data:`_BLOCK_ROWS` rows at a time, so no
+    (m, 128) temporary is built; each row's bits equal ``np.linalg.norm``'s
+    over the whole float view."""
+    norms = np.empty(len(set_))
+    for start in range(0, len(set_), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        norms[rows] = np.linalg.norm(set_._float_rows(rows), axis=1)
+    return norms
+
+
 def _check_norms(set_: DescriptorSet, path: str, auto_normalize: bool) -> DescriptorSet:
-    norms = np.linalg.norm(set_.floats, axis=1)
+    norms = _row_norms(set_)
     off = np.abs(norms - 1.0) > NORM_TOLERANCE
     if not off.any():
         return set_
@@ -149,7 +188,7 @@ def _check_norms(set_: DescriptorSet, path: str, auto_normalize: bool) -> Descri
         return set_
     if (norms[off] == 0).any():
         raise DescriptorFormatError(f"{path}: zero descriptor cannot be normalized")
-    floats = set_.floats.copy()
+    floats = set_._float_rows(slice(None)).copy()
     floats[off] /= norms[off, None]
     np.clip(floats, 0.0, 1.0, out=floats)
     return DescriptorSet.from_floats(set_.image_id, floats, set_.xy)
@@ -214,22 +253,23 @@ def _load_text(path: str) -> DescriptorSet:
 
 def _load_binary(path: str) -> DescriptorSet:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != _BINARY_MAGIC:
-        raise DescriptorFormatError(f"{path}: bad magic")
-    if len(blob) < 12:
-        raise DescriptorFormatError(f"{path}: truncated header")
-    m = int.from_bytes(blob[8:12], "little")
-    payload = blob[12:]
-    if len(payload) != m * RECORD_BYTES:
-        raise DescriptorFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {m * RECORD_BYTES}")
-    records = np.frombuffer(payload, dtype="<u2").reshape(m, 2 + DESCRIPTOR_LEN)
-    xy = records[:, :2]
+        header = fh.read(12)
+        if header[:8] != _BINARY_MAGIC:
+            raise DescriptorFormatError(f"{path}: bad magic")
+        if len(header) < 12:
+            raise DescriptorFormatError(f"{path}: truncated header")
+        m = int.from_bytes(header[8:12], "little")
+        payload = os.fstat(fh.fileno()).st_size - len(header)
+        if payload != m * RECORD_BYTES:
+            raise DescriptorFormatError(
+                f"{path}: payload is {payload} bytes, expected {m * RECORD_BYTES}")
+        # One read, straight into the array; xy and raws are views of it.
+        records = np.fromfile(fh, dtype="<u2", count=m * (2 + DESCRIPTOR_LEN))
+    records = records.reshape(m, 2 + DESCRIPTOR_LEN)
     raws = records[:, 2:]
-    if (raws > (1 << 15)).any():
+    if m and raws.max() > (1 << 15):
         raise DescriptorFormatError(f"{path}: element raw above 1.0")
-    return DescriptorSet.from_raws(str(path), raws, xy)
+    return DescriptorSet.from_raws(str(path), raws, records[:, :2])
 
 
 def save_descriptor_set(set_: DescriptorSet, path: str,
@@ -239,9 +279,9 @@ def save_descriptor_set(set_: DescriptorSet, path: str,
     if fmt == "text":
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"{_TEXT_HEADER} m={len(set_)}\n")
-            for i in range(len(set_)):
-                values = " ".join(repr(float(v)) for v in set_.floats[i])
-                fh.write(f"{set_.xy[i, 0]} {set_.xy[i, 1]} {values}\n")
+            for d in set_:
+                values = " ".join(repr(float(v)) for v in d.elements)
+                fh.write(f"{d.x} {d.y} {values}\n")
     else:
         records = np.empty((len(set_), 2 + DESCRIPTOR_LEN), dtype="<u2")
         records[:, :2] = set_.xy

@@ -62,6 +62,9 @@ def attainable_throughput(bandwidth: float,
     if not 0 < bandwidth < math.inf:
         raise ValueError("bandwidth must be positive and finite")
     bytes_per_cycle = bandwidth / cfg.clock_hz
+    if bytes_per_cycle == math.inf:
+        raise ValueError(f"bandwidth {bandwidth!r} at clock_hz {cfg.clock_hz!r} "
+                         "moves an unbounded number of bytes per cycle")
     cycles = cfg.descriptor_bytes / bytes_per_cycle if bytes_per_cycle else math.inf
     if cycles == math.inf:
         raise ValueError(f"bandwidth {bandwidth!r} is too small to move a descriptor")

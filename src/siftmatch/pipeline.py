@@ -30,9 +30,11 @@ cycle count is analytic and equals :func:`predict_cycles`:
                                           block still burn their cycles)
   + dot + cosine + min_find + match_check stages (drain of the last result)
 
-Its verdicts come from the tiled search of :mod:`siftmatch.search`: an
-exact float64 GEMM gives the adder tree's integer sum ``w``, ``rint(w *
-2**-15)`` is its nearest-even narrowing, and :func:`arccos_table` holds
+Its verdicts come from the tiled search of :mod:`siftmatch.search` on the
+16-bit raws of both sets, whatever file they came from: a float64 GEMM on
+one integer-valued query tile gives the adder tree's integer sum ``w``
+exactly, ``rint(w * 2**-15)`` (an exact power-of-two scaling, then
+round-half-even) is its narrowing, and :func:`arccos_table` holds
 ``cordic_arccos`` of every UQ1.15 input.  A block flush only resets the
 tracker, so the search equals the scalar composition bit for bit.
 
@@ -58,6 +60,7 @@ __all__ = [
     "RunReport",
     "dot_product_core",
     "dot_raw_matrix",
+    "elapsed_seconds",
     "match_check",
     "min_find",
     "predict_cycles",
@@ -175,13 +178,9 @@ def dot_product_core(a: Descriptor, b: Descriptor) -> FxSample:
     return FxSample(min(raw, UQ1_15.max_raw), UQ1_15)
 
 
-def _exact_floats(s: DescriptorSet) -> np.ndarray:
-    return s.floats if s.raw_exact else s.raws * UQ1_15.lsb
-
-
 def _narrow(dots: np.ndarray) -> np.ndarray:
-    """Saturated nearest-even UQ1.15 raws of exact dots ``w * 2**-30``, in place."""
-    np.multiply(dots, 2.0 ** UQ1_15.fraction_bits, out=dots)
+    """Saturated nearest-even UQ1.15 raws of exact integer raw dots ``w``, in place."""
+    np.multiply(dots, UQ1_15.lsb, out=dots)
     np.rint(dots, out=dots)
     np.minimum(dots, UQ1_15.max_raw, out=dots)
     return dots.astype(np.intp)
@@ -189,7 +188,7 @@ def _narrow(dots: np.ndarray) -> np.ndarray:
 
 def dot_raw_matrix(queries: DescriptorSet, db: DescriptorSet) -> np.ndarray:
     """All-pairs UQ1.15 dot raws, bit-identical to :func:`dot_product_core`."""
-    return _narrow(exact_dots(_exact_floats(queries), _exact_floats(db)))
+    return _narrow(exact_dots(queries.raws, db.raws))
 
 
 @dataclass(frozen=True)
@@ -216,6 +215,16 @@ def predict_cycles(m: int, n: int, cfg: PipelineConfig = PipelineConfig()) -> in
     return fill + blocks * n * cfg.block_size + cfg.drain_cycles
 
 
+def elapsed_seconds(cycles: int, cfg: PipelineConfig) -> float:
+    """Modeled time of ``cycles`` at ``cfg.clock_hz``; ``ValueError`` when a
+    tiny clock makes it overflow to infinity."""
+    elapsed = cycles / cfg.clock_hz
+    if not math.isfinite(elapsed):
+        raise ValueError(f"clock_hz {cfg.clock_hz!r} is too small: "
+                         f"{cycles} cycles take {elapsed} s")
+    return elapsed
+
+
 def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
                  cfg: PipelineConfig = PipelineConfig(), *,
                  collect_matches: bool = True) -> RunReport:
@@ -231,14 +240,11 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
         raise ValueError("query and database sets must be non-empty")
 
     cycles = predict_cycles(m, n, cfg)
-    elapsed = cycles / cfg.clock_hz
-    if not math.isfinite(elapsed):
-        raise ValueError(f"clock_hz {cfg.clock_hz!r} is too small: "
-                         f"{cycles} cycles take {elapsed} s")
+    elapsed = elapsed_seconds(cycles, cfg)
     matches = MatchColumns.empty()
     if collect_matches:
         table = arccos_table(cfg.cordic)
-        best, amin, asec = top_two(_exact_floats(queries), _exact_floats(db),
+        best, amin, asec = top_two(queries.raws, db.raws,
                                    lambda dots: table[_narrow(dots)],
                                    _SENTINEL_RAW)
         amin = amin.astype(np.int64)

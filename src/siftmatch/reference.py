@@ -7,11 +7,13 @@ smallest, and accepts the nearest neighbor only when
 
 Dot products equal a strict left-to-right sum over the 128 elements, so
 results are bit-reproducible.  :func:`match_all` runs the tiled search of
-:mod:`siftmatch.search` with one BLAS GEMM per tile when both sets are
-``raw_exact`` (every ``.siftdb`` load): every partial sum is exact there, so
-any summation order gives the left-to-right bits.  Other sets (text files,
-``from_floats``) take the strict-order :func:`dot_matrix`, one tile at a
-time.  Everything here is stateless.
+:mod:`siftmatch.search`.  When both sets are ``raw_exact`` (every ``.siftdb``
+load) it takes one BLAS GEMM per tile on the integer raws and scales the
+sums ``w`` by ``2**-30``: every partial sum is exact and the scaling is a
+power of two, so this gives the left-to-right bits of the float elements
+``raw * 2**-15``, and no float copy of a set is made.  Other sets (text
+files, ``from_floats``) take the strict-order :func:`dot_matrix` on the float
+elements, one tile at a time.  Everything here is stateless.
 
 Results stay columnar from the search to the output file:
 :func:`match_results` wraps the search's arrays in a :class:`MatchColumns`,
@@ -33,7 +35,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .descriptors import DESCRIPTOR_LEN, Descriptor, DescriptorSet
-from .search import exact_dots, top_two
+from .fixedpoint import UQ1_15
+from .search import top_two
 
 __all__ = [
     "CHUNK_ROWS",
@@ -236,6 +239,12 @@ def _angles(dots: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(dots, 0.0, 1.0, out=dots), out=dots)
 
 
+def _raw_angles(dots: np.ndarray) -> np.ndarray:
+    """:func:`_angles` of integer raw dots ``w``, which are ``w * 2**-30``
+    (exactly) in float elements; in place."""
+    return _angles(np.multiply(dots, UQ1_15.lsb ** 2, out=dots))
+
+
 def match_results(queries: DescriptorSet, db: DescriptorSet, best: np.ndarray,
                   min_angle: np.ndarray, second_angle: np.ndarray,
                   matched: np.ndarray, min_raw: np.ndarray | None = None,
@@ -267,8 +276,10 @@ def match_all(queries: DescriptorSet, db: DescriptorSet,
         return MatchColumns.empty()
     if len(db) == 0:
         raise ValueError("database is empty")
-    exact = queries.raw_exact and db.raw_exact
-    best, low, high = top_two(queries.floats, db.floats, _angles,
-                              SECOND_MIN_SURROGATE,
-                              exact_dots if exact else dot_matrix)
+    if queries.raw_exact and db.raw_exact:
+        best, low, high = top_two(queries.raws, db.raws, _raw_angles,
+                                  SECOND_MIN_SURROGATE)
+    else:
+        best, low, high = top_two(queries.floats, db.floats, _angles,
+                                  SECOND_MIN_SURROGATE, dot_matrix)
     return match_results(queries, db, best, low, high, low < threshold * high)

@@ -6,11 +6,14 @@ scorer maps each tile's dot products to angles; ``argmin`` (the earliest
 index wins an exact tie, as in the streaming two-minimum tracker) and a
 ``kth=1`` partition reduce them.
 
-:func:`exact_dots` is one float64 BLAS GEMM.  On raw-exact operands
-(``raw * 2**-15``, raws below 2**16) each product is below 2**32 units of
-2**-30 and a 128-term sum below 2**39 < 2**53, so every partial sum is
-exact: any summation order gives the integer adder tree's sum and the
-strict left-to-right float loop's result, bit for bit.
+:func:`exact_dots` is one float64 BLAS GEMM.  On UQ1.15 raws (integers
+below 2**16, converted to float64 one query tile at a time) each product is
+below 2**32 and a 128-term sum below 2**39 < 2**53, so every partial sum is
+exact: any summation order gives the integer adder tree's sum ``w``, bit for
+bit.  Scaling by a power of two is exact too, so ``w * 2**-30`` equals the
+GEMM of the float elements ``raw * 2**-15`` and the strict left-to-right
+float loop over them; the engines scale the integer sums per tile instead
+of holding a float copy of a whole set.
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ TILE_DOTS = 1 << 16
 
 
 def exact_dots(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
-    """(m, 128) x (n, 128) -> (m, n) dot products; exact on raw-exact input."""
-    return queries @ database.T
+    """(m, 128) x (n, 128) -> (m, n) float64 dot products; exact on raws and
+    on raw-exact floats."""
+    database = np.asarray(database, dtype=np.float64)
+    return np.asarray(queries, dtype=np.float64) @ database.T
 
 
 def top_two(queries: np.ndarray, database: np.ndarray,
@@ -36,16 +41,20 @@ def top_two(queries: np.ndarray, database: np.ndarray,
             dot: Callable[[np.ndarray, np.ndarray], np.ndarray] = exact_dots):
     """``(best, first, second)``: per query row, the index of the smallest
     score and the two smallest scores; ``second`` is ``sentinel`` when the
-    database has one row.  ``dot`` maps a query tile and the database to
-    (rows, n) dot products and ``score`` maps those to angles, in place or not.
+    database has one row.  ``queries`` and ``database`` are raws or float
+    elements; each query tile is converted to float64 inside the loop and the
+    database once.  ``dot`` maps a query tile and the database to (rows, n)
+    dot products and ``score`` maps those to angles, in place or not.
     """
+    database = np.asarray(database, dtype=np.float64)
     m, n = len(queries), len(database)
     rows = max(1, TILE_DOTS // n)
     best = np.empty(m, dtype=np.intp)
     first = second = None
     for start in range(0, m, rows):
         stop = min(start + rows, m)
-        scores = score(dot(queries[start:stop], database))
+        tile = np.asarray(queries[start:stop], dtype=np.float64)
+        scores = score(dot(tile, database))
         if first is None:
             first = np.empty(m, dtype=scores.dtype)
             second = np.full(m, sentinel, dtype=scores.dtype)

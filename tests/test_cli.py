@@ -216,12 +216,20 @@ class TestNonFinite:
         assert_one_error(capsys, "domain")
         assert not out.exists()
 
+    def test_subnormal_clock_bench_table(self, tmp_path, capsys):
+        # cycles / clock_hz overflows to inf ms
+        out = tmp_path / "bench.txt"
+        assert run_cli("bench", "--clock-hz", "1e-310", "-o", str(out)) == 1
+        assert_one_error(capsys, "domain")
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [
         ("roofline", "--bandwidths", "inf"),
         ("roofline", "--bandwidths", "3.2e9,nan"),
         ("roofline", "--bandwidths", "1e-300"),
         ("roofline", "--clock-hz", "nan"),
         ("bench", "--clock-hz", "inf"),
+        ("roofline", "--clock-hz", "1e-310"),
     ])
     def test_rejected(self, capsys, args):
         assert run_cli(*args) == 1

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import siftmatch
 from siftmatch.descriptors import (
     DESCRIPTOR_LEN,
+    _row_norms,
     Descriptor,
     DescriptorFormatError,
     DescriptorSet,
@@ -127,6 +134,30 @@ class TestValidation:
         with pytest.raises(DescriptorFormatError, match="payload"):
             load_descriptor_set(str(path))
 
+    @pytest.mark.parametrize("blob,message", [
+        (b"", "bad magic"),
+        (b"SIFT", "bad magic"),
+        (b"NOTMAGIC" + (0).to_bytes(4, "little"), "bad magic"),
+        (b"SIFTDB01", "truncated header"),
+        (b"SIFTDB01\x01\x00", "truncated header"),
+        (b"SIFTDB01" + (2).to_bytes(4, "little") + b"\x00" * 260,
+         "payload is 260 bytes, expected 520"),
+        (b"SIFTDB01" + (1).to_bytes(4, "little") + b"\x00" * 261,
+         "payload is 261 bytes, expected 260"),
+        (b"SIFTDB01" + (2**32 - 1).to_bytes(4, "little") + b"\x00" * 260,
+         f"payload is 260 bytes, expected {(2**32 - 1) * 260}"),
+        (b"SIFTDB01" + (0).to_bytes(4, "little"), "empty set"),
+        (b"SIFTDB01" + (2).to_bytes(4, "little")
+         + np.array([0] * 130 + [0] * 129 + [0xFFFF], dtype="<u2").tobytes(),
+         "element raw above 1.0"),
+    ])
+    def test_binary_format_errors(self, tmp_path, blob, message):
+        path = tmp_path / "bad.siftdb"
+        path.write_bytes(blob)
+        with pytest.raises(DescriptorFormatError) as info:
+            load_descriptor_set(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
     def test_non_normalized_warns_and_rescales(self, tmp_path):
         e = np.full(DESCRIPTOR_LEN, 0.05)  # norm ~0.566
         path = tmp_path / "unnorm.siftd"
@@ -231,6 +262,66 @@ class TestSetApi:
         assert d.xy == (int(random_set.xy[3, 0]), int(random_set.xy[3, 1]))
         assert sum(1 for _ in random_set) == len(random_set)
 
+    def test_raw_set_derives_floats_lazily(self, random_set):
+        s = DescriptorSet.from_raws("r", random_set.raws, random_set.xy)
+        assert s.raw_exact
+        d = s[3]
+        assert s._floats is None  # one descriptor, not the whole float view
+        assert np.array_equal(d.elements, s.raws[3] * UQ1_15.lsb)
+        assert np.array_equal(d.raws, s.raws[3])
+        assert s.floats is s.floats
+        assert np.array_equal(s.floats, s.raws.astype(np.float64) * UQ1_15.lsb)
+        assert np.array_equal(s[3].elements, d.elements)
+        with pytest.raises(ValueError):
+            d.elements[0] = 0.5
+        with pytest.raises(ValueError):
+            s.floats[0, 0] = 0.5
+
+    @pytest.mark.parametrize("raw_exact", [False, True])
+    def test_blocked_norms_match_whole_matrix(self, raw_exact):
+        # the last block holds one row; renormalization must see the same bits
+        rng = np.random.default_rng(4)
+        rows = rng.uniform(0.0, 0.2, (2 * 1024 + 1, DESCRIPTOR_LEN))
+        s = make_set(rows)
+        if raw_exact:
+            s = DescriptorSet.from_raws("r", s.raws, s.xy)
+        assert np.array_equal(_row_norms(s), np.linalg.norm(s.floats, axis=1))
+
     def test_views_read_only(self, random_set):
         with pytest.raises(ValueError):
             random_set.floats[0, 0] = 0.5
+
+
+# Run in a grandchild: a child's ru_maxrss starts from the peak RSS of the
+# process that spawned it, so a small launcher keeps pytest's peak out.
+_LAUNCH = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+_MEASURE = textwrap.dedent("""
+    import resource, sys
+    from siftmatch.descriptors import load_descriptor_set
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    load_descriptor_set(sys.argv[1])
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print((after - before) * 1024)  # ru_maxrss is in KiB on Linux
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB and inherited as on Linux")
+def test_binary_load_peak_memory(tmp_path):
+    """Loading a .siftdb set grows peak RSS by less than 3x its file size."""
+    rows = np.abs(np.random.default_rng(8).standard_normal((64, DESCRIPTOR_LEN)))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    raws = quantize_array(rows, UQ1_15).astype(np.uint16)
+    count = 40000
+    path = tmp_path / "big.siftdb"
+    save_descriptor_set(
+        DescriptorSet.from_floats("big", raws[np.arange(count) % 64] * UQ1_15.lsb,
+                                  np.zeros((count, 2), dtype=np.uint16)),
+        str(path))
+    src = os.path.dirname(os.path.dirname(siftmatch.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _LAUNCH, sys.executable, "-c", _MEASURE, str(path)],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    growth = int(out.stdout)
+    assert 0 < growth < 3 * path.stat().st_size

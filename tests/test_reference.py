@@ -250,6 +250,19 @@ class TestBlasPath:
         results = match_all(q, db, 0.6)
         assert [r.min_angle for r in results] == angles.min(axis=1).tolist()
 
+    @pytest.mark.parametrize("raw_side", ["queries", "database"])
+    def test_mixed_sets_keep_strict_order(self, rng, raw_side):
+        # a text set next to a .siftdb set: the text floats are used, not raws
+        q = make_set(random_unit(rng, 8))
+        db = make_set(random_unit(rng, 40))
+        if raw_side == "queries":
+            q = DescriptorSet.from_raws("q", q.raws, q.xy)
+        else:
+            db = DescriptorSet.from_raws("d", db.raws, db.xy)
+        angles = np.arccos(np.clip(dot_matrix(q.floats, db.floats), 0.0, 1.0))
+        results = match_all(q, db, 0.6)
+        assert [r.min_angle for r in results] == angles.min(axis=1).tolist()
+
 
 def listed(columns):
     """The list of result objects the engines returned before results were
