@@ -24,13 +24,14 @@ from .descriptors import (
 from .fixedpoint import UQ1_15, UQ2_14
 from .perf import RooflineConfig, roofline_sweep, write_roofline_csv
 from .pipeline import (
+    THRESHOLD_MODES,
     PipelineConfig,
     elapsed_seconds,
     predict_cycles,
     run_pipeline,
     write_matches_csv,
 )
-from .reference import match_all, report_json_chunks
+from .reference import DEFAULT_THRESHOLD, match_all, report_json_chunks
 
 _DEFAULT_BENCH_SIZES = (579, 638, 882, 1021)
 
@@ -60,33 +61,23 @@ def _non_negative(text: str) -> float:
     return value
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from None
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad int list {text!r}") from None
-
-
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii", newline=""), True
+def _list_of(kind):
+    """An argparse type for a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad {kind.__name__} list {text!r}") from None
+    return parse
 
 
 def _write_out(path: str | None, writer) -> None:
-    fh, close = _open_out(path)
-    try:
+    if path is None or path == "-":
+        writer(sys.stdout)
+        return
+    with open(path, "w", encoding="ascii", newline="") as fh:
         writer(fh)
-    finally:
-        if close:
-            fh.close()
 
 
 def _write_json(path: str | None, obj) -> None:
@@ -159,34 +150,29 @@ def cmd_match(args) -> int:
     return 0
 
 
-def _agreement(ref_matches, pipe_matches, threshold: float) -> dict:
-    disagreements = []
-    for ref, pipe in zip(ref_matches, pipe_matches):
-        if ref.matched == pipe.matched:
-            continue
-        # Both angles are 0 when the second is: the ratio is undefined.
-        ratio = (ref.min_angle / ref.second_min_angle
-                 if ref.second_min_angle > 0 else None)
-        disagreements.append({
-            "query_index": ref.query_index,
-            "reference_matched": ref.matched,
-            "pipeline_matched": pipe.matched,
-            "ratio": ratio,
-            "ratio_margin": None if ratio is None else ratio - threshold,
-        })
-    total = len(ref_matches)
-    agreeing = total - len(disagreements)
+def _agreement(a: np.ndarray, b: np.ndarray, columns: dict, **header) -> dict:
+    """Agreement of two ``matched`` columns, one flag per query.
+
+    Each query on which they differ becomes one ``disagreements`` row: the
+    values of ``columns`` (report key -> column) at that query, a masked
+    value as null.  ``header`` goes before the rows.
+    """
+    differ = np.flatnonzero(a != b)
+    values = [column[differ].tolist() for column in columns.values()]
+    total = len(a)
+    agreeing = total - len(differ)
     return {
         "num_queries": total,
         "agreements": agreeing,
         "agreement_fraction": agreeing / total if total else 1.0,
-        "threshold": threshold,
-        "disagreements": disagreements,
+        **header,
+        "disagreements": [dict(zip(columns, row)) for row in zip(*values)],
     }
 
 
-def _report_matches(path: str) -> list[dict]:
-    """The ``matches`` rows of a saved ``siftmatch match`` JSON report."""
+def _report_columns(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``query_index`` and ``matched`` columns of a saved
+    ``siftmatch match`` JSON report."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             report = json.load(fh)
@@ -197,35 +183,39 @@ def _report_matches(path: str) -> list[dict]:
             isinstance(row, dict) and "query_index" in row and "matched" in row
             for row in rows):
         raise ReportFormatError(f"{path}: no \"matches\" list of match rows")
-    return rows
+    for k, row in enumerate(rows):
+        if not isinstance(row["matched"], bool):
+            raise ReportFormatError(
+                f"{path}: match row {k}: \"matched\" is not true or false")
+    return (np.fromiter((row["query_index"] for row in rows), object, len(rows)),
+            np.fromiter((row["matched"] for row in rows), bool, len(rows)))
 
 
 def cmd_compare(args) -> int:
     if args.reports:
-        path_a, path_b = args.reports
-        a, b = _report_matches(path_a), _report_matches(path_b)
+        (index, a), (_, b) = (_report_columns(path) for path in args.reports)
         if len(a) != len(b):
             raise ValueError(
                 f"mismatched query counts: {len(a)} vs {len(b)}")
-        disagreements = [
-            {"query_index": ma["query_index"],
-             "a_matched": ma["matched"], "b_matched": mb["matched"]}
-            for ma, mb in zip(a, b) if ma["matched"] != mb["matched"]
-        ]
-        result = {
-            "num_queries": len(a),
-            "agreements": len(a) - len(disagreements),
-            "agreement_fraction": (len(a) - len(disagreements)) / len(a) if a else 1.0,
-            "disagreements": disagreements,
-        }
+        result = _agreement(a, b, {"query_index": index, "a_matched": a,
+                                   "b_matched": b})
     else:
         if not (args.queries and args.database):
             raise ValueError("compare needs --queries/--database or --reports")
         queries = load_descriptor_set(args.queries)
         db = load_descriptor_set(args.database)
         ref = match_all(queries, db, args.threshold)
-        pipe = run_pipeline(queries, db, _pipeline_config(args))
-        result = _agreement(ref, pipe.matches, args.threshold)
+        pipe = run_pipeline(queries, db, _pipeline_config(args)).matches
+        # Both angles are 0 when the second is: the ratio is undefined, and
+        # masked (0 <= min <= second, so only 0/0 meets np.ma's domain).
+        ratio = np.ma.divide(ref.min_angle, ref.second_min_angle)
+        result = _agreement(ref.matched, pipe.matched, {
+            "query_index": np.arange(len(ref)),
+            "reference_matched": ref.matched,
+            "pipeline_matched": pipe.matched,
+            "ratio": ratio,
+            "ratio_margin": ratio - args.threshold,
+        }, threshold=args.threshold)
     _write_json(args.output, result)
     print(f"agreement: {result['agreement_fraction']:.4%} "
           f"({result['agreements']}/{result['num_queries']})", file=sys.stderr)
@@ -233,8 +223,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_roofline(args) -> int:
-    if not args.bandwidths:
-        raise ValueError("empty bandwidth list")
     cfg = RooflineConfig(clock_hz=args.clock_hz,
                          descriptor_bytes=args.descriptor_bytes)
     points = roofline_sweep(cfg, args.bandwidths)
@@ -273,7 +261,7 @@ def cmd_bench(args) -> int:
         rows.append({
             "m": m,
             "n": args.db_size,
-            "blocks": -(-m // cfg.block_size),
+            "blocks": cfg.blocks(m),
             "total_cycles": cycles,
             "elapsed_ms": elapsed_seconds(cycles, cfg) * 1e3,
         })
@@ -296,6 +284,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "float reference and pipelined-accelerator model.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Options shared by several commands, with the configs' defaults.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", help="default stdout")
+    timing = argparse.ArgumentParser(add_help=False, parents=[output])
+    timing.add_argument("--clock-hz", type=float,
+                        default=PipelineConfig.clock_hz)
+    timing.add_argument("--block-size", type=_positive_int,
+                        default=PipelineConfig.block_size)
+    engines = argparse.ArgumentParser(add_help=False, parents=[timing])
+    engines.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                         help="ratio threshold (reference engine)")
+    engines.add_argument("--threshold-mode", choices=THRESHOLD_MODES,
+                         default=PipelineConfig.threshold_mode,
+                         help="pipeline ratio rule")
+
     p = sub.add_parser("generate", help="write a synthetic query/database pair")
     p.add_argument("-m", "--count", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -305,56 +308,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["binary", "text"], default="binary")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("match", help="match a query set against a database")
+    p = sub.add_parser("match", parents=[engines],
+                       help="match a query set against a database")
     p.add_argument("-q", "--queries", required=True)
     p.add_argument("-d", "--database", required=True)
     p.add_argument("--engine", choices=["reference", "pipeline"],
                    default="reference")
-    p.add_argument("--threshold", type=float, default=0.6,
-                   help="ratio threshold (reference engine)")
-    p.add_argument("--threshold-mode", choices=["exact_0_6", "binary_10011"],
-                   default="exact_0_6", help="pipeline ratio rule")
-    p.add_argument("--clock-hz", type=float, default=100e6)
-    p.add_argument("--block-size", type=_positive_int, default=33)
-    p.add_argument("-o", "--output", default=None, help="default stdout")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("compare",
+    p = sub.add_parser("compare", parents=[engines],
                        help="agreement between reference and pipeline engines")
     p.add_argument("-q", "--queries")
     p.add_argument("-d", "--database")
     p.add_argument("--reports", nargs=2, metavar=("A", "B"),
                    help="compare two saved match reports instead")
-    p.add_argument("--threshold", type=float, default=0.6)
-    p.add_argument("--threshold-mode", choices=["exact_0_6", "binary_10011"],
-                   default="exact_0_6")
-    p.add_argument("--clock-hz", type=float, default=100e6)
-    p.add_argument("--block-size", type=_positive_int, default=33)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("roofline", help="bandwidth sweep CSV")
-    p.add_argument("--bandwidths", type=_float_list,
+    p = sub.add_parser("roofline", parents=[output], help="bandwidth sweep CSV")
+    p.add_argument("--bandwidths", type=_list_of(float),
                    default=[0.8e9, 1.6e9, 3.2e9, 6.4e9, 12.8e9, 25.6e9, 51.2e9],
                    help="comma-separated bytes/s")
-    p.add_argument("--clock-hz", type=float, default=100e6)
-    p.add_argument("--descriptor-bytes", type=_positive_int, default=256)
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("--clock-hz", type=float, default=RooflineConfig.clock_hz)
+    p.add_argument("--descriptor-bytes", type=_positive_int,
+                   default=RooflineConfig.descriptor_bytes)
     p.set_defaults(func=cmd_roofline)
 
-    p = sub.add_parser("characterize",
+    p = sub.add_parser("characterize", parents=[output],
                        help="arccos accuracy sweep CSV over all inputs in [0, 1]")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_characterize)
 
-    p = sub.add_parser("bench", help="cycle/time table for given set sizes")
-    p.add_argument("--sizes", type=_int_list, default=list(_DEFAULT_BENCH_SIZES))
+    p = sub.add_parser("bench", parents=[timing],
+                       help="cycle/time table for given set sizes")
+    p.add_argument("--sizes", type=_list_of(int), default=list(_DEFAULT_BENCH_SIZES))
     p.add_argument("--db-size", type=_positive_int, default=1021)
-    p.add_argument("--clock-hz", type=float, default=100e6)
-    p.add_argument("--block-size", type=_positive_int, default=33)
     p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_bench)
 
     return parser

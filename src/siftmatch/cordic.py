@@ -17,10 +17,11 @@ Everything is integer shift-and-add arithmetic:
 * The polar stage runs plain circular vectoring micro-rotations starting at
   the 45-degree step, accumulating the angle in a wide fixed-point register.
 
-``sqrt_iterations`` and ``polar_iterations`` mirror the hardware core
-latencies and are consumed by the pipeline model as timing metadata.  The
-square root runs exactly ``sqrt_iterations`` micro-rotations; the polar
-stage's functional rotation count instead follows the output precision
+``sqrt_iterations`` and ``polar_iterations`` are the pipeline depths of the
+two cores; ``PipelineConfig.drain_cycles`` counts them, with the 4-stage
+``1 - x^2`` block, as the arccos unit's 4 + 37 + 11 = 52 stages.  The square
+root runs exactly ``sqrt_iterations`` micro-rotations; the polar stage's
+functional rotation count instead follows the output precision
 (``fraction_bits + 2``, 16 for the default UQ2.14 angle), because a
 vectoring datapath short enough to round at 11 steps could not hit the
 documented angle accuracy.
@@ -66,10 +67,10 @@ class CordicConfig:
     """Configuration of the arccos unit.
 
     ``sqrt_iterations`` and ``polar_iterations`` are the pipeline depths of
-    the two cores (timing metadata; the square root also iterates exactly
-    that many times).  ``polar_micro_rotations`` overrides the functional
-    rotation count of the vectoring stage; by default it is derived from the
-    angle format as ``fraction_bits + 2``.
+    the two cores, which ``PipelineConfig.drain_cycles`` counts (the square
+    root also iterates exactly that many times).  ``polar_micro_rotations``
+    overrides the functional rotation count of the vectoring stage; by
+    default it is derived from the angle format as ``fraction_bits + 2``.
     """
 
     sqrt_iterations: int = 37

@@ -9,10 +9,13 @@ a ceiling because a descriptor cannot be dispatched fractionally; at
 64 bytes/cycle this yields 25 M op/s (4 cycles each), not the 24 sometimes
 quoted for that point.
 
-:func:`effective_throughput_with_blocking` models the block-cache fix: once
-the cached block is at least as large as the per-descriptor fetch time, a
-fetched descriptor always has a full block to burn cycles against and the
-core runs at clock rate.
+The core's own port moves :data:`PORT_BYTES_PER_CYCLE` = 8 bytes per cycle,
+so a 260-byte record (coordinates included) takes :data:`FETCH_CYCLES` =
+ceil(260 / 8) = 33 cycles to fetch; the default query block and the fill of
+``predict_cycles`` use this value too.  The blocking model
+(:func:`effective_throughput_with_blocking`) follows: once the cached block
+holds at least that many queries, a fetched descriptor always has a full
+block to burn cycles against and the core runs at clock rate.
 """
 
 from __future__ import annotations
@@ -20,7 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .descriptors import DESCRIPTOR_LEN, RECORD_BYTES
+
 __all__ = [
+    "FETCH_CYCLES",
     "RooflineConfig",
     "RooflinePoint",
     "attainable_throughput",
@@ -29,11 +35,14 @@ __all__ = [
     "write_roofline_csv",
 ]
 
+PORT_BYTES_PER_CYCLE = 8
+FETCH_CYCLES = math.ceil(RECORD_BYTES / PORT_BYTES_PER_CYCLE)
+
 
 @dataclass(frozen=True)
 class RooflineConfig:
     clock_hz: float = 100e6
-    descriptor_bytes: int = 256
+    descriptor_bytes: int = 2 * DESCRIPTOR_LEN
     peak_ops_per_cycle: int = 1
 
     def __post_init__(self) -> None:
@@ -65,10 +74,11 @@ def attainable_throughput(bandwidth: float,
     if bytes_per_cycle == math.inf:
         raise ValueError(f"bandwidth {bandwidth!r} at clock_hz {cfg.clock_hz!r} "
                          "moves an unbounded number of bytes per cycle")
-    cycles = cfg.descriptor_bytes / bytes_per_cycle if bytes_per_cycle else math.inf
-    if cycles == math.inf:
-        raise ValueError(f"bandwidth {bandwidth!r} is too small to move a descriptor")
-    cycles_per_descriptor = math.ceil(cycles)
+    try:
+        cycles_per_descriptor = math.ceil(cfg.descriptor_bytes / bytes_per_cycle)
+    except (ZeroDivisionError, OverflowError):  # no bytes, or too many cycles
+        raise ValueError(f"bandwidth {bandwidth!r} is too small to move a "
+                         "descriptor") from None
     ops = cfg.clock_hz / cycles_per_descriptor
     if ops >= cfg.peak_ops_per_s:
         return RooflinePoint(bandwidth, cfg.peak_ops_per_s, "compute")
@@ -83,21 +93,18 @@ def roofline_sweep(cfg: RooflineConfig,
     return [attainable_throughput(bw, cfg) for bw in bandwidths]
 
 
-def effective_throughput_with_blocking(cfg: RooflineConfig, block_size: int,
-                                       fetch_cycles_per_descriptor: int = 33) -> float:
+def effective_throughput_with_blocking(cfg: RooflineConfig, block_size: int) -> float:
     """Op rate with a block cache of ``block_size`` descriptors.
 
-    With ``block_size >= fetch_cycles_per_descriptor`` the fetch of the next
-    descriptor hides entirely behind the block's compute cycles and the core
-    sustains clock rate; smaller blocks expose the remaining fetch stall.
+    With ``block_size >= FETCH_CYCLES`` the fetch of the next descriptor
+    hides entirely behind the block's compute cycles and the core sustains
+    clock rate; smaller blocks expose the remaining fetch stall.
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    if fetch_cycles_per_descriptor < 1:
-        raise ValueError("fetch_cycles_per_descriptor must be >= 1")
-    if block_size >= fetch_cycles_per_descriptor:
+    if block_size >= FETCH_CYCLES:
         return cfg.peak_ops_per_s
-    return cfg.peak_ops_per_s * block_size / fetch_cycles_per_descriptor
+    return cfg.peak_ops_per_s * block_size / FETCH_CYCLES
 
 
 def write_roofline_csv(points: list[RooflinePoint], fileobj) -> None:

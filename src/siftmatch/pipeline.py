@@ -3,10 +3,10 @@
 The modeled core streams database descriptors past a cached block of query
 descriptors:
 
-* queries are split into blocks of ``block_size`` (33 by default: a 260-byte
-  descriptor at 8 bytes per cycle takes 33 cycles to fetch, and the block
-  cache holds exactly one descriptor per fetch-cycle so compute never
-  starves);
+* queries are split into blocks of ``block_size`` (by default
+  :data:`~siftmatch.perf.FETCH_CYCLES` = 33, the cycles a 260-byte record
+  takes on the 8-byte port: the block cache holds one query per fetch cycle,
+  so compute never starves);
 * every database descriptor entering the datapath performs one dot product
   per cycle against each cached query slot;
 * each dot product is narrowed to UQ1.15 and converted to an angle by the
@@ -23,12 +23,13 @@ The scalar ops (:func:`dot_product_core`, ``cordic_arccos``,
 oracle.  :func:`run_pipeline` does not re-enact the block schedule: its
 cycle count is analytic and equals :func:`predict_cycles`:
 
-    block_size * fetch_cycles            (serial fill of the first block;
+    block_size * FETCH_CYCLES            (serial fill of the first block;
                                           later fetches overlap compute)
   + ceil(m / block_size) * n * block_size (one dot product slot per cycle;
                                           idle slots of a partial final
                                           block still burn their cycles)
-  + dot + cosine + min_find + match_check stages (drain of the last result)
+  + drain_cycles                          (drain of the last result,
+                                          10 + 4 + 37 + 11 + 1 + 3 stages)
 
 Its verdicts come from the tiled search of :mod:`siftmatch.search` on the
 16-bit raws of both sets, whatever file they came from: a float64 GEMM on
@@ -51,6 +52,7 @@ import numpy as np
 from .cordic import AngleSample, CordicConfig, DEFAULT_CONFIG, arccos_table
 from .descriptors import Descriptor, DescriptorSet
 from .fixedpoint import UQ1_15, UQ2_14, FxSample, QFormat, round_shift_even
+from .perf import FETCH_CYCLES, RooflineConfig
 from .reference import MatchColumns, match_results, write_matches_csv
 from .search import exact_dots, top_two
 
@@ -72,30 +74,25 @@ THRESHOLD_MODES = ("exact_0_6", "binary_10011")
 _SENTINEL_RAW = 0xFFFF
 _ANGLE_LSB = UQ2_14.lsb
 
+# Depths of the fixed-latency stages; the CORDIC cores' come from CordicConfig.
+_DOT_PRODUCT_STAGES = 10  # 3 multiplier + 7 adder-tree stages
+_ONE_MINUS_SQUARE_STAGES = 4  # 1 - x^2 ahead of the square root
+_MIN_FIND_STAGES = 1
+_MATCH_CHECK_STAGES = 3
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Block geometry, per-core pipeline depths, clock, and threshold mode."""
+    """Block geometry, clock, threshold mode and arccos unit of the core."""
 
-    block_size: int = 33
-    fetch_cycles_per_descriptor: int = 33
-    dot_product_stages: int = 10
-    cosine_stages: int = 52
-    match_check_stages: int = 3
-    min_find_stages: int = 1
-    clock_hz: float = 100e6
-    threshold_mode: str = "exact_0_6"
+    block_size: int = FETCH_CYCLES
+    clock_hz: float = RooflineConfig.clock_hz
+    threshold_mode: str = THRESHOLD_MODES[0]
     cordic: CordicConfig = DEFAULT_CONFIG
 
     def __post_init__(self) -> None:
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if self.fetch_cycles_per_descriptor < 1:
-            raise ValueError("fetch_cycles_per_descriptor must be >= 1")
-        for name in ("dot_product_stages", "cosine_stages",
-                     "match_check_stages", "min_find_stages"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         if not 0 < self.clock_hz < math.inf:
             raise ValueError("clock_hz must be positive and finite")
         if self.threshold_mode not in THRESHOLD_MODES:
@@ -103,8 +100,13 @@ class PipelineConfig:
 
     @property
     def drain_cycles(self) -> int:
-        return (self.dot_product_stages + self.cosine_stages
-                + self.min_find_stages + self.match_check_stages)
+        return (_DOT_PRODUCT_STAGES + _ONE_MINUS_SQUARE_STAGES
+                + self.cordic.sqrt_iterations + self.cordic.polar_iterations
+                + _MIN_FIND_STAGES + _MATCH_CHECK_STAGES)
+
+    def blocks(self, m: int) -> int:
+        """Query blocks for ``m`` queries: ``ceil(m / block_size)``."""
+        return -(-m // self.block_size)
 
 
 @dataclass(frozen=True)
@@ -202,23 +204,23 @@ class RunReport:
     dot_products_executed: int
     matches: MatchColumns
 
-    def to_json_dict(self) -> dict:
-        return {**vars(self), "matches": [dict(vars(m)) for m in self.matches]}
-
 
 def predict_cycles(m: int, n: int, cfg: PipelineConfig = PipelineConfig()) -> int:
     """Closed-form cycle count for matching m queries against n database rows."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    blocks = -(-m // cfg.block_size)
-    fill = cfg.block_size * cfg.fetch_cycles_per_descriptor
-    return fill + blocks * n * cfg.block_size + cfg.drain_cycles
+    fill = cfg.block_size * FETCH_CYCLES
+    return fill + cfg.blocks(m) * n * cfg.block_size + cfg.drain_cycles
 
 
 def elapsed_seconds(cycles: int, cfg: PipelineConfig) -> float:
     """Modeled time of ``cycles`` at ``cfg.clock_hz``; ``ValueError`` when a
-    tiny clock makes it overflow to infinity."""
-    elapsed = cycles / cfg.clock_hz
+    tiny clock or a huge cycle count makes it overflow to infinity."""
+    try:
+        elapsed = cycles / cfg.clock_hz
+    except OverflowError:  # cycles beyond the float range
+        raise ValueError("the modeled time overflows: too many cycles "
+                         "for a float") from None
     if not math.isfinite(elapsed):
         raise ValueError(f"clock_hz {cfg.clock_hz!r} is too small: "
                          f"{cycles} cycles take {elapsed} s")
@@ -231,7 +233,7 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
     """Run the modeled accelerator: verdicts plus an exact cycle count.
 
     No per-block loop: ``total_cycles`` is :func:`predict_cycles`,
-    ``blocks_processed`` is ``ceil(m / block_size)``, and the verdicts come
+    ``blocks_processed`` is ``cfg.blocks(m)``, and the verdicts come
     from one tiled search (see the module docstring).
     ``collect_matches=False`` skips the verdicts and reports timing only.
     """
@@ -262,7 +264,7 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
         total_cycles=cycles,
         elapsed_seconds_at_clock=elapsed,
         clock_hz=cfg.clock_hz,
-        blocks_processed=-(-m // cfg.block_size),
+        blocks_processed=cfg.blocks(m),
         dot_products_executed=m * n,
         matches=matches,
     )

@@ -4,9 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from siftmatch.cli import _agreement, main
+from siftmatch.cli import _agreement, _pipeline_config, build_parser, main
 from siftmatch.fixedpoint import UQ2_14
-from siftmatch.reference import MatchResult
+from siftmatch.perf import RooflineConfig
+from siftmatch.pipeline import PipelineConfig
+from siftmatch.reference import DEFAULT_THRESHOLD
+
+HUGE = str(10 ** 400)  # an int argument beyond the float range
 
 
 def run_cli(*args):
@@ -16,6 +20,7 @@ def run_cli(*args):
 def assert_one_error(capsys, category):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"siftmatch: error: {category}:")
+    return err[0]
 
 
 @pytest.fixture
@@ -157,6 +162,22 @@ class TestCompare:
         assert run_cli("compare", "--reports", str(bad), str(bad)) == 1
         assert_one_error(capsys, "format")
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_report_matched_not_bool_is_format_error(self, dataset, tmp_path,
+                                                     capsys, value):
+        a = tmp_path / "a.json"
+        run_cli("match", "-q", f"{dataset}_a.siftdb",
+                "-d", f"{dataset}_b.siftdb", "-o", str(a))
+        blob = json.loads(a.read_text())
+        blob["matches"][3]["matched"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        out = tmp_path / "cmp.json"
+        assert run_cli("compare", "--reports", str(a), str(bad),
+                       "-o", str(out)) == 1
+        assert "match row 3" in assert_one_error(capsys, "format")
+        assert not out.exists()
+
     def test_report_not_json_is_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("k,matched\n0,1\n")
@@ -164,9 +185,11 @@ class TestCompare:
         assert_one_error(capsys, "format")
 
     def test_undefined_ratio_is_null(self):
-        def result(matched):
-            return MatchResult(0, matched, 0, 0.0, 0.0, (0, 0), (0, 0))
-        out = _agreement([result(False)], [result(True)], 0.6)
+        # min = second = 0, built as cmd_compare builds its ratio column
+        zero = np.zeros(1)
+        ratio = np.ma.divide(zero, zero)
+        out = _agreement(np.array([False]), np.array([True]),
+                         {"ratio": ratio, "ratio_margin": ratio - 0.6})
         row = json.loads(json.dumps(out, allow_nan=False))["disagreements"][0]
         assert row["ratio"] is None and row["ratio_margin"] is None
 
@@ -196,6 +219,17 @@ class TestNonFinite:
         assert run_cli("match", "-q", f"{dataset}_a.siftdb",
                        "-d", f"{dataset}_b.siftdb", "--engine", "pipeline",
                        "--clock-hz", value, "-o", str(out)) == 1
+        assert_one_error(capsys, "domain")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [("match", "--engine", "pipeline"),
+                                         ("compare",)])
+    def test_huge_block_size(self, dataset, tmp_path, capsys, command):
+        # the cycle count is an int beyond the float range
+        out = tmp_path / "out.json"
+        assert run_cli(*command, "-q", f"{dataset}_a.siftdb",
+                       "-d", f"{dataset}_b.siftdb", "--block-size", HUGE,
+                       "-o", str(out)) == 1
         assert_one_error(capsys, "domain")
         assert not out.exists()
 
@@ -230,10 +264,34 @@ class TestNonFinite:
         ("roofline", "--clock-hz", "nan"),
         ("bench", "--clock-hz", "inf"),
         ("roofline", "--clock-hz", "1e-310"),
+        ("bench", "--sizes", HUGE),
+        ("bench", "--db-size", HUGE),
+        ("roofline", "--descriptor-bytes", HUGE),
     ])
-    def test_rejected(self, capsys, args):
-        assert run_cli(*args) == 1
+    def test_rejected(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run_cli(*args, "-o", str(out)) == 1
         assert_one_error(capsys, "domain")
+        assert not out.exists()
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", ["match", "compare"])
+    def test_engine_options(self, command):
+        args = build_parser().parse_args([command, "-q", "a", "-d", "b"])
+        assert _pipeline_config(args) == PipelineConfig()
+        assert args.threshold == DEFAULT_THRESHOLD
+
+    def test_bench_options(self):
+        args = build_parser().parse_args(["bench"])
+        assert (args.block_size, args.clock_hz) == (
+            PipelineConfig().block_size, PipelineConfig().clock_hz)
+
+    def test_roofline_options(self):
+        args = build_parser().parse_args(["roofline"])
+        assert RooflineConfig(clock_hz=args.clock_hz,
+                              descriptor_bytes=args.descriptor_bytes) \
+            == RooflineConfig()
 
 
 class TestCharacterize:

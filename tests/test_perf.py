@@ -6,6 +6,7 @@ import pytest
 
 from siftmatch.descriptors import generate_synthetic
 from siftmatch.perf import (
+    FETCH_CYCLES,
     RooflineConfig,
     attainable_throughput,
     effective_throughput_with_blocking,
@@ -98,6 +99,13 @@ class TestBlocking:
     def test_full_block_hits_clock_rate(self):
         assert effective_throughput_with_blocking(RooflineConfig(), 33) == 100e6
 
+    def test_block_of_fetch_cycles_is_peak(self):
+        cfg = RooflineConfig()
+        assert effective_throughput_with_blocking(cfg, FETCH_CYCLES) \
+            == cfg.peak_ops_per_s
+        assert effective_throughput_with_blocking(cfg, FETCH_CYCLES - 1) \
+            < cfg.peak_ops_per_s
+
     def test_block_of_one_degenerates_to_unblocked(self):
         got = effective_throughput_with_blocking(RooflineConfig(), 1)
         assert got == 100e6 / 33
@@ -110,9 +118,6 @@ class TestBlocking:
     def test_domain(self):
         with pytest.raises(ValueError):
             effective_throughput_with_blocking(RooflineConfig(), 0)
-        with pytest.raises(ValueError):
-            effective_throughput_with_blocking(RooflineConfig(), 5,
-                                               fetch_cycles_per_descriptor=0)
 
     def test_consistent_with_pipeline_cycle_model(self):
         # ops/s * run time ~= executed dot products (within 1%) at a scale
