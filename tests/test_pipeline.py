@@ -80,6 +80,8 @@ class TestConfig:
         {"threshold_mode": "always"},
         {"clock_hz": math.nan},
         {"clock_hz": math.inf},
+        {"block_size": -1},
+        {"clock_hz": -1.0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
