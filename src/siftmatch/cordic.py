@@ -17,14 +17,14 @@ Everything is integer shift-and-add arithmetic:
 * The polar stage runs plain circular vectoring micro-rotations starting at
   the 45-degree step, accumulating the angle in a wide fixed-point register.
 
+The formats are fixed: inputs are UQ1.15 and angles UQ2.14.
 ``sqrt_iterations`` and ``polar_iterations`` are the pipeline depths of the
 two cores; ``PipelineConfig.drain_cycles`` counts them, with the 4-stage
 ``1 - x^2`` block, as the arccos unit's 4 + 37 + 11 = 52 stages.  The square
 root runs exactly ``sqrt_iterations`` micro-rotations; the polar stage's
 functional rotation count instead follows the output precision
-(``fraction_bits + 2``, 16 for the default UQ2.14 angle), because a
-vectoring datapath short enough to round at 11 steps could not hit the
-documented angle accuracy.
+(UQ2.14's 14 fraction bits + 2 = 16), because a vectoring datapath short
+enough to round at 11 steps could not hit the documented angle accuracy.
 
 All kernels run the same code path for scalars and numpy arrays, so batch
 evaluation is bit-identical to the scalar ops, deterministic across runs
@@ -64,36 +64,23 @@ _Z_FRAC = 26      # polar angle accumulator
 
 @dataclass(frozen=True)
 class CordicConfig:
-    """Configuration of the arccos unit.
+    """Pipeline depths of the arccos unit's two CORDIC cores.
 
-    ``sqrt_iterations`` and ``polar_iterations`` are the pipeline depths of
-    the two cores, which ``PipelineConfig.drain_cycles`` counts (the square
-    root also iterates exactly that many times).  ``polar_micro_rotations``
-    overrides the functional rotation count of the vectoring stage; by
-    default it is derived from the angle format as ``fraction_bits + 2``.
+    ``PipelineConfig.drain_cycles`` counts both depths; the square root also
+    iterates exactly ``sqrt_iterations`` times.  The formats and the
+    vectoring stage's rotation count are fixed class attributes.
     """
 
     sqrt_iterations: int = 37
     polar_iterations: int = 11
-    input_format: QFormat = UQ1_15
-    angle_format: QFormat = UQ2_14
-    polar_micro_rotations: int | None = None
+
+    input_format = UQ1_15
+    angle_format = UQ2_14
+    polar_rotations = UQ2_14.fraction_bits + 2
 
     def __post_init__(self) -> None:
         if self.sqrt_iterations < 1 or self.polar_iterations < 1:
             raise ValueError("iteration counts must be >= 1")
-        if self.polar_micro_rotations is not None and self.polar_micro_rotations < 1:
-            raise ValueError("polar_micro_rotations must be >= 1")
-        if self.angle_format.max_value < np.pi / 2:
-            raise ValueError("angle format cannot represent pi/2")
-        if self.input_format.fraction_bits > _WORK_FRAC:
-            raise ValueError("input fraction bits exceed internal precision")
-
-    @property
-    def polar_rotations(self) -> int:
-        if self.polar_micro_rotations is not None:
-            return self.polar_micro_rotations
-        return self.angle_format.fraction_bits + 2
 
 
 DEFAULT_CONFIG = CordicConfig()
@@ -101,7 +88,7 @@ DEFAULT_CONFIG = CordicConfig()
 
 @dataclass(frozen=True)
 class AngleSample:
-    """An angle in the configured format; radians in [0, pi/2] semantically.
+    """A UQ2.14 angle; radians in [0, pi/2] semantically.
 
     ``degenerate`` marks the (0, 0) polar input, which has no defined angle.
     """
@@ -146,11 +133,11 @@ def _sqrt_constants(iterations: int) -> tuple[tuple[int, ...], int, int]:
 
 
 @lru_cache(maxsize=None)
-def _atan_table(rotations: int) -> tuple[int, ...]:
+def _atan_table() -> tuple[int, ...]:
     with mp.workdps(60):
         return tuple(
             int(mp.nint(mp.atan(mp.mpf(2) ** -i) * (1 << _Z_FRAC)))
-            for i in range(rotations)
+            for i in range(CordicConfig.polar_rotations)
         )
 
 
@@ -163,7 +150,7 @@ def sqrt_raw_batch(raws, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
     """
     r = np.atleast_1d(np.asarray(raws)).astype(np.int64)
     schedule, inv_gain, quarter = _sqrt_constants(cfg.sqrt_iterations)
-    frac = cfg.input_format.fraction_bits
+    frac = UQ1_15.fraction_bits
 
     # Power-of-4 normalization exponent from the bit length of the raw.
     bit_length = np.frexp(r.astype(np.float64))[1].astype(np.int64)
@@ -181,26 +168,23 @@ def sqrt_raw_batch(raws, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
         y = np.where(neg, y + dy, y - dy)
 
     out = round_shift_even(x, (_WORK_FRAC - frac) + k)
-    out = np.clip(out, 0, cfg.input_format.max_raw)
+    out = np.clip(out, 0, UQ1_15.max_raw)
     return np.where(r > 0, out, 0)
 
 
-def polar_raw_batch(u_raws, v_raws, cfg: CordicConfig = DEFAULT_CONFIG,
-                    u_fraction_bits: int = 15,
-                    v_fraction_bits: int = 15) -> np.ndarray:
-    """Vectoring-mode angle atan2(v, u) for non-negative raws, as angle-format raws.
+def polar_raw_batch(u_raws, v_raws) -> np.ndarray:
+    """Vectoring-mode angle atan2(v, u) of UQ1.15 raws, as UQ2.14 raws.
 
     The magnitude output of the hardware core is unused and not produced.
     A (0, 0) input yields angle 0 (callers flag it as degenerate).
     """
     u = np.atleast_1d(np.asarray(u_raws)).astype(np.int64)
     v = np.atleast_1d(np.asarray(v_raws)).astype(np.int64)
-    table = _atan_table(cfg.polar_rotations)
 
-    x = u << (_WORK_FRAC - u_fraction_bits)
-    y = v << (_WORK_FRAC - v_fraction_bits)
+    x = u << (_WORK_FRAC - UQ1_15.fraction_bits)
+    y = v << (_WORK_FRAC - UQ1_15.fraction_bits)
     z = np.zeros_like(x)
-    for i, alpha in enumerate(table):
+    for i, alpha in enumerate(_atan_table()):
         dx = y >> i
         dy = x >> i
         pos = y >= 0
@@ -208,8 +192,8 @@ def polar_raw_batch(u_raws, v_raws, cfg: CordicConfig = DEFAULT_CONFIG,
         y = np.where(pos, y - dy, y + dy)
         z = np.where(pos, z + alpha, z - alpha)
 
-    angle = round_shift_even(z, _Z_FRAC - cfg.angle_format.fraction_bits)
-    angle = np.clip(angle, 0, cfg.angle_format.max_raw)
+    angle = round_shift_even(z, _Z_FRAC - UQ2_14.fraction_bits)
+    angle = np.clip(angle, 0, UQ2_14.max_raw)
     return np.where((u == 0) & (v == 0), 0, angle)
 
 
@@ -222,12 +206,10 @@ def one_minus_sq_raw_batch(raws) -> np.ndarray:
 
 
 def arccos_raw_batch(raws, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """arccos of UQ1.15 raws as angle-format raws: atan2(sqrt(1 - x^2), x)."""
+    """arccos of UQ1.15 raws as UQ2.14 raws: atan2(sqrt(1 - x^2), x)."""
     r = np.atleast_1d(np.asarray(raws)).astype(np.int64)
     v = sqrt_raw_batch(one_minus_sq_raw_batch(r), cfg)
-    return polar_raw_batch(r, v, cfg,
-                           u_fraction_bits=cfg.input_format.fraction_bits,
-                           v_fraction_bits=cfg.input_format.fraction_bits)
+    return polar_raw_batch(r, v)
 
 
 @lru_cache(maxsize=4)
@@ -238,7 +220,7 @@ def arccos_table(cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
     model uses this to evaluate millions of angles cheaply.
     """
     table = arccos_raw_batch(
-        np.arange(cfg.input_format.max_raw + 1, dtype=np.int64), cfg)
+        np.arange(UQ1_15.max_raw + 1, dtype=np.int64), cfg)
     table = table.astype(np.uint16)
     table.setflags(write=False)
     return table
@@ -251,9 +233,9 @@ def _require_format(sample: FxSample, fmt: QFormat, what: str) -> None:
 
 def cordic_sqrt(x: FxSample, cfg: CordicConfig = DEFAULT_CONFIG) -> FxSample:
     """Square root of a UQ1.15 sample."""
-    _require_format(x, cfg.input_format, "sqrt input")
+    _require_format(x, UQ1_15, "sqrt input")
     raw = int(sqrt_raw_batch(x.raw, cfg)[0])
-    return FxSample(raw, cfg.input_format)
+    return FxSample(raw, UQ1_15)
 
 
 def one_minus_x_squared(x: FxSample) -> FxSample:
@@ -262,18 +244,17 @@ def one_minus_x_squared(x: FxSample) -> FxSample:
     return FxSample(int(one_minus_sq_raw_batch(x.raw)[0]), UQ1_15)
 
 
-def cordic_polar_angle(u: FxSample, v: FxSample,
-                       cfg: CordicConfig = DEFAULT_CONFIG) -> AngleSample:
-    """Angle of the non-negative vector (u, v); (0, 0) is flagged degenerate."""
-    raw = int(polar_raw_batch(u.raw, v.raw, cfg,
-                              u_fraction_bits=u.fmt.fraction_bits,
-                              v_fraction_bits=v.fmt.fraction_bits)[0])
-    return AngleSample(FxSample(raw, cfg.angle_format),
+def cordic_polar_angle(u: FxSample, v: FxSample) -> AngleSample:
+    """Angle of the UQ1.15 vector (u, v); (0, 0) is flagged degenerate."""
+    _require_format(u, UQ1_15, "polar u")
+    _require_format(v, UQ1_15, "polar v")
+    raw = int(polar_raw_batch(u.raw, v.raw)[0])
+    return AngleSample(FxSample(raw, UQ2_14),
                        degenerate=(u.raw == 0 and v.raw == 0))
 
 
 def cordic_arccos(x: FxSample, cfg: CordicConfig = DEFAULT_CONFIG) -> AngleSample:
     """arccos of a UQ1.15 sample as an angle sample."""
-    _require_format(x, cfg.input_format, "arccos input")
+    _require_format(x, UQ1_15, "arccos input")
     raw = int(arccos_raw_batch(x.raw, cfg)[0])
-    return AngleSample(FxSample(raw, cfg.angle_format))
+    return AngleSample(FxSample(raw, UQ2_14))

@@ -160,7 +160,8 @@ def _infer_format(path: str, format_tag: str | None) -> str:
         return "text"
     if str(path).endswith(".siftdb"):
         return "binary"
-    raise ValueError(f"cannot infer format from {path!r}; pass format_tag")
+    raise ValueError(f"cannot infer format from {path!r}: "
+                     "expected a .siftd or .siftdb file")
 
 
 def _row_norms(set_: DescriptorSet) -> np.ndarray:
@@ -204,7 +205,11 @@ def load_descriptor_set(path: str, format_tag: str | None = None, *,
     empty set.
     """
     fmt = _infer_format(path, format_tag)
-    loaded = _load_text(path) if fmt == "text" else _load_binary(path)
+    try:
+        loaded = _load_text(path) if fmt == "text" else _load_binary(path)
+    except UnicodeDecodeError as exc:  # its position counts from a read chunk
+        raise DescriptorFormatError(
+            f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x}") from None
     if len(loaded) == 0:
         raise DescriptorFormatError(f"{path}: empty set")
     return _check_norms(loaded, str(path), auto_normalize)

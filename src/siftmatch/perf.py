@@ -4,10 +4,10 @@ One matching operation consumes one full descriptor transfer
 (``descriptor_bytes``, 256 by default: 128 16-bit elements, coordinates
 excluded).  A descriptor therefore occupies the memory port for
 ``ceil(descriptor_bytes / bytes_per_cycle)`` cycles and throughput is the
-clock rate divided by that, capped at the compute peak.  The cycle count is
-a ceiling because a descriptor cannot be dispatched fractionally; at
-64 bytes/cycle this yields 25 M op/s (4 cycles each), not the 24 sometimes
-quoted for that point.
+clock rate divided by that, capped at the compute peak of one dot product
+per cycle (``clock_hz`` op/s).  The cycle count is a ceiling because a
+descriptor cannot be dispatched fractionally; at 64 bytes/cycle this yields
+25 M op/s (4 cycles each), not the 24 sometimes quoted for that point.
 
 The core's own port moves :data:`PORT_BYTES_PER_CYCLE` = 8 bytes per cycle,
 so a 260-byte record (coordinates included) takes :data:`FETCH_CYCLES` =
@@ -43,19 +43,17 @@ FETCH_CYCLES = math.ceil(RECORD_BYTES / PORT_BYTES_PER_CYCLE)
 class RooflineConfig:
     clock_hz: float = 100e6
     descriptor_bytes: int = 2 * DESCRIPTOR_LEN
-    peak_ops_per_cycle: int = 1
 
     def __post_init__(self) -> None:
         if not 0 < self.clock_hz < math.inf:
             raise ValueError("clock_hz must be positive and finite")
         if self.descriptor_bytes < 1:
             raise ValueError("descriptor_bytes must be >= 1")
-        if self.peak_ops_per_cycle < 1:
-            raise ValueError("peak_ops_per_cycle must be >= 1")
 
     @property
     def peak_ops_per_s(self) -> float:
-        return self.clock_hz * self.peak_ops_per_cycle
+        """The compute peak: one dot product per cycle."""
+        return self.clock_hz
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cordic import AngleSample, CordicConfig, DEFAULT_CONFIG, arccos_table
+from .cordic import AngleSample, DEFAULT_CONFIG, arccos_table
 from .descriptors import Descriptor, DescriptorSet
-from .fixedpoint import UQ1_15, UQ2_14, FxSample, QFormat, round_shift_even
+from .fixedpoint import UQ1_15, UQ2_14, FxSample, round_shift_even
 from .perf import FETCH_CYCLES, RooflineConfig
 from .reference import MatchColumns, match_results, write_matches_csv
 from .search import exact_dots, top_two
@@ -71,10 +71,10 @@ __all__ = [
 ]
 
 THRESHOLD_MODES = ("exact_0_6", "binary_10011")
-_SENTINEL_RAW = 0xFFFF
+_SENTINEL_RAW = UQ2_14.max_raw
 _ANGLE_LSB = UQ2_14.lsb
 
-# Depths of the fixed-latency stages; the CORDIC cores' come from CordicConfig.
+# Depths of the fixed-latency stages; the CORDIC cores' come from DEFAULT_CONFIG.
 _DOT_PRODUCT_STAGES = 10  # 3 multiplier + 7 adder-tree stages
 _ONE_MINUS_SQUARE_STAGES = 4  # 1 - x^2 ahead of the square root
 _MIN_FIND_STAGES = 1
@@ -83,12 +83,11 @@ _MATCH_CHECK_STAGES = 3
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Block geometry, clock, threshold mode and arccos unit of the core."""
+    """Block geometry, clock and threshold mode of the core."""
 
     block_size: int = FETCH_CYCLES
     clock_hz: float = RooflineConfig.clock_hz
     threshold_mode: str = THRESHOLD_MODES[0]
-    cordic: CordicConfig = DEFAULT_CONFIG
 
     def __post_init__(self) -> None:
         if self.block_size < 1:
@@ -101,7 +100,7 @@ class PipelineConfig:
     @property
     def drain_cycles(self) -> int:
         return (_DOT_PRODUCT_STAGES + _ONE_MINUS_SQUARE_STAGES
-                + self.cordic.sqrt_iterations + self.cordic.polar_iterations
+                + DEFAULT_CONFIG.sqrt_iterations + DEFAULT_CONFIG.polar_iterations
                 + _MIN_FIND_STAGES + _MATCH_CHECK_STAGES)
 
     def blocks(self, m: int) -> int:
@@ -127,8 +126,8 @@ class MinPairEntry:
             raise ValueError("min must be <= second_min")
 
     @classmethod
-    def sentinel(cls, fmt: QFormat = UQ2_14) -> "MinPairEntry":
-        top = AngleSample(FxSample(_SENTINEL_RAW, fmt))
+    def sentinel(cls) -> "MinPairEntry":
+        top = AngleSample(FxSample(_SENTINEL_RAW, UQ2_14))
         return cls(min=top, second_min=top, min_index=None, init_flag=True)
 
 
@@ -228,14 +227,12 @@ def elapsed_seconds(cycles: int, cfg: PipelineConfig) -> float:
 
 
 def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
-                 cfg: PipelineConfig = PipelineConfig(), *,
-                 collect_matches: bool = True) -> RunReport:
+                 cfg: PipelineConfig = PipelineConfig()) -> RunReport:
     """Run the modeled accelerator: verdicts plus an exact cycle count.
 
     No per-block loop: ``total_cycles`` is :func:`predict_cycles`,
     ``blocks_processed`` is ``cfg.blocks(m)``, and the verdicts come
     from one tiled search (see the module docstring).
-    ``collect_matches=False`` skips the verdicts and reports timing only.
     """
     m, n = len(queries), len(db)
     if m == 0 or n == 0:
@@ -243,22 +240,18 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
 
     cycles = predict_cycles(m, n, cfg)
     elapsed = elapsed_seconds(cycles, cfg)
-    matches = MatchColumns.empty()
-    if collect_matches:
-        table = arccos_table(cfg.cordic)
-        best, amin, asec = top_two(queries.raws, db.raws,
-                                   lambda dots: table[_narrow(dots)],
-                                   _SENTINEL_RAW)
-        amin = amin.astype(np.int64)
-        asec = asec.astype(np.int64)
-        min_angle = amin * _ANGLE_LSB
-        second_angle = asec * _ANGLE_LSB
-        if cfg.threshold_mode == "binary_10011":
-            matched = (amin << 5) < (asec << 1) + asec + (asec << 4)
-        else:
-            matched = min_angle < 0.6 * second_angle
-        matches = match_results(queries, db, best, min_angle, second_angle,
-                                matched, amin, asec)
+    table = arccos_table()
+    best, amin, asec = top_two(queries.raws, db.raws,
+                               lambda dots: table[_narrow(dots)],
+                               _SENTINEL_RAW)
+    amin = amin.astype(np.int64)
+    asec = asec.astype(np.int64)
+    min_angle = amin * _ANGLE_LSB
+    second_angle = asec * _ANGLE_LSB
+    if cfg.threshold_mode == "binary_10011":
+        matched = (amin << 5) < (asec << 1) + asec + (asec << 4)
+    else:
+        matched = min_angle < 0.6 * second_angle
 
     return RunReport(
         total_cycles=cycles,
@@ -266,5 +259,6 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
         clock_hz=cfg.clock_hz,
         blocks_processed=cfg.blocks(m),
         dot_products_executed=m * n,
-        matches=matches,
+        matches=match_results(queries, db, best, min_angle, second_angle,
+                              matched, amin, asec),
     )

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from siftmatch import cli
 from siftmatch.cli import _agreement, _pipeline_config, build_parser, main
 from siftmatch.fixedpoint import UQ2_14
 from siftmatch.perf import RooflineConfig
@@ -122,6 +124,25 @@ class TestMatch:
         assert "descriptor 1:" in err
         assert err.count("\n") == 1 and err.startswith("siftmatch: error: format:")
         assert not out.exists()
+
+    def test_non_ascii_text_is_format_error(self, tmp_path, capsys):
+        prefix = str(tmp_path / "t")
+        run_cli("generate", "-m", "3", "--format", "text", "-o", prefix)
+        bad = tmp_path / "bad.siftd"
+        bad.write_bytes((tmp_path / "t_a.siftd").read_bytes() + b"\xff\n")
+        out = tmp_path / "out.json"
+        assert run_cli("match", "-q", str(bad), "-d", f"{prefix}_b.siftd",
+                       "-o", str(out)) == 1
+        assert assert_one_error(capsys, "format") == (
+            f"siftmatch: error: format: {bad}: non-ASCII byte 0xff")
+        assert not out.exists()
+
+    def test_unknown_extension_names_accepted_ones(self, tmp_path, capsys):
+        path = str(tmp_path / "set.txt")
+        assert run_cli("match", "-q", path, "-d", path) == 1
+        assert assert_one_error(capsys, "domain") == (
+            f"siftmatch: error: domain: cannot infer format from {path!r}: "
+            "expected a .siftd or .siftdb file")
 
 
 class TestCompare:
@@ -292,6 +313,48 @@ class TestDefaults:
         assert RooflineConfig(clock_hz=args.clock_hz,
                               descriptor_bytes=args.descriptor_bytes) \
             == RooflineConfig()
+
+
+# A flag and a non-default value for every field of the configs the CLI builds.
+PIPELINE_FLAGS = {
+    "block_size": ("--block-size", "7", 7),
+    "clock_hz": ("--clock-hz", "2e8", 2e8),
+    "threshold_mode": ("--threshold-mode", "binary_10011", "binary_10011"),
+}
+ROOFLINE_FLAGS = {
+    "clock_hz": ("--clock-hz", "2e8", 2e8),
+    "descriptor_bytes": ("--descriptor-bytes", "260", 260),
+}
+
+
+class TestEveryConfigFieldHasAFlag:
+    """No config field is reachable only from code: each one a command
+    builds can be set from that command's flags."""
+
+    @pytest.mark.parametrize("command", [("match", "--engine", "pipeline"),
+                                         ("compare",)])
+    def test_pipeline_config(self, dataset, tmp_path, monkeypatch, command):
+        seen, real = [], cli.run_pipeline
+        monkeypatch.setattr(cli, "run_pipeline", lambda q, d, cfg:
+                            seen.append(cfg) or real(q, d, cfg))
+        for field in dataclasses.fields(PipelineConfig):
+            flag, text, value = PIPELINE_FLAGS[field.name]
+            assert value != field.default
+            assert run_cli(*command, "-q", f"{dataset}_a.siftdb",
+                           "-d", f"{dataset}_b.siftdb", flag, text,
+                           "-o", str(tmp_path / "out")) == 0
+            assert getattr(seen.pop(), field.name) == value
+
+    def test_roofline_config(self, tmp_path, monkeypatch):
+        seen, real = [], cli.roofline_sweep
+        monkeypatch.setattr(cli, "roofline_sweep", lambda cfg, bandwidths:
+                            seen.append(cfg) or real(cfg, bandwidths))
+        for field in dataclasses.fields(RooflineConfig):
+            flag, text, value = ROOFLINE_FLAGS[field.name]
+            assert value != field.default
+            assert run_cli("roofline", flag, text,
+                           "-o", str(tmp_path / "out")) == 0
+            assert getattr(seen.pop(), field.name) == value
 
 
 class TestCharacterize:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from siftmatch.cordic import (
     polar_raw_batch,
     sqrt_raw_batch,
 )
-from siftmatch.fixedpoint import UQ1_15, UQ2_14, FxSample, QFormat
+from siftmatch.fixedpoint import UQ1_15, UQ2_14, FxSample
 
 LSB15 = UQ1_15.lsb
 LSB14 = UQ2_14.lsb
@@ -34,14 +35,17 @@ class TestConfig:
         assert cfg.polar_iterations == 11
         assert cfg.polar_rotations == 16  # angle fraction bits + 2
 
-    def test_rotation_override(self):
-        assert CordicConfig(polar_micro_rotations=20).polar_rotations == 20
+    def test_formats_are_fixed(self):
+        assert [f.name for f in dataclasses.fields(CordicConfig)] == [
+            "sqrt_iterations", "polar_iterations"]
+        assert DEFAULT_CONFIG.input_format is UQ1_15
+        assert DEFAULT_CONFIG.angle_format is UQ2_14
 
     @pytest.mark.parametrize("kwargs", [
         {"sqrt_iterations": 0},
         {"polar_iterations": 0},
-        {"polar_micro_rotations": 0},
-        {"angle_format": QFormat(0, 16)},  # max < pi/2
+        {"sqrt_iterations": -1},
+        {"polar_iterations": -1},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -127,6 +131,14 @@ class TestPolarAngle:
         got = polar_raw_batch(u, v) * LSB14
         want = np.arctan2(v * LSB15, u * LSB15)
         assert np.abs(got - want).max() <= 2 * LSB14
+
+    @pytest.mark.parametrize("u,v", [
+        (FxSample(1, UQ2_14), fx15(0.5)),
+        (fx15(0.5), FxSample(1, UQ2_14)),
+    ])
+    def test_rejects_wrong_format(self, u, v):
+        with pytest.raises(ValueError):
+            cordic_polar_angle(u, v)
 
 
 class TestArccos:

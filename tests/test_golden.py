@@ -13,12 +13,23 @@ import pytest
 from siftmatch.cli import main
 from siftmatch.descriptors import generate_synthetic, save_descriptor_set
 
+# (queries, database) of each fixture: the arguments of generate_synthetic.
+FIXTURES = {
+    ("q.siftdb", "d.siftdb"): (60, 5, 0.5, 0.02),
+    # Near the threshold: 8 reference ratios lie in [19/32, 0.6), so the two
+    # pipeline threshold modes give different verdicts (49 vs 41 matches).
+    ("nq.siftdb", "nd.siftdb"): (1000, 21, 0.7, 0.06),
+}
+
 FIXTURE_SHA256 = {
     "q.siftdb": "dcd81c7782f16fbb6c6672b0ffeaf85a77b2bd9b0c869ff9fc042bdf1103caad",
     "d.siftdb": "c547cd619cd15e64fe69ef122c7358d780600f9d9c35d4881dec961ae9b64859",
+    "nq.siftdb": "76e571be900a833f9f28183206dd67056e23031cc6e56be901341057fa299647",
+    "nd.siftdb": "39e527cc00e671c4e9caad87ee9abcf25a914269ca3c6b99685ab1dd12b13dd5",
 }
 
 MATCH = ("match", "-q", "q.siftdb", "-d", "d.siftdb")
+NEAR = ("match", "-q", "nq.siftdb", "-d", "nd.siftdb", "--format", "csv")
 
 GOLDEN = {
     (*MATCH, "--format", "csv"):
@@ -40,6 +51,12 @@ GOLDEN = {
         "b83e55413230f499905c32c75afe505cfec0f174439363e71bda7f2d1a77d5dc",
     ("roofline",):
         "5cf812f5a30356b48ecbfcffecee3713ac7b1b19628dc391768e5a594f9eb2a5",
+    NEAR:
+        "3caaa3b09a78080df98fae9df58d94ddfef6c85c01c3cfe5b3eabdfb44ef27fa",
+    (*NEAR, "--engine", "pipeline"):
+        "1f793379c072843a565a60b43ad1ac4e4dd06a48095c808f4a34b4b18511c53b",
+    (*NEAR, "--engine", "pipeline", "--threshold-mode", "binary_10011"):
+        "60e8a667887cc0b3f52377cb203aa624b2876bdceed6efd332ccfb7c094ec68f",
 }
 
 
@@ -48,13 +65,20 @@ def sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    for names, args in FIXTURES.items():
+        for name, set_ in zip(names, generate_synthetic(*args)):
+            save_descriptor_set(set_, path / name, "binary")
+    assert {name: sha256(path / name) for name in FIXTURE_SHA256} \
+        == FIXTURE_SHA256
+    return path
+
+
 @pytest.fixture
-def workdir(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    queries, db, _ = generate_synthetic(60, 5, 0.5, 0.02)
-    save_descriptor_set(queries, "q.siftdb", "binary")
-    save_descriptor_set(db, "d.siftdb", "binary")
-    assert {name: sha256(name) for name in FIXTURE_SHA256} == FIXTURE_SHA256
+def workdir(fixture_dir, monkeypatch):
+    monkeypatch.chdir(fixture_dir)
 
 
 @pytest.mark.parametrize("args", list(GOLDEN), ids=" ".join)

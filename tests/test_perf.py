@@ -20,8 +20,9 @@ GB = 1e9
 
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"clock_hz": 0}, {"descriptor_bytes": 0}, {"peak_ops_per_cycle": 0},
+        {"clock_hz": 0}, {"descriptor_bytes": 0},
         {"clock_hz": math.nan}, {"clock_hz": math.inf},
+        {"descriptor_bytes": -1},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -81,7 +82,7 @@ class TestSweep:
         assert all(a <= b for a, b in zip(rates, rates[1:]))
 
     def test_never_exceeds_peak(self):
-        cfg = RooflineConfig(peak_ops_per_cycle=2)
+        cfg = RooflineConfig()
         rng = np.random.default_rng(2)
         for bw in rng.uniform(0.01 * GB, 500 * GB, 100):
             assert attainable_throughput(float(bw), cfg).attainable_ops_per_s \
@@ -124,7 +125,7 @@ class TestBlocking:
         # where fill/drain and partial-block idle slots are noise
         q, db, _ = generate_synthetic(1021, seed=6, match_fraction=0.0,
                                       noise_sigma=0.0)
-        report = run_pipeline(q, db, PipelineConfig(), collect_matches=False)
+        report = run_pipeline(q, db, PipelineConfig())
         rate = effective_throughput_with_blocking(RooflineConfig(), 33)
         modeled = rate * report.elapsed_seconds_at_clock
         assert abs(modeled - report.dot_products_executed) \

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siftmatch import search
+from siftmatch import pipeline, search
 from siftmatch.cordic import AngleSample, CordicConfig, cordic_arccos
 from siftmatch.descriptors import DESCRIPTOR_LEN, DescriptorSet, generate_synthetic
 from siftmatch.fixedpoint import UQ1_15, UQ2_14, FxSample
@@ -59,9 +59,10 @@ class TestConfig:
     def test_drain(self):
         assert PipelineConfig().drain_cycles == 10 + 52 + 1 + 3
 
-    def test_drain_counts_cordic_depths(self):
-        cfg = PipelineConfig(cordic=CordicConfig(sqrt_iterations=40))
-        assert cfg.drain_cycles == 10 + 4 + 40 + 11 + 1 + 3
+    def test_drain_counts_cordic_depths(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "DEFAULT_CONFIG",
+                            CordicConfig(sqrt_iterations=40))
+        assert PipelineConfig().drain_cycles == 10 + 4 + 40 + 11 + 1 + 3
 
     def test_defaults_follow_fetch_time(self):
         assert FETCH_CYCLES == 33 == PipelineConfig().block_size
@@ -257,8 +258,7 @@ class TestCycleModel:
     def test_elapsed_uses_clock(self, pool):
         q, db = pool
         cfg = PipelineConfig(clock_hz=50e6)
-        report = run_pipeline(subset(q, 3), subset(db, 3), cfg,
-                              collect_matches=False)
+        report = run_pipeline(subset(q, 3), subset(db, 3), cfg)
         assert report.elapsed_seconds_at_clock == report.total_cycles / 50e6
 
 
@@ -269,7 +269,7 @@ def sequential_verdicts(queries, db, cfg):
         entry = MinPairEntry.sentinel()
         for di in range(len(db)):
             dp = dot_product_core(queries[qi], db[di])
-            a = cordic_arccos(dp, cfg.cordic)
+            a = cordic_arccos(dp)
             entry = min_find(a, di, entry)
         out.append((match_check(entry, cfg.threshold_mode), entry.min_index,
                     entry.min.raw, entry.second_min.raw))
@@ -340,15 +340,6 @@ class TestRunPipeline:
             run_pipeline(empty, subset(db, 2), PipelineConfig())
         with pytest.raises(ValueError):
             run_pipeline(subset(q, 2), empty, PipelineConfig())
-
-    def test_collect_matches_false_keeps_timing(self, pool):
-        q, db = pool
-        cfg = PipelineConfig()
-        a = run_pipeline(subset(q, 40), subset(db, 40), cfg)
-        b = run_pipeline(subset(q, 40), subset(db, 40), cfg,
-                         collect_matches=False)
-        assert a.total_cycles == b.total_cycles
-        assert b.matches == []
 
     def test_argmin_agrees_with_float_oracle_outside_ambiguity(self, pool):
         # whenever the float top-two angles are separated by more than the
