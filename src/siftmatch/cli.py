@@ -101,8 +101,8 @@ def cmd_generate(args) -> int:
     q_path = f"{args.output_prefix}_a{ext}"
     d_path = f"{args.output_prefix}_b{ext}"
     t_path = f"{args.output_prefix}_truth.csv"
-    save_descriptor_set(queries, q_path, args.format)
-    save_descriptor_set(db, d_path, args.format)
+    save_descriptor_set(queries, q_path)
+    save_descriptor_set(db, d_path)
     with open(t_path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_index", "db_index"])
@@ -187,16 +187,25 @@ def _report_columns(path: str) -> tuple[np.ndarray, np.ndarray]:
         if not isinstance(row["matched"], bool):
             raise ReportFormatError(
                 f"{path}: match row {k}: \"matched\" is not true or false")
+        if type(row["query_index"]) is not int:  # bool is an int subclass
+            raise ReportFormatError(
+                f"{path}: match row {k}: \"query_index\" is not an integer")
     return (np.fromiter((row["query_index"] for row in rows), object, len(rows)),
             np.fromiter((row["matched"] for row in rows), bool, len(rows)))
 
 
 def cmd_compare(args) -> int:
     if args.reports:
-        (index, a), (_, b) = (_report_columns(path) for path in args.reports)
+        (index, a), (index_b, b) = map(_report_columns, args.reports)
         if len(a) != len(b):
             raise ValueError(
                 f"mismatched query counts: {len(a)} vs {len(b)}")
+        # Rows are paired by position, so both must list the same queries.
+        differ = np.flatnonzero(index != index_b)
+        if len(differ):
+            k = differ[0]
+            raise ValueError(f"reports differ in query_index at row {k}: "
+                             f"{index[k]} vs {index_b[k]}")
         result = _agreement(a, b, {"query_index": index, "a_matched": a,
                                    "b_matched": b})
     else:

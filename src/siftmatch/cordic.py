@@ -28,16 +28,20 @@ enough to round at 11 steps could not hit the documented angle accuracy.
 
 All kernels run the same code path for scalars and numpy arrays, so batch
 evaluation is bit-identical to the scalar ops, deterministic across runs
-and platforms (constants are derived with mpmath, not libm).
+and platforms.  No constant comes from libm: the gain compensation is exact
+integer arithmetic (the squared gain is an exact fraction, rounded through
+``math.isqrt``) and the atan table is an integer literal.  Each
+micro-rotation is a branch-free update in place: the sign of ``y`` selects
+the direction by two's-complement negation, not by a select.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp
 
 from .fixedpoint import UQ1_15, UQ2_14, FxSample, QFormat, round_shift_even
 
@@ -119,26 +123,41 @@ def _sqrt_schedule(iterations: int) -> tuple[int, ...]:
     return tuple(seq)
 
 
+def _nint_scaled_inverse_sqrt(scale: int, num: int, den: int) -> int:
+    """nint(scale / sqrt(num / den)), exactly, in integers.
+
+    With s = sqrt(scale**2 * den / num): isqrt(floor(4 s**2)) = floor(2 s),
+    and (floor(2 s) + 1) // 2 = floor(s + 1/2).  That rounds a tie up, but
+    no tie occurs here: s = j + 1/2 needs (2j + 1)**2 * num = 4 * scale**2
+    * den, and the callers pass an odd ``num`` and powers of two for
+    ``scale`` and ``den``.
+    """
+    return (math.isqrt(4 * scale * scale * den // num) + 1) // 2
+
+
 @lru_cache(maxsize=None)
 def _sqrt_constants(iterations: int) -> tuple[tuple[int, ...], int, int]:
-    """(schedule, inverse-gain multiplier, pre-compensated 0.25 offset)."""
+    """(schedule, inverse-gain multiplier, pre-compensated 0.25 offset).
+
+    The hyperbolic gain is prod sqrt(1 - 4**-i) over the schedule, so its
+    square is the exact fraction num / den = prod (4**i - 1) / 4**i.
+    """
     schedule = _sqrt_schedule(iterations)
-    with mp.workdps(60):
-        gain = mp.mpf(1)
-        for i in schedule:
-            gain *= mp.sqrt(1 - mp.mpf(2) ** (-2 * i))
-        inv_gain = int(mp.nint((1 << _GAIN_FRAC) / gain))
-        quarter = int(mp.nint((1 << _WORK_FRAC) / (4 * gain)))
+    num = den = 1
+    for i in schedule:
+        num *= (1 << 2 * i) - 1
+        den <<= 2 * i
+    inv_gain = _nint_scaled_inverse_sqrt(1 << _GAIN_FRAC, num, den)
+    quarter = _nint_scaled_inverse_sqrt(1 << (_WORK_FRAC - 2), num, den)
     return schedule, inv_gain, quarter
 
 
-@lru_cache(maxsize=None)
-def _atan_table() -> tuple[int, ...]:
-    with mp.workdps(60):
-        return tuple(
-            int(mp.nint(mp.atan(mp.mpf(2) ** -i) * (1 << _Z_FRAC)))
-            for i in range(CordicConfig.polar_rotations)
-        )
+# nint(atan(2**-i) * 2**_Z_FRAC) for the CordicConfig.polar_rotations = 16
+# vectoring steps (computed at 60 digits; tests check it against mpmath).
+_ATAN_TABLE = (
+    52707179, 31114864, 16440240, 8345322, 4188855, 2096470, 1048491, 524277,
+    262143, 131072, 65536, 32768, 16384, 8192, 4096, 2048,
+)
 
 
 def sqrt_raw_batch(raws, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -160,12 +179,19 @@ def sqrt_raw_batch(raws, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
     scaled = (value * inv_gain) >> _GAIN_FRAC
     x = scaled + quarter
     y = scaled - quarter
+    sign, dx, dy = (np.empty_like(x) for _ in range(3))
     for i in schedule:
-        dx = y >> i
-        dy = x >> i
-        neg = y < 0
-        x = np.where(neg, x + dx, x - dx)
-        y = np.where(neg, y + dy, y - dy)
+        # sign is -1 where y < 0, else 0, so (d ^ sign) - sign is -d there
+        # and d elsewhere: x, y -= (y >> i, x >> i), negated where y < 0.
+        np.right_shift(y, 63, out=sign)
+        np.right_shift(y, i, out=dx)
+        np.right_shift(x, i, out=dy)
+        dx ^= sign
+        dx -= sign
+        dy ^= sign
+        dy -= sign
+        x -= dx
+        y -= dy
 
     out = round_shift_even(x, (_WORK_FRAC - frac) + k)
     out = np.clip(out, 0, UQ1_15.max_raw)
@@ -184,13 +210,22 @@ def polar_raw_batch(u_raws, v_raws) -> np.ndarray:
     x = u << (_WORK_FRAC - UQ1_15.fraction_bits)
     y = v << (_WORK_FRAC - UQ1_15.fraction_bits)
     z = np.zeros_like(x)
-    for i, alpha in enumerate(_atan_table()):
-        dx = y >> i
-        dy = x >> i
-        pos = y >= 0
-        x = np.where(pos, x + dx, x - dx)
-        y = np.where(pos, y - dy, y + dy)
-        z = np.where(pos, z + alpha, z - alpha)
+    sign, dx, dy, dz = (np.empty_like(x) for _ in range(4))
+    for i, alpha in enumerate(_ATAN_TABLE):
+        # As in sqrt_raw_batch, (d ^ sign) - sign is -d where y < 0: rotate
+        # by +alpha (x += y >> i, y -= x >> i) where y >= 0, else by -alpha.
+        np.right_shift(y, 63, out=sign)
+        np.right_shift(y, i, out=dx)
+        np.right_shift(x, i, out=dy)
+        np.bitwise_xor(sign, alpha, out=dz)
+        dx ^= sign
+        dx -= sign
+        dy ^= sign
+        dy -= sign
+        dz -= sign
+        x += dx
+        y -= dy
+        z += dz
 
     angle = round_shift_even(z, _Z_FRAC - UQ2_14.fraction_bits)
     angle = np.clip(angle, 0, UQ2_14.max_raw)

@@ -151,11 +151,7 @@ class DescriptorSet:
         return (self[i] for i in range(len(self)))
 
 
-def _infer_format(path: str, format_tag: str | None) -> str:
-    if format_tag is not None:
-        if format_tag not in ("text", "binary"):
-            raise ValueError(f"unknown format tag {format_tag!r}")
-        return format_tag
+def _infer_format(path: str) -> str:
     if str(path).endswith(".siftd"):
         return "text"
     if str(path).endswith(".siftdb"):
@@ -195,16 +191,18 @@ def _check_norms(set_: DescriptorSet, path: str, auto_normalize: bool) -> Descri
     return DescriptorSet.from_floats(set_.image_id, floats, set_.xy)
 
 
-def load_descriptor_set(path: str, format_tag: str | None = None, *,
+def load_descriptor_set(path: str, *,
                         auto_normalize: bool = True) -> DescriptorSet:
     """Load a descriptor set, validating shape and element range.
+
+    The extension names the format: ``.siftd`` text or ``.siftdb`` binary.
 
     Non-unit-norm descriptors trigger a warning and (by default) are
     rescaled to unit norm; pass ``auto_normalize=False`` to keep them as-is.
     Raises :class:`DescriptorFormatError` on malformed input, including an
     empty set.
     """
-    fmt = _infer_format(path, format_tag)
+    fmt = _infer_format(path)
     try:
         loaded = _load_text(path) if fmt == "text" else _load_binary(path)
     except UnicodeDecodeError as exc:  # its position counts from a read chunk
@@ -277,10 +275,10 @@ def _load_binary(path: str) -> DescriptorSet:
     return DescriptorSet.from_raws(str(path), raws, records[:, :2])
 
 
-def save_descriptor_set(set_: DescriptorSet, path: str,
-                        format_tag: str | None = None) -> None:
-    """Write a set so that :func:`load_descriptor_set` round-trips bit-exactly."""
-    fmt = _infer_format(path, format_tag)
+def save_descriptor_set(set_: DescriptorSet, path: str) -> None:
+    """Write a set so that :func:`load_descriptor_set` round-trips bit-exactly;
+    the extension names the format, as it does for loading."""
+    fmt = _infer_format(path)
     if fmt == "text":
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"{_TEXT_HEADER} m={len(set_)}\n")

@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import siftmatch
 from siftmatch import cli
 from siftmatch.cli import _agreement, _pipeline_config, build_parser, main
 from siftmatch.fixedpoint import UQ2_14
@@ -199,6 +204,43 @@ class TestCompare:
         assert "match row 3" in assert_one_error(capsys, "format")
         assert not out.exists()
 
+    def _report_pair(self, dataset, tmp_path):
+        a = tmp_path / "a.json"
+        run_cli("match", "-q", f"{dataset}_a.siftdb",
+                "-d", f"{dataset}_b.siftdb", "-o", str(a))
+        return a, json.loads(a.read_text())
+
+    def test_report_rows_in_other_order_is_error(self, dataset, tmp_path,
+                                                 capsys):
+        # rows are paired by position, so their query_index columns must agree
+        a, blob = self._report_pair(dataset, tmp_path)
+        blob["matches"].reverse()
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps(blob))
+        out = tmp_path / "cmp.json"
+        assert run_cli("compare", "--reports", str(a), str(b),
+                       "-o", str(out)) == 1
+        assert assert_one_error(capsys, "domain") == (
+            "siftmatch: error: domain: reports differ in query_index at "
+            "row 0: 0 vs 59")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["x", 3.0, None, True, [3]])
+    def test_report_query_index_not_int_is_format_error(
+            self, dataset, tmp_path, capsys, value):
+        a, blob = self._report_pair(dataset, tmp_path)
+        blob["matches"][3]["query_index"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        out = tmp_path / "cmp.json"
+        for pair in ((a, bad), (bad, bad)):
+            assert run_cli("compare", "--reports", *map(str, pair),
+                           "-o", str(out)) == 1
+            assert assert_one_error(capsys, "format") == (
+                f"siftmatch: error: format: {bad}: match row 3: "
+                "\"query_index\" is not an integer")
+        assert not out.exists()
+
     def test_report_not_json_is_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("k,matched\n0,1\n")
@@ -390,3 +432,26 @@ class TestBench:
         rows = json.loads((tmp_path / "bench.json").read_text())
         assert rows[0]["total_cycles"] == 607629
         assert math.isclose(rows[1]["elapsed_ms"], 10.45638)
+
+
+_STARTUP = textwrap.dedent("""
+    import sys
+    import siftmatch.cli
+    from siftmatch.cordic import arccos_table
+    arccos_table()
+    code = siftmatch.cli.main(sys.argv[1:])
+    print(code, "mpmath" in sys.modules)
+""")
+
+
+def test_startup_does_not_import_mpmath(dataset, tmp_path):
+    """mpmath is a test-only dependency: importing the CLI, building the
+    arccos table and running a pipeline match must not load it."""
+    src = os.path.dirname(os.path.dirname(siftmatch.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _STARTUP, "match", "--engine", "pipeline",
+         "-q", f"{dataset}_a.siftdb", "-d", f"{dataset}_b.siftdb",
+         "-o", str(tmp_path / "pipe.json")],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["0", "False"]

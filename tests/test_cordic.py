@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from siftmatch import cordic
 from siftmatch.cordic import (
     AngleSample,
     CordicConfig,
@@ -206,3 +208,41 @@ class TestDeterminismAndBatch:
         out = cordic_arccos(fx15(0.25))
         assert isinstance(out, AngleSample)
         assert out.radians == out.raw * LSB14
+
+
+class TestBitIdentity:
+    """Pins the kernels' bits against digests recorded from the mpmath-derived
+    implementation, and the integer constants against mpmath itself.  The
+    table-vs-batch and scalar-vs-batch tests above run one kernel on both
+    sides, so they alone would pass on a wrong rewrite."""
+
+    def test_table_digest(self):
+        digest = hashlib.sha256(arccos_table().tobytes()).hexdigest()
+        assert digest == (
+            "724abe3e3f6cd285e91e7b02d3e1178e16a51738afecc0e51c3776d7e79006bd")
+
+    def test_sqrt_digest(self):
+        out = sqrt_raw_batch(np.arange(UQ1_15.max_raw // 2 + 2, dtype=np.int64))
+        assert len(out) == 2 ** 15 + 1  # every UQ1.15 raw in [0, 1]
+        digest = hashlib.sha256(out.astype("<i8").tobytes()).hexdigest()
+        assert digest == (
+            "57d9f84ad98d9713e376893b7351ac5f3a612924935ddc53805ebc044a9975fd")
+
+    def test_sqrt_constants_match_mpmath(self):
+        from mpmath import mp
+        for k in range(1, 65):
+            schedule, inv_gain, quarter = cordic._sqrt_constants(k)
+            assert len(schedule) == k
+            with mp.workdps(60):
+                gain = mp.mpf(1)
+                for i in schedule:
+                    gain *= mp.sqrt(1 - mp.mpf(2) ** (-2 * i))
+                assert inv_gain == int(mp.nint(2 ** 30 / gain)), k
+                assert quarter == int(mp.nint(2 ** 24 / (4 * gain))), k
+
+    def test_atan_table_matches_mpmath(self):
+        from mpmath import mp
+        with mp.workdps(60):
+            want = tuple(int(mp.nint(mp.atan(mp.mpf(2) ** -i) * 2 ** 26))
+                         for i in range(CordicConfig.polar_rotations))
+        assert cordic._ATAN_TABLE == want

@@ -44,8 +44,10 @@ class TestRoundTrip:
     @pytest.mark.parametrize("fmt,ext", [("text", ".siftd"), ("binary", ".siftdb")])
     def test_save_load_identical_raws(self, tmp_path, random_set, fmt, ext):
         path = str(tmp_path / f"set{ext}")
-        save_descriptor_set(random_set, path, fmt)
-        loaded = load_descriptor_set(path, fmt)
+        save_descriptor_set(random_set, path)
+        head = {"text": b"SIFTD v1 text", "binary": b"SIFTDB01"}[fmt]
+        assert (tmp_path / f"set{ext}").read_bytes().startswith(head)
+        loaded = load_descriptor_set(path)
         assert np.array_equal(loaded.raws, random_set.raws)
         assert np.array_equal(loaded.xy, random_set.xy)
 
@@ -72,9 +74,13 @@ class TestRoundTrip:
         save_descriptor_set(random_set, path)
         assert len(load_descriptor_set(path)) == len(random_set)
 
-    def test_unknown_extension_needs_tag(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_descriptor_set(str(tmp_path / "set.bin"))
+    def test_unknown_extension_is_error(self, tmp_path, random_set):
+        path = str(tmp_path / "set.bin")
+        with pytest.raises(ValueError, match="expected a .siftd or .siftdb"):
+            load_descriptor_set(path)
+        with pytest.raises(ValueError, match="expected a .siftd or .siftdb"):
+            save_descriptor_set(random_set, path)
+        assert not (tmp_path / "set.bin").exists()
 
 
 class TestValidation:

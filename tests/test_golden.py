@@ -70,7 +70,7 @@ def fixture_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden")
     for names, args in FIXTURES.items():
         for name, set_ in zip(names, generate_synthetic(*args)):
-            save_descriptor_set(set_, path / name, "binary")
+            save_descriptor_set(set_, path / name)
     assert {name: sha256(path / name) for name in FIXTURE_SHA256} \
         == FIXTURE_SHA256
     return path
