@@ -251,12 +251,14 @@ def arccos_raw_batch(raws, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
 def arccos_table(cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
     """arccos raws for every representable input, for bulk lookups.
 
-    Bit-identical to :func:`arccos_raw_batch` by construction; the pipeline
-    model uses this to evaluate millions of angles cheaply.
+    Bit-identical to :func:`arccos_raw_batch`; the pipeline model uses this
+    to evaluate millions of angles cheaply.  Only the inputs up to 1.0
+    (raw 0x8000) run the kernels: above it ``1 - x^2`` saturates to 0, the
+    square root of 0 is exactly 0, and the angle of ``(x, 0)`` is 0.
     """
-    table = arccos_raw_batch(
-        np.arange(UQ1_15.max_raw + 1, dtype=np.int64), cfg)
-    table = table.astype(np.uint16)
+    one = 1 << UQ1_15.fraction_bits
+    table = np.zeros(UQ1_15.max_raw + 1, dtype=np.uint16)
+    table[:one + 1] = arccos_raw_batch(np.arange(one + 1, dtype=np.int64), cfg)
     table.setflags(write=False)
     return table
 

@@ -33,11 +33,27 @@ cycle count is analytic and equals :func:`predict_cycles`:
 
 Its verdicts come from the tiled search of :mod:`siftmatch.search` on the
 16-bit raws of both sets, whatever file they came from: a float64 GEMM on
-one integer-valued query tile gives the adder tree's integer sum ``w``
-exactly, ``rint(w * 2**-15)`` (an exact power-of-two scaling, then
-round-half-even) is its narrowing, and :func:`arccos_table` holds
+one integer-valued tile gives the adder tree's integer sum ``w`` exactly,
+``rint(w * 2**-15)`` (an exact power-of-two scaling, then round-half-even,
+saturated at 0xFFFF) is its narrowing, and :func:`arccos_table` holds
 ``cordic_arccos`` of every UQ1.15 input.  A block flush only resets the
 tracker, so the search equals the scalar composition bit for bit.
+
+The search ranks by the dot, not by the angle.  The narrowing never
+decreases as ``w`` grows and the table never increases over all 65536 raws
+(both checked exhaustively by the tests), so the angle ``g(w) =
+table[narrow(w)]`` never increases.  In a tile row, with ``w1`` its largest
+dot and ``w2`` its second largest (counting duplicates), the two smallest
+angles are ``lo = g(w1)`` and ``lo2 = g(w2)``: only these two are narrowed
+and looked up.  Distinct raws can share an angle (raws 10171 and 10172 both
+map to 20565), so the earliest minimum is not always the earliest ``w1``.
+With ``x`` the smallest raw whose angle is at most ``lo`` (a search of the
+reversed table), ``g(w) == lo`` exactly when ``narrow(w) >= x``, that is
+when ``w >= W(x) = x * 2**15 - 2**14 + (x & 1)``, the smallest integer whose
+round-half-even narrowing reaches ``x``.  The index is the earliest ``j``
+with ``w_j >= W``; it differs from the earliest ``w1`` only when
+``lo2 == lo``, so only those rows compare the tile against ``W``.  Every
+value here is an integer below 2**53, so all of it is exact in float64.
 
 Each invocation is an independent, deterministic state machine.
 """
@@ -187,6 +203,36 @@ def _narrow(dots: np.ndarray) -> np.ndarray:
     return dots.astype(np.intp)
 
 
+def _dot_floor(x: np.ndarray) -> np.ndarray:
+    """The smallest integer dot ``W`` whose narrowing is at least raw ``x``:
+    ``x * 2**15 - 2**14`` rounds half-even to ``x`` when ``x`` is even and
+    to ``x - 1`` when it is odd, which the ``+ (x & 1)`` steps over."""
+    return (x << 15) - (1 << 14) + (x & 1)
+
+
+def _top_two_by_dot(table: np.ndarray):
+    """The per-tile reduction of :func:`run_pipeline`: the angles' argmin
+    and two smallest from the two largest dots of each row (module
+    docstring), narrowing and looking up only those two."""
+    descending = np.ascontiguousarray(table[::-1])
+
+    def reduce(dots):
+        rows = np.arange(len(dots))
+        best = dots.argmax(axis=1)
+        lo = table[_narrow(dots[rows, best])]
+        if dots.shape[1] == 1:
+            return best, lo, np.full_like(lo, _SENTINEL_RAW)
+        dots[rows, best] = -1.0  # below every dot: the max is now w2
+        lo2 = table[_narrow(dots.max(axis=1))]
+        tied = np.flatnonzero(lo2 == lo)  # an earlier dot may share lo
+        if tied.size:
+            x = len(table) - np.searchsorted(descending, lo[tied], "right")
+            hits = dots[tied] >= _dot_floor(x)[:, None]
+            best[tied] = np.minimum(best[tied], hits.argmax(axis=1))
+        return best, lo, lo2
+    return reduce
+
+
 def dot_raw_matrix(queries: DescriptorSet, db: DescriptorSet) -> np.ndarray:
     """All-pairs UQ1.15 dot raws, bit-identical to :func:`dot_product_core`."""
     return _narrow(exact_dots(queries.raws, db.raws))
@@ -240,10 +286,8 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
 
     cycles = predict_cycles(m, n, cfg)
     elapsed = elapsed_seconds(cycles, cfg)
-    table = arccos_table()
     best, amin, asec = top_two(queries.raws, db.raws,
-                               lambda dots: table[_narrow(dots)],
-                               _SENTINEL_RAW)
+                               _top_two_by_dot(arccos_table()))
     amin = amin.astype(np.int64)
     asec = asec.astype(np.int64)
     min_angle = amin * _ANGLE_LSB

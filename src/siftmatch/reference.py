@@ -13,7 +13,11 @@ sums ``w`` by ``2**-30``: every partial sum is exact and the scaling is a
 power of two, so this gives the left-to-right bits of the float elements
 ``raw * 2**-15``, and no float copy of a set is made.  Other sets (text
 files, ``from_floats``) take the strict-order :func:`dot_matrix` on the float
-elements, one tile at a time.  Everything here is stateless.
+elements, one tile at a time.  Either way every dot is scored with
+``np.arccos`` before the two smallest are kept
+(:func:`~siftmatch.search.by_score`): libm's arccos cannot be checked over
+every float input, so the reference does not rank by the dot as the
+pipeline does.  Everything here is stateless.
 
 Results stay columnar from the search to the output file:
 :func:`match_results` wraps the search's arrays in a :class:`MatchColumns`,
@@ -36,7 +40,7 @@ import numpy as np
 
 from .descriptors import DESCRIPTOR_LEN, Descriptor, DescriptorSet
 from .fixedpoint import UQ1_15
-from .search import top_two
+from .search import by_score, top_two
 
 __all__ = [
     "CHUNK_ROWS",
@@ -277,9 +281,10 @@ def match_all(queries: DescriptorSet, db: DescriptorSet,
     if len(db) == 0:
         raise ValueError("database is empty")
     if queries.raw_exact and db.raw_exact:
-        best, low, high = top_two(queries.raws, db.raws, _raw_angles,
-                                  SECOND_MIN_SURROGATE)
+        best, low, high = top_two(
+            queries.raws, db.raws, by_score(_raw_angles, SECOND_MIN_SURROGATE))
     else:
-        best, low, high = top_two(queries.floats, db.floats, _angles,
-                                  SECOND_MIN_SURROGATE, dot_matrix)
+        best, low, high = top_two(
+            queries.floats, db.floats, by_score(_angles, SECOND_MIN_SURROGATE),
+            dot_matrix)
     return match_results(queries, db, best, low, high, low < threshold * high)

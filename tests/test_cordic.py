@@ -204,6 +204,16 @@ class TestDeterminismAndBatch:
         raws = np.arange(0, 2 ** 16, 97, dtype=np.int64)
         assert np.array_equal(table[raws], arccos_raw_batch(raws).astype(np.uint16))
 
+    def test_inputs_above_one_are_angle_zero(self):
+        # arccos_table() runs the kernels on raws up to 0x8000 only
+        raws = np.arange((1 << 15) + 1, 1 << 16, dtype=np.int64)
+        assert not arccos_raw_batch(raws).any()
+
+    def test_table_never_increases(self):
+        # the pipeline ranks by the dot on this fact (pipeline docstring)
+        steps = np.diff(arccos_table().astype(np.int64))
+        assert len(steps) == UQ1_15.max_raw and (steps <= 0).all()
+
     def test_angle_sample_accessors(self):
         out = cordic_arccos(fx15(0.25))
         assert isinstance(out, AngleSample)

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from siftmatch.pipeline import (
     run_pipeline,
     write_matches_csv,
 )
+from siftmatch.reference import match_all
 
 LSB14 = UQ2_14.lsb
 
@@ -345,7 +347,6 @@ class TestRunPipeline:
         # whenever the float top-two angles are separated by more than the
         # combined quantization error, both engines must pick the same row
         from siftmatch.cordic import arccos_raw_batch
-        from siftmatch.reference import match_all
 
         q, db = pool
         kernel_bound = float(np.abs(
@@ -422,14 +423,23 @@ def adversarial_sets(draw):
     return queries, db
 
 
+def tiles(rows, cols, dots=1):
+    """Patch the search's tile sizes: up to ``cols`` database rows per tile
+    and ``max(rows, dots // cols)`` query rows."""
+    return mock.patch.multiple(search, TILE_ROWS=rows, TILE_COLS=cols,
+                               TILE_DOTS=dots)
+
+
 class TestSearchKernel:
     @settings(max_examples=40, deadline=None)
     @given(adversarial_sets(), st.sampled_from(THRESHOLD_MODES),
-           st.integers(1, 12), st.integers(1, 5))
-    def test_equals_scalar_composition(self, sets, mode, tile, block):
+           st.integers(1, 12), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 5))
+    def test_equals_scalar_composition(self, sets, mode, tile, rows, cols,
+                                       block):
         queries, db = sets
         cfg = PipelineConfig(block_size=block, threshold_mode=mode)
-        with mock.patch.object(search, "TILE_DOTS", tile):  # several tiles
+        with tiles(rows, cols, tile):  # several tiles on both axes
             report = run_pipeline(queries, db, cfg)
             dots = dot_raw_matrix(queries, db)
         got = [(m.matched, m.best_index, m.min_raw, m.second_min_raw)
@@ -439,6 +449,53 @@ class TestSearchKernel:
         for i, q in enumerate(queries):
             for j, d in enumerate(db):
                 assert dots[i, j] == dot_product_core(q, d).raw
+
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_equal_angles_go_to_earliest_index(self, rows, cols):
+        # raws 10171 and 10172 both map to angle 20565: the later row has
+        # the larger dot, yet the earlier one is the minimum's index
+        raws = np.zeros((4, DESCRIPTOR_LEN), dtype=np.uint16)
+        raws[:, 0] = [5, 10171, 10172, 9]
+        db = DescriptorSet.from_raws("d", raws, np.zeros((4, 2)))
+        q_raws = np.zeros((2, DESCRIPTOR_LEN), dtype=np.uint16)
+        q_raws[:, 0] = 1 << 15
+        queries = DescriptorSet.from_raws("q", q_raws, np.zeros((2, 2)))
+        with tiles(rows, cols):
+            report = run_pipeline(queries, db, PipelineConfig())
+        got = [(m.best_index, m.min_raw, m.second_min_raw)
+               for m in report.matches]
+        assert got == [(1, 20565, 20565)] * 2
+        assert [v[1:] for v in sequential_verdicts(
+            queries, db, PipelineConfig())] == got
+
+    def test_dot_floor_is_the_narrowing_threshold(self):
+        # W(x) is the smallest integer dot whose narrowing reaches x
+        x = np.arange(1 << 16)
+        w = pipeline._dot_floor(x).astype(np.float64)
+        assert (pipeline._narrow(w.copy()) >= x).all()
+        assert (pipeline._narrow(w - 1) < x).all()
+
+    @pytest.mark.parametrize("engine", ["pipeline", "reference"])
+    def test_memory_stays_below_a_float_copy_of_the_database(self, engine):
+        rng = np.random.default_rng(8)
+        db = DescriptorSet.from_raws(
+            "d", rng.integers(0, 5800, (16384, DESCRIPTOR_LEN)),
+            np.zeros((16384, 2)))
+        queries = DescriptorSet.from_raws(
+            "q", rng.integers(0, 5800, (64, DESCRIPTOR_LEN)), np.zeros((64, 2)))
+        float_copy = db.raws.size * 8  # 16 MiB
+        pipeline.arccos_table()  # cached before tracing
+        tracemalloc.start()
+        try:
+            if engine == "pipeline":
+                run_pipeline(queries, db, PipelineConfig())
+            else:
+                match_all(queries, db)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < float_copy // 4
 
     def test_ties_go_to_earliest_index(self):
         raws = np.zeros((3, DESCRIPTOR_LEN), dtype=np.uint16)

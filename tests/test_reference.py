@@ -227,8 +227,9 @@ class TestBlasPath:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 9),
-           st.sampled_from([1 << 15, 5800, 40]), st.integers(1, 20))
-    def test_bit_equal_to_strict_order(self, seed, m, n, top, tile):
+           st.sampled_from([1 << 15, 5800, 40]), st.integers(1, 20),
+           st.integers(1, 5))
+    def test_bit_equal_to_strict_order(self, seed, m, n, top, tile, cols):
         rng = np.random.default_rng(seed)
         q_raws = rng.integers(0, top + 1, (m, DESCRIPTOR_LEN)).astype(np.uint16)
         d_raws = rng.integers(0, top + 1, (n, DESCRIPTOR_LEN)).astype(np.uint16)
@@ -240,7 +241,8 @@ class TestBlasPath:
         strict_q = DescriptorSet("q", q.floats, q.raws, q.xy)
         strict_d = DescriptorSet("d", d.floats, d.raws, d.xy)
         assert not strict_q.raw_exact and not strict_d.raw_exact
-        with mock.patch.object(search, "TILE_DOTS", tile):
+        with mock.patch.multiple(search, TILE_DOTS=tile, TILE_ROWS=1,
+                                 TILE_COLS=cols):
             assert match_all(q, d) == match_all(strict_q, strict_d)
 
     def test_inexact_sets_keep_strict_order(self, rng):
