@@ -31,7 +31,13 @@ from .pipeline import (
     run_pipeline,
     write_matches_csv,
 )
-from .reference import DEFAULT_THRESHOLD, match_all, report_json_chunks
+from .reference import (
+    CHUNK_ROWS,
+    DEFAULT_THRESHOLD,
+    match_all,
+    report_json_chunks,
+)
+from .rowtext import RowText
 
 _DEFAULT_BENCH_SIZES = (579, 638, 882, 1021)
 
@@ -140,7 +146,7 @@ def cmd_match(args) -> int:
         })
         print(f"{run.total_cycles} cycles, "
               f"{run.elapsed_seconds_at_clock * 1e3:.4f} ms at "
-              f"{cfg.clock_hz / 1e6:.0f} MHz", file=sys.stderr)
+              f"{cfg.clock_hz / 1e6:g} MHz", file=sys.stderr)
 
     if args.format == "csv":
         _write_out(args.output, lambda fh: write_matches_csv(matches, fh))
@@ -246,11 +252,11 @@ def cmd_characterize(args) -> int:
     exact = np.arccos(x)
     error = approx - exact
 
+    rows = RowText([x, ",", approx, ",", exact, ",", error, "\n"])
+
     def write(fh):
         fh.write("x,cordic_arccos,float_arccos,error\n")
-        for i in range(raws.shape[0]):
-            fh.write(f"{float(x[i])!r},{float(approx[i])!r},"
-                     f"{float(exact[i])!r},{float(error[i])!r}\n")
+        fh.writelines(rows.pieces(len(x), CHUNK_ROWS))
 
     _write_out(args.output, write)
     abs_error = np.abs(error)

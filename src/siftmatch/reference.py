@@ -23,14 +23,24 @@ Results stay columnar from the search to the output file:
 :func:`match_results` wraps the search's arrays in a :class:`MatchColumns`,
 which reads as a sequence of :class:`MatchResult` but builds a row object
 only when one is asked for.  :func:`report_json_chunks` and
-:func:`write_matches_csv` write report rows straight from the columns'
-``tolist()``; the JSON row template is made from the :class:`MatchResult`
-fields, so the bytes equal ``json.dumps(indent=2)`` of ``vars(result)``.
+:func:`write_matches_csv` write the rows column by column through one row
+formatter, :class:`~siftmatch.rowtext.RowText`, in pieces of
+:data:`CHUNK_ROWS` rows, with no Python call per row.  The bytes equal those
+of ``json.dumps(indent=2)`` over ``vars()`` of each result, and of a per-row
+``csv.writer`` loop, because each value is written as they write it:
+non-negative ints as their decimal digits, finite floats as their ``repr``
+(taken once per distinct 64-bit pattern, so ``-0.0`` stays ``-0.0``), bools
+and ``None`` as fixed text.  Each piece is laid out in a byte grid whose
+padding is NUL; JSON and CSV text never contain NUL, so deleting it removes
+the padding only.  The JSON row template is made from the
+:class:`MatchResult` fields, in their order.  While writing, a report holds
+one piece's grid and text (about 1.4 MB of JSON at 4096 rows), a
+``query_index`` column of 8 bytes per row and, per distinct angle, its text
+and 8-byte key.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections.abc import Iterator, Sequence
@@ -40,6 +50,7 @@ import numpy as np
 
 from .descriptors import DESCRIPTOR_LEN, Descriptor, DescriptorSet
 from .fixedpoint import UQ1_15
+from .rowtext import RowText
 from .search import by_score, top_two
 
 __all__ = [
@@ -64,7 +75,7 @@ SECOND_MIN_SURROGATE = math.pi
 DEFAULT_THRESHOLD = 0.6
 
 # Report rows per written piece: large enough that the per-piece overhead
-# vanishes, small enough that a piece's text and row values stay a few MB.
+# vanishes, small enough that a piece's byte grid and text stay a few MB.
 CHUNK_ROWS = 4096
 
 
@@ -87,21 +98,6 @@ class MatchResult:
     best_xy: tuple[int, int] | None
     min_raw: int | None = None
     second_min_raw: int | None = None
-
-
-# What False, True and None become in each output.
-_OBJECTS = (False, True, None)
-_JSON = ("false", "true", "null")
-_CSV = (0, 1, None)  # csv writes None as an empty field
-
-# One report row as json.dumps(indent=2) writes it inside "matches": every
-# field of MatchResult in order, an (x, y) pair as a two-line list.  The
-# values are filled in as text: str() of a finite float is its repr, which
-# is what json writes.
-_JSON_ROW = "    {\n" + ",\n".join(
-    f"      {json.dumps(f.name)}: "
-    + ("[\n        %s,\n        %s\n      ]" if f.name.endswith("_xy") else "%s")
-    for f in fields(MatchResult)) + "\n    }"
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,30 +143,54 @@ class MatchColumns(Sequence):
         return list(self) == list(other)
 
     def _results(self, start: int, stop: int) -> Iterator[MatchResult]:
+        cut = slice(start, stop)
+        absent = [None] * (stop - start)
         for (k, matched, best, low, high, qx, qy, bx, by, raw_low,
-             raw_high) in self._rows(start, stop, _OBJECTS):
+             raw_high) in zip(
+                range(start, stop),
+                self.matched[cut].tolist(),
+                self.best[cut].tolist(),
+                self.min_angle[cut].tolist(),
+                self.second_min_angle[cut].tolist(),
+                *self.query_xy[cut].T.tolist(),
+                *self.best_xy[cut].T.tolist(),
+                absent if self.min_raw is None else self.min_raw[cut].tolist(),
+                absent if self.second_min_raw is None
+                else self.second_min_raw[cut].tolist()):
             yield MatchResult(k, matched, best, low, high, (qx, qy), (bx, by),
                               raw_low, raw_high)
 
-    def _rows(self, start: int, stop: int, literals) -> Iterator[tuple]:
-        """Rows ``start:stop`` as plain values in :class:`MatchResult` field
-        order, each (x, y) pair split in two; ``literals`` stand for False,
-        True and None."""
-        stop = min(stop, len(self))
-        cut = slice(start, stop)
-        false, true, none = literals
-        absent = [none] * (stop - start)
-        return zip(
-            range(start, stop),
-            [true if flag else false for flag in self.matched[cut].tolist()],
-            self.best[cut].tolist(),
-            self.min_angle[cut].tolist(),
-            self.second_min_angle[cut].tolist(),
-            *self.query_xy[cut].T.tolist(),
-            *self.best_xy[cut].T.tolist(),
-            absent if self.min_raw is None else self.min_raw[cut].tolist(),
-            absent if self.second_min_raw is None
-            else self.second_min_raw[cut].tolist())
+
+def _json_row(matches: MatchColumns) -> list:
+    """The template of one report row as json.dumps(indent=2) writes it
+    inside "matches", led by the comma and newline that part it from the row
+    before: every field of :class:`MatchResult` in order, an (x, y) pair as a
+    two-line list."""
+    columns = {
+        "query_index": np.arange(len(matches)),
+        "matched": matches.matched,
+        "best_index": matches.best,
+        "min_angle": matches.min_angle,
+        "second_min_angle": matches.second_min_angle,
+        "query_xy": matches.query_xy,
+        "best_xy": matches.best_xy,
+        "min_raw": matches.min_raw,
+        "second_min_raw": matches.second_min_raw,
+    }
+    row = [",\n    {"]
+    for f in fields(MatchResult):
+        value = columns[f.name]
+        row.append(f"\n      {json.dumps(f.name)}: ")
+        if value is None:
+            row.append("null")
+        elif f.name.endswith("_xy"):
+            row += ["[\n        ", value[:, 0], ",\n        ", value[:, 1],
+                    "\n      ]"]
+        else:
+            row.append(value)
+        row.append(",")
+    row[-1] = "\n    }"
+    return row
 
 
 def report_json_chunks(header: dict, matches: MatchColumns) -> Iterator[str]:
@@ -191,24 +211,26 @@ def report_json_chunks(header: dict, matches: MatchColumns) -> Iterator[str]:
 
 
 def _json_pieces(head: str, matches: MatchColumns) -> Iterator[str]:
-    separator = "\n"
-    for start in range(0, len(matches), CHUNK_ROWS):
-        rows = matches._rows(start, start + CHUNK_ROWS, _JSON)
-        yield head + separator + ",\n".join(_JSON_ROW % row for row in rows)
-        head, separator = "", ",\n"
+    pieces = RowText(_json_row(matches), ("false", "true")).pieces(
+        len(matches), CHUNK_ROWS)
+    yield head + next(pieces)[1:]  # the first row has no "," before it
+    yield from pieces
     yield "\n  ]\n}"
 
 
 def write_matches_csv(matches: MatchColumns, fileobj) -> None:
-    """Emit verdicts as ``k, matched, best_index, qx, qy, bx, by, min_raw, secmin_raw``."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["k", "matched", "best_index", "qx", "qy", "bx", "by",
-                     "min_raw", "secmin_raw"])
-    for start in range(0, len(matches), CHUNK_ROWS):
-        writer.writerows(
-            (k, matched, best, qx, qy, bx, by, raw_low, raw_high)
-            for k, matched, best, _, _, qx, qy, bx, by, raw_low, raw_high
-            in matches._rows(start, start + CHUNK_ROWS, _CSV))
+    """Emit verdicts as ``k, matched, best_index, qx, qy, bx, by, min_raw,
+    secmin_raw`` (``0``/``1`` for matched, an empty field for a missing raw),
+    each row ended by ``\\r\\n`` as ``csv.writer`` ends it."""
+    fileobj.write("k,matched,best_index,qx,qy,bx,by,min_raw,secmin_raw\r\n")
+    row = RowText([
+        np.arange(len(matches)), ",", matches.matched, ",", matches.best,
+        ",", matches.query_xy[:, 0], ",", matches.query_xy[:, 1],
+        ",", matches.best_xy[:, 0], ",", matches.best_xy[:, 1],
+        ",", "" if matches.min_raw is None else matches.min_raw,
+        ",", "" if matches.second_min_raw is None
+        else matches.second_min_raw, "\r\n"], ("0", "1"))
+    fileobj.writelines(row.pieces(len(matches), CHUNK_ROWS))
 
 
 def dot_matrix(queries: np.ndarray, database: np.ndarray) -> np.ndarray:

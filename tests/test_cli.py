@@ -12,7 +12,8 @@ import pytest
 import siftmatch
 from siftmatch import cli
 from siftmatch.cli import _agreement, _pipeline_config, build_parser, main
-from siftmatch.fixedpoint import UQ2_14
+from siftmatch.cordic import DEFAULT_CONFIG, arccos_raw_batch
+from siftmatch.fixedpoint import UQ1_15, UQ2_14
 from siftmatch.perf import RooflineConfig
 from siftmatch.pipeline import PipelineConfig
 from siftmatch.reference import DEFAULT_THRESHOLD
@@ -97,6 +98,23 @@ class TestMatch:
         lines = (tmp_path / "pipe.csv").read_text().strip().splitlines()
         assert lines[0].startswith("k,matched,best_index")
         assert len(lines) == 61
+
+    @pytest.mark.parametrize("clock,shown", [
+        (None, "100 MHz"),
+        ("4e5", "0.4 MHz"),   # was "0 MHz"
+        ("1.25e8", "125 MHz"),
+    ])
+    def test_pipeline_stderr_names_clock(self, dataset, tmp_path, capsys,
+                                         clock, shown):
+        out = str(tmp_path / "pipe.json")
+        flags = () if clock is None else ("--clock-hz", clock)
+        assert run_cli("match", "-q", f"{dataset}_a.siftdb",
+                       "-d", f"{dataset}_b.siftdb", "--engine", "pipeline",
+                       *flags, "-o", out) == 0
+        blob = json.loads((tmp_path / "pipe.json").read_text())
+        assert capsys.readouterr().err == (
+            f"{blob['total_cycles']} cycles, "
+            f"{blob['elapsed_seconds_at_clock'] * 1e3:.4f} ms at {shown}\n")
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = run_cli("match", "-q", str(tmp_path / "nope.siftdb"),
@@ -417,6 +435,23 @@ class TestCharacterize:
         # every row within 8 LSB
         errors = [abs(float(line.split(",")[3])) for line in lines[1:]]
         assert max(errors) <= 8 * UQ2_14.lsb
+
+    def test_bytes_equal_row_loop(self, tmp_path):
+        """The columnar writer gives the bytes of the per-row loop of repr()s
+        it replaced, over the same arrays.  float_arccos is libm's, so the
+        bytes are compared, not pinned."""
+        raws = np.arange((1 << 15) + 1, dtype=np.int64)
+        x = raws * UQ1_15.lsb
+        approx = arccos_raw_batch(raws, DEFAULT_CONFIG) * UQ2_14.lsb
+        exact = np.arccos(x)
+        error = approx - exact
+        rows = ["x,cordic_arccos,float_arccos,error\n"]
+        for i in range(raws.shape[0]):
+            rows.append(f"{float(x[i])!r},{float(approx[i])!r},"
+                        f"{float(exact[i])!r},{float(error[i])!r}\n")
+        out = tmp_path / "c.csv"
+        assert run_cli("characterize", "-o", str(out)) == 0
+        assert out.read_text() == "".join(rows)
 
 
 class TestBench:

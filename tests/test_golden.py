@@ -7,9 +7,11 @@ verdicts and indices only.
 """
 
 import hashlib
+from unittest import mock
 
 import pytest
 
+from siftmatch import reference
 from siftmatch.cli import main
 from siftmatch.descriptors import generate_synthetic, save_descriptor_set
 
@@ -30,6 +32,9 @@ FIXTURE_SHA256 = {
 
 MATCH = ("match", "-q", "q.siftdb", "-d", "d.siftdb")
 NEAR = ("match", "-q", "nq.siftdb", "-d", "nd.siftdb", "--format", "csv")
+NEAR_JSON = ("match", "-q", "nq.siftdb", "-d", "nd.siftdb", "--engine", "pipeline")
+# 1000-row reports: written in several pieces when CHUNK_ROWS is patched.
+MULTI_PIECE = (NEAR_JSON, (*NEAR_JSON, "--threshold-mode", "binary_10011"))
 
 GOLDEN = {
     (*MATCH, "--format", "csv"):
@@ -57,6 +62,10 @@ GOLDEN = {
         "1f793379c072843a565a60b43ad1ac4e4dd06a48095c808f4a34b4b18511c53b",
     (*NEAR, "--engine", "pipeline", "--threshold-mode", "binary_10011"):
         "60e8a667887cc0b3f52377cb203aa624b2876bdceed6efd332ccfb7c094ec68f",
+    MULTI_PIECE[0]:
+        "b6b86a6640b551405222e8fad9ff5e86741ceb1c2df97f5632a443c908d80e8c",
+    MULTI_PIECE[1]:
+        "81dc389ce794ccb06866931ceef480a95aa4c8f86702872ca02492cc3cbce3d2",
 }
 
 
@@ -84,4 +93,11 @@ def workdir(fixture_dir, monkeypatch):
 @pytest.mark.parametrize("args", list(GOLDEN), ids=" ".join)
 def test_output_bytes(workdir, args):
     assert main([*args, "-o", "out"]) == 0
+    assert sha256("out") == GOLDEN[args]
+
+
+@pytest.mark.parametrize("args", MULTI_PIECE, ids=" ".join)
+def test_piece_size_does_not_change_bytes(workdir, args):
+    with mock.patch.object(reference, "CHUNK_ROWS", 97):  # 11 pieces
+        assert main([*args, "-o", "out"]) == 0
     assert sha256("out") == GOLDEN[args]

@@ -2,19 +2,21 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from siftmatch import reference, search
 from siftmatch.descriptors import DESCRIPTOR_LEN, DescriptorSet, generate_synthetic
 from siftmatch.pipeline import PipelineConfig, run_pipeline, write_matches_csv
 from siftmatch.reference import (
     SECOND_MIN_SURROGATE,
+    MatchColumns,
     MatchResult,
     angular_distance,
     dot_matrix,
@@ -388,3 +390,103 @@ class TestReportWriter:
         with pytest.raises(ValueError):
             report_json_chunks({**header, "elapsed_seconds_at_clock": math.inf},
                                columns)
+
+
+# Angles whose text is easy to get wrong: both zeros (json writes -0.0), the
+# smallest subnormal, the switch to exponent notation, and the pi surrogate.
+EDGE_ANGLES = [0.0, -0.0, 5e-324, 1e-05, 1e-4, 1.5707963267948966, math.pi]
+
+
+def random_columns(seed, m, raws):
+    """A MatchColumns of m rows built directly, not by an engine: angles from
+    EDGE_ANGLES or random finite bit patterns, integers spread over every
+    digit count up to 2**31 (best) and 0xFFFF (xy and raws)."""
+    rng = np.random.default_rng(seed)
+
+    def angles():
+        bits = rng.integers(0, 1 << 64, m, dtype=np.uint64).view(np.float64)
+        edge = rng.choice(EDGE_ANGLES, m)
+        return np.where(np.isfinite(bits) & (rng.random(m) < 0.5), bits, edge)
+
+    def ints(top, shape=m):  # about as many values of each digit count
+        return rng.integers(0, top + 1, shape) >> rng.integers(
+            0, top.bit_length() + 1, shape)
+
+    def raw():
+        return ints(0xFFFF).astype(np.uint16) if raws else None
+
+    xy = ints(0xFFFF, (m, 2)).astype(np.uint16)
+    return MatchColumns(ints(2 ** 31), angles(), angles(), rng.random(m) < 0.5,
+                        xy, xy[::-1] ^ 0xFFFF, raw(), raw())
+
+
+class TestRowText:
+    """The shared row formatter writes every value as json and csv do."""
+
+    # No shrinking: a smaller seed is not a simpler case.
+    @settings(max_examples=5, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(101, 130))
+    @pytest.mark.parametrize("raws", [True, False])
+    @pytest.mark.parametrize("chunk", range(1, 8))
+    def test_signed_zero_and_digit_widths(self, seed, m, raws, chunk):
+        # m > 100 rows: query_index goes 9 -> 10 and 99 -> 100 digits inside
+        # a piece for some chunk sizes and at a piece edge for others.
+        columns = random_columns(seed, m, raws)
+        header = {"engine": "pipeline" if raws else "reference"}
+        rows = listed(columns)
+        with mock.patch.object(reference, "CHUNK_ROWS", chunk):
+            text = "".join(report_json_chunks(header, columns))
+            buf = io.StringIO()
+            write_matches_csv(columns, buf)
+        # Line lists, so that a failure names the first wrong line quickly.
+        assert text.splitlines(True) == json.dumps(
+            {**header, "matches": [vars(r) for r in rows]},
+            indent=2).splitlines(True)
+        assert buf.getvalue().splitlines(True) == \
+            listed_csv(rows).splitlines(True)
+
+    def test_random_columns_reach_the_edges(self):
+        columns = random_columns(0, 130, True)
+        for angles in (columns.min_angle, columns.second_min_angle):
+            bits = set(angles.view(np.uint64).tolist())
+            assert bits >= set(np.array(EDGE_ANGLES).view(np.uint64).tolist())
+        assert columns.best.max() > 2 ** 30 and columns.best.min() < 10
+        assert columns.min_raw.max() > 0x8000 and columns.min_raw.min() < 10
+
+    def test_memory_is_pieces_plus_index_columns(self):
+        """Peak memory of both writers grows with the rows of a piece, the
+        distinct angles and an index column or two, not with the text of whole
+        columns: 40000 rows, pieces of 256 rows."""
+        m = 40000
+        rng = np.random.default_rng(7)
+        xy = rng.integers(0, 1 << 16, (m, 2)).astype(np.uint16)
+        raw = rng.integers(0x1000, 0x6488, (m, 2)).astype(np.uint16)
+        angles = raw * 2.0 ** -14  # the pipeline's UQ2.14 angles
+        columns = MatchColumns(rng.integers(0, 1 << 31, m), angles[:, 0],
+                               angles[:, 1], rng.random(m) < 0.5, xy,
+                               xy[::-1], raw[:, 0].copy(), raw[:, 1].copy())
+        distinct = len(np.unique(angles))
+
+        class Sink:
+            def write(self, text):
+                pass
+
+            def writelines(self, texts):
+                for text in texts:
+                    pass
+
+        with mock.patch.object(reference, "CHUNK_ROWS", 256):
+            piece = max(map(len, report_json_chunks({}, columns)))
+            tracemalloc.start()
+            try:
+                Sink().writelines(report_json_chunks({}, columns))
+                write_matches_csv(columns, Sink())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Four pieces; per row an 8-byte query_index column and the sorted
+        # 8-byte keys of two angle columns (32 bytes with slack); per distinct
+        # angle a 24-byte text and its 8-byte key.  Holding the angle text of
+        # whole columns adds about 38 bytes per row and fails.
+        assert peak < 4 * piece + 32 * m + 32 * distinct
