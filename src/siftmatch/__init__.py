@@ -25,7 +25,7 @@ from .descriptors import (
     normalize,
     save_descriptor_set,
 )
-from .reference import MatchResult, angular_distance, dot_product, match_all, match_one
+from .reference import MatchResult, angular_distance, dot_product, match_all
 from .cordic import (
     AngleSample,
     CordicConfig,
@@ -87,7 +87,6 @@ __all__ = [
     "load_descriptor_set",
     "match_all",
     "match_check",
-    "match_one",
     "min_find",
     "normalize",
     "one_minus_x_squared",

@@ -42,18 +42,14 @@ tracker, so the search equals the scalar composition bit for bit.
 The search ranks by the dot, not by the angle.  The narrowing never
 decreases as ``w`` grows and the table never increases over all 65536 raws
 (both checked exhaustively by the tests), so the angle ``g(w) =
-table[narrow(w)]`` never increases.  In a tile row, with ``w1`` its largest
-dot and ``w2`` its second largest (counting duplicates), the two smallest
-angles are ``lo = g(w1)`` and ``lo2 = g(w2)``: only these two are narrowed
-and looked up.  Distinct raws can share an angle (raws 10171 and 10172 both
-map to 20565), so the earliest minimum is not always the earliest ``w1``.
-With ``x`` the smallest raw whose angle is at most ``lo`` (a search of the
-reversed table), ``g(w) == lo`` exactly when ``narrow(w) >= x``, that is
-when ``w >= W(x) = x * 2**15 - 2**14 + (x & 1)``, the smallest integer whose
-round-half-even narrowing reaches ``x``.  The index is the earliest ``j``
-with ``w_j >= W``; it differs from the earliest ``w1`` only when
-``lo2 == lo``, so only those rows compare the tile against ``W``.  Every
-value here is an integer below 2**53, so all of it is exact in float64.
+table[narrow(w)]`` never increases, and only the two largest dots of a row
+are narrowed and looked up.  Distinct raws can share an angle (raws 10171
+and 10172 both map to 20565).  The floor the search's tie rule needs is
+``W(x) = x * 2**15 - 2**14 + (x & 1)``, with ``x`` the smallest raw whose
+angle is at most ``g(w)`` (a search of the reversed table): ``W(x)`` is the
+smallest integer whose round-half-even narrowing reaches ``x``, so a dot
+``w' <= w`` has ``g(w') == g(w)`` exactly when ``w' >= W(x)``.  Every value here is an
+integer below 2**53, so all of it is exact in float64.
 
 Each invocation is an independent, deterministic state machine.
 """
@@ -70,7 +66,7 @@ from .descriptors import Descriptor, DescriptorSet
 from .fixedpoint import UQ1_15, UQ2_14, FxSample, round_shift_even
 from .perf import FETCH_CYCLES, RooflineConfig
 from .reference import MatchColumns, match_results, write_matches_csv
-from .search import exact_dots, top_two
+from .search import exact_dots, nearest_two
 
 __all__ = [
     "MinPairEntry",
@@ -210,29 +206,6 @@ def _dot_floor(x: np.ndarray) -> np.ndarray:
     return (x << 15) - (1 << 14) + (x & 1)
 
 
-def _top_two_by_dot(table: np.ndarray):
-    """The per-tile reduction of :func:`run_pipeline`: the angles' argmin
-    and two smallest from the two largest dots of each row (module
-    docstring), narrowing and looking up only those two."""
-    descending = np.ascontiguousarray(table[::-1])
-
-    def reduce(dots):
-        rows = np.arange(len(dots))
-        best = dots.argmax(axis=1)
-        lo = table[_narrow(dots[rows, best])]
-        if dots.shape[1] == 1:
-            return best, lo, np.full_like(lo, _SENTINEL_RAW)
-        dots[rows, best] = -1.0  # below every dot: the max is now w2
-        lo2 = table[_narrow(dots.max(axis=1))]
-        tied = np.flatnonzero(lo2 == lo)  # an earlier dot may share lo
-        if tied.size:
-            x = len(table) - np.searchsorted(descending, lo[tied], "right")
-            hits = dots[tied] >= _dot_floor(x)[:, None]
-            best[tied] = np.minimum(best[tied], hits.argmax(axis=1))
-        return best, lo, lo2
-    return reduce
-
-
 def dot_raw_matrix(queries: DescriptorSet, db: DescriptorSet) -> np.ndarray:
     """All-pairs UQ1.15 dot raws, bit-identical to :func:`dot_product_core`."""
     return _narrow(exact_dots(queries.raws, db.raws))
@@ -286,8 +259,17 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
 
     cycles = predict_cycles(m, n, cfg)
     elapsed = elapsed_seconds(cycles, cfg)
-    best, amin, asec = top_two(queries.raws, db.raws,
-                               _top_two_by_dot(arccos_table()))
+    table = arccos_table()
+
+    def angle(w):
+        return table[_narrow(w.copy())]
+
+    def floor(w):  # W(x), x the smallest raw whose angle is at most w's
+        return _dot_floor(
+            len(table) - np.searchsorted(table[::-1], angle(w), "right"))
+
+    best, amin, asec = nearest_two(queries.raws, db.raws, angle, floor,
+                                   _SENTINEL_RAW)
     amin = amin.astype(np.int64)
     asec = asec.astype(np.int64)
     min_angle = amin * _ANGLE_LSB

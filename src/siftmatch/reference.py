@@ -8,16 +8,31 @@ smallest, and accepts the nearest neighbor only when
 Dot products equal a strict left-to-right sum over the 128 elements, so
 results are bit-reproducible.  :func:`match_all` runs the tiled search of
 :mod:`siftmatch.search`.  When both sets are ``raw_exact`` (every ``.siftdb``
-load) it takes one BLAS GEMM per tile on the integer raws and scales the
-sums ``w`` by ``2**-30``: every partial sum is exact and the scaling is a
-power of two, so this gives the left-to-right bits of the float elements
-``raw * 2**-15``, and no float copy of a set is made.  Other sets (text
-files, ``from_floats``) take the strict-order :func:`dot_matrix` on the float
-elements, one tile at a time.  Either way every dot is scored with
-``np.arccos`` before the two smallest are kept
-(:func:`~siftmatch.search.by_score`): libm's arccos cannot be checked over
-every float input, so the reference does not rank by the dot as the
-pipeline does.  Everything here is stateless.
+load) it takes one BLAS GEMM per tile on the integer raws: every partial sum
+is exact, and ``w * 2**-30`` is a power-of-two scaling, so the sums ``w``
+give the left-to-right bits of the float elements ``raw * 2**-15``, and no
+float copy of a set is made.  Other sets (text files, ``from_floats``) take
+the strict-order :func:`dot_matrix` on the float elements, one tile at a
+time, ranked by the negated angle: each such key is the smallest with its
+angle, so they never take the search's follow-up pass.
+
+On raw-exact sets the search ranks by the integer dot ``w`` and only the
+two largest dots of a row are mapped to angles, ``arccos(min(w * 2**-30,
+1))``.  That gives the two smallest angles because ``np.arccos`` is
+strictly decreasing on the grid ``w * 2**-30``, ``0 <= w <= 2**30``.  On
+``[0, 1)`` the true arccos has ``|arccos'(x)| = 1 / sqrt(1 - x**2) >= 1``,
+so adjacent grid points have true angles at least ``2**-30`` (about
+9.3e-10) apart, while libm's arccos is off by a few ulp, and an ulp of an
+angle in ``[0, pi/2]`` is at most ``2**-52`` (2.2e-16): the computed angles
+keep the true order.  The tests check the strict decrease exhaustively on
+the two ends of the grid, ``[0, 2**22]`` and ``[2**30 - 2**22, 2**30]``:
+the derivative bound is tightest at ``w = 0``, and the angles are nearest 0
+at ``w = 2**30``.  Dots above ``2**30`` (rounding in the
+raws can push a self-dot past 1) all clip to angle 0, so equal angles come
+only from equal dots, where the earliest argmax is already right, or from
+clipping, where the minimum's index is the earliest ``j`` with
+``w_j >= 2**30``: that is the search's floor, ``min(w, 2**30)``.  Everything
+here is stateless.
 
 Results stay columnar from the search to the output file:
 :func:`match_results` wraps the search's arrays in a :class:`MatchColumns`,
@@ -44,14 +59,14 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .descriptors import DESCRIPTOR_LEN, Descriptor, DescriptorSet
 from .fixedpoint import UQ1_15
 from .rowtext import RowText
-from .search import by_score, top_two
+from .search import nearest_two
 
 __all__ = [
     "CHUNK_ROWS",
@@ -62,7 +77,6 @@ __all__ = [
     "dot_matrix",
     "dot_product",
     "match_all",
-    "match_one",
     "match_results",
     "report_json_chunks",
     "write_matches_csv",
@@ -265,10 +279,22 @@ def _angles(dots: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(dots, 0.0, 1.0, out=dots), out=dots)
 
 
-def _raw_angles(dots: np.ndarray) -> np.ndarray:
-    """:func:`_angles` of integer raw dots ``w``, which are ``w * 2**-30``
-    (exactly) in float elements; in place."""
-    return _angles(np.multiply(dots, UQ1_15.lsb ** 2, out=dots))
+def _strict_keys(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
+    """The negated angles of the strict-order dots: the largest key is the
+    smallest angle, and negation is exact."""
+    return -_angles(dot_matrix(queries, database))
+
+
+def _raw_angle(w: np.ndarray) -> np.ndarray:
+    """The angle of integer raw dots ``w``, which are ``w * 2**-30``
+    (exactly) in float elements."""
+    return np.arccos(np.minimum(w * UQ1_15.lsb ** 2, 1.0))
+
+
+def _raw_floor(w: np.ndarray) -> np.ndarray:
+    """The smallest raw dot with the angle of ``w``: the angle is strictly
+    decreasing up to ``2**30`` and 0 from there on."""
+    return np.minimum(w, 2.0 ** 30)
 
 
 def match_results(queries: DescriptorSet, db: DescriptorSet, best: np.ndarray,
@@ -278,19 +304,6 @@ def match_results(queries: DescriptorSet, db: DescriptorSet, best: np.ndarray,
     """The columnar result of a search: one entry per query."""
     return MatchColumns(best, min_angle, second_angle, matched, queries.xy,
                         db.xy[best], min_raw, second_raw)
-
-
-def match_one(query: Descriptor, db: DescriptorSet,
-              threshold: float = DEFAULT_THRESHOLD,
-              query_index: int = 0) -> MatchResult:
-    """Match a single descriptor against a database.
-
-    The database must be non-empty; with a single entry the second minimum
-    is the pi surrogate (see :data:`SECOND_MIN_SURROGATE`).
-    """
-    single = DescriptorSet("query", query.elements[None, :], query.raws[None, :],
-                           np.array([query.xy], dtype=np.uint16))
-    return replace(match_all(single, db, threshold)[0], query_index=query_index)
 
 
 def match_all(queries: DescriptorSet, db: DescriptorSet,
@@ -303,10 +316,10 @@ def match_all(queries: DescriptorSet, db: DescriptorSet,
     if len(db) == 0:
         raise ValueError("database is empty")
     if queries.raw_exact and db.raw_exact:
-        best, low, high = top_two(
-            queries.raws, db.raws, by_score(_raw_angles, SECOND_MIN_SURROGATE))
-    else:
-        best, low, high = top_two(
-            queries.floats, db.floats, by_score(_angles, SECOND_MIN_SURROGATE),
-            dot_matrix)
+        best, low, high = nearest_two(queries.raws, db.raws, _raw_angle,
+                                      _raw_floor, SECOND_MIN_SURROGATE)
+    else:  # each key is the smallest with its angle: no follow-up pass
+        best, low, high = nearest_two(queries.floats, db.floats, np.negative,
+                                      np.positive, SECOND_MIN_SURROGATE,
+                                      _strict_keys)
     return match_results(queries, db, best, low, high, low < threshold * high)

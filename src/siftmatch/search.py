@@ -1,31 +1,48 @@
 """Tiled top-2 search shared by the pipeline model and the reference matcher.
 
+Both engines rank by a key whose angle never increases as the key grows:
+the exact integer dot for raw-exact sets, and the negated angle for the
+strict-order path.  :func:`top_two` is the one kernel: per query row, the
+earliest index of the largest key and the two largest keys, counting
+duplicates.  :func:`nearest_two` maps those two keys to angles and applies
+the one tie rule.  An engine supplies only two maps: ``angle`` (key to
+angle) and ``floor`` (the smallest key with the same angle as a given key).
+
 :func:`top_two` tiles both axes: each tile is up to :data:`TILE_COLS`
 database rows times :data:`TILE_ROWS` query rows, or more query rows when
 that makes fewer than :data:`TILE_DOTS` dot products.  Both operands are
 converted to float64 one tile at a time, so the working set is O(tile) and
-no float copy of a whole set is made.  Each engine supplies the per-tile reduction: it maps a tile's dot products to,
-per query row, ``(argmin, lo, lo2)``, the index of the smallest score within
-the tile and the two smallest scores (``lo2`` is the engine's sentinel on a
-one-column tile).  :func:`by_score` is the plain one: score every dot, then
-``argmin`` (the earliest index wins an exact tie) and a ``kth=1`` partition.
+no float copy of a whole set is made.  Per query, a running ``(best, first,
+second)`` starts at ``-inf`` and holds the two largest keys of the database
+tiles seen so far and the earliest index of the largest.  A tile at offset
+``e``, with ``j`` its earliest argmax and ``hi >= hi2`` its two largest keys
+(``hi2`` is ``-inf`` on a one-column tile), is merged by::
 
-Per query, a running ``(best, first, second)`` holds the two smallest scores
-of the database tiles seen so far and the earliest index of the smallest.
-A tile at offset ``e`` is merged by::
+    take   = hi > first
+    second = where(take, max(first, hi2), max(second, hi))
+    first  = where(take, hi, first);  best = where(take, j + e, best)
 
-    take   = lo < first
-    second = where(take, min(first, lo2), min(second, lo))
-    first  = where(take, lo, first);  best = where(take, argmin + e, best)
+If ``hi > first``, every earlier key is below ``hi``, so ``hi`` is the new
+maximum, its tile's earliest index is the earliest overall, and the
+runner-up is the larger of the old maximum and the tile's second.
+Otherwise the old maximum stays and the runner-up is the larger of the old
+second and ``hi``.  Both cases give the two largest of the union, counting
+duplicates.  The strict ``>`` keeps the earlier tile's index when
+``hi == first``, exactly as the streaming two-minimum tracker (``min_find``)
+keeps its incumbent, so the result does not depend on where the tile edges
+fall.
 
-If ``lo < first``, every earlier score is above ``lo``, so ``lo`` is the new
-minimum, its tile's earliest index is the earliest overall, and the runner-up
-is the smaller of the old minimum and the tile's second.  Otherwise the old
-minimum stays and the runner-up is the smaller of the old second and ``lo``.
-Both cases give the two smallest of the union, counting duplicates.  The
-strict ``<`` keeps the earlier tile's index when ``lo == first``, exactly as
-the streaming two-minimum tracker (``min_find``) keeps its incumbent, so the
-result does not depend on where the tile edges fall.
+Because the angle never increases with the key, the two smallest angles
+are ``lo = angle(w1)`` and ``lo2 = angle(w2)`` of the two largest keys
+``w1 >= w2``.  Distinct keys may share an angle (a narrowing that maps
+several dots to one raw, a table that maps several raws to one angle, or a
+dot clipped to 1), so the earliest index of ``lo`` is the earliest ``j``
+with key ``>= floor(w1)``, not always the earliest argmax.  The two differ
+only when another key shares ``lo``, so only rows with ``lo2 == lo`` and
+``floor(w1) < w1`` take a follow-up pass: over the same tiles, and only up
+to the largest of their ``best``, which already qualifies.  Other rows keep
+the earliest argmax.  With one database row the second angle is the
+engine's sentinel, and the kernel's ``-inf`` never reaches ``angle``.
 
 :func:`exact_dots` is one float64 BLAS GEMM.  On UQ1.15 raws (integers
 below 2**16) each product is below 2**32 and a 128-term sum below
@@ -33,8 +50,7 @@ below 2**16) each product is below 2**32 and a 128-term sum below
 integer adder tree's sum ``w``, bit for bit.  Scaling by a power of two is
 exact too, so ``w * 2**-30`` equals the GEMM of the float elements
 ``raw * 2**-15`` and the strict left-to-right float loop over them; the
-engines scale the integer sums per tile instead of holding a float copy of
-a whole set.
+engines scale the integer sums only where they map a key to an angle.
 """
 
 from __future__ import annotations
@@ -43,7 +59,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["TILE_COLS", "TILE_DOTS", "TILE_ROWS", "by_score", "exact_dots",
+__all__ = ["TILE_COLS", "TILE_DOTS", "TILE_ROWS", "exact_dots", "nearest_two",
            "top_two"]
 
 # Tile geometry, measured on a 2-core OpenBLAS host.  A tile is up to
@@ -58,7 +74,8 @@ TILE_DOTS = 1 << 16
 TILE_ROWS = 1 << 7
 TILE_COLS = 1 << 10
 
-Reduction = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+Dot = Callable[[np.ndarray, np.ndarray], np.ndarray]
+KeyMap = Callable[[np.ndarray], np.ndarray]
 
 
 def exact_dots(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
@@ -68,47 +85,67 @@ def exact_dots(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
     return np.asarray(queries, dtype=np.float64) @ database.T
 
 
-def by_score(score: Callable[[np.ndarray], np.ndarray], sentinel) -> Reduction:
-    """The reduction that maps every dot to a score (in place or not) and
-    keeps the earliest argmin and the two smallest scores of each row."""
-    def reduce(dots):
-        scores = score(dots)
-        best = scores.argmin(axis=1)
-        if scores.shape[1] == 1:
-            return best, scores[:, 0], np.full(len(scores), sentinel,
-                                               dtype=scores.dtype)
-        scores.partition(1, axis=1)  # copies free the tile before the next
-        return best, scores[:, 0].copy(), scores[:, 1].copy()
-    return reduce
-
-
-def top_two(queries: np.ndarray, database: np.ndarray, reduce: Reduction,
-            dot: Callable[[np.ndarray, np.ndarray], np.ndarray] = exact_dots):
-    """``(best, first, second)``: per query row, the index of the smallest
-    score and the two smallest scores.  ``queries`` and ``database`` are raws
-    or float elements; ``dot`` maps a float64 query tile and database tile to
-    their (rows, cols) dot products, which ``reduce`` may overwrite.
-    """
-    m, n = len(queries), len(database)
+def _tiles(queries: np.ndarray, database: np.ndarray, dot: Dot,
+           picked: np.ndarray | None = None):
+    """Yield ``(e, tile, keys)`` per tile: the database offset, the slice of
+    query rows (of ``picked`` when given) and their keys against the tile."""
+    m, n = len(queries if picked is None else picked), len(database)
     cols = min(n, TILE_COLS)
     rows = max(TILE_ROWS, TILE_DOTS // cols)
-    best = first = second = None
     for e in range(0, n, cols):
         block = np.asarray(database[e:e + cols], dtype=np.float64)
         for start in range(0, m, rows):
             tile = slice(start, start + rows)
-            j, lo, lo2 = reduce(
-                dot(np.asarray(queries[tile], dtype=np.float64), block))
-            if e == 0:
-                if best is None:
-                    best = np.empty(m, dtype=np.intp)
-                    first = np.empty(m, dtype=lo.dtype)
-                    second = np.empty(m, dtype=lo.dtype)
-                best[tile], first[tile], second[tile] = j, lo, lo2
-                continue
-            take = lo < first[tile]
-            second[tile] = np.where(take, np.minimum(first[tile], lo2),
-                                    np.minimum(second[tile], lo))
-            first[tile] = np.where(take, lo, first[tile])
-            best[tile] = np.where(take, j + e, best[tile])
+            part = queries[tile] if picked is None else queries[picked[tile]]
+            yield e, tile, dot(np.asarray(part, dtype=np.float64), block)
+
+
+def top_two(queries: np.ndarray, database: np.ndarray, dot: Dot = exact_dots):
+    """``(best, first, second)``: per query row, the earliest index of the
+    largest key and the two largest keys, counting duplicates (``second``
+    is ``-inf`` when the database has one row).  ``queries`` and
+    ``database`` are raws or float elements; ``dot`` maps a float64 query
+    tile and database tile to their (rows, cols) keys, which may be
+    overwritten."""
+    m = len(queries)
+    best = np.zeros(m, dtype=np.intp)
+    first = np.full(m, -np.inf)
+    second = np.full(m, -np.inf)
+    for e, tile, keys in _tiles(queries, database, dot):
+        rows = np.arange(len(keys))
+        j = keys.argmax(axis=1)
+        hi = keys[rows, j]
+        keys[rows, j] = -np.inf  # the row's max is now its second largest
+        hi2 = keys.max(axis=1)
+        take = hi > first[tile]
+        second[tile] = np.where(take, np.maximum(first[tile], hi2),
+                                np.maximum(second[tile], hi))
+        first[tile] = np.where(take, hi, first[tile])
+        best[tile] = np.where(take, j + e, best[tile])
     return best, first, second
+
+
+def nearest_two(queries: np.ndarray, database: np.ndarray, angle: KeyMap,
+                floor: KeyMap, sentinel, dot: Dot = exact_dots):
+    """``(best, lo, lo2)``: per query row, the earliest index of the
+    smallest angle and the two smallest angles (``lo2`` is ``sentinel``
+    when the database has one row).  ``angle`` maps keys to angles and
+    never increases; ``floor`` maps a key to the smallest key with the same
+    angle.  The tie rule is the module docstring's."""
+    best, w1, w2 = top_two(queries, database, dot)
+    lo = angle(w1)
+    if len(database) == 1:
+        return best, lo, np.full_like(lo, sentinel)
+    lo2 = angle(w2)
+    tied = np.flatnonzero(lo2 == lo)
+    low = floor(w1[tied])
+    shared = low < w1[tied]
+    tied, low = tied[shared], low[shared]
+    if tied.size:
+        searched = database[:best[tied].max() + 1]
+        for e, tile, keys in _tiles(queries, searched, dot, tied):
+            hits = keys >= low[tile, None]
+            earliest = np.where(hits.any(axis=1), hits.argmax(axis=1) + e,
+                                len(searched))
+            best[tied[tile]] = np.minimum(best[tied[tile]], earliest)
+    return best, lo, lo2

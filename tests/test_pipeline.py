@@ -431,6 +431,27 @@ def tiles(rows, cols, dots=1):
 
 
 class TestSearchKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 9),
+           st.integers(0, 4), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 12))
+    def test_top_two_equals_sort(self, seed, m, n, top, rows, cols, dots):
+        # integer keys from a small range: duplicates within and across tiles
+        keys = np.random.default_rng(seed).integers(0, top + 1, (m, n))
+        index = np.arange(max(m, n), dtype=np.float64)[:, None]
+
+        def dot(q, d):  # the keys of query rows q against database rows d
+            return keys[np.ix_(q[:, 0].astype(int), d[:, 0].astype(int))] \
+                .astype(np.float64)
+
+        with tiles(rows, cols, dots):
+            best, first, second = search.top_two(index[:m], index[:n], dot)
+        ordered = np.sort(keys, axis=1)
+        assert best.tolist() == keys.argmax(axis=1).tolist()
+        assert first.tolist() == ordered[:, -1].tolist()
+        assert second.tolist() == (ordered[:, -2].tolist() if n > 1
+                                   else [-np.inf] * m)
+
     @settings(max_examples=40, deadline=None)
     @given(adversarial_sets(), st.sampled_from(THRESHOLD_MODES),
            st.integers(1, 12), st.integers(1, 3), st.integers(1, 4),
@@ -476,12 +497,20 @@ class TestSearchKernel:
         assert (pipeline._narrow(w.copy()) >= x).all()
         assert (pipeline._narrow(w - 1) < x).all()
 
-    @pytest.mark.parametrize("engine", ["pipeline", "reference"])
-    def test_memory_stays_below_a_float_copy_of_the_database(self, engine):
+    @pytest.mark.parametrize("engine,repeated", [
+        pytest.param(engine, repeated,
+                     id=engine + "-repeated" * repeated)
+        for engine in ("pipeline", "reference") for repeated in (False, True)])
+    def test_memory_stays_below_a_float_copy_of_the_database(self, engine,
+                                                              repeated):
         rng = np.random.default_rng(8)
-        db = DescriptorSet.from_raws(
-            "d", rng.integers(0, 5800, (16384, DESCRIPTOR_LEN)),
-            np.zeros((16384, 2)))
+        raws = rng.integers(0, 5800, (16384, DESCRIPTOR_LEN))
+        # Most dots of these raws pass 2**30 and clip to angle 0, so every
+        # row takes the search's follow-up; a repeated block does so through
+        # duplicated best dots too.
+        if repeated:
+            raws[8192:] = raws[:8192]
+        db = DescriptorSet.from_raws("d", raws, np.zeros((16384, 2)))
         queries = DescriptorSet.from_raws(
             "q", rng.integers(0, 5800, (64, DESCRIPTOR_LEN)), np.zeros((64, 2)))
         float_copy = db.raws.size * 8  # 16 MiB
@@ -491,11 +520,15 @@ class TestSearchKernel:
             if engine == "pipeline":
                 run_pipeline(queries, db, PipelineConfig())
             else:
-                match_all(queries, db)
+                matches = match_all(queries, db)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < float_copy // 4
+        if engine == "reference":
+            assert matches == match_all(
+                DescriptorSet("q", queries.floats, queries.raws, queries.xy),
+                DescriptorSet("d", db.floats, db.raws, db.xy))
 
     def test_ties_go_to_earliest_index(self):
         raws = np.zeros((3, DESCRIPTOR_LEN), dtype=np.uint16)

@@ -22,7 +22,6 @@ from siftmatch.reference import (
     dot_matrix,
     dot_product,
     match_all,
-    match_one,
     report_json_chunks,
 )
 
@@ -32,6 +31,17 @@ def make_set(rows, xy=None):
     if xy is None:
         xy = np.zeros((rows.shape[0], 2), dtype=np.uint16)
     return DescriptorSet.from_floats("test", rows, xy)
+
+
+def row_set(s, k):
+    """The one-row set of row ``k`` of ``s``, its float view kept."""
+    return DescriptorSet(s.image_id, s.floats[k:k + 1], s.raws[k:k + 1],
+                         s.xy[k:k + 1])
+
+
+def match_row(s, k, db, threshold=0.6):
+    """The verdict for row ``k`` of ``s`` matched on its own."""
+    return match_all(row_set(s, k), db, threshold)[0]
 
 
 def one_hot(idx):
@@ -105,9 +115,11 @@ class TestAngularDistance:
 
 
 class TestMatchOne:
+    """One query matched on its own: ``match_all`` of a one-row set."""
+
     def test_planted_identity_match(self):
         db = make_set([one_hot(i) for i in range(5)])
-        res = match_one(db[2], db, 0.6)
+        res = match_row(db, 2, db)
         assert res.matched and res.best_index == 2
         assert res.min_angle == 0.0
         assert abs(res.second_min_angle - math.pi / 2) < 1e-9
@@ -115,13 +127,13 @@ class TestMatchOne:
     def test_duplicate_best_is_rejected(self, rng):
         v = random_unit(rng)[0]
         db = make_set([v, v, one_hot(0)])
-        res = match_one(db[0], db, 0.6)
+        res = match_row(db, 0, db)
         assert res.min_angle == res.second_min_angle
         assert not res.matched
 
     def test_single_entry_db_uses_pi_surrogate(self, rng):
         db = make_set(random_unit(rng))
-        res = match_one(db[0], db, 0.6)
+        res = match_row(db, 0, db)
         assert res.second_min_angle == SECOND_MIN_SURROGATE
         assert res.matched  # min <= pi/2 < 0.6 * pi always
 
@@ -129,14 +141,14 @@ class TestMatchOne:
         q, db, truth = generate_synthetic(20, seed=8, match_fraction=1.0,
                                           noise_sigma=0.01)
         for i, j in truth[:5]:
-            res = match_one(q[i], db, 0.6, query_index=i)
+            res = match_row(q, i, db)
             assert res.matched and res.best_index == j
 
     def test_tie_breaks_to_smallest_index(self, rng):
         v = random_unit(rng)[0]
         other = random_unit(rng)[0]
         db = make_set([other, v, v])
-        res = match_one(make_set([v])[0], db, 0.6)
+        res = match_row(make_set([v]), 0, db)
         assert res.best_index == 1
 
     def test_empty_db_rejected(self, rng):
@@ -145,13 +157,13 @@ class TestMatchOne:
                               np.empty((0, DESCRIPTOR_LEN), dtype=np.uint16),
                               np.empty((0, 2), dtype=np.uint16))
         with pytest.raises(ValueError):
-            match_one(q[0], empty)
+            match_row(q, 0, empty)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
     def test_threshold_domain(self, bad, rng):
         db = make_set(random_unit(rng, 3))
         with pytest.raises(ValueError):
-            match_one(db[0], db, bad)
+            match_row(db, 0, db, bad)
 
 
 class TestMatchAll:
@@ -183,7 +195,7 @@ class TestMatchAll:
         batch = match_all(q, db, 0.6)
         for k, res in enumerate(batch):
             assert res.query_index == k
-            single = match_one(q[k], db, 0.6, query_index=k)
+            single = match_row(q, k, db)
             assert single.min_angle == res.min_angle
             assert single.second_min_angle == res.second_min_angle
             assert single.best_index == res.best_index
@@ -230,11 +242,18 @@ class TestBlasPath:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 9),
            st.sampled_from([1 << 15, 5800, 40]), st.integers(1, 20),
-           st.integers(1, 5))
-    def test_bit_equal_to_strict_order(self, seed, m, n, top, tile, cols):
+           st.integers(1, 5), st.booleans())
+    def test_bit_equal_to_strict_order(self, seed, m, n, top, tile, cols,
+                                       near_one_hot):
         rng = np.random.default_rng(seed)
         q_raws = rng.integers(0, top + 1, (m, DESCRIPTOR_LEN)).astype(np.uint16)
         d_raws = rng.integers(0, top + 1, (n, DESCRIPTOR_LEN)).astype(np.uint16)
+        if near_one_hot:  # dots just below, at and above 2**30 (angle 0)
+            for raws in (q_raws, d_raws):
+                raws[:] = 0
+                raws[:, 0] = rng.choice([0x7FFF, 0x8000], len(raws))
+                raws[np.arange(len(raws)), rng.integers(1, 3, len(raws))] = \
+                    rng.integers(0, 300, len(raws))
         d_raws[rng.integers(n)] = q_raws[0]  # an exact angle-0 pair
         q = DescriptorSet.from_raws("q", q_raws, np.zeros((m, 2)))
         d = DescriptorSet.from_raws("d", d_raws, np.zeros((n, 2)))
@@ -246,6 +265,32 @@ class TestBlasPath:
         with mock.patch.multiple(search, TILE_DOTS=tile, TILE_ROWS=1,
                                  TILE_COLS=cols):
             assert match_all(q, d) == match_all(strict_q, strict_d)
+
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4])
+    def test_clipped_dots_go_to_earliest_index(self, cols):
+        # dots 2**30 - 2**27, 2**30, 2**30 + 5000 and 2**30 + 10000: the last
+        # three clip to angle 0, and the first of them is the minimum's index
+        q_raws = np.zeros((1, DESCRIPTOR_LEN), dtype=np.uint16)
+        q_raws[0, :2] = [0x8000, 100]
+        d_raws = np.zeros((4, DESCRIPTOR_LEN), dtype=np.uint16)
+        d_raws[:, 0] = [0x7000, 0x8000, 0x8000, 0x8000]
+        d_raws[:, 1] = [0, 0, 50, 100]
+        q = DescriptorSet.from_raws("q", q_raws, np.zeros((1, 2)))
+        d = DescriptorSet.from_raws("d", d_raws, np.zeros((4, 2)))
+        with mock.patch.multiple(search, TILE_DOTS=1, TILE_ROWS=1,
+                                 TILE_COLS=cols):
+            res = match_all(q, d)[0]
+        assert (res.best_index, res.min_angle, res.second_min_angle) == \
+            (1, 0.0, 0.0)
+
+    @pytest.mark.parametrize("low", [0, 2 ** 30 - 2 ** 22])
+    def test_arccos_is_strictly_decreasing_on_the_dot_grid(self, low):
+        # The two ends of the grid w * 2**-30, w <= 2**30, that the raw path
+        # ranks by the dot; the reference module docstring bounds the middle.
+        step = 1 << 18
+        for start in range(low, low + (1 << 22), step):
+            w = np.arange(start, start + step + 1, dtype=np.float64)
+            assert (np.diff(np.arccos(w * 2.0 ** -30)) < 0).all()
 
     def test_inexact_sets_keep_strict_order(self, rng):
         q = make_set(random_unit(rng, 8))
@@ -335,10 +380,12 @@ def check_report(header, columns, chunk):
         pieces = list(report_json_chunks(header, columns))
         buf = io.StringIO()
         write_matches_csv(columns, buf)
-    assert "".join(pieces) == json.dumps(
-        {**header, "matches": [vars(r) for r in rows]}, indent=2)
+    # Line lists, so that a failure names the first wrong line quickly.
+    assert "".join(pieces).splitlines(True) == json.dumps(
+        {**header, "matches": [vars(r) for r in rows]},
+        indent=2).splitlines(True)
     assert len(pieces) == (1 if not rows else -(-len(rows) // chunk) + 1)
-    assert buf.getvalue() == listed_csv(rows)
+    assert buf.getvalue().splitlines(True) == listed_csv(rows).splitlines(True)
 
 
 class TestReportWriter:
