@@ -78,11 +78,18 @@ def _list_of(kind):
     return parse
 
 
-def _write_out(path: str | None, writer) -> None:
+def _write_out(path: str | None, writer, binary: bool = False) -> None:
+    """Call ``writer`` with the destination open: the file ``path``, or
+    stdout for ``None`` and ``-``.  A ``binary`` writer gets a handle that
+    takes bytes, any other one a handle that takes ASCII text.  Stdout is
+    flushed before the command returns, so a write error surfaces here."""
     if path is None or path == "-":
-        writer(sys.stdout)
+        sys.stdout.flush()  # text written before goes out first
+        writer(sys.stdout.buffer if binary else sys.stdout)
+        sys.stdout.flush()
         return
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with (open(path, "wb") if binary else
+          open(path, "w", encoding="ascii", newline="")) as fh:
         writer(fh)
 
 
@@ -114,7 +121,8 @@ def cmd_generate(args) -> int:
         writer.writerow(["query_index", "db_index"])
         writer.writerows(truth)
     print(f"wrote {q_path} ({len(queries)} descriptors), {d_path} "
-          f"({len(db)} descriptors), {t_path} ({len(truth)} planted pairs)")
+          f"({len(db)} descriptors), {t_path} ({len(truth)} planted pairs)",
+          flush=True)  # a write error surfaces here, not at exit
     return 0
 
 
@@ -149,10 +157,11 @@ def cmd_match(args) -> int:
               f"{cfg.clock_hz / 1e6:g} MHz", file=sys.stderr)
 
     if args.format == "csv":
-        _write_out(args.output, lambda fh: write_matches_csv(matches, fh))
+        _write_out(args.output, lambda fh: write_matches_csv(matches, fh),
+                   binary=True)
     else:
         chunks = report_json_chunks(report, matches)
-        _write_out(args.output, lambda fh: fh.writelines(chunks))
+        _write_out(args.output, lambda fh: fh.writelines(chunks), binary=True)
     return 0
 
 
@@ -255,10 +264,10 @@ def cmd_characterize(args) -> int:
     rows = RowText([x, ",", approx, ",", exact, ",", error, "\n"])
 
     def write(fh):
-        fh.write("x,cordic_arccos,float_arccos,error\n")
+        fh.write(b"x,cordic_arccos,float_arccos,error\n")
         fh.writelines(rows.pieces(len(x), CHUNK_ROWS))
 
-    _write_out(args.output, write)
+    _write_out(args.output, write, binary=True)
     abs_error = np.abs(error)
     outside = x >= 2.0 ** -8
     print(f"max |error| = {abs_error.max():.3e} rad "
@@ -372,6 +381,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"siftmatch: error: format: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            sys.stdout = None  # what it still holds would fail again at exit
         print(f"siftmatch: error: io: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

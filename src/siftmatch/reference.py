@@ -48,8 +48,10 @@ non-negative ints as their decimal digits, finite floats as their ``repr``
 and ``None`` as fixed text.  Each piece is laid out in a byte grid whose
 padding is NUL; JSON and CSV text never contain NUL, so deleting it removes
 the padding only.  The JSON row template is made from the
-:class:`MatchResult` fields, in their order.  While writing, a report holds
-one piece's grid and text (about 1.4 MB of JSON at 4096 rows), a
+:class:`MatchResult` fields, in their order.  The pieces are ASCII bytes,
+written as they are to a binary file.  While writing, a report holds one
+grid reused for every piece and one piece's bytes (about 1.4 MB of JSON at
+4096 rows; the first piece also as its copy joined to the report's head), a
 ``query_index`` column of 8 bytes per row and, per distinct angle, its text
 and 8-byte key.
 """
@@ -207,10 +209,11 @@ def _json_row(matches: MatchColumns) -> list:
     return row
 
 
-def report_json_chunks(header: dict, matches: MatchColumns) -> Iterator[str]:
-    """The text of ``json.dumps({**header, "matches": rows}, indent=2,
-    allow_nan=False)``, where ``rows`` are ``vars()`` of each result, in
-    pieces of :data:`CHUNK_ROWS` rows.
+def report_json_chunks(header: dict,
+                       matches: MatchColumns) -> Iterator[bytes | bytearray]:
+    """The ASCII bytes of ``json.dumps({**header, "matches": rows},
+    indent=2, allow_nan=False)``, where ``rows`` are ``vars()`` of each
+    result, in pieces of :data:`CHUNK_ROWS` rows.
 
     Raises ``ValueError`` for a non-finite angle or header value before any
     text is produced, so a caller never writes part of a report.
@@ -218,25 +221,29 @@ def report_json_chunks(header: dict, matches: MatchColumns) -> Iterator[str]:
     for angles in (matches.min_angle, matches.second_min_angle):
         if not np.isfinite(angles).all():
             raise ValueError("Out of range float values are not JSON compliant")
-    head = json.dumps({**header, "matches": []}, indent=2, allow_nan=False)
+    head = json.dumps({**header, "matches": []}, indent=2,
+                      allow_nan=False).encode("ascii")
     if not len(matches):
         return iter((head,))
-    return _json_pieces(head[:-len("]\n}")], matches)
+    return _json_pieces(head[:-len(b"]\n}")], matches)
 
 
-def _json_pieces(head: str, matches: MatchColumns) -> Iterator[str]:
+def _json_pieces(head: bytes,
+                 matches: MatchColumns) -> Iterator[bytes | bytearray]:
     pieces = RowText(_json_row(matches), ("false", "true")).pieces(
         len(matches), CHUNK_ROWS)
-    yield head + next(pieces)[1:]  # the first row has no "," before it
+    # The first row has no "," before it.
+    yield head + memoryview(next(pieces))[1:]
     yield from pieces
-    yield "\n  ]\n}"
+    yield b"\n  ]\n}"
 
 
 def write_matches_csv(matches: MatchColumns, fileobj) -> None:
     """Emit verdicts as ``k, matched, best_index, qx, qy, bx, by, min_raw,
     secmin_raw`` (``0``/``1`` for matched, an empty field for a missing raw),
-    each row ended by ``\\r\\n`` as ``csv.writer`` ends it."""
-    fileobj.write("k,matched,best_index,qx,qy,bx,by,min_raw,secmin_raw\r\n")
+    each row ended by ``\\r\\n`` as ``csv.writer`` ends it, as ASCII bytes
+    to the binary file ``fileobj``."""
+    fileobj.write(b"k,matched,best_index,qx,qy,bx,by,min_raw,secmin_raw\r\n")
     row = RowText([
         np.arange(len(matches)), ",", matches.matched, ",", matches.best,
         ",", matches.query_xy[:, 0], ",", matches.query_xy[:, 1],

@@ -1,8 +1,8 @@
 """Text rows written column by column, with no Python call per row.
 
 A row template is a sequence of pieces: text that every row repeats, or a
-column holding one value per row.  :class:`RowText` writes rows
-``start:stop`` of a template as one string:
+column holding one value per row.  :class:`RowText` writes the rows of a
+template as ASCII bytes, some rows at a time:
 
 - a column of non-negative integers becomes its decimal
   digits, computed arithmetically into a (rows, width) byte grid whose
@@ -17,12 +17,20 @@ The pieces of the rows are laid side by side in one byte grid, each in a
 span as wide as its longest text, and the NUL padding is deleted in one pass
 over the grid's bytes.  Every text written is ASCII without NUL (digits, the
 ``repr`` of a float, the template's own text), so that pass removes padding
-only, and the string equals the rows formatted one at a time with ``str`` of
+only, and the bytes equal the rows formatted one at a time with ``str`` of
 each int and ``repr`` of each float.  (A numpy boolean mask would do the same
 with two more grid-sized arrays alive: the mask and the kept bytes.)
 
 Memory: the table holds one text per distinct float value (and its 8-byte
-key); the grid and its text live only while the rows asked for are written.
+key).  One grid serves every piece of a call to :meth:`RowText.pieces`: it
+is a ``bytearray`` that a numpy view writes into, the template's text is
+written into it once, and each piece overwrites only the column spans.  The
+padding is deleted straight from the ``bytearray``, so while a piece is made
+the grid and that piece's text are alive, and no copy of the grid (only a
+shorter last piece copies its rows first).  The text goes to the caller as
+bytes: nothing decodes it to ``str`` and nothing encodes it back.  A fresh
+grid per piece would be handed back to the operating system and faulted in
+again each time.
 """
 
 from __future__ import annotations
@@ -123,19 +131,18 @@ class RowText:
         else:
             _digits(values, out)
 
-    def _text(self, start: int, rows: int) -> str:
-        """Rows ``start:start + rows``."""
-        grid = np.empty((rows, len(self._row)), dtype=np.uint8)
-        grid[:] = self._row
-        for cut, column in self._columns:
-            self._fill(grid[:, cut], column, start)
-        # One copy alive at a time: each step frees what the next replaces.
-        text = grid.tobytes()
-        del grid
-        text = text.replace(b"\0", b"")
-        return text.decode("ascii")
-
-    def pieces(self, count: int, rows: int) -> Iterator[str]:
-        """The text of rows ``0:count``, in pieces of ``rows`` rows."""
+    def pieces(self, count: int, rows: int) -> Iterator[bytearray]:
+        """The ASCII text of rows ``0:count``, in pieces of ``rows`` rows."""
+        rows = min(rows, count)
+        if not rows:
+            return
+        width = len(self._row)
+        buffer = bytearray(rows * width)
+        grid = np.frombuffer(buffer, dtype=np.uint8).reshape(rows, width)
+        grid[:] = self._row  # every column span is overwritten per piece
         for start in range(0, count, rows):
-            yield self._text(start, min(rows, count - start))
+            size = min(rows, count - start)
+            for cut, column in self._columns:
+                self._fill(grid[:size, cut], column, start)
+            text = buffer if size == rows else buffer[:size * width]
+            yield text.replace(b"\0", b"")

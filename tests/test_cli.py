@@ -454,6 +454,63 @@ class TestCharacterize:
         assert out.read_text() == "".join(rows)
 
 
+class TestStdout:
+    """``-o -`` writes the bytes that ``-o FILE`` writes, and a closed stdout
+    pipe is one error line."""
+
+    @staticmethod
+    def argv(command, dataset, tmp_path):
+        """``command`` with the inputs or the output prefix it needs."""
+        if command[0] == "match":
+            return [*command, "-q", f"{dataset}_a.siftdb",
+                    "-d", f"{dataset}_b.siftdb"]
+        if command[0] == "generate":
+            return [*command, "-o", str(tmp_path / "gen")]
+        return command
+
+    @pytest.mark.parametrize("command", [
+        *(["match", "--engine", engine, "--format", fmt]
+          for engine in ("reference", "pipeline") for fmt in ("json", "csv")),
+        ["characterize"],
+    ], ids=["reference-json", "reference-csv", "pipeline-json", "pipeline-csv",
+            "characterize"])
+    def test_dash_writes_the_file_bytes(self, dataset, tmp_path, capsysbinary,
+                                        command):
+        args = self.argv(command, dataset, tmp_path)
+        out = tmp_path / "out"
+        assert run_cli(*args, "-o", str(out)) == 0
+        capsysbinary.readouterr()
+        assert run_cli(*args, "-o", "-") == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ["match", "--format", "json"],
+        ["match", "--format", "csv"],
+        ["characterize"],
+        ["generate", "-m", "5"],
+    ], ids=["match-json", "match-csv", "characterize", "generate"])
+    def test_closed_pipe_is_one_io_error(self, dataset, tmp_path, command):
+        """A reader that has gone away: exit 1 with one ``io`` line, and no
+        second failure when the interpreter flushes stdout at exit."""
+        src = os.path.dirname(os.path.dirname(siftmatch.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "siftmatch",
+                 *self.argv(command, dataset, tmp_path)],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+                timeout=60)
+        finally:
+            os.close(write)
+        err = out.stderr.splitlines()
+        assert out.returncode == 1, out.stderr
+        assert len(err) == 1 and err[0].startswith("siftmatch: error: io:")
+        assert "Exception ignored" not in out.stderr
+
+
 class TestBench:
     def test_table(self, tmp_path, capsys):
         assert run_cli("bench") == 0

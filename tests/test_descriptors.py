@@ -304,22 +304,23 @@ _LAUNCH = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returnc
 _MEASURE = textwrap.dedent("""
     import resource, sys
     from siftmatch.descriptors import load_descriptor_set
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    before = resource.getrusage(resource.RUSAGE_SELF)
     load_descriptor_set(sys.argv[1])
-    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    print((after - before) * 1024)  # ru_maxrss is in KiB on Linux
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    print((after.ru_maxrss - before.ru_maxrss) * 1024)  # KiB on Linux
+    print(after.ru_minflt - before.ru_minflt)
 """)
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss is in KiB and inherited as on Linux")
-def test_binary_load_peak_memory(tmp_path):
-    """Loading a .siftdb set grows peak RSS by less than 3x its file size."""
+@pytest.fixture(scope="module")
+def load_growth(tmp_path_factory):
+    """(peak RSS growth in bytes, minor page faults, file size) of loading
+    a 40000-row .siftdb set in a fresh process."""
     rows = np.abs(np.random.default_rng(8).standard_normal((64, DESCRIPTOR_LEN)))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     raws = quantize_array(rows, UQ1_15).astype(np.uint16)
     count = 40000
-    path = tmp_path / "big.siftdb"
+    path = tmp_path_factory.mktemp("load") / "big.siftdb"
     save_descriptor_set(
         DescriptorSet.from_floats("big", raws[np.arange(count) % 64] * UQ1_15.lsb,
                                   np.zeros((count, 2), dtype=np.uint16)),
@@ -329,5 +330,23 @@ def test_binary_load_peak_memory(tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", _LAUNCH, sys.executable, "-c", _MEASURE, str(path)],
         env=env, capture_output=True, text=True, timeout=60, check=True)
-    growth = int(out.stdout)
-    assert 0 < growth < 3 * path.stat().st_size
+    growth, faults = map(int, out.stdout.split())
+    return growth, faults, path.stat().st_size
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB and inherited as on Linux")
+def test_binary_load_peak_memory(load_growth):
+    """Loading a .siftdb set grows peak RSS by less than 3x its file size."""
+    growth, _, size = load_growth
+    assert 0 < growth < 3 * size
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor faults counted per 4 KiB page as on Linux")
+def test_binary_load_page_faults(load_growth):
+    """Loading a .siftdb set faults in fewer than two pages per 4 KiB page
+    of the file: the norm check reuses one block, so temporaries freed and
+    allocated again per block do not fault in memory many times over."""
+    _, faults, size = load_growth
+    assert faults < 2 * size / 4096

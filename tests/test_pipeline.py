@@ -544,9 +544,9 @@ class TestReporting:
     def test_csv_rows(self, pool):
         q, db = pool
         report = run_pipeline(subset(q, 3), subset(db, 4), PipelineConfig())
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_matches_csv(report.matches, buf)
-        lines = buf.getvalue().strip().splitlines()
+        lines = buf.getvalue().decode("ascii").strip().splitlines()
         assert lines[0] == "k,matched,best_index,qx,qy,bx,by,min_raw,secmin_raw"
         assert len(lines) == 4
         first = lines[1].split(",")

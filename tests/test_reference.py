@@ -378,14 +378,15 @@ def check_report(header, columns, chunk):
         assert columns != flipped and flipped != columns
     with mock.patch.object(reference, "CHUNK_ROWS", chunk):
         pieces = list(report_json_chunks(header, columns))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_matches_csv(columns, buf)
     # Line lists, so that a failure names the first wrong line quickly.
-    assert "".join(pieces).splitlines(True) == json.dumps(
+    assert b"".join(pieces).decode("ascii").splitlines(True) == json.dumps(
         {**header, "matches": [vars(r) for r in rows]},
         indent=2).splitlines(True)
     assert len(pieces) == (1 if not rows else -(-len(rows) // chunk) + 1)
-    assert buf.getvalue().splitlines(True) == listed_csv(rows).splitlines(True)
+    assert buf.getvalue().decode("ascii").splitlines(True) == \
+        listed_csv(rows).splitlines(True)
 
 
 class TestReportWriter:
@@ -483,14 +484,14 @@ class TestRowText:
         header = {"engine": "pipeline" if raws else "reference"}
         rows = listed(columns)
         with mock.patch.object(reference, "CHUNK_ROWS", chunk):
-            text = "".join(report_json_chunks(header, columns))
-            buf = io.StringIO()
+            text = b"".join(report_json_chunks(header, columns))
+            buf = io.BytesIO()
             write_matches_csv(columns, buf)
         # Line lists, so that a failure names the first wrong line quickly.
-        assert text.splitlines(True) == json.dumps(
+        assert text.decode("ascii").splitlines(True) == json.dumps(
             {**header, "matches": [vars(r) for r in rows]},
             indent=2).splitlines(True)
-        assert buf.getvalue().splitlines(True) == \
+        assert buf.getvalue().decode("ascii").splitlines(True) == \
             listed_csv(rows).splitlines(True)
 
     def test_random_columns_reach_the_edges(self):
@@ -515,13 +516,13 @@ class TestRowText:
                                xy[::-1], raw[:, 0].copy(), raw[:, 1].copy())
         distinct = len(np.unique(angles))
 
-        class Sink:
-            def write(self, text):
-                pass
+        class Sink:  # a binary file that keeps nothing
+            def write(self, data):
+                memoryview(data)  # bytes, as a binary file takes them
 
-            def writelines(self, texts):
-                for text in texts:
-                    pass
+            def writelines(self, pieces):
+                for data in pieces:
+                    self.write(data)
 
         with mock.patch.object(reference, "CHUNK_ROWS", 256):
             piece = max(map(len, report_json_chunks({}, columns)))
