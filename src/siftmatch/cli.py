@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
-from .cordic import DEFAULT_CONFIG, arccos_raw_batch
+from .cordic import arccos_table
 from .descriptors import (
     DescriptorFormatError,
     generate_synthetic,
@@ -62,8 +63,9 @@ def _fraction(text: str) -> float:
 
 def _non_negative(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {value}")
     return value
 
 
@@ -255,9 +257,9 @@ def cmd_roofline(args) -> int:
 
 
 def cmd_characterize(args) -> int:
-    raws = np.arange((1 << 15) + 1, dtype=np.int64)  # every UQ1.15 x in [0, 1]
-    x = raws * UQ1_15.lsb
-    approx = arccos_raw_batch(raws, DEFAULT_CONFIG) * UQ2_14.lsb
+    one = 1 << UQ1_15.fraction_bits
+    x = np.arange(one + 1) * UQ1_15.lsb  # every UQ1.15 x in [0, 1]
+    approx = arccos_table()[:one + 1] * UQ2_14.lsb
     exact = np.arccos(x)
     error = approx - exact
 

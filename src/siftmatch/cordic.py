@@ -65,6 +65,10 @@ _WORK_FRAC = 24   # x/y registers of both cores
 _GAIN_FRAC = 30   # gain pre-compensation constant
 _Z_FRAC = 26      # polar angle accumulator
 
+# Inputs per kernel run while arccos_table is built: bounds its int64
+# temporaries (about 18 alive at once) to a few hundred KB.
+_TABLE_SLICE = 1 << 12
+
 
 @dataclass(frozen=True)
 class CordicConfig:
@@ -254,11 +258,16 @@ def arccos_table(cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
     Bit-identical to :func:`arccos_raw_batch`; the pipeline model uses this
     to evaluate millions of angles cheaply.  Only the inputs up to 1.0
     (raw 0x8000) run the kernels: above it ``1 - x^2`` saturates to 0, the
-    square root of 0 is exactly 0, and the angle of ``(x, 0)`` is 0.
+    square root of 0 is exactly 0, and the angle of ``(x, 0)`` is 0.  The
+    kernels run on :data:`_TABLE_SLICE` inputs at a time, so the build's
+    scratch is a fixed few hundred KB next to the 128 KB table.
     """
     one = 1 << UQ1_15.fraction_bits
     table = np.zeros(UQ1_15.max_raw + 1, dtype=np.uint16)
-    table[:one + 1] = arccos_raw_batch(np.arange(one + 1, dtype=np.int64), cfg)
+    for start in range(0, one + 1, _TABLE_SLICE):
+        stop = min(start + _TABLE_SLICE, one + 1)
+        table[start:stop] = arccos_raw_batch(
+            np.arange(start, stop, dtype=np.int64), cfg)
     table.setflags(write=False)
     return table
 

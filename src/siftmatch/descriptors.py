@@ -7,8 +7,8 @@ the float reference matcher and the fixed-point hardware model consume the
 same data.  A set read from a binary file keeps only its 16-bit raws, as the
 hardware streams them; its float view is exactly ``raw * 2**-15``, derived
 on first access of :attr:`DescriptorSet.floats` (the engines never ask for
-it: they convert one query tile at a time).  Sets are immutable after
-construction and safe to share.
+it: they cast each tile into a reused float64 buffer).  Sets are immutable
+after construction and safe to share.
 
 Two on-disk formats are supported:
 
@@ -351,8 +351,8 @@ def generate_synthetic(count: int, seed: int, match_fraction: float,
         raise ValueError("count must be >= 1")
     if not 0.0 <= match_fraction <= 1.0:
         raise ValueError("match_fraction must be in [0, 1]")
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be non-negative")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError("noise_sigma must be finite and non-negative")
 
     rng = np.random.default_rng(seed)
     database = _random_unit_rows(rng, count)

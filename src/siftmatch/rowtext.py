@@ -22,15 +22,16 @@ each int and ``repr`` of each float.  (A numpy boolean mask would do the same
 with two more grid-sized arrays alive: the mask and the kept bytes.)
 
 Memory: the table holds one text per distinct float value (and its 8-byte
-key).  One grid serves every piece of a call to :meth:`RowText.pieces`: it
-is a ``bytearray`` that a numpy view writes into, the template's text is
-written into it once, and each piece overwrites only the column spans.  The
-padding is deleted straight from the ``bytearray``, so while a piece is made
-the grid and that piece's text are alive, and no copy of the grid (only a
-shorter last piece copies its rows first).  The text goes to the caller as
-bytes: nothing decodes it to ``str`` and nothing encodes it back.  A fresh
-grid per piece would be handed back to the operating system and faulted in
-again each time.
+key).  One grid serves a whole call of :meth:`RowText.pieces`: it is a
+``bytearray`` that a numpy view writes into, the template's text is written
+into it once, and each fill of its rows overwrites only the column spans.
+The filled rows go out as pieces of text, each cut from a slice of at most
+:data:`_PIECE_BYTES` of the grid, so while a piece is made the grid, that
+slice and its text are alive, and never a copy of the whole grid.  Many
+rows per fill keep numpy's per-call cost low; small pieces keep the text
+alive small.  The text goes to the caller as bytes: nothing decodes it to
+``str`` and nothing encodes it back.  A fresh grid per fill would be handed
+back to the operating system and faulted in again each time.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ _REPR_WIDTH = 24
 # Distinct values given to repr at a time while the table is built: bounds
 # the Python strings alive at once.
 _REPR_BATCH = 4096
+
+# Grid bytes per piece of text.  A piece is cut from a slice of the grid, and
+# that slice and the piece are all a piece allocates, so they stay small
+# however many rows the grid holds.
+_PIECE_BYTES = 1 << 16
 
 
 def _padded(texts: Sequence[str], width: int) -> np.ndarray:
@@ -132,7 +138,9 @@ class RowText:
             _digits(values, out)
 
     def pieces(self, count: int, rows: int) -> Iterator[bytearray]:
-        """The ASCII text of rows ``0:count``, in pieces of ``rows`` rows."""
+        """The ASCII text of rows ``0:count``, laid out ``rows`` rows at a
+        time and handed out in pieces of at most :data:`_PIECE_BYTES` of
+        the grid."""
         rows = min(rows, count)
         if not rows:
             return
@@ -144,5 +152,7 @@ class RowText:
             size = min(rows, count - start)
             for cut, column in self._columns:
                 self._fill(grid[:size, cut], column, start)
-            text = buffer if size == rows else buffer[:size * width]
-            yield text.replace(b"\0", b"")
+            end = size * width
+            for at in range(0, end, _PIECE_BYTES):
+                yield buffer[at:min(at + _PIECE_BYTES, end)].replace(
+                    b"\0", b"")

@@ -10,13 +10,16 @@ angle) and ``floor`` (the smallest key with the same angle as a given key).
 
 :func:`top_two` tiles both axes: each tile is up to :data:`TILE_COLS`
 database rows times :data:`TILE_ROWS` query rows, or more query rows when
-that makes fewer than :data:`TILE_DOTS` dot products.  Both operands are
-converted to float64 one tile at a time, so the working set is O(tile) and
-no float copy of a whole set is made.  Per query, a running ``(best, first,
-second)`` starts at ``-inf`` and holds the two largest keys of the database
-tiles seen so far and the earliest index of the largest.  A tile at offset
-``e``, with ``j`` its earliest argmax and ``hi >= hi2`` its two largest keys
-(``hi2`` is ``-inf`` on a one-column tile), is merged by::
+that makes fewer than :data:`TILE_DOTS` dot products.  One call allocates
+three float64 buffers, once: a query tile, a database block and the keys of
+one tile.  Each tile's operands are cast into the first two in place (exact
+on raws) and its keys are written into the third, so the working set is one
+tile whatever the sizes, no float copy of a whole set is made, and no tile
+allocates memory that the next must fault in again.  Per query, a running
+``(best, first, second)`` starts at ``-inf`` and holds the two largest keys
+of the database tiles seen so far and the earliest index of the largest.  A
+tile at offset ``e``, with ``j`` its earliest argmax and ``hi >= hi2`` its
+two largest keys (``hi2`` is ``-inf`` on a one-column tile), is merged by::
 
     take   = hi > first
     second = where(take, max(first, hi2), max(second, hi))
@@ -74,39 +77,53 @@ TILE_DOTS = 1 << 16
 TILE_ROWS = 1 << 7
 TILE_COLS = 1 << 10
 
-Dot = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Dot = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 KeyMap = Callable[[np.ndarray], np.ndarray]
 
 
-def exact_dots(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
+def exact_dots(queries: np.ndarray, database: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """(m, 128) x (n, 128) -> (m, n) float64 dot products; exact on raws and
-    on raw-exact floats."""
+    on raw-exact floats.  Written into ``out`` when it is given (a
+    C-contiguous float64 (m, n) array)."""
     database = np.asarray(database, dtype=np.float64)
-    return np.asarray(queries, dtype=np.float64) @ database.T
+    return np.matmul(np.asarray(queries, dtype=np.float64), database.T,
+                     out=out)
 
 
 def _tiles(queries: np.ndarray, database: np.ndarray, dot: Dot,
            picked: np.ndarray | None = None):
     """Yield ``(e, tile, keys)`` per tile: the database offset, the slice of
-    query rows (of ``picked`` when given) and their keys against the tile."""
+    query rows (of ``picked`` when given) and their keys against the tile.
+    ``keys`` is a view of a buffer that the next tile overwrites."""
     m, n = len(queries if picked is None else picked), len(database)
     cols = min(n, TILE_COLS)
     rows = max(TILE_ROWS, TILE_DOTS // cols)
+    query_tile = np.empty((min(m, rows), queries.shape[1]))
+    database_block = np.empty((cols, database.shape[1]))
+    flat_keys = np.empty(len(query_tile) * cols)
     for e in range(0, n, cols):
-        block = np.asarray(database[e:e + cols], dtype=np.float64)
+        block = database_block[:n - e]
+        block[...] = database[e:e + cols]
         for start in range(0, m, rows):
             tile = slice(start, start + rows)
-            part = queries[tile] if picked is None else queries[picked[tile]]
-            yield e, tile, dot(np.asarray(part, dtype=np.float64), block)
+            part = query_tile[:m - start]
+            part[...] = queries[tile] if picked is None \
+                else queries[picked[tile]]
+            # A contiguous prefix, not a strided slice: BLAS writes into it.
+            keys = flat_keys[:len(part) * len(block)].reshape(len(part),
+                                                              len(block))
+            yield e, tile, dot(part, block, keys)
 
 
 def top_two(queries: np.ndarray, database: np.ndarray, dot: Dot = exact_dots):
     """``(best, first, second)``: per query row, the earliest index of the
     largest key and the two largest keys, counting duplicates (``second``
     is ``-inf`` when the database has one row).  ``queries`` and
-    ``database`` are raws or float elements; ``dot`` maps a float64 query
-    tile and database tile to their (rows, cols) keys, which may be
-    overwritten."""
+    ``database`` are raws or float elements; ``dot(part, block, out)``
+    maps a float64 query tile and database block to their (rows, cols)
+    keys, written into the float64 buffer ``out``.  This function
+    overwrites keys in place, and the next tile overwrites the buffer."""
     m = len(queries)
     best = np.zeros(m, dtype=np.intp)
     first = np.full(m, -np.inf)

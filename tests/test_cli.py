@@ -67,6 +67,16 @@ class TestGenerate:
             run_cli("generate", "-m", "0", "-o", str(tmp_path / "z"))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_usage_error(self, tmp_path, capsys, noise):
+        # NaN once wrote noiseless copies, and inf all-zero query rows.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("generate", "-m", "4", "--noise", noise,
+                    "-o", str(tmp_path / "z"))
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestMatch:
     def test_reference_json(self, dataset, tmp_path):
@@ -547,3 +557,36 @@ def test_startup_does_not_import_mpmath(dataset, tmp_path):
          "-o", str(tmp_path / "pipe.json")],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.split() == ["0", "False"]
+
+
+_MATCH_GROWTH = textwrap.dedent("""
+    import resource, sys
+    import siftmatch.cli
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    code = siftmatch.cli.main(sys.argv[1:])
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(code, (after - before) * 1024)  # KiB on Linux
+""")
+
+# Scratch of one pipeline match beyond its inputs: the load's norm block,
+# the table build's slices, one search tile and one report piece.  Measured
+# 3.96 MiB at 1000-4000 rows; fresh tiles per tile and the kernels run on
+# all 32769 table inputs at once made it 6.0-7.2 MiB.
+_MATCH_SCRATCH = 5 << 20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB and inherited as on Linux")
+def test_match_memory_is_inputs_plus_fixed_scratch(tmp_path, grandchild):
+    """One pipeline match grows peak RSS over ``import siftmatch.cli`` by
+    less than its inputs' file size plus a fixed scratch budget."""
+    prefix = str(tmp_path / "big")
+    assert run_cli("generate", "-m", "4000", "--seed", "2",
+                   "--match-fraction", "0.5", "--noise", "0.02",
+                   "-o", prefix) == 0
+    inputs = [f"{prefix}_a.siftdb", f"{prefix}_b.siftdb"]
+    code, growth = map(int, grandchild(
+        _MATCH_GROWTH, "match", "-q", inputs[0], "-d", inputs[1],
+        "--engine", "pipeline", "-o", str(tmp_path / "out.json")).split())
+    assert code == 0
+    assert 0 < growth < sum(map(os.path.getsize, inputs)) + _MATCH_SCRATCH

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,18 @@ class TestDeterminismAndBatch:
         # arccos_table() runs the kernels on raws up to 0x8000 only
         raws = np.arange((1 << 15) + 1, 1 << 16, dtype=np.int64)
         assert not arccos_raw_batch(raws).any()
+
+    def test_table_build_memory_is_bounded(self):
+        """The table is built a slice of inputs at a time: an uncached build
+        peaks well below the 4.7 MB of running the kernels on all 32769
+        inputs at once."""
+        tracemalloc.start()
+        try:
+            arccos_table.__wrapped__()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
     def test_table_never_increases(self):
         # the pipeline ranks by the dot on this fact (pipeline docstring)

@@ -1,12 +1,10 @@
-import os
-import subprocess
+import math
 import sys
 import textwrap
 
 import numpy as np
 import pytest
 
-import siftmatch
 from siftmatch.descriptors import (
     DESCRIPTOR_LEN,
     _row_norms,
@@ -260,6 +258,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(5, seed=0, match_fraction=0.5, noise_sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_noise_is_rejected(self, sigma):
+        # NaN once read as no noise, and inf as all-zero query rows.
+        with pytest.raises(ValueError, match="finite"):
+            generate_synthetic(5, seed=0, match_fraction=0.5, noise_sigma=sigma)
+
 
 class TestSetApi:
     def test_indexing_and_iteration(self, random_set):
@@ -298,9 +302,6 @@ class TestSetApi:
             random_set.floats[0, 0] = 0.5
 
 
-# Run in a grandchild: a child's ru_maxrss starts from the peak RSS of the
-# process that spawned it, so a small launcher keeps pytest's peak out.
-_LAUNCH = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
 _MEASURE = textwrap.dedent("""
     import resource, sys
     from siftmatch.descriptors import load_descriptor_set
@@ -313,7 +314,7 @@ _MEASURE = textwrap.dedent("""
 
 
 @pytest.fixture(scope="module")
-def load_growth(tmp_path_factory):
+def load_growth(tmp_path_factory, grandchild):
     """(peak RSS growth in bytes, minor page faults, file size) of loading
     a 40000-row .siftdb set in a fresh process."""
     rows = np.abs(np.random.default_rng(8).standard_normal((64, DESCRIPTOR_LEN)))
@@ -325,12 +326,7 @@ def load_growth(tmp_path_factory):
         DescriptorSet.from_floats("big", raws[np.arange(count) % 64] * UQ1_15.lsb,
                                   np.zeros((count, 2), dtype=np.uint16)),
         str(path))
-    src = os.path.dirname(os.path.dirname(siftmatch.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", _LAUNCH, sys.executable, "-c", _MEASURE, str(path)],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    growth, faults = map(int, out.stdout.split())
+    growth, faults = map(int, grandchild(_MEASURE, str(path)).split())
     return growth, faults, path.stat().st_size
 
 

@@ -56,6 +56,8 @@ GOLDEN = {
         "b83e55413230f499905c32c75afe505cfec0f174439363e71bda7f2d1a77d5dc",
     ("roofline",):
         "5cf812f5a30356b48ecbfcffecee3713ac7b1b19628dc391768e5a594f9eb2a5",
+    ("characterize",):
+        "b28e81c80f7d75c5123d631ff371e563964586c11e8cf0afdbffd104333654fb",
     NEAR:
         "3caaa3b09a78080df98fae9df58d94ddfef6c85c01c3cfe5b3eabdfb44ef27fa",
     (*NEAR, "--engine", "pipeline"):

@@ -440,9 +440,9 @@ class TestSearchKernel:
         keys = np.random.default_rng(seed).integers(0, top + 1, (m, n))
         index = np.arange(max(m, n), dtype=np.float64)[:, None]
 
-        def dot(q, d):  # the keys of query rows q against database rows d
-            return keys[np.ix_(q[:, 0].astype(int), d[:, 0].astype(int))] \
-                .astype(np.float64)
+        def dot(q, d, out):  # the keys of query rows q against database rows d
+            out[...] = keys[np.ix_(q[:, 0].astype(int), d[:, 0].astype(int))]
+            return out
 
         with tiles(rows, cols, dots):
             best, first, second = search.top_two(index[:m], index[:n], dot)
@@ -451,6 +451,26 @@ class TestSearchKernel:
         assert first.tolist() == ordered[:, -1].tolist()
         assert second.tolist() == (ordered[:, -2].tolist() if n > 1
                                    else [-np.inf] * m)
+
+    def test_top_two_memory_is_one_tile(self):
+        """The search allocates its tile buffers once: its peak is one keys
+        tile, one database block, one query tile and the three per-row
+        columns, not a fresh tile (or two) per tile."""
+        m = n = 4000
+        rng = np.random.default_rng(3)
+        queries = rng.integers(0, 1 << 12, (m, DESCRIPTOR_LEN), dtype=np.uint16)
+        database = rng.integers(0, 1 << 12, (n, DESCRIPTOR_LEN), dtype=np.uint16)
+        cols = search.TILE_COLS
+        rows = max(search.TILE_ROWS, search.TILE_DOTS // cols)
+        tracemalloc.start()
+        try:
+            search.top_two(queries, database)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tile = 8 * (rows * cols + cols * DESCRIPTOR_LEN + rows * DESCRIPTOR_LEN)
+        # best, first, second; per tile a few row-sized temporaries
+        assert peak < tile + 3 * 8 * m + 32 * 8 * rows
 
     @settings(max_examples=40, deadline=None)
     @given(adversarial_sets(), st.sampled_from(THRESHOLD_MODES),

@@ -384,7 +384,8 @@ def check_report(header, columns, chunk):
     assert b"".join(pieces).decode("ascii").splitlines(True) == json.dumps(
         {**header, "matches": [vars(r) for r in rows]},
         indent=2).splitlines(True)
-    assert len(pieces) == (1 if not rows else -(-len(rows) // chunk) + 1)
+    # The head, the pieces of rows and the tail; no rows: head and tail as one.
+    assert len(pieces) == (1 if not rows else -(-len(rows) // chunk) + 2)
     assert buf.getvalue().decode("ascii").splitlines(True) == \
         listed_csv(rows).splitlines(True)
 
@@ -502,11 +503,11 @@ class TestRowText:
         assert columns.best.max() > 2 ** 30 and columns.best.min() < 10
         assert columns.min_raw.max() > 0x8000 and columns.min_raw.min() < 10
 
-    def test_memory_is_pieces_plus_index_columns(self):
-        """Peak memory of both writers grows with the rows of a piece, the
-        distinct angles and an index column or two, not with the text of whole
-        columns: 40000 rows, pieces of 256 rows."""
-        m = 40000
+    @staticmethod
+    def write_peak(m, chunk):
+        """(tracemalloc peak of writing the JSON and CSV reports of ``m``
+        rows of pipeline-like columns, ``chunk`` rows at a time; longest
+        JSON piece; bytes of JSON; distinct angles)."""
         rng = np.random.default_rng(7)
         xy = rng.integers(0, 1 << 16, (m, 2)).astype(np.uint16)
         raw = rng.integers(0x1000, 0x6488, (m, 2)).astype(np.uint16)
@@ -514,7 +515,6 @@ class TestRowText:
         columns = MatchColumns(rng.integers(0, 1 << 31, m), angles[:, 0],
                                angles[:, 1], rng.random(m) < 0.5, xy,
                                xy[::-1], raw[:, 0].copy(), raw[:, 1].copy())
-        distinct = len(np.unique(angles))
 
         class Sink:  # a binary file that keeps nothing
             def write(self, data):
@@ -524,8 +524,8 @@ class TestRowText:
                 for data in pieces:
                     self.write(data)
 
-        with mock.patch.object(reference, "CHUNK_ROWS", 256):
-            piece = max(map(len, report_json_chunks({}, columns)))
+        with mock.patch.object(reference, "CHUNK_ROWS", chunk):
+            lengths = list(map(len, report_json_chunks({}, columns)))
             tracemalloc.start()
             try:
                 Sink().writelines(report_json_chunks({}, columns))
@@ -533,8 +533,28 @@ class TestRowText:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # Four pieces; per row an 8-byte query_index column and the sorted
-        # 8-byte keys of two angle columns (32 bytes with slack); per distinct
-        # angle a 24-byte text and its 8-byte key.  Holding the angle text of
-        # whole columns adds about 38 bytes per row and fails.
-        assert peak < 4 * piece + 32 * m + 32 * distinct
+        return peak, max(lengths), sum(lengths), len(np.unique(angles))
+
+    def test_memory_is_pieces_plus_index_columns(self):
+        """Peak memory of both writers grows with the rows of a piece, the
+        distinct angles and an index column or two, not with the text of whole
+        columns: 40000 rows, 256 rows at a time."""
+        m = 40000
+        peak, piece, _, distinct = self.write_peak(m, 256)
+        # Per row an 8-byte query_index column and the sorted 8-byte keys of
+        # two angle columns (32 bytes with slack); per distinct angle a
+        # 24-byte text and its 8-byte key; and pieces: the 256-row grid, a
+        # slice of it, its text and the piece the sink's loop still holds
+        # (about four pieces, alive only once the keys are gone, and within
+        # three pieces plus the slack).  Holding the angle text of whole
+        # columns adds about 38 bytes per row and fails.
+        assert peak < 3 * piece + 32 * m + 32 * distinct
+
+    def test_report_text_is_never_held_whole(self):
+        """A report laid out in one grid holds that grid and a piece or two
+        of its text: no copy of the whole text, and the head goes out as a
+        piece of its own, not joined to a copy of the first piece."""
+        m = 4096
+        peak, _, text, distinct = self.write_peak(m, m)
+        # The grid is about the text's size (its NUL padding is a few %).
+        assert peak < 1.5 * text + 32 * m + 32 * distinct
