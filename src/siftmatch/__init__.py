@@ -5,35 +5,17 @@ model of a fully pipelined FPGA matching core, plus the roofline model used
 to size its memory-bandwidth budget.
 """
 
-from .fixedpoint import (
-    FxSample,
-    QFormat,
-    UQ1_15,
-    UQ2_14,
-    UQ2_30,
-    fx_add,
-    fx_from_real,
-    fx_mul,
-    fx_resize,
-)
+from .fixedpoint import FxSample, QFormat, UQ1_15, UQ2_14
 from .descriptors import (
     Descriptor,
     DescriptorSet,
     DescriptorFormatError,
     generate_synthetic,
     load_descriptor_set,
-    normalize,
     save_descriptor_set,
 )
-from .reference import MatchResult, angular_distance, dot_product, match_all
-from .cordic import (
-    AngleSample,
-    CordicConfig,
-    cordic_arccos,
-    cordic_polar_angle,
-    cordic_sqrt,
-    one_minus_x_squared,
-)
+from .reference import dot_product, match_all
+from .cordic import AngleSample, CordicConfig, cordic_arccos
 from .pipeline import (
     MinPairEntry,
     PipelineConfig,
@@ -61,7 +43,6 @@ __all__ = [
     "DescriptorFormatError",
     "DescriptorSet",
     "FxSample",
-    "MatchResult",
     "MinPairEntry",
     "PipelineConfig",
     "QFormat",
@@ -70,26 +51,16 @@ __all__ = [
     "RunReport",
     "UQ1_15",
     "UQ2_14",
-    "UQ2_30",
-    "angular_distance",
     "attainable_throughput",
     "cordic_arccos",
-    "cordic_polar_angle",
-    "cordic_sqrt",
     "dot_product",
     "dot_product_core",
     "effective_throughput_with_blocking",
-    "fx_add",
-    "fx_from_real",
-    "fx_mul",
-    "fx_resize",
     "generate_synthetic",
     "load_descriptor_set",
     "match_all",
     "match_check",
     "min_find",
-    "normalize",
-    "one_minus_x_squared",
     "predict_cycles",
     "roofline_sweep",
     "run_pipeline",

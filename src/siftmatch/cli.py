@@ -30,13 +30,13 @@ from .pipeline import (
     elapsed_seconds,
     predict_cycles,
     run_pipeline,
-    write_matches_csv,
 )
 from .reference import (
     CHUNK_ROWS,
     DEFAULT_THRESHOLD,
     match_all,
     report_json_chunks,
+    write_matches_csv,
 )
 from .rowtext import RowText
 
@@ -193,7 +193,8 @@ def _report_columns(path: str) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "r", encoding="ascii") as fh:
         try:
             report = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, UnicodeDecodeError, or nesting too deep
             raise ReportFormatError(f"{path}: not a JSON report: {exc}") from None
     rows = report.get("matches") if isinstance(report, dict) else None
     if not isinstance(rows, list) or not all(

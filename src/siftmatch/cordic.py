@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fixedpoint import UQ1_15, UQ2_14, FxSample, QFormat, round_shift_even
+from .fixedpoint import UQ1_15, UQ2_14, FxSample, round_shift_even
 
 __all__ = [
     "AngleSample",
@@ -52,10 +52,7 @@ __all__ = [
     "arccos_raw_batch",
     "arccos_table",
     "cordic_arccos",
-    "cordic_polar_angle",
-    "cordic_sqrt",
     "one_minus_sq_raw_batch",
-    "one_minus_x_squared",
     "polar_raw_batch",
     "sqrt_raw_batch",
 ]
@@ -96,13 +93,9 @@ DEFAULT_CONFIG = CordicConfig()
 
 @dataclass(frozen=True)
 class AngleSample:
-    """A UQ2.14 angle; radians in [0, pi/2] semantically.
-
-    ``degenerate`` marks the (0, 0) polar input, which has no defined angle.
-    """
+    """A UQ2.14 angle; radians in [0, pi/2] semantically."""
 
     sample: FxSample
-    degenerate: bool = False
 
     @property
     def raw(self) -> int:
@@ -206,7 +199,7 @@ def polar_raw_batch(u_raws, v_raws) -> np.ndarray:
     """Vectoring-mode angle atan2(v, u) of UQ1.15 raws, as UQ2.14 raws.
 
     The magnitude output of the hardware core is unused and not produced.
-    A (0, 0) input yields angle 0 (callers flag it as degenerate).
+    A (0, 0) input, which has no defined angle, yields angle 0.
     """
     u = np.atleast_1d(np.asarray(u_raws)).astype(np.int64)
     v = np.atleast_1d(np.asarray(v_raws)).astype(np.int64)
@@ -272,35 +265,9 @@ def arccos_table(cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
     return table
 
 
-def _require_format(sample: FxSample, fmt: QFormat, what: str) -> None:
-    if sample.fmt != fmt:
-        raise ValueError(f"{what} must be {fmt}, got {sample.fmt}")
-
-
-def cordic_sqrt(x: FxSample, cfg: CordicConfig = DEFAULT_CONFIG) -> FxSample:
-    """Square root of a UQ1.15 sample."""
-    _require_format(x, UQ1_15, "sqrt input")
-    raw = int(sqrt_raw_batch(x.raw, cfg)[0])
-    return FxSample(raw, UQ1_15)
-
-
-def one_minus_x_squared(x: FxSample) -> FxSample:
-    """Saturating 1 - x*x for a UQ1.15 sample (result in [0, 1])."""
-    _require_format(x, UQ1_15, "input")
-    return FxSample(int(one_minus_sq_raw_batch(x.raw)[0]), UQ1_15)
-
-
-def cordic_polar_angle(u: FxSample, v: FxSample) -> AngleSample:
-    """Angle of the UQ1.15 vector (u, v); (0, 0) is flagged degenerate."""
-    _require_format(u, UQ1_15, "polar u")
-    _require_format(v, UQ1_15, "polar v")
-    raw = int(polar_raw_batch(u.raw, v.raw)[0])
-    return AngleSample(FxSample(raw, UQ2_14),
-                       degenerate=(u.raw == 0 and v.raw == 0))
-
-
 def cordic_arccos(x: FxSample, cfg: CordicConfig = DEFAULT_CONFIG) -> AngleSample:
     """arccos of a UQ1.15 sample as an angle sample."""
-    _require_format(x, UQ1_15, "arccos input")
+    if x.fmt != UQ1_15:
+        raise ValueError(f"arccos input must be {UQ1_15}, got {x.fmt}")
     raw = int(arccos_raw_batch(x.raw, cfg)[0])
     return AngleSample(FxSample(raw, UQ2_14))

@@ -38,7 +38,6 @@ __all__ = [
     "DescriptorSet",
     "generate_synthetic",
     "load_descriptor_set",
-    "normalize",
     "save_descriptor_set",
 ]
 
@@ -47,6 +46,9 @@ RECORD_BYTES = 2 + 2 + 2 * DESCRIPTOR_LEN  # 260 bytes per binary record
 _TEXT_HEADER = "SIFTD v1 text"
 _BINARY_MAGIC = b"SIFTDB01"
 _COORD_MAX = 0xFFFF
+# Bytes of the shortest text descriptor line: 2 + 128 one-character tokens
+# and the 129 separators between them.
+_MIN_TEXT_LINE = 2 * (2 + DESCRIPTOR_LEN) - 1
 
 # A unit vector quantized to UQ1.15 can drift this far from norm 1; the
 # normalization warning must not fire on data that merely round-tripped
@@ -190,18 +192,16 @@ def _row_norms(set_: DescriptorSet) -> np.ndarray:
     return np.sqrt(norms, out=norms)
 
 
-def _check_norms(set_: DescriptorSet, path: str, auto_normalize: bool) -> DescriptorSet:
+def _check_norms(set_: DescriptorSet, path: str) -> DescriptorSet:
     norms = _row_norms(set_)
     off = np.abs(norms - 1.0) > NORM_TOLERANCE
     if not off.any():
         return set_
     warnings.warn(
-        f"{path}: {int(off.sum())} of {len(set_)} descriptors are not unit-norm"
-        + ("; auto-normalizing" if auto_normalize else ""),
+        f"{path}: {int(off.sum())} of {len(set_)} descriptors are not "
+        "unit-norm; auto-normalizing",
         stacklevel=3,
     )
-    if not auto_normalize:
-        return set_
     if (norms[off] == 0).any():
         raise DescriptorFormatError(f"{path}: zero descriptor cannot be normalized")
     floats = set_._float_rows(slice(None)).copy()
@@ -210,16 +210,14 @@ def _check_norms(set_: DescriptorSet, path: str, auto_normalize: bool) -> Descri
     return DescriptorSet.from_floats(set_.image_id, floats, set_.xy)
 
 
-def load_descriptor_set(path: str, *,
-                        auto_normalize: bool = True) -> DescriptorSet:
+def load_descriptor_set(path: str) -> DescriptorSet:
     """Load a descriptor set, validating shape and element range.
 
     The extension names the format: ``.siftd`` text or ``.siftdb`` binary.
 
-    Non-unit-norm descriptors trigger a warning and (by default) are
-    rescaled to unit norm; pass ``auto_normalize=False`` to keep them as-is.
-    Raises :class:`DescriptorFormatError` on malformed input, including an
-    empty set.
+    Non-unit-norm descriptors trigger a warning and are rescaled to unit
+    norm.  Raises :class:`DescriptorFormatError` on malformed input,
+    including an empty set.
     """
     fmt = _infer_format(path)
     try:
@@ -229,7 +227,7 @@ def load_descriptor_set(path: str, *,
             f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x}") from None
     if len(loaded) == 0:
         raise DescriptorFormatError(f"{path}: empty set")
-    return _check_norms(loaded, str(path), auto_normalize)
+    return _check_norms(loaded, str(path))
 
 
 def _load_text(path: str) -> DescriptorSet:
@@ -244,6 +242,11 @@ def _load_text(path: str) -> DescriptorSet:
             raise DescriptorFormatError(f"{path}: malformed count in header") from None
         if m < 0:
             raise DescriptorFormatError(f"{path}: negative count")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if m * _MIN_TEXT_LINE > left:  # checked before the arrays are sized
+            raise DescriptorFormatError(
+                f"{path}: {m} descriptors need at least "
+                f"{m * _MIN_TEXT_LINE} bytes, {left} follow the header")
         floats = np.empty((m, DESCRIPTOR_LEN), dtype=np.float64)
         xy = np.empty((m, 2), dtype=np.uint16)
         for i in range(m):
@@ -312,19 +315,6 @@ def save_descriptor_set(set_: DescriptorSet, path: str) -> None:
             fh.write(_BINARY_MAGIC)
             fh.write(len(set_).to_bytes(4, "little"))
             fh.write(records.tobytes())
-
-
-def normalize(d: Descriptor) -> Descriptor:
-    """Rescale a descriptor to unit L2 norm (elements clamped to [0, 1]).
-
-    Raises ValueError for the zero vector.
-    """
-    norm = float(np.linalg.norm(d.elements))
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero descriptor")
-    elements = np.clip(d.elements / norm, 0.0, 1.0)
-    raws = quantize_array(elements, UQ1_15).astype(np.uint16)
-    return Descriptor(elements=elements, raws=raws, x=d.x, y=d.y)
 
 
 def _random_unit_rows(rng: np.random.Generator, count: int) -> np.ndarray:

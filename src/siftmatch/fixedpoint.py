@@ -1,21 +1,19 @@
-"""Unsigned fixed-point arithmetic with explicit rounding and saturation.
+"""Unsigned fixed-point formats with explicit rounding and saturation.
 
 Values are non-negative samples in a UQi.f format (``i`` integer bits,
-``f`` fraction bits, total width <= 64).  Multiplication and addition widen
-the result format and are exact; precision is lost only in :func:`fx_resize`,
-which rounds dropped fraction bits to nearest (ties to even) and saturates
-when the value exceeds the target range.
+``f`` fraction bits, total width <= 64).  Precision is lost only where a
+value is narrowed to a format: :func:`quantize_array` and
+:func:`round_shift_even` round dropped fraction bits to nearest (ties to
+even), and the callers saturate when the value exceeds the target range.
 
-The bit-level helpers (:func:`round_shift_even`, :func:`quantize_array`)
-accept plain ints or numpy integer arrays so the matrix-sized hardware model
-runs the exact same arithmetic as the scalar ops.
+:func:`round_shift_even` accepts plain ints or numpy integer arrays so the
+matrix-sized hardware model runs the exact same arithmetic as the scalar ops.
 
 All operations are pure and stateless; samples are immutable.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +23,6 @@ __all__ = [
     "FxSample",
     "UQ1_15",
     "UQ2_14",
-    "UQ2_30",
-    "fx_from_real",
-    "fx_mul",
-    "fx_add",
-    "fx_resize",
     "round_shift_even",
     "quantize_array",
 ]
@@ -60,18 +53,12 @@ class QFormat:
     def lsb(self) -> float:
         return 2.0 ** -self.fraction_bits
 
-    @property
-    def max_value(self) -> float:
-        """Largest representable value, 2**integer_bits - 2**-fraction_bits."""
-        return self.max_raw * self.lsb
-
     def __str__(self) -> str:
         return f"UQ{self.integer_bits}.{self.fraction_bits}"
 
 
 UQ1_15 = QFormat(1, 15)  # descriptor elements and narrowed dot products
 UQ2_14 = QFormat(2, 14)  # angles in radians, covers [0, pi/2] with headroom
-UQ2_30 = QFormat(2, 30)  # full-width products of two UQ1.15 samples
 
 
 @dataclass(frozen=True)
@@ -93,13 +80,11 @@ class FxSample:
 
 
 def round_shift_even(value, shift):
-    """Drop ``shift`` low bits, rounding to nearest with ties to even.
+    """Drop ``shift >= 1`` low bits, rounding to nearest with ties to even.
 
-    ``shift <= 0`` widens exactly (left shift).  Works elementwise on numpy
-    integer arrays as well as plain ints; ``shift`` itself may be an array.
+    Works elementwise on numpy integer arrays as well as plain ints;
+    ``shift`` itself may be an array.
     """
-    if np.ndim(shift) == 0 and shift <= 0:
-        return value << -shift
     q = value >> shift
     r = value & ((1 << shift) - 1)
     half = 1 << (shift - 1)
@@ -107,51 +92,13 @@ def round_shift_even(value, shift):
     return q + round_up
 
 
-def fx_from_real(value: float, fmt: QFormat) -> FxSample:
-    """Quantize a non-negative real to ``fmt``, nearest-even, saturating high.
-
-    Rejects negative, NaN and infinite inputs.  The scaling by
-    2**fraction_bits only shifts the float exponent, so the rounding applies
-    to the exact input value.
-    """
-    value = float(value)
-    if math.isnan(value) or math.isinf(value):
-        raise ValueError("value must be finite")
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    if value >= fmt.max_value:
-        return FxSample(fmt.max_raw, fmt)
-    return FxSample(round(value * 2.0 ** fmt.fraction_bits), fmt)
-
-
 def quantize_array(values: np.ndarray, fmt: QFormat = UQ1_15) -> np.ndarray:
-    """Vectorized :func:`fx_from_real` for arrays already validated non-negative.
+    """Quantize reals already validated non-negative to ``fmt`` raws:
+    nearest, ties to even (``np.rint``), saturating at ``fmt.max_raw``.
 
-    Returns int64 raws.  np.rint rounds halves to even, matching the scalar op.
+    Returns int64 raws.  Scaling by ``2**fraction_bits`` only shifts the
+    float exponent, so the rounding applies to the exact input value.
     """
     scaled = np.asarray(values, dtype=np.float64) * 2.0 ** fmt.fraction_bits
     raws = np.rint(scaled).astype(np.int64)
     return np.clip(raws, 0, fmt.max_raw)
-
-
-def fx_mul(a: FxSample, b: FxSample) -> FxSample:
-    """Exact widening product; format (ia+ib, fa+fb)."""
-    fmt = QFormat(a.fmt.integer_bits + b.fmt.integer_bits,
-                  a.fmt.fraction_bits + b.fmt.fraction_bits)
-    return FxSample(a.raw * b.raw, fmt)
-
-
-def fx_add(a: FxSample, b: FxSample) -> FxSample:
-    """Exact widening sum of two samples in the same format (one extra integer bit)."""
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
-    fmt = QFormat(a.fmt.integer_bits + 1, a.fmt.fraction_bits)
-    return FxSample(a.raw + b.raw, fmt)
-
-
-def fx_resize(a: FxSample, fmt: QFormat) -> FxSample:
-    """Convert to another format: nearest-even on dropped fraction bits,
-    saturation when the value exceeds the target range."""
-    shift = a.fmt.fraction_bits - fmt.fraction_bits
-    raw = round_shift_even(a.raw, shift)
-    return FxSample(min(raw, fmt.max_raw), fmt)

@@ -65,7 +65,7 @@ from .cordic import AngleSample, DEFAULT_CONFIG, arccos_table
 from .descriptors import Descriptor, DescriptorSet
 from .fixedpoint import UQ1_15, UQ2_14, FxSample, round_shift_even
 from .perf import FETCH_CYCLES, RooflineConfig
-from .reference import MatchColumns, match_results, write_matches_csv
+from .reference import MatchColumns, match_results
 from .search import exact_dots, nearest_two
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "min_find",
     "predict_cycles",
     "run_pipeline",
-    "write_matches_csv",
 ]
 
 THRESHOLD_MODES = ("exact_0_6", "binary_10011")

@@ -36,19 +36,18 @@ here is stateless.
 
 Results stay columnar from the search to the output file:
 :func:`match_results` wraps the search's arrays in a :class:`MatchColumns`,
-which reads as a sequence of :class:`MatchResult` but builds a row object
-only when one is asked for.  :func:`report_json_chunks` and
+and no row object is ever built.  :func:`report_json_chunks` and
 :func:`write_matches_csv` write the rows column by column through one row
 formatter, :class:`~siftmatch.rowtext.RowText`, :data:`CHUNK_ROWS` rows at a
 time, with no Python call per row.  The bytes equal those of
-``json.dumps(indent=2)`` over ``vars()`` of each result, and of a per-row
-``csv.writer`` loop, because each value is written as they write it:
-non-negative ints as their decimal digits, finite floats as their ``repr``
+``json.dumps(indent=2)`` over each row as a dict of its report keys, and of
+a per-row ``csv.writer`` loop, because each value is written as they write
+it: non-negative ints as their decimal digits, finite floats as their ``repr``
 (taken once per distinct 64-bit pattern, so ``-0.0`` stays ``-0.0``), bools
 and ``None`` as fixed text.  The rows are laid out in a byte grid whose
 padding is NUL; JSON and CSV text never contain NUL, so deleting it removes
-the padding only.  The JSON row template is made from the
-:class:`MatchResult` fields, in their order.  The pieces are ASCII bytes,
+the padding only.  The JSON row template is made from the report keys
+:func:`_json_row` lists, in their order.  The pieces are ASCII bytes,
 written as they are to a binary file.  The report's head is a piece of its
 own, and the first row's leading comma is cut by a ``memoryview``, so no
 piece is copied.  While writing, a report holds one grid reused for every
@@ -61,8 +60,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,9 +73,7 @@ from .search import nearest_two
 __all__ = [
     "CHUNK_ROWS",
     "MatchColumns",
-    "MatchResult",
     "SECOND_MIN_SURROGATE",
-    "angular_distance",
     "dot_matrix",
     "dot_product",
     "match_all",
@@ -100,35 +97,15 @@ DEFAULT_THRESHOLD = 0.6
 CHUNK_ROWS = 2048
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Verdict for one query descriptor.
-
-    ``min_angle <= second_min_angle`` always; ``matched`` implies
-    ``best_index`` is set.  ``min_raw``/``second_min_raw`` are populated only
-    by the fixed-point pipeline engine (UQ2.14 raws).  Field order is the
-    key order of a report row, which is ``vars(result)``.
-    """
-
-    query_index: int
-    matched: bool
-    best_index: int | None
-    min_angle: float
-    second_min_angle: float
-    query_xy: tuple[int, int]
-    best_xy: tuple[int, int] | None
-    min_raw: int | None = None
-    second_min_raw: int | None = None
-
-
 @dataclass(frozen=True, eq=False)
-class MatchColumns(Sequence):
+class MatchColumns:
     """Verdicts for all queries as columns, one array entry per query.
 
     ``best`` holds best indices, ``query_xy``/``best_xy`` are (m, 2) and the
-    raw columns are ``None`` for the reference engine.  It is a sequence of
-    :class:`MatchResult`, compares equal to a list of them, and builds a
-    row object only on indexing or iteration.
+    raw columns are ``None`` for the reference engine.  Every row keeps
+    ``min_angle <= second_min_angle``, and ``matched`` implies that
+    ``best`` is set.  ``min_raw``/``second_min_raw`` are populated only by
+    the fixed-point pipeline engine (UQ2.14 raws).
     """
 
     best: np.ndarray
@@ -140,53 +117,15 @@ class MatchColumns(Sequence):
     min_raw: np.ndarray | None = None
     second_min_raw: np.ndarray | None = None
 
-    @classmethod
-    def empty(cls) -> "MatchColumns":
-        xy = np.empty((0, 2), dtype=np.uint16)
-        return cls(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0),
-                   np.empty(0, dtype=bool), xy, xy)
-
     def __len__(self) -> int:
         return len(self.best)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(len(self)))]
-        k = range(len(self))[index]
-        return next(self._results(k, k + 1))
-
-    def __iter__(self) -> Iterator[MatchResult]:
-        return self._results(0, len(self))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def _results(self, start: int, stop: int) -> Iterator[MatchResult]:
-        cut = slice(start, stop)
-        absent = [None] * (stop - start)
-        for (k, matched, best, low, high, qx, qy, bx, by, raw_low,
-             raw_high) in zip(
-                range(start, stop),
-                self.matched[cut].tolist(),
-                self.best[cut].tolist(),
-                self.min_angle[cut].tolist(),
-                self.second_min_angle[cut].tolist(),
-                *self.query_xy[cut].T.tolist(),
-                *self.best_xy[cut].T.tolist(),
-                absent if self.min_raw is None else self.min_raw[cut].tolist(),
-                absent if self.second_min_raw is None
-                else self.second_min_raw[cut].tolist()):
-            yield MatchResult(k, matched, best, low, high, (qx, qy), (bx, by),
-                              raw_low, raw_high)
 
 
 def _json_row(matches: MatchColumns) -> list:
     """The template of one report row as json.dumps(indent=2) writes it
     inside "matches", led by the comma and newline that part it from the row
-    before: every field of :class:`MatchResult` in order, an (x, y) pair as a
-    two-line list."""
+    before: every report key in the order of ``columns``, an (x, y) pair as
+    a two-line list."""
     columns = {
         "query_index": np.arange(len(matches)),
         "matched": matches.matched,
@@ -199,12 +138,11 @@ def _json_row(matches: MatchColumns) -> list:
         "second_min_raw": matches.second_min_raw,
     }
     row = [",\n    {"]
-    for f in fields(MatchResult):
-        value = columns[f.name]
-        row.append(f"\n      {json.dumps(f.name)}: ")
+    for key, value in columns.items():
+        row.append(f"\n      {json.dumps(key)}: ")
         if value is None:
             row.append("null")
-        elif f.name.endswith("_xy"):
+        elif key.endswith("_xy"):
             row += ["[\n        ", value[:, 0], ",\n        ", value[:, 1],
                     "\n      ]"]
         else:
@@ -217,8 +155,8 @@ def _json_row(matches: MatchColumns) -> list:
 def report_json_chunks(header: dict, matches: MatchColumns
                        ) -> Iterator[bytes | bytearray | memoryview]:
     """The ASCII bytes of ``json.dumps({**header, "matches": rows},
-    indent=2, allow_nan=False)``, where ``rows`` are ``vars()`` of each
-    result, in pieces: the head, the rows' text and the tail.
+    indent=2, allow_nan=False)``, where ``rows`` holds a dict of the report
+    keys per query, in pieces: the head, the rows' text and the tail.
 
     Raises ``ValueError`` for a non-finite angle or header value before any
     text is produced, so a caller never writes part of a report.
@@ -285,11 +223,6 @@ def dot_product(a: Descriptor, b: Descriptor) -> float:
     return float(dot_matrix(a.elements[None, :], b.elements[None, :])[0, 0])
 
 
-def angular_distance(a: Descriptor, b: Descriptor) -> float:
-    """arccos of the clamped dot product; range [0, pi/2] for unit vectors."""
-    return float(np.arccos(np.clip(dot_product(a, b), 0.0, 1.0)))
-
-
 def _angles(dots: np.ndarray) -> np.ndarray:
     """arccos of the clamped dot products, in place."""
     return np.arccos(np.clip(dots, 0.0, 1.0, out=dots), out=dots)
@@ -328,10 +261,8 @@ def match_all(queries: DescriptorSet, db: DescriptorSet,
     """Match every query descriptor; output order equals query order."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if len(queries) == 0:
-        return MatchColumns.empty()
-    if len(db) == 0:
-        raise ValueError("database is empty")
+    if len(queries) == 0 or len(db) == 0:
+        raise ValueError("query and database sets must be non-empty")
     if queries.raw_exact and db.raw_exact:
         best, low, high = nearest_two(queries.raws, db.raws, _raw_angle,
                                       _raw_floor, SECOND_MIN_SURROGATE)

@@ -96,19 +96,18 @@ def test_criterion_3_fixed_vs_float_agreement(arccos_error_bound):
         ref = match_all(queries, db, threshold)
         pipe = run_pipeline(queries, db, cfg).matches
         total += len(ref)
-        for r, p in zip(ref, pipe):
-            if r.matched == p.matched:
-                agreeing += 1
-                continue
+        agreeing += int((ref.matched == pipe.matched).sum())
+        for k in np.flatnonzero(ref.matched != pipe.matched).tolist():
             disagreements += 1
             # Combined quantization bound: element quantization moves a dot
             # product by at most (sum(a) + sum(b) + 1) * 2^-16 + 128 * 2^-32,
             # an angle by that over sin(theta), plus the measured arccos
             # kernel error.
-            sum_a = float(queries.floats[r.query_index].sum())
+            sum_a = float(queries.floats[k].sum())
             delta_dot = (sum_a + math.sqrt(128)) * 2.0 ** -16 \
                 + 2.0 ** -16 + 128 * 2.0 ** -32
-            theta_m, theta_s = r.min_angle, r.second_min_angle
+            theta_m = float(ref.min_angle[k])
+            theta_s = float(ref.second_min_angle[k])
             eps_m = delta_dot / max(math.sin(theta_m), 1e-9) + arccos_error_bound
             eps_s = delta_dot / max(math.sin(theta_s), 1e-9) + arccos_error_bound
             ratio = theta_m / theta_s
@@ -116,7 +115,7 @@ def test_criterion_3_fixed_vs_float_agreement(arccos_error_bound):
             margin = abs(ratio - threshold)
             worst_margin = max(worst_margin, margin)
             assert margin <= bound, (
-                f"seed {seed} query {r.query_index}: margin {margin:.2e} "
+                f"seed {seed} query {k}: margin {margin:.2e} "
                 f"outside combined bound {bound:.2e}")
     fraction = agreeing / total
     assert fraction >= 0.98, f"agreement {fraction:.4f} below 0.98"
@@ -212,8 +211,8 @@ def test_criterion_8_self_matching(experiment_scale_sets):
     descriptor."""
     _, db = experiment_scale_sets
     results = match_all(db, db, 0.6)
-    assert all(r.best_index == r.query_index for r in results)
+    assert results.best.tolist() == list(range(len(db)))
     # self-dot may fall a few ulps under 1.0, so the angle is ~0, not exactly 0
-    assert all(r.min_angle <= 1e-6 for r in results)
+    assert (results.min_angle <= 1e-6).all()
     print(f"PASS criterion 8 (self-matching): argmin identity on "
           f"{len(results)} descriptors")

@@ -158,6 +158,18 @@ class TestMatch:
         assert err.count("\n") == 1 and err.startswith("siftmatch: error: format:")
         assert not out.exists()
 
+    def test_count_beyond_the_file_is_format_error(self, tmp_path, capsys):
+        # checked before the arrays are sized: no MemoryError
+        big = tmp_path / "big.siftd"
+        big.write_text("SIFTD v1 text m=10000000000000\n")
+        out = tmp_path / "out.json"
+        assert run_cli("match", "-q", str(big), "-d", str(tmp_path / "x.siftdb"),
+                       "-o", str(out)) == 1
+        assert assert_one_error(capsys, "format") == (
+            f"siftmatch: error: format: {big}: 10000000000000 descriptors "
+            "need at least 2590000000000000 bytes, 0 follow the header")
+        assert not out.exists()
+
     def test_non_ascii_text_is_format_error(self, tmp_path, capsys):
         prefix = str(tmp_path / "t")
         run_cli("generate", "-m", "3", "--format", "text", "-o", prefix)
@@ -274,6 +286,13 @@ class TestCompare:
         bad.write_text("k,matched\n0,1\n")
         assert run_cli("compare", "--reports", str(bad), str(bad)) == 1
         assert_one_error(capsys, "format")
+
+    def test_deeply_nested_report_is_format_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        assert run_cli("compare", "--reports", str(deep), str(deep)) == 1
+        assert assert_one_error(capsys, "format").startswith(
+            f"siftmatch: error: format: {deep}: not a JSON report: ")
 
     def test_undefined_ratio_is_null(self):
         # min = second = 0, built as cmd_compare builds its ratio column

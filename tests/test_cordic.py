@@ -14,10 +14,7 @@ from siftmatch.cordic import (
     arccos_raw_batch,
     arccos_table,
     cordic_arccos,
-    cordic_polar_angle,
-    cordic_sqrt,
     one_minus_sq_raw_batch,
-    one_minus_x_squared,
     polar_raw_batch,
     sqrt_raw_batch,
 )
@@ -28,7 +25,16 @@ LSB14 = UQ2_14.lsb
 
 
 def fx15(value: float) -> FxSample:
-    return FxSample(round(value * 2 ** 15), UQ1_15)
+    return FxSample(raw15(value), UQ1_15)
+
+
+def raw15(value: float) -> int:
+    return round(value * 2 ** 15)
+
+
+def one(kernel, *values: float) -> int:
+    """A batch kernel's raw output for one input of each UQ1.15 value."""
+    return int(kernel(*map(raw15, values))[0])
 
 
 class TestConfig:
@@ -57,15 +63,13 @@ class TestConfig:
 
 class TestSqrt:
     def test_zero(self):
-        assert cordic_sqrt(fx15(0.0)).raw == 0
+        assert one(sqrt_raw_batch, 0.0) == 0
 
     def test_one(self):
-        out = cordic_sqrt(fx15(1.0))
-        assert abs(out.raw - 0x8000) <= 1
+        assert abs(one(sqrt_raw_batch, 1.0) - 0x8000) <= 1
 
     def test_quarter(self):
-        out = cordic_sqrt(fx15(0.25))
-        assert abs(out.to_real() - 0.5) <= 4 * LSB15
+        assert abs(one(sqrt_raw_batch, 0.25) * LSB15 - 0.5) <= 4 * LSB15
 
     def test_float_oracle_sweep(self):
         # 4-LSB absolute accuracy over [0.03, 1]
@@ -81,23 +85,19 @@ class TestSqrt:
         want = np.sqrt(raws * LSB15)
         assert np.abs(got - want).max() <= 4 * LSB15
 
-    def test_rejects_wrong_format(self):
-        with pytest.raises(ValueError):
-            cordic_sqrt(FxSample(1, UQ2_14))
-
 
 class TestOneMinusXSquared:
     def test_endpoints(self):
-        assert one_minus_x_squared(fx15(0.0)).to_real() == 1.0
-        assert one_minus_x_squared(fx15(1.0)).raw == 0
+        assert one(one_minus_sq_raw_batch, 0.0) == 0x8000
+        assert one(one_minus_sq_raw_batch, 1.0) == 0
 
     def test_0p6(self):
-        out = one_minus_x_squared(fx15(0.6))
-        assert abs(out.to_real() - 0.64) <= 2 * LSB15
+        out = one(one_minus_sq_raw_batch, 0.6)
+        assert abs(out * LSB15 - 0.64) <= 2 * LSB15
 
     def test_saturates_at_zero_above_one(self):
-        top = FxSample(UQ1_15.max_raw, UQ1_15)  # ~1.99997, square > 1
-        assert one_minus_x_squared(top).raw == 0
+        top = UQ1_15.max_raw  # ~1.99997, square > 1
+        assert one_minus_sq_raw_batch(top).tolist() == [0]
 
     def test_matches_float_oracle(self):
         raws = np.arange(0, 2 ** 15 + 1, 37, dtype=np.int64)
@@ -108,22 +108,19 @@ class TestOneMinusXSquared:
 
 class TestPolarAngle:
     def test_axis_u(self):
-        out = cordic_polar_angle(fx15(1.0), fx15(0.0))
-        assert out.raw == 0
-        assert not out.degenerate
+        assert one(polar_raw_batch, 1.0, 0.0) == 0
 
     def test_axis_v(self):
-        out = cordic_polar_angle(fx15(0.0), fx15(1.0))
-        assert abs(out.radians - math.pi / 2) <= 2 * LSB14
+        out = one(polar_raw_batch, 0.0, 1.0)
+        assert abs(out * LSB14 - math.pi / 2) <= 2 * LSB14
 
     def test_diagonal(self):
-        out = cordic_polar_angle(fx15(1.0), fx15(1.0))
-        assert abs(out.radians - math.pi / 4) <= 2 * LSB14
+        out = one(polar_raw_batch, 1.0, 1.0)
+        assert abs(out * LSB14 - math.pi / 4) <= 2 * LSB14
 
     def test_degenerate_origin(self):
-        out = cordic_polar_angle(fx15(0.0), fx15(0.0))
-        assert out.raw == 0
-        assert out.degenerate
+        # (0, 0) has no defined angle; the kernel gives 0
+        assert one(polar_raw_batch, 0.0, 0.0) == 0
 
     def test_atan2_oracle_grid(self):
         rng = np.random.default_rng(7)
@@ -134,14 +131,6 @@ class TestPolarAngle:
         got = polar_raw_batch(u, v) * LSB14
         want = np.arctan2(v * LSB15, u * LSB15)
         assert np.abs(got - want).max() <= 2 * LSB14
-
-    @pytest.mark.parametrize("u,v", [
-        (FxSample(1, UQ2_14), fx15(0.5)),
-        (fx15(0.5), FxSample(1, UQ2_14)),
-    ])
-    def test_rejects_wrong_format(self, u, v):
-        with pytest.raises(ValueError):
-            cordic_polar_angle(u, v)
 
 
 class TestArccos:
@@ -155,6 +144,10 @@ class TestArccos:
     def test_half(self):
         out = cordic_arccos(fx15(0.5))
         assert abs(out.radians - 1.047198) <= 8 * LSB14
+
+    def test_rejects_wrong_format(self):
+        with pytest.raises(ValueError):
+            cordic_arccos(FxSample(1, UQ2_14))
 
     def test_above_one_maps_to_zero(self):
         # quantization can push a dot product slightly over 1.0
@@ -180,10 +173,10 @@ class TestArccos:
 
     def test_composition_matches_op_chain(self):
         for raw in (0, 1, 137, 16384, 30000, 32768):
-            x = FxSample(raw, UQ1_15)
-            chained = cordic_polar_angle(
-                x, cordic_sqrt(one_minus_x_squared(x)))
-            assert cordic_arccos(x).raw == chained.raw
+            chained = polar_raw_batch(
+                raw, sqrt_raw_batch(one_minus_sq_raw_batch(raw)))
+            assert [cordic_arccos(FxSample(raw, UQ1_15)).raw] == \
+                chained.tolist()
 
 
 class TestDeterminismAndBatch:

@@ -1,6 +1,7 @@
 import math
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from siftmatch.descriptors import (
     DescriptorSet,
     generate_synthetic,
     load_descriptor_set,
-    normalize,
     save_descriptor_set,
 )
 from siftmatch.fixedpoint import UQ1_15, quantize_array
@@ -105,8 +105,9 @@ class TestValidation:
 
     def test_wrong_element_count(self, tmp_path):
         path = tmp_path / "short.siftd"
-        path.write_text("SIFTD v1 text m=1\n1 2 0.5 0.5\n")
-        with pytest.raises(DescriptorFormatError, match="elements"):
+        values = " ".join(["0.5"] * (DESCRIPTOR_LEN - 1))
+        path.write_text(f"SIFTD v1 text m=1\n1 2 {values}\n")
+        with pytest.raises(DescriptorFormatError, match="127 elements"):
             load_descriptor_set(str(path))
 
     def test_element_out_of_range(self, tmp_path):
@@ -171,14 +172,15 @@ class TestValidation:
             loaded = load_descriptor_set(str(path))
         assert abs(np.linalg.norm(loaded.floats[0]) - 1.0) < 1e-9
 
-    def test_non_normalized_kept_when_disabled(self, tmp_path):
-        e = np.full(DESCRIPTOR_LEN, 0.05)
-        path = tmp_path / "unnorm.siftd"
-        values = " ".join(repr(float(v)) for v in e)
-        path.write_text(f"SIFTD v1 text m=1\n0 0 {values}\n")
-        with pytest.warns(UserWarning):
-            loaded = load_descriptor_set(str(path), auto_normalize=False)
-        assert np.allclose(loaded.floats[0], 0.05)
+    def test_non_normalized_warning_counts_rows(self, tmp_path):
+        rows = [one_hot(0)[0], np.full(DESCRIPTOR_LEN, 0.05),
+                np.full(DESCRIPTOR_LEN, 0.25)]
+        path = str(tmp_path / "unnorm.siftd")
+        save_descriptor_set(make_set(rows), path)
+        with pytest.warns(UserWarning) as record:
+            load_descriptor_set(path)
+        assert [str(w.message) for w in record] == [
+            f"{path}: 2 of 3 descriptors are not unit-norm; auto-normalizing"]
 
     def test_fixed_view_matches_quantized_float_view(self, tmp_path, random_set=None):
         q, _, _ = generate_synthetic(9, seed=3, match_fraction=0.0, noise_sigma=0.0)
@@ -189,28 +191,34 @@ class TestValidation:
                               quantize_array(loaded.floats, UQ1_15).astype(np.uint16))
 
 
+def load_rows(tmp_path, rows) -> DescriptorSet:
+    """``rows`` saved as a text file and loaded, off-norm warning ignored."""
+    path = str(tmp_path / "rows.siftd")
+    save_descriptor_set(make_set(rows), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return load_descriptor_set(path)
+
+
 class TestNormalize:
-    def test_one_hot_unchanged(self):
-        e, xy = one_hot(7)
-        d = make_set([e], [xy])[0]
-        out = normalize(d)
-        assert np.array_equal(out.elements, e)
+    """Off-norm descriptors are rescaled to unit norm on load."""
 
-    def test_all_equal_vector(self):
-        d = make_set([np.full(DESCRIPTOR_LEN, 0.25)])[0]
-        out = normalize(d)
-        assert np.allclose(out.elements, 1.0 / np.sqrt(DESCRIPTOR_LEN))
+    def test_one_hot_unchanged(self, tmp_path):
+        e, _ = one_hot(7)
+        assert np.array_equal(load_rows(tmp_path, [e]).floats[0], e)
 
-    def test_random_vector_unit_norm(self):
+    def test_all_equal_vector(self, tmp_path):
+        out = load_rows(tmp_path, [np.full(DESCRIPTOR_LEN, 0.25)])
+        assert np.allclose(out.floats[0], 1.0 / np.sqrt(DESCRIPTOR_LEN))
+
+    def test_random_vector_unit_norm(self, tmp_path):
         rng = np.random.default_rng(11)
-        d = make_set([rng.uniform(0.0, 0.3, DESCRIPTOR_LEN)])[0]
-        out = normalize(d)
-        assert abs(np.linalg.norm(out.elements) - 1.0) <= 1e-6
+        out = load_rows(tmp_path, [rng.uniform(0.0, 0.3, DESCRIPTOR_LEN)])
+        assert abs(np.linalg.norm(out.floats[0]) - 1.0) <= 1e-6
 
-    def test_zero_vector_rejected(self):
-        d = make_set([np.zeros(DESCRIPTOR_LEN)])[0]
-        with pytest.raises(ValueError, match="zero"):
-            normalize(d)
+    def test_zero_vector_rejected(self, tmp_path):
+        with pytest.raises(DescriptorFormatError, match="zero"):
+            load_rows(tmp_path, [np.zeros(DESCRIPTOR_LEN)])
 
 
 class TestGenerateSynthetic:

@@ -2,28 +2,30 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from siftmatch.descriptors import (
+    DESCRIPTOR_LEN,
+    DescriptorFormatError,
+    load_descriptor_set,
+)
 from siftmatch.fixedpoint import (
-    FxSample,
     QFormat,
     UQ1_15,
     UQ2_14,
-    UQ2_30,
-    fx_add,
-    fx_from_real,
-    fx_mul,
-    fx_resize,
     quantize_array,
     round_shift_even,
 )
 
-UQ8_30 = QFormat(8, 30)
+
+def q15(value) -> int:
+    """The UQ1.15 raw of one real value."""
+    return int(quantize_array([value], UQ1_15)[0])
 
 
 class TestQFormat:
     def test_widths(self):
         assert UQ1_15.total_bits == 16
         assert UQ1_15.max_raw == 0xFFFF
-        assert UQ1_15.max_value == 2.0 - 2.0 ** -15
+        assert UQ1_15.max_raw * UQ1_15.lsb == 2.0 - 2.0 ** -15
 
     @pytest.mark.parametrize("i,f", [(0, 0), (65, 0), (0, 65), (33, 32), (-1, 3)])
     def test_invalid(self, i, f):
@@ -35,129 +37,82 @@ class TestQFormat:
 
 
 class TestFromReal:
+    """quantize_array: nearest-even quantization of reals, saturating high."""
+
     def test_zero(self):
-        assert fx_from_real(0.0, UQ1_15).raw == 0
+        assert q15(0.0) == 0
 
     def test_one_is_exact(self):
-        s = fx_from_real(1.0, UQ1_15)
-        assert s.raw == 0x8000
-        assert s.to_real() == 1.0
+        assert q15(1.0) == 0x8000
 
     def test_0p6(self):
         # round(0.6 * 2**15) = 19661; real value just above 0.6
-        s = fx_from_real(0.6, UQ1_15)
-        assert s.raw == 19661
-        assert s.to_real() == 19661 / 2.0 ** 15
-        assert abs(s.to_real() - 0.600006103515625) < 1e-15
+        assert q15(0.6) == 19661
+        assert abs(19661 * UQ1_15.lsb - 0.600006103515625) < 1e-15
 
     def test_saturates(self):
-        assert fx_from_real(5.0, UQ1_15).raw == 0xFFFF
-        assert fx_from_real(UQ1_15.max_value, UQ1_15).raw == 0xFFFF
+        assert q15(5.0) == 0xFFFF
+        assert q15(UQ1_15.max_raw * UQ1_15.lsb) == 0xFFFF
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
-    def test_rejects(self, bad):
-        with pytest.raises(ValueError):
-            fx_from_real(bad, UQ1_15)
+    def test_rejects(self, bad, tmp_path):
+        # quantize_array takes validated reals: the text loader, where reals
+        # come in from outside, rejects these before they are quantized
+        values = " ".join(map(repr, [bad] + [0.0] * (DESCRIPTOR_LEN - 1)))
+        path = tmp_path / "bad.siftd"
+        path.write_text(f"SIFTD v1 text m=1\n0 0 {values}\n")
+        with pytest.raises(DescriptorFormatError, match="descriptor 0 "):
+            load_descriptor_set(str(path))
 
     def test_ties_to_even(self):
         # 0.5 LSB above an even raw stays even; above an odd raw rounds up.
-        assert fx_from_real(2.5 * UQ1_15.lsb, UQ1_15).raw == 2
-        assert fx_from_real(1.5 * UQ1_15.lsb, UQ1_15).raw == 2
+        assert q15(2.5 * UQ1_15.lsb) == 2
+        assert q15(1.5 * UQ1_15.lsb) == 2
 
     @given(st.integers(0, 0xFFFF))
     def test_round_trip_exact_values(self, raw):
-        value = raw * UQ1_15.lsb
-        s = fx_from_real(value, UQ1_15)
-        assert s.raw == raw
-        assert s.to_real() == value
+        assert q15(raw * UQ1_15.lsb) == raw
 
     @given(st.floats(0.0, 1.0, allow_nan=False))
     def test_quantization_bound(self, v):
-        s = fx_from_real(v, UQ1_15)
-        assert abs(s.to_real() - v) <= 2.0 ** -16
+        assert abs(q15(v) * UQ1_15.lsb - v) <= 2.0 ** -16
 
     def test_array_matches_scalar(self):
+        # Python's round() on the exactly scaled value is nearest-even too
         rng = np.random.default_rng(5)
         values = rng.uniform(0, 1, 500)
         raws = quantize_array(values, UQ1_15)
         for v, r in zip(values, raws):
-            assert fx_from_real(float(v), UQ1_15).raw == int(r)
-
-
-class TestMulAdd:
-    def test_mul_identity(self):
-        one = fx_from_real(1.0, UQ1_15)
-        p = fx_mul(one, one)
-        assert p.fmt == UQ2_30
-        assert p.to_real() == 1.0
-
-    def test_mul_power_of_two(self):
-        a = fx_from_real(0.5, UQ1_15)
-        assert fx_mul(a, a).to_real() == 0.25
-
-    def test_mul_is_integer_multiply(self):
-        a = fx_from_real(0.6, UQ1_15)
-        b = fx_from_real(0.7, UQ1_15)
-        assert fx_mul(a, b).raw == a.raw * b.raw
-
-    def test_add_identity(self):
-        z = FxSample(0, UQ1_15)
-        x = fx_from_real(0.375, UQ1_15)
-        s = fx_add(z, x)
-        assert s.raw == x.raw
-        assert s.fmt == QFormat(2, 15)
-
-    def test_add_max_no_overflow(self):
-        top = FxSample(UQ1_15.max_raw, UQ1_15)
-        s = fx_add(top, top)
-        assert s.raw == 2 * UQ1_15.max_raw
-        assert s.to_real() == 2 * UQ1_15.max_value
-
-    def test_add_format_mismatch(self):
-        with pytest.raises(ValueError):
-            fx_add(FxSample(1, UQ1_15), FxSample(1, UQ2_14))
-
-    @given(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
-    def test_agree_with_integer_arithmetic(self, ra, rb):
-        a, b = FxSample(ra, UQ1_15), FxSample(rb, UQ1_15)
-        assert fx_mul(a, b).raw == ra * rb
-        assert fx_add(a, b).raw == ra + rb
+            assert round(float(v) * 2 ** 15) == int(r)
 
 
 class TestResize:
+    """quantize_array into other formats: rounding of the dropped bits and
+    saturation at the target's range."""
+
     def test_exact_value_unchanged(self):
-        s = fx_from_real(0.5, UQ2_30)
-        assert fx_resize(s, UQ1_15).to_real() == 0.5
+        assert q15(0.5) * UQ1_15.lsb == 0.5
 
     def test_rounds_to_nearest(self):
-        s = FxSample((1 << 30) + 1, UQ8_30)  # 1.0 + 2**-30
-        assert fx_resize(s, UQ1_15).to_real() == 1.0
+        assert q15(1.0 + 2.0 ** -30) == 0x8000
 
     def test_saturation_matches_clamp_oracle(self):
         value = 3.7
-        s = fx_from_real(value, UQ8_30)
         expect = min(max(round(value * 2 ** 15), 0), 0xFFFF)
-        resized = fx_resize(s, UQ1_15)
-        assert resized.raw == expect == 0xFFFF
+        assert q15(value) == expect == 0xFFFF
 
     def test_widening_is_exact(self):
-        s = FxSample(19661, UQ1_15)
-        wide = fx_resize(s, UQ2_30)
-        assert wide.raw == 19661 << 15
-        assert wide.to_real() == s.to_real()
+        wide = quantize_array([19661 * UQ1_15.lsb], QFormat(2, 30))
+        assert wide.tolist() == [19661 << 15]
 
     def test_ties_to_even_on_dropped_bits(self):
-        # raw 0b11 at UQ2.1 -> UQ2.0: 1.5 rounds to 2 (even)
-        assert fx_resize(FxSample(3, QFormat(2, 1)), QFormat(2, 0)).raw == 2
-        # raw 0b01 at UQ2.1 -> UQ2.0: 0.5 rounds to 0 (even)
-        assert fx_resize(FxSample(1, QFormat(2, 1)), QFormat(2, 0)).raw == 0
+        # UQ2.0: 1.5 rounds to 2 (even), 0.5 rounds to 0 (even)
+        assert quantize_array([1.5, 0.5], QFormat(2, 0)).tolist() == [2, 0]
 
-    @given(st.integers(0, (1 << 38) - 1), st.integers(0, (1 << 38) - 1))
-    def test_monotone(self, ra, rb):
-        lo, hi = sorted((ra, rb))
-        a = fx_resize(FxSample(lo, UQ8_30), UQ1_15)
-        b = fx_resize(FxSample(hi, UQ8_30), UQ1_15)
-        assert a.raw <= b.raw
+    @given(st.floats(0.0, 4.0), st.floats(0.0, 4.0))
+    def test_monotone(self, a, b):
+        lo, hi = sorted((a, b))
+        assert q15(lo) <= q15(hi)
 
 
 class TestRoundShiftEven:

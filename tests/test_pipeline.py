@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -22,9 +23,8 @@ from siftmatch.pipeline import (
     min_find,
     predict_cycles,
     run_pipeline,
-    write_matches_csv,
 )
-from siftmatch.reference import match_all
+from siftmatch.reference import match_all, write_matches_csv
 
 LSB14 = UQ2_14.lsb
 
@@ -264,6 +264,12 @@ class TestCycleModel:
         assert report.elapsed_seconds_at_clock == report.total_cycles / 50e6
 
 
+def verdicts(matches):
+    """Per query: (matched, best index, min raw, second-min raw)."""
+    return list(zip(matches.matched.tolist(), matches.best.tolist(),
+                    matches.min_raw.tolist(), matches.second_min_raw.tolist()))
+
+
 def sequential_verdicts(queries, db, cfg):
     """Scalar oracle: the pipeline ops composed with no timing machinery."""
     out = []
@@ -286,16 +292,14 @@ class TestRunPipeline:
         queries, database = subset(q, 12), subset(db, 9)
         report = run_pipeline(queries, database, cfg)
         expected = sequential_verdicts(queries, database, cfg)
-        got = [(m.matched, m.best_index, m.min_raw, m.second_min_raw)
-               for m in report.matches]
-        assert got == expected
+        assert verdicts(report.matches) == expected
 
     def test_single_pair_always_matches_via_sentinel_second(self, pool):
         q, db = pool
         report = run_pipeline(subset(q, 1), subset(db, 1), PipelineConfig())
-        m = report.matches[0]
-        assert m.second_min_raw == 0xFFFF
-        assert m.matched  # any angle <= pi/2 beats 0.6 * sentinel
+        m = report.matches
+        assert m.second_min_raw.tolist() == [0xFFFF]
+        assert m.matched[0]  # any angle <= pi/2 beats 0.6 * sentinel
 
     def test_block_results_independent_of_earlier_blocks(self, pool):
         q, db = pool
@@ -305,19 +309,17 @@ class TestRunPipeline:
         # block 2 alone (queries 14..20) must reproduce rows 14..20
         tail = DescriptorSet("tail", q.floats[14:21], q.raws[14:21], q.xy[14:21])
         alone = run_pipeline(tail, database, cfg)
-        for offset, solo in enumerate(alone.matches):
-            combined = full.matches[14 + offset]
-            assert (solo.matched, solo.best_index, solo.min_raw,
-                    solo.second_min_raw) == (combined.matched,
-                                             combined.best_index,
-                                             combined.min_raw,
-                                             combined.second_min_raw)
+        assert verdicts(alone.matches) == verdicts(full.matches)[14:]
 
     def test_verdict_order_is_query_order(self, pool):
         q, db = pool
-        report = run_pipeline(subset(q, 40), subset(db, 10),
-                              PipelineConfig(block_size=6))
-        assert [m.query_index for m in report.matches] == list(range(40))
+        queries, cfg = subset(q, 40), PipelineConfig(block_size=6)
+        report = run_pipeline(queries, subset(db, 10), cfg)
+        reversed_ = DescriptorSet("r", queries.floats[::-1],
+                                  queries.raws[::-1], queries.xy[::-1])
+        backwards = run_pipeline(reversed_, subset(db, 10), cfg)
+        assert len(report.matches) == 40
+        assert verdicts(backwards.matches) == verdicts(report.matches)[::-1]
 
     def test_coordinates_travel_with_verdicts(self):
         rng = np.random.default_rng(77)
@@ -327,11 +329,10 @@ class TestRunPipeline:
         xy_d = np.array([[9, 10], [11, 12], [13, 14], [15, 16]], dtype=np.uint16)
         queries = DescriptorSet.from_floats("q", rows, xy_q)
         db = DescriptorSet.from_floats("d", rows, xy_d)
-        report = run_pipeline(queries, db, PipelineConfig())
-        for k, m in enumerate(report.matches):
-            assert m.query_xy == tuple(xy_q[k])
-            assert m.best_index == k  # self argmin on distinct rows
-            assert m.best_xy == tuple(xy_d[k])
+        m = run_pipeline(queries, db, PipelineConfig()).matches
+        assert m.query_xy.tolist() == xy_q.tolist()
+        assert m.best.tolist() == [0, 1, 2, 3]  # self argmin on distinct rows
+        assert m.best_xy.tolist() == xy_d.tolist()
 
     def test_empty_sets_rejected(self, pool):
         q, db = pool
@@ -355,13 +356,14 @@ class TestRunPipeline:
         ref = match_all(q, db, 0.6)
         pipe = run_pipeline(q, db, PipelineConfig()).matches
         checked = 0
-        for r, p in zip(ref, pipe):
+        for low, high, best, pipe_best in zip(
+                ref.min_angle.tolist(), ref.second_min_angle.tolist(),
+                ref.best.tolist(), pipe.best.tolist()):
             delta_dot = 2 * math.sqrt(128) * 2.0 ** -16 + 2.0 ** -16
-            eps = delta_dot / max(math.sin(r.min_angle), 1e-9) + kernel_bound
-            eps_s = delta_dot / max(math.sin(r.second_min_angle), 1e-9) \
-                + kernel_bound
-            if r.second_min_angle - r.min_angle > eps + eps_s:
-                assert p.best_index == r.best_index
+            eps = delta_dot / max(math.sin(low), 1e-9) + kernel_bound
+            eps_s = delta_dot / max(math.sin(high), 1e-9) + kernel_bound
+            if high - low > eps + eps_s:
+                assert pipe_best == best
                 checked += 1
         assert checked > 50  # the synthetic pool is mostly unambiguous
 
@@ -369,10 +371,10 @@ class TestRunPipeline:
         q, db = pool
         exact = run_pipeline(q, db, PipelineConfig(threshold_mode="exact_0_6"))
         binary = run_pipeline(q, db, PipelineConfig(threshold_mode="binary_10011"))
-        for e, b in zip(exact.matches, binary.matches):
-            if e.matched != b.matched:
-                ratio = e.min_raw / e.second_min_raw
-                assert 0.59375 <= ratio < 0.6
+        e = exact.matches
+        differ = e.matched != binary.matches.matched
+        ratio = e.min_raw[differ] / e.second_min_raw[differ]
+        assert ((0.59375 <= ratio) & (ratio < 0.6)).all()
 
 
 @st.composite
@@ -483,9 +485,7 @@ class TestSearchKernel:
         with tiles(rows, cols, tile):  # several tiles on both axes
             report = run_pipeline(queries, db, cfg)
             dots = dot_raw_matrix(queries, db)
-        got = [(m.matched, m.best_index, m.min_raw, m.second_min_raw)
-               for m in report.matches]
-        assert got == sequential_verdicts(queries, db, cfg)
+        assert verdicts(report.matches) == sequential_verdicts(queries, db, cfg)
         assert report.total_cycles == predict_cycles(len(queries), len(db), cfg)
         for i, q in enumerate(queries):
             for j, d in enumerate(db):
@@ -504,8 +504,7 @@ class TestSearchKernel:
         queries = DescriptorSet.from_raws("q", q_raws, np.zeros((2, 2)))
         with tiles(rows, cols):
             report = run_pipeline(queries, db, PipelineConfig())
-        got = [(m.best_index, m.min_raw, m.second_min_raw)
-               for m in report.matches]
+        got = [v[1:] for v in verdicts(report.matches)]
         assert got == [(1, 20565, 20565)] * 2
         assert [v[1:] for v in sequential_verdicts(
             queries, db, PipelineConfig())] == got
@@ -546,18 +545,19 @@ class TestSearchKernel:
             tracemalloc.stop()
         assert peak < float_copy // 4
         if engine == "reference":
-            assert matches == match_all(
+            strict = match_all(
                 DescriptorSet("q", queries.floats, queries.raws, queries.xy),
                 DescriptorSet("d", db.floats, db.raws, db.xy))
+            for f in dataclasses.fields(strict):
+                assert np.array_equal(getattr(matches, f.name),
+                                      getattr(strict, f.name)), f.name
 
     def test_ties_go_to_earliest_index(self):
         raws = np.zeros((3, DESCRIPTOR_LEN), dtype=np.uint16)
         raws[:, 0] = 1 << 15
         db = DescriptorSet.from_raws("d", raws, np.zeros((3, 2)))
         report = run_pipeline(subset(db, 1), db, PipelineConfig())
-        m = report.matches[0]
-        assert (m.best_index, m.min_raw, m.second_min_raw) == (0, 0, 0)
-        assert not m.matched
+        assert verdicts(report.matches) == [(False, 0, 0, 0)]
 
 
 class TestReporting:

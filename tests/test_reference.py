@@ -13,17 +13,21 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from siftmatch import reference, search
 from siftmatch.descriptors import DESCRIPTOR_LEN, DescriptorSet, generate_synthetic
-from siftmatch.pipeline import PipelineConfig, run_pipeline, write_matches_csv
+from siftmatch.pipeline import PipelineConfig, run_pipeline
 from siftmatch.reference import (
     SECOND_MIN_SURROGATE,
     MatchColumns,
-    MatchResult,
-    angular_distance,
     dot_matrix,
     dot_product,
     match_all,
     report_json_chunks,
+    write_matches_csv,
 )
+
+# The keys of a report row, in the order json.dumps writes them.
+REPORT_KEYS = ("query_index", "matched", "best_index", "min_angle",
+               "second_min_angle", "query_xy", "best_xy", "min_raw",
+               "second_min_raw")
 
 
 def make_set(rows, xy=None):
@@ -39,9 +43,21 @@ def row_set(s, k):
                          s.xy[k:k + 1])
 
 
+def report_rows(columns):
+    """One dict of the report keys per query, built from the columns."""
+    absent = [None] * len(columns)
+    return [dict(zip(REPORT_KEYS, row)) for row in zip(
+        range(len(columns)), columns.matched.tolist(), columns.best.tolist(),
+        columns.min_angle.tolist(), columns.second_min_angle.tolist(),
+        columns.query_xy.tolist(), columns.best_xy.tolist(),
+        absent if columns.min_raw is None else columns.min_raw.tolist(),
+        absent if columns.second_min_raw is None
+        else columns.second_min_raw.tolist())]
+
+
 def match_row(s, k, db, threshold=0.6):
-    """The verdict for row ``k`` of ``s`` matched on its own."""
-    return match_all(row_set(s, k), db, threshold)[0]
+    """The report row for row ``k`` of ``s`` matched on its own."""
+    return report_rows(match_all(row_set(s, k), db, threshold))[0]
 
 
 def one_hot(idx):
@@ -90,14 +106,19 @@ class TestDotProduct:
                 assert mat[i, j] == dot_product(q[i], d[j])
 
 
+def angle(s, i, j):
+    """The angle ``match_all`` gives between rows ``i`` and ``j`` of ``s``."""
+    return match_row(s, i, row_set(s, j))["min_angle"]
+
+
 class TestAngularDistance:
     def test_identical_is_zero(self):
-        d = make_set([one_hot(3)])[0]
-        assert angular_distance(d, d) == 0.0
+        d = make_set([one_hot(3)])
+        assert angle(d, 0, 0) == 0.0
 
     def test_orthogonal_is_half_pi(self):
         s = make_set([one_hot(0), one_hot(1)])
-        assert abs(angular_distance(s[0], s[1]) - math.pi / 2) <= 1e-9
+        assert abs(angle(s, 0, 1) - math.pi / 2) <= 1e-9
 
     def test_dot_half(self):
         # two unit vectors engineered to have dot product 0.5
@@ -106,12 +127,12 @@ class TestAngularDistance:
         a[0] = 1.0
         b[0], b[1] = 0.5, math.sqrt(3) / 2
         s = make_set([a, b])
-        assert abs(angular_distance(s[0], s[1]) - 1.047198) <= 1e-6
-        assert abs(angular_distance(s[0], s[1]) - math.acos(0.5)) <= 1e-12
+        assert abs(angle(s, 0, 1) - 1.047198) <= 1e-6
+        assert abs(angle(s, 0, 1) - math.acos(0.5)) <= 1e-12
 
     def test_clamps_rounding_excursions(self, rng):
-        d = make_set(random_unit(rng))[0]
-        assert angular_distance(d, d) >= 0.0
+        d = make_set(random_unit(rng))
+        assert angle(d, 0, 0) >= 0.0
 
 
 class TestMatchOne:
@@ -120,36 +141,36 @@ class TestMatchOne:
     def test_planted_identity_match(self):
         db = make_set([one_hot(i) for i in range(5)])
         res = match_row(db, 2, db)
-        assert res.matched and res.best_index == 2
-        assert res.min_angle == 0.0
-        assert abs(res.second_min_angle - math.pi / 2) < 1e-9
+        assert res["matched"] and res["best_index"] == 2
+        assert res["min_angle"] == 0.0
+        assert abs(res["second_min_angle"] - math.pi / 2) < 1e-9
 
     def test_duplicate_best_is_rejected(self, rng):
         v = random_unit(rng)[0]
         db = make_set([v, v, one_hot(0)])
         res = match_row(db, 0, db)
-        assert res.min_angle == res.second_min_angle
-        assert not res.matched
+        assert res["min_angle"] == res["second_min_angle"]
+        assert not res["matched"]
 
     def test_single_entry_db_uses_pi_surrogate(self, rng):
         db = make_set(random_unit(rng))
         res = match_row(db, 0, db)
-        assert res.second_min_angle == SECOND_MIN_SURROGATE
-        assert res.matched  # min <= pi/2 < 0.6 * pi always
+        assert res["second_min_angle"] == SECOND_MIN_SURROGATE
+        assert res["matched"]  # min <= pi/2 < 0.6 * pi always
 
     def test_planted_noisy_match(self):
         q, db, truth = generate_synthetic(20, seed=8, match_fraction=1.0,
                                           noise_sigma=0.01)
         for i, j in truth[:5]:
             res = match_row(q, i, db)
-            assert res.matched and res.best_index == j
+            assert res["matched"] and res["best_index"] == j
 
     def test_tie_breaks_to_smallest_index(self, rng):
         v = random_unit(rng)[0]
         other = random_unit(rng)[0]
         db = make_set([other, v, v])
         res = match_row(make_set([v]), 0, db)
-        assert res.best_index == 1
+        assert res["best_index"] == 1
 
     def test_empty_db_rejected(self, rng):
         q = make_set(random_unit(rng))
@@ -171,35 +192,32 @@ class TestMatchAll:
         q, db, _ = generate_synthetic(40, seed=13, match_fraction=0.0,
                                       noise_sigma=0.0)
         results = match_all(db, db, 0.6)
-        assert all(r.best_index == r.query_index for r in results)
+        assert results.best.tolist() == list(range(len(db)))
         # self-dot can land a few ulps under 1.0; clamp keeps it at most 1.0
-        assert all(r.min_angle <= 1e-6 for r in results)
+        assert (results.min_angle <= 1e-6).all()
 
     def test_empty_queries(self, rng):
         db = make_set(random_unit(rng, 3))
         empty = DescriptorSet("e", np.empty((0, DESCRIPTOR_LEN)),
                               np.empty((0, DESCRIPTOR_LEN), dtype=np.uint16),
                               np.empty((0, 2), dtype=np.uint16))
-        assert match_all(empty, db, 0.6) == []
+        with pytest.raises(ValueError):  # as run_pipeline rejects it
+            match_all(empty, db, 0.6)
 
     def test_full_recall_on_exact_copies(self):
         q, db, truth = generate_synthetic(30, seed=21, match_fraction=1.0,
                                           noise_sigma=0.0)
         results = match_all(q, db, 0.6)
-        assert all(results[i].matched and results[i].best_index == j
+        assert all(results.matched[i] and results.best[i] == j
                    for i, j in truth)
 
     def test_order_preserved_and_consistent_with_match_one(self, rng):
         q = make_set(random_unit(rng, 6))
         db = make_set(random_unit(rng, 9))
-        batch = match_all(q, db, 0.6)
+        batch = report_rows(match_all(q, db, 0.6))
         for k, res in enumerate(batch):
-            assert res.query_index == k
-            single = match_row(q, k, db)
-            assert single.min_angle == res.min_angle
-            assert single.second_min_angle == res.second_min_angle
-            assert single.best_index == res.best_index
-            assert single.matched == res.matched
+            assert res["query_index"] == k
+            assert {**match_row(q, k, db), "query_index": k} == res
 
 
 class TestInvariants:
@@ -208,8 +226,7 @@ class TestInvariants:
         db = make_set(random_unit(rng, 30))
         dots = dot_matrix(q.floats, db.floats)
         results = match_all(q, db, 0.6)
-        for k, res in enumerate(results):
-            assert res.best_index == int(np.argmax(dots[k]))
+        assert results.best.tolist() == np.argmax(dots, axis=1).tolist()
 
     def test_two_minimum_scan_equals_sort(self, rng):
         for _ in range(50):
@@ -229,10 +246,10 @@ class TestInvariants:
         q = make_set(random_unit(rng, 10))
         db = make_set(random_unit(rng, 10))
         near_one = match_all(q, db, 1.0 - 1e-12)
-        assert all(r.matched for r in near_one
-                   if r.min_angle < r.second_min_angle)
+        assert near_one.matched[
+            near_one.min_angle < near_one.second_min_angle].all()
         near_zero = match_all(q, db, 1e-12)
-        assert not any(r.matched for r in near_zero if r.min_angle > 0)
+        assert not near_zero.matched[near_zero.min_angle > 0].any()
 
 
 class TestBlasPath:
@@ -264,7 +281,8 @@ class TestBlasPath:
         assert not strict_q.raw_exact and not strict_d.raw_exact
         with mock.patch.multiple(search, TILE_DOTS=tile, TILE_ROWS=1,
                                  TILE_COLS=cols):
-            assert match_all(q, d) == match_all(strict_q, strict_d)
+            assert report_rows(match_all(q, d)) == report_rows(
+                match_all(strict_q, strict_d))
 
     @pytest.mark.parametrize("cols", [1, 2, 3, 4])
     def test_clipped_dots_go_to_earliest_index(self, cols):
@@ -279,9 +297,9 @@ class TestBlasPath:
         d = DescriptorSet.from_raws("d", d_raws, np.zeros((4, 2)))
         with mock.patch.multiple(search, TILE_DOTS=1, TILE_ROWS=1,
                                  TILE_COLS=cols):
-            res = match_all(q, d)[0]
-        assert (res.best_index, res.min_angle, res.second_min_angle) == \
-            (1, 0.0, 0.0)
+            res = report_rows(match_all(q, d))[0]
+        assert (res["best_index"], res["min_angle"],
+                res["second_min_angle"]) == (1, 0.0, 0.0)
 
     @pytest.mark.parametrize("low", [0, 2 ** 30 - 2 ** 22])
     def test_arccos_is_strictly_decreasing_on_the_dot_grid(self, low):
@@ -297,7 +315,7 @@ class TestBlasPath:
         db = make_set(random_unit(rng, 40))
         angles = np.arccos(np.clip(dot_matrix(q.floats, db.floats), 0.0, 1.0))
         results = match_all(q, db, 0.6)
-        assert [r.min_angle for r in results] == angles.min(axis=1).tolist()
+        assert results.min_angle.tolist() == angles.min(axis=1).tolist()
 
     @pytest.mark.parametrize("raw_side", ["queries", "database"])
     def test_mixed_sets_keep_strict_order(self, rng, raw_side):
@@ -310,42 +328,32 @@ class TestBlasPath:
             db = DescriptorSet.from_raws("d", db.raws, db.xy)
         angles = np.arccos(np.clip(dot_matrix(q.floats, db.floats), 0.0, 1.0))
         results = match_all(q, db, 0.6)
-        assert [r.min_angle for r in results] == angles.min(axis=1).tolist()
-
-
-def listed(columns):
-    """The list of result objects the engines returned before results were
-    columnar, built from the same columns."""
-    no_raws = [None] * len(columns.best)
-    return [MatchResult(k, *row) for k, row in enumerate(zip(
-        columns.matched.tolist(), columns.best.tolist(),
-        columns.min_angle.tolist(), columns.second_min_angle.tolist(),
-        map(tuple, columns.query_xy.tolist()),
-        map(tuple, columns.best_xy.tolist()),
-        no_raws if columns.min_raw is None else columns.min_raw.tolist(),
-        no_raws if columns.second_min_raw is None
-        else columns.second_min_raw.tolist()))]
+        assert results.min_angle.tolist() == angles.min(axis=1).tolist()
 
 
 def listed_csv(rows):
-    """The per-row csv.writer loop that wrote CSV reports from result objects."""
+    """A per-row csv.writer loop over report rows."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["k", "matched", "best_index", "qx", "qy", "bx", "by",
                      "min_raw", "secmin_raw"])
-    for m in rows:
-        writer.writerow([m.query_index, int(m.matched), m.best_index,
-                         *m.query_xy, *(m.best_xy or (None, None)),
-                         m.min_raw, m.second_min_raw])
+    for row in rows:
+        writer.writerow([row["query_index"], int(row["matched"]),
+                         row["best_index"], *row["query_xy"], *row["best_xy"],
+                         row["min_raw"], row["second_min_raw"]])
     return buf.getvalue()
 
 
 def report_case(seed, engine, mode, m, n, raw_exact, copies):
     """Match m random queries (the first ``copies`` duplicating database
     rows) against n rows with one engine; returns (header, columns)."""
+    header = {"engine": engine, "queries": "q", "database": "d",
+              "num_queries": m, "num_database": n}
+    if not m:  # no engine takes an empty set, but the writers take no rows
+        return header, random_columns(seed, 0, engine == "pipeline")
     rng = np.random.default_rng(seed)
     db_rows = random_unit(rng, n)
-    q_rows = random_unit(rng, m) if m else np.empty((0, DESCRIPTOR_LEN))
+    q_rows = random_unit(rng, m)
     copies = min(copies, m)
     q_rows[:copies] = db_rows[rng.integers(0, n, copies)]
 
@@ -357,8 +365,6 @@ def report_case(seed, engine, mode, m, n, raw_exact, copies):
         return DescriptorSet.from_floats(name, rows, xy)  # as from .siftd
 
     q, db = build(q_rows, "q"), build(db_rows, "d")
-    header = {"engine": engine, "queries": "q", "database": "d",
-              "num_queries": m, "num_database": n}
     if engine == "reference":
         threshold = 0.6 if mode == "exact_0_6" else 0.4
         header["threshold"] = threshold
@@ -370,20 +376,15 @@ def report_case(seed, engine, mode, m, n, raw_exact, copies):
 
 
 def check_report(header, columns, chunk):
-    rows = listed(columns)
-    assert list(columns) == rows and columns == rows and len(columns) == len(rows)
-    if rows:
-        assert columns[-1] == rows[-1] and columns[1:3] == rows[1:3]
-        flipped = rows[:-1] + [replace(rows[-1], matched=not rows[-1].matched)]
-        assert columns != flipped and flipped != columns
+    rows = report_rows(columns)
+    assert len(columns) == len(rows)
     with mock.patch.object(reference, "CHUNK_ROWS", chunk):
         pieces = list(report_json_chunks(header, columns))
         buf = io.BytesIO()
         write_matches_csv(columns, buf)
     # Line lists, so that a failure names the first wrong line quickly.
     assert b"".join(pieces).decode("ascii").splitlines(True) == json.dumps(
-        {**header, "matches": [vars(r) for r in rows]},
-        indent=2).splitlines(True)
+        {**header, "matches": rows}, indent=2).splitlines(True)
     # The head, the pieces of rows and the tail; no rows: head and tail as one.
     assert len(pieces) == (1 if not rows else -(-len(rows) // chunk) + 2)
     assert buf.getvalue().decode("ascii").splitlines(True) == \
@@ -392,7 +393,7 @@ def check_report(header, columns, chunk):
 
 class TestReportWriter:
     """The columnar row writer gives the bytes of json.dumps(indent=2) and
-    of the per-row csv.writer loop over result objects."""
+    of the per-row csv.writer loop over dict rows built from the columns."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1),
@@ -402,7 +403,6 @@ class TestReportWriter:
            st.integers(0, 9), st.integers(1, 4))
     def test_bytes_equal_object_serialization(self, seed, engine, mode, m, n,
                                               raw_exact, copies, chunk):
-        m = max(m, int(engine == "pipeline"))  # the pipeline needs a query
         check_report(*report_case(seed, engine, mode, m, n, raw_exact, copies),
                      chunk)
 
@@ -429,8 +429,8 @@ class TestReportWriter:
         angles[2] = value
         bad = replace(columns, **{column: angles})
         with pytest.raises(ValueError):  # what json.dumps does today
-            json.dumps({**header, "matches": [vars(r) for r in listed(bad)]},
-                       indent=2, allow_nan=False)
+            json.dumps({**header, "matches": report_rows(bad)}, indent=2,
+                       allow_nan=False)
         with pytest.raises(ValueError):
             report_json_chunks(header, bad)
 
@@ -483,15 +483,14 @@ class TestRowText:
         # a piece for some chunk sizes and at a piece edge for others.
         columns = random_columns(seed, m, raws)
         header = {"engine": "pipeline" if raws else "reference"}
-        rows = listed(columns)
+        rows = report_rows(columns)
         with mock.patch.object(reference, "CHUNK_ROWS", chunk):
             text = b"".join(report_json_chunks(header, columns))
             buf = io.BytesIO()
             write_matches_csv(columns, buf)
         # Line lists, so that a failure names the first wrong line quickly.
         assert text.decode("ascii").splitlines(True) == json.dumps(
-            {**header, "matches": [vars(r) for r in rows]},
-            indent=2).splitlines(True)
+            {**header, "matches": rows}, indent=2).splitlines(True)
         assert buf.getvalue().decode("ascii").splitlines(True) == \
             listed_csv(rows).splitlines(True)
 
