@@ -4,11 +4,21 @@ A descriptor is a 128-element non-negative feature vector (values in [0, 1],
 L2 norm ~1) plus a 16-bit (x, y) pixel location.  Every descriptor carries
 two synchronized views: float64 elements and their UQ1.15 quantization, so
 the float reference matcher and the fixed-point hardware model consume the
-same data.  A set read from a binary file keeps only its 16-bit raws, as the
-hardware streams them; its float view is exactly ``raw * 2**-15``, derived
-on first access of :attr:`DescriptorSet.floats` (the engines never ask for
-it: they cast each tile into a reused float64 buffer).  Sets are immutable
-after construction and safe to share.
+same data.  Sets are immutable after construction.
+
+A set loaded from a binary file is raw-exact: its float view is exactly
+``raw * 2**-15``, derived on first access of :attr:`DescriptorSet.floats`.
+The load checks the file in one pass, :data:`_BLOCK_ROWS` records at a
+time, read into one reused buffer: the header, the size, every raw and
+every row's norm.  When every norm is in range the set is *streamed*, as
+the hardware streams its database from DRAM: it holds the open file and
+its (x, y) column (4 bytes a row) and no raws.  The engines read it through
+:attr:`DescriptorSet.raw_rows`, one tile at a time into one reused record
+buffer (see :mod:`siftmatch.search`), so a match holds a few MiB of scratch
+and a few dozen bytes per query whatever the sizes of its files.
+:attr:`DescriptorSet.raws` reads the whole file once and keeps it, for
+callers that want every raw at once.  A file with an off-norm row is read
+whole and renormalized on load, as a text file is.
 
 Two on-disk formats are supported:
 
@@ -25,6 +35,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +54,10 @@ __all__ = [
 
 DESCRIPTOR_LEN = 128
 RECORD_BYTES = 2 + 2 + 2 * DESCRIPTOR_LEN  # 260 bytes per binary record
+_RECORD_WORDS = RECORD_BYTES // 2
 _TEXT_HEADER = "SIFTD v1 text"
 _BINARY_MAGIC = b"SIFTDB01"
+_BINARY_HEADER_BYTES = len(_BINARY_MAGIC) + 4
 _COORD_MAX = 0xFFFF
 # Bytes of the shortest text descriptor line: 2 + 128 one-character tokens
 # and the 129 separators between them.
@@ -55,8 +68,11 @@ _MIN_TEXT_LINE = 2 * (2 + DESCRIPTOR_LEN) - 1
 # through the binary format.
 NORM_TOLERANCE = 1e-3
 
-# Rows per block when a whole set is scanned on load (1 MiB of floats).
-_BLOCK_ROWS = 1024
+# Rows per block when a whole set is checked on load: 256 KiB of float64
+# squares and, for a binary file, 65 KiB of records.  With blocks of 1024
+# rows (1 MiB) a `match` of two 2000-row or two 4000-row files peaked
+# 0.8-0.9 MiB higher in RSS than with 256-row blocks.
+_BLOCK_ROWS = 256
 
 
 class DescriptorFormatError(ValueError):
@@ -72,9 +88,84 @@ class Descriptor:
     x: int
     y: int
 
-    @property
-    def xy(self) -> tuple[int, int]:
-        return (self.x, self.y)
+
+class _RecordReader:
+    """The raws of a ``.siftdb`` file as a row source, read on demand.
+
+    Opening checks the magic and that the size matches the header.  A row
+    source is what :mod:`siftmatch.search` reads tiles from: ``len``,
+    ``shape`` and ``reader[rows]``, with ``rows`` a slice of consecutive
+    rows or an array of row indices.  Each read fills one reused record
+    buffer, grown to the largest read so far, and returns the raws as a
+    view of it that the next read overwrites.  The file stays open from the
+    check to the last read, so a file renamed over the path changes nothing
+    that is read; it is closed when the reader is dropped.  A file that has
+    shrunk since it was opened raises ``OSError``.  Reads share the one
+    buffer, so two threads must not read through one reader at once.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._file = open(path, "rb", buffering=0)
+        weakref.finalize(self, self._file.close)
+        header = os.pread(self._file.fileno(), _BINARY_HEADER_BYTES, 0)
+        if header[:len(_BINARY_MAGIC)] != _BINARY_MAGIC:
+            raise DescriptorFormatError(f"{path}: bad magic")
+        if len(header) < _BINARY_HEADER_BYTES:
+            raise DescriptorFormatError(f"{path}: truncated header")
+        m = int.from_bytes(header[len(_BINARY_MAGIC):], "little")
+        payload = os.fstat(self._file.fileno()).st_size - len(header)
+        if payload != m * RECORD_BYTES:
+            raise DescriptorFormatError(
+                f"{path}: payload is {payload} bytes, expected {m * RECORD_BYTES}")
+        self.shape = (m, DESCRIPTOR_LEN)
+        self._buffer = np.empty((0, _RECORD_WORDS), dtype="<u2")
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def records(self, start: int, stop: int) -> np.ndarray:
+        """Records ``start:stop`` as (rows, 130) words in the reused buffer:
+        x, y and the 128 raws."""
+        records = self._reused(stop - start)
+        self._read(records, start)
+        return records
+
+    def __getitem__(self, rows) -> np.ndarray:
+        if isinstance(rows, slice):
+            start, stop, _ = rows.indices(len(self))
+            return self.records(start, max(start, stop))[:, 2:]
+        # One read per run of consecutive rows: the follow-up pass of the
+        # search reads its tied rows this way, in ascending order.
+        records = self._reused(len(rows))
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()
+        for k, end in zip(starts, starts[1:] + [len(rows)]):
+            self._read(records[k:end], int(rows[k]))
+        return records[:, 2:]
+
+    def read_all(self) -> np.ndarray:
+        """A read-only (m, 128) array of every raw, in memory of its own."""
+        records = np.empty((len(self), _RECORD_WORDS), dtype="<u2")
+        self._read(records, 0)
+        raws = records[:, 2:]
+        raws.setflags(write=False)
+        return raws
+
+    def _reused(self, rows: int) -> np.ndarray:
+        if len(self._buffer) < rows:
+            self._buffer = np.empty((rows, _RECORD_WORDS), dtype="<u2")
+        return self._buffer[:rows]
+
+    def _read(self, records: np.ndarray, row: int) -> None:
+        view = memoryview(records).cast("B")
+        offset = _BINARY_HEADER_BYTES + row * RECORD_BYTES
+        while view.nbytes:
+            got = os.preadv(self._file.fileno(), [view], offset)
+            if not got:
+                raise OSError(
+                    f"{self.path}: the file ends at byte {offset}; it held "
+                    f"{len(self)} descriptors when it was loaded")
+            view, offset = view[got:], offset + got
 
 
 class DescriptorSet:
@@ -86,12 +177,15 @@ class DescriptorSet:
     view is ``raws * 2**-15``, derived on first access of :attr:`floats` and
     kept, and the engines run exact GEMMs on the raws (see
     :mod:`siftmatch.search`).  Every set built by :meth:`from_raws`, such as
-    a ``.siftdb`` load, is raw-exact.
+    a ``.siftdb`` load, is raw-exact.  ``raws`` may also be the row reader
+    of a checked ``.siftdb`` file: the set is then streamed (see the module
+    docstring).
     """
 
     def __init__(self, image_id: str, floats: np.ndarray | None,
-                 raws: np.ndarray, xy: np.ndarray):
-        raws = np.asarray(raws, dtype=np.uint16)
+                 raws, xy: np.ndarray):
+        if not isinstance(raws, _RecordReader):
+            raws = np.asarray(raws, dtype=np.uint16)
         xy = np.asarray(xy, dtype=np.uint16)
         if floats is not None:
             floats = np.asarray(floats, dtype=np.float64)
@@ -100,17 +194,32 @@ class DescriptorSet:
             if raws.shape != floats.shape:
                 raise ValueError("raw view shape must match float view")
             floats.setflags(write=False)
-        elif raws.ndim != 2 or raws.shape[1] != DESCRIPTOR_LEN:
+        elif len(raws.shape) != 2 or raws.shape[1] != DESCRIPTOR_LEN:
             raise ValueError(f"raws must be (m, {DESCRIPTOR_LEN})")
         if xy.shape != (raws.shape[0], 2):
             raise ValueError("xy must be (m, 2)")
         self.image_id = image_id
-        self.raws = raws
         self.xy = xy
         self.raw_exact = floats is None
+        self._raws = raws
         self._floats = floats
-        for arr in (self.raws, self.xy):
-            arr.setflags(write=False)
+        for arr in (raws, xy):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+
+    @property
+    def raws(self) -> np.ndarray:
+        """(m, 128) uint16 raws; a streamed set reads its file whole on
+        first access and keeps the raws."""
+        if isinstance(self._raws, _RecordReader):
+            self._raws = self._raws.read_all()
+        return self._raws
+
+    @property
+    def raw_rows(self):
+        """The raws as a row source for :mod:`siftmatch.search`: the file
+        reader of a streamed set, else the :attr:`raws` array."""
+        return self._raws
 
     @property
     def floats(self) -> np.ndarray:
@@ -143,7 +252,7 @@ class DescriptorSet:
         return cls(image_id, None, raws, xy)
 
     def __len__(self) -> int:
-        return self.raws.shape[0]
+        return len(self.xy)
 
     def __getitem__(self, index: int) -> Descriptor:
         return Descriptor(elements=self._float_rows(index), raws=self.raws[index],
@@ -162,39 +271,54 @@ def _infer_format(path: str) -> str:
                      "expected a .siftd or .siftdb file")
 
 
-def _row_norms(set_: DescriptorSet) -> np.ndarray:
-    """L2 norm of every descriptor, :data:`_BLOCK_ROWS` rows at a time.
-
-    The squares go into one float64 block allocated here and reused for
-    every block.  A fresh 1 MiB temporary per block is handed back to the
-    operating system when freed, so ``np.linalg.norm`` per block (the float
-    block, ``x.conj()`` and ``x*x``) faulted in about 7 MiB per MiB checked.
+def _block_norms(rows: np.ndarray, part: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """L2 norm of each row of the raws or floats ``rows`` into ``out``,
+    squared in the float64 block ``part`` of the same shape.
 
     Each row's bits equal ``np.linalg.norm``'s over the whole float view:
     it squares the elements and reduces the last axis of a C-contiguous
-    block with ``np.add.reduce``, as here, and takes one ``sqrt``.  On a
-    raw set the squares ``(raw * 2**-15)**2`` have at most 32 significant
-    bits and every partial sum of 128 of them at most 39, so each is exact
-    and any summation order gives the same bits.
+    block with ``np.add.reduce``, as here, and takes one ``sqrt``.  On raws
+    the squares ``(raw * 2**-15)**2`` have at most 32 significant bits and
+    every partial sum of 128 of them at most 39, so each is exact and any
+    summation order gives the same bits.
+    """
+    if rows.dtype.kind == "f":
+        np.square(rows, out=part)
+    else:
+        np.multiply(rows, UQ1_15.lsb, out=part)
+        np.square(part, out=part)
+    np.add.reduce(part, axis=1, out=out)
+    return np.sqrt(out, out=out)
+
+
+def _off_norm(norms: np.ndarray) -> np.ndarray:
+    return np.abs(norms - 1.0) > NORM_TOLERANCE
+
+
+def _row_norms(set_: DescriptorSet) -> np.ndarray:
+    """L2 norm of every descriptor of an in-memory set, :data:`_BLOCK_ROWS`
+    rows at a time.
+
+    The squares go into one float64 block allocated here and reused for
+    every block.  A fresh temporary per block is handed back to the
+    operating system when freed, so ``np.linalg.norm`` per block (the float
+    block, ``x.conj()`` and ``x*x``) faulted in about 7 MiB per MiB checked.
     """
     m = len(set_)
+    rows = set_.raws if set_._floats is None else set_._floats
     norms = np.empty(m)
     part = np.empty((min(m, _BLOCK_ROWS), DESCRIPTOR_LEN))
     for start in range(0, m, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        block = part[:min(m - start, _BLOCK_ROWS)]
-        if set_._floats is None:
-            np.multiply(set_.raws[rows], UQ1_15.lsb, out=block)
-            np.square(block, out=block)
-        else:
-            np.square(set_._floats[rows], out=block)
-        np.add.reduce(block, axis=1, out=norms[rows])
-    return np.sqrt(norms, out=norms)
+        block = rows[start:start + _BLOCK_ROWS]
+        _block_norms(block, part[:len(block)],
+                     norms[start:start + len(block)])
+    return norms
 
 
 def _check_norms(set_: DescriptorSet, path: str) -> DescriptorSet:
     norms = _row_norms(set_)
-    off = np.abs(norms - 1.0) > NORM_TOLERANCE
+    off = _off_norm(norms)
     if not off.any():
         return set_
     warnings.warn(
@@ -217,7 +341,8 @@ def load_descriptor_set(path: str) -> DescriptorSet:
 
     Non-unit-norm descriptors trigger a warning and are rescaled to unit
     norm.  Raises :class:`DescriptorFormatError` on malformed input,
-    including an empty set.
+    including an empty set.  A ``.siftdb`` file whose norms are all in
+    range gives a streamed set (see the module docstring).
     """
     fmt = _infer_format(path)
     try:
@@ -227,6 +352,8 @@ def load_descriptor_set(path: str) -> DescriptorSet:
             f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x}") from None
     if len(loaded) == 0:
         raise DescriptorFormatError(f"{path}: empty set")
+    if isinstance(loaded.raw_rows, _RecordReader):
+        return loaded  # every norm was checked while the file was read
     return _check_norms(loaded, str(path))
 
 
@@ -277,24 +404,25 @@ def _load_text(path: str) -> DescriptorSet:
 
 
 def _load_binary(path: str) -> DescriptorSet:
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-        if header[:8] != _BINARY_MAGIC:
-            raise DescriptorFormatError(f"{path}: bad magic")
-        if len(header) < 12:
-            raise DescriptorFormatError(f"{path}: truncated header")
-        m = int.from_bytes(header[8:12], "little")
-        payload = os.fstat(fh.fileno()).st_size - len(header)
-        if payload != m * RECORD_BYTES:
-            raise DescriptorFormatError(
-                f"{path}: payload is {payload} bytes, expected {m * RECORD_BYTES}")
-        # One read, straight into the array; xy and raws are views of it.
-        records = np.fromfile(fh, dtype="<u2", count=m * (2 + DESCRIPTOR_LEN))
-    records = records.reshape(m, 2 + DESCRIPTOR_LEN)
-    raws = records[:, 2:]
-    if m and raws.max() > (1 << 15):
-        raise DescriptorFormatError(f"{path}: element raw above 1.0")
-    return DescriptorSet.from_raws(str(path), raws, records[:, :2])
+    """Check a ``.siftdb`` file in one pass of :data:`_BLOCK_ROWS` records
+    at a time: a streamed set when every norm is in range, else a set of
+    all its raws in memory, for :func:`_check_norms` to renormalize."""
+    reader = _RecordReader(str(path))
+    m = len(reader)
+    xy = np.empty((m, 2), dtype=np.uint16)
+    part = np.empty((min(m, _BLOCK_ROWS), DESCRIPTOR_LEN))
+    norms = np.empty(len(part))
+    in_range = True
+    for start in range(0, m, _BLOCK_ROWS):
+        records = reader.records(start, min(start + _BLOCK_ROWS, m))
+        raws = records[:, 2:]
+        if raws.max() > (1 << 15):
+            raise DescriptorFormatError(f"{path}: element raw above 1.0")
+        xy[start:start + len(records)] = records[:, :2]
+        block = _block_norms(raws, part[:len(records)], norms[:len(records)])
+        in_range = in_range and not _off_norm(block).any()
+    return DescriptorSet.from_raws(str(path), reader if in_range
+                                   else reader.read_all(), xy)
 
 
 def save_descriptor_set(set_: DescriptorSet, path: str) -> None:

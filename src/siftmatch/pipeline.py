@@ -267,8 +267,8 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
         return _dot_floor(
             len(table) - np.searchsorted(table[::-1], angle(w), "right"))
 
-    best, amin, asec = nearest_two(queries.raws, db.raws, angle, floor,
-                                   _SENTINEL_RAW)
+    best, amin, asec = nearest_two(queries.raw_rows, db.raw_rows, angle,
+                                   floor, _SENTINEL_RAW)
     amin = amin.astype(np.int64)
     asec = asec.astype(np.int64)
     min_angle = amin * _ANGLE_LSB

@@ -264,8 +264,9 @@ def match_all(queries: DescriptorSet, db: DescriptorSet,
     if len(queries) == 0 or len(db) == 0:
         raise ValueError("query and database sets must be non-empty")
     if queries.raw_exact and db.raw_exact:
-        best, low, high = nearest_two(queries.raws, db.raws, _raw_angle,
-                                      _raw_floor, SECOND_MIN_SURROGATE)
+        best, low, high = nearest_two(queries.raw_rows, db.raw_rows,
+                                      _raw_angle, _raw_floor,
+                                      SECOND_MIN_SURROGATE)
     else:  # each key is the smallest with its angle: no follow-up pass
         best, low, high = nearest_two(queries.floats, db.floats, np.negative,
                                       np.positive, SECOND_MIN_SURROGATE,

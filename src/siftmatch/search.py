@@ -15,11 +15,21 @@ three float64 buffers, once: a query tile, a database block and the keys of
 one tile.  Each tile's operands are cast into the first two in place (exact
 on raws) and its keys are written into the third, so the working set is one
 tile whatever the sizes, no float copy of a whole set is made, and no tile
-allocates memory that the next must fault in again.  Per query, a running
-``(best, first, second)`` starts at ``-inf`` and holds the two largest keys
-of the database tiles seen so far and the earliest index of the largest.  A
-tile at offset ``e``, with ``j`` its earliest argmax and ``hi >= hi2`` its
-two largest keys (``hi2`` is ``-inf`` on a one-column tile), is merged by::
+allocates memory that the next must fault in again.
+
+Both inputs are row sources: anything with ``len``, ``shape`` and
+``source[rows]`` for a slice of consecutive rows or an array of row
+indices.  An ndarray is one; so is the file reader of a streamed
+``.siftdb`` set (:attr:`~siftmatch.descriptors.DescriptorSet.raw_rows`),
+which reads the rows into a reused buffer that its next read overwrites.
+Each tile's rows are cast into the float64 buffers as soon as they are
+read, so neither input is ever held whole.
+
+Per query, a running ``(best, first, second)`` starts at ``-inf`` and holds
+the two largest keys of the database tiles seen so far and the earliest
+index of the largest.  A tile at offset ``e``, with ``j`` its earliest
+argmax and ``hi >= hi2`` its two largest keys (``hi2`` is ``-inf`` on a
+one-column tile), is merged by::
 
     take   = hi > first
     second = where(take, max(first, hi2), max(second, hi))
@@ -42,10 +52,11 @@ several dots to one raw, a table that maps several raws to one angle, or a
 dot clipped to 1), so the earliest index of ``lo`` is the earliest ``j``
 with key ``>= floor(w1)``, not always the earliest argmax.  The two differ
 only when another key shares ``lo``, so only rows with ``lo2 == lo`` and
-``floor(w1) < w1`` take a follow-up pass: over the same tiles, and only up
-to the largest of their ``best``, which already qualifies.  Other rows keep
-the earliest argmax.  With one database row the second angle is the
-engine's sentinel, and the kernel's ``-inf`` never reaches ``angle``.
+``floor(w1) < w1`` take a follow-up pass: over the same tiles, reading only
+those query rows, and only the database rows up to the largest of their
+``best``, which already qualifies.  Other rows keep the earliest argmax.
+With one database row the second angle is the engine's sentinel, and the
+kernel's ``-inf`` never reaches ``angle``.
 
 :func:`exact_dots` is one float64 BLAS GEMM.  On UQ1.15 raws (integers
 below 2**16) each product is below 2**32 and a 128-term sum below
@@ -67,13 +78,14 @@ __all__ = ["TILE_COLS", "TILE_DOTS", "TILE_ROWS", "exact_dots", "nearest_two",
 
 # Tile geometry, measured on a 2-core OpenBLAS host.  A tile is up to
 # TILE_COLS database rows by at least TILE_ROWS query rows: the 4000 x 4000
-# GEMM takes about 0.05 s in 128 x 1024 tiles against 0.10 s in the 16 x 4000
-# tiles that TILE_DOTS alone gives.  A database smaller than TILE_COLS makes
-# taller tiles of about TILE_DOTS dots, so many queries against few rows
-# still take few tiles.  Tiles of 2**18 dots were no faster end to end and
-# raised peak RSS by 5-15% (a tile's dots, the reference's temporaries and,
-# against 64 database rows, a 4 MiB float64 query tile).
-TILE_DOTS = 1 << 16
+# GEMM takes about 0.05 s in 128 x 1024 tiles against 0.10 s in 16 x 4000
+# tiles.  A database smaller than TILE_COLS / 4 makes taller tiles of about
+# TILE_DOTS dots, so many queries against few rows still take few tiles.
+# Against 64 database rows, 2**15-dot tiles (a 512 KiB float64 query tile)
+# searched 40000 queries in 26.5 ms against 25.0 ms for 2**16, at a traced
+# peak of 1.96 against 2.66 MB; 2**18-dot tiles were no faster end to end
+# and raised peak RSS by 5-15%.
+TILE_DOTS = 1 << 15
 TILE_ROWS = 1 << 7
 TILE_COLS = 1 << 10
 
@@ -91,12 +103,14 @@ def exact_dots(queries: np.ndarray, database: np.ndarray,
                      out=out)
 
 
-def _tiles(queries: np.ndarray, database: np.ndarray, dot: Dot,
-           picked: np.ndarray | None = None):
+def _tiles(queries, database, dot: Dot, picked: np.ndarray | None = None,
+           stop: int | None = None):
     """Yield ``(e, tile, keys)`` per tile: the database offset, the slice of
-    query rows (of ``picked`` when given) and their keys against the tile.
-    ``keys`` is a view of a buffer that the next tile overwrites."""
-    m, n = len(queries if picked is None else picked), len(database)
+    query rows (of ``picked`` when given) and their keys against the tile,
+    over database rows ``0:stop`` (all by default).  ``keys`` is a view of a
+    buffer that the next tile overwrites."""
+    m = len(queries if picked is None else picked)
+    n = len(database) if stop is None else stop
     cols = min(n, TILE_COLS)
     rows = max(TILE_ROWS, TILE_DOTS // cols)
     query_tile = np.empty((min(m, rows), queries.shape[1]))
@@ -104,7 +118,7 @@ def _tiles(queries: np.ndarray, database: np.ndarray, dot: Dot,
     flat_keys = np.empty(len(query_tile) * cols)
     for e in range(0, n, cols):
         block = database_block[:n - e]
-        block[...] = database[e:e + cols]
+        block[...] = database[e:e + len(block)]
         for start in range(0, m, rows):
             tile = slice(start, start + rows)
             part = query_tile[:m - start]
@@ -116,14 +130,15 @@ def _tiles(queries: np.ndarray, database: np.ndarray, dot: Dot,
             yield e, tile, dot(part, block, keys)
 
 
-def top_two(queries: np.ndarray, database: np.ndarray, dot: Dot = exact_dots):
+def top_two(queries, database, dot: Dot = exact_dots):
     """``(best, first, second)``: per query row, the earliest index of the
     largest key and the two largest keys, counting duplicates (``second``
     is ``-inf`` when the database has one row).  ``queries`` and
-    ``database`` are raws or float elements; ``dot(part, block, out)``
-    maps a float64 query tile and database block to their (rows, cols)
-    keys, written into the float64 buffer ``out``.  This function
-    overwrites keys in place, and the next tile overwrites the buffer."""
+    ``database`` are row sources of raws or float elements;
+    ``dot(part, block, out)`` maps a float64 query tile and database block
+    to their (rows, cols) keys, written into the float64 buffer ``out``.
+    This function overwrites keys in place, and the next tile overwrites
+    the buffer."""
     m = len(queries)
     best = np.zeros(m, dtype=np.intp)
     first = np.full(m, -np.inf)
@@ -142,8 +157,8 @@ def top_two(queries: np.ndarray, database: np.ndarray, dot: Dot = exact_dots):
     return best, first, second
 
 
-def nearest_two(queries: np.ndarray, database: np.ndarray, angle: KeyMap,
-                floor: KeyMap, sentinel, dot: Dot = exact_dots):
+def nearest_two(queries, database, angle: KeyMap, floor: KeyMap, sentinel,
+                dot: Dot = exact_dots):
     """``(best, lo, lo2)``: per query row, the earliest index of the
     smallest angle and the two smallest angles (``lo2`` is ``sentinel``
     when the database has one row).  ``angle`` maps keys to angles and
@@ -159,10 +174,10 @@ def nearest_two(queries: np.ndarray, database: np.ndarray, angle: KeyMap,
     shared = low < w1[tied]
     tied, low = tied[shared], low[shared]
     if tied.size:
-        searched = database[:best[tied].max() + 1]
-        for e, tile, keys in _tiles(queries, searched, dot, tied):
+        stop = best[tied].max() + 1
+        for e, tile, keys in _tiles(queries, database, dot, tied, stop):
             hits = keys >= low[tile, None]
             earliest = np.where(hits.any(axis=1), hits.argmax(axis=1) + e,
-                                len(searched))
+                                stop)
             best[tied[tile]] = np.minimum(best[tied[tile]], earliest)
     return best, lo, lo2

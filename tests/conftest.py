@@ -1,10 +1,13 @@
+import itertools
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import siftmatch
+from siftmatch.descriptors import load_descriptor_set, save_descriptor_set
 
 # Run in a grandchild: a child's ru_maxrss starts from the peak RSS of the
 # process that spawned it, so a small launcher keeps pytest's peak out.
@@ -26,3 +29,21 @@ def grandchild():
             check=True).stdout
 
     return run
+
+
+@pytest.fixture(scope="session")
+def streamed(tmp_path_factory):
+    """``stream(set_)``: ``set_`` saved as a ``.siftdb`` file and loaded
+    back, a set that streams its raws from that file.  Its rows must be
+    unit-norm, or the load would renormalize them in memory."""
+    directory = tmp_path_factory.mktemp("streamed")
+    count = itertools.count()
+
+    def stream(set_):
+        path = str(directory / f"set{next(count)}.siftdb")
+        save_descriptor_set(set_, path)
+        loaded = load_descriptor_set(path)
+        assert not isinstance(loaded.raw_rows, np.ndarray)
+        return loaded
+
+    return stream

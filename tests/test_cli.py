@@ -170,6 +170,50 @@ class TestMatch:
             "need at least 2590000000000000 bytes, 0 follow the header")
         assert not out.exists()
 
+    @pytest.mark.parametrize("engine", ["reference", "pipeline"])
+    def test_file_shrunk_after_load_is_io_error(self, dataset, tmp_path,
+                                                capsys, monkeypatch, engine):
+        # the queries stream from their file, which loses its last record
+        # between the load's check and the search
+        queries = f"{dataset}_a.siftdb"
+        load = cli.load_descriptor_set
+
+        def load_then_truncate(path):
+            loaded = load(path)
+            if path == queries:
+                os.truncate(path, os.path.getsize(path) - 260)
+            return loaded
+
+        monkeypatch.setattr(cli, "load_descriptor_set", load_then_truncate)
+        out = tmp_path / "out.json"
+        assert run_cli("match", "-q", queries, "-d", f"{dataset}_b.siftdb",
+                       "--engine", engine, "-o", str(out)) == 1
+        assert assert_one_error(capsys, "io") == (
+            f"siftmatch: error: io: {queries}: the file ends at byte "
+            f"{12 + 59 * 260}; it held 60 descriptors when it was loaded")
+        assert not out.exists()
+
+    def test_file_renamed_over_after_load_is_not_read(self, dataset, tmp_path,
+                                                      monkeypatch):
+        # the set reads the file it checked, not whatever the path names now
+        queries, db = f"{dataset}_a.siftdb", f"{dataset}_b.siftdb"
+        expected, out = tmp_path / "expected.json", tmp_path / "out.json"
+        assert run_cli("match", "-q", queries, "-d", db, "-o",
+                       str(expected)) == 0
+        other = tmp_path / "other.siftdb"
+        other.write_bytes((tmp_path / "demo_b.siftdb").read_bytes())
+        load = cli.load_descriptor_set
+
+        def load_then_replace(path):
+            loaded = load(path)
+            if path == queries:
+                os.replace(other, path)
+            return loaded
+
+        monkeypatch.setattr(cli, "load_descriptor_set", load_then_replace)
+        assert run_cli("match", "-q", queries, "-d", db, "-o", str(out)) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_non_ascii_text_is_format_error(self, tmp_path, capsys):
         prefix = str(tmp_path / "t")
         run_cli("generate", "-m", "3", "--format", "text", "-o", prefix)

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -10,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from siftmatch import pipeline, search
 from siftmatch.cordic import AngleSample, CordicConfig, cordic_arccos
-from siftmatch.descriptors import DESCRIPTOR_LEN, DescriptorSet, generate_synthetic
+from siftmatch.descriptors import (
+    DESCRIPTOR_LEN,
+    DescriptorSet,
+    generate_synthetic,
+    load_descriptor_set,
+    save_descriptor_set,
+)
 from siftmatch.fixedpoint import UQ1_15, UQ2_14, FxSample
 from siftmatch.perf import FETCH_CYCLES
 from siftmatch.pipeline import (
@@ -379,14 +386,20 @@ class TestRunPipeline:
 
 @st.composite
 def adversarial_sets(draw):
-    """Query and database sets built to stress the tiled search kernel.
+    """Query and database sets built to stress the tiled search kernel, and
+    how they are held: ``(queries, db, source)``.
 
     Database rows may repeat (exact angle ties), rows of 32768 raws saturate
     every dot product, a single database row leaves the 0xFFFF sentinel as
     second minimum, queries may copy database rows, and ``from_floats`` sets
-    carry floats that are not ``raw * 2**-15``.
+    (source ``floats``) carry floats that are not ``raw * 2**-15``.  Source
+    ``raws`` gives ``from_raws`` sets; source ``file`` gives them too, for
+    the test to stream from ``.siftdb`` files, so all their rows are
+    unit-norm: one-hot rows, one-hot rows with a small second raw (their
+    dots pass 2**30 and clip), and rounded random unit rows.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    source = draw(st.sampled_from(["floats", "raws", "file"]))
 
     def row(kind):
         r = np.zeros(DESCRIPTOR_LEN, dtype=np.int64)
@@ -394,13 +407,20 @@ def adversarial_sets(draw):
             r[:] = 1 << 15
         elif kind == "one_hot":
             r[rng.integers(DESCRIPTOR_LEN)] = 1 << 15
+        elif kind == "clipping":  # norm below 1 + 1e-3
+            r[rng.choice(DESCRIPTOR_LEN, 2, replace=False)] = [
+                1 << 15, rng.integers(0, 1400)]
+        elif kind == "unit":
+            v = np.abs(rng.standard_normal(DESCRIPTOR_LEN))
+            r[:] = np.rint(v / np.linalg.norm(v) * (1 << 15))
         elif kind == "sparse":
             r[rng.choice(DESCRIPTOR_LEN, 3)] = rng.integers(0, (1 << 15) + 1, 3)
         else:
             r[:] = rng.integers(0, 5800, DESCRIPTOR_LEN)
         return r
 
-    kinds = st.sampled_from(["saturating", "one_hot", "sparse", "dense"])
+    kinds = st.sampled_from(["one_hot", "clipping", "unit"] if source == "file"
+                            else ["saturating", "one_hot", "sparse", "dense"])
     n = draw(st.integers(1, 5))
     db_rows = [row(draw(kinds)) for _ in range(n)]
     db_rows += [db_rows[i] for i in draw(st.lists(st.integers(0, n - 1),
@@ -408,7 +428,7 @@ def adversarial_sets(draw):
     q_rows = [db_rows[draw(st.integers(0, len(db_rows) - 1))]
               if draw(st.booleans()) else row(draw(kinds))
               for _ in range(draw(st.integers(1, 6)))]
-    exact = draw(st.booleans())
+    exact = source != "floats"
 
     def build(rows):
         raws = np.array(rows, dtype=np.uint16)
@@ -422,7 +442,7 @@ def adversarial_sets(draw):
     queries, db = build(q_rows), build(db_rows)
     assert queries.raw_exact == db.raw_exact == exact
     assert np.array_equal(queries.raws, np.array(q_rows, dtype=np.uint16))
-    return queries, db
+    return queries, db, source
 
 
 def tiles(rows, cols, dots=1):
@@ -436,18 +456,27 @@ class TestSearchKernel:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 9),
            st.integers(0, 4), st.integers(1, 3), st.integers(1, 4),
-           st.integers(1, 12))
-    def test_top_two_equals_sort(self, seed, m, n, top, rows, cols, dots):
+           st.integers(1, 12), st.booleans())
+    def test_top_two_equals_sort(self, streamed, seed, m, n, top, rows, cols,
+                                 dots, from_file):
         # integer keys from a small range: duplicates within and across tiles
         keys = np.random.default_rng(seed).integers(0, top + 1, (m, n))
-        index = np.arange(max(m, n), dtype=np.float64)[:, None]
+        queries = np.arange(m, dtype=np.float64)[:, None]
+        database = np.arange(n, dtype=np.float64)[:, None]
+        if from_file:  # each row's index in raw 0 of a unit-norm row
+            def rows_of(index):
+                raws = np.zeros((len(index), DESCRIPTOR_LEN), dtype=np.uint16)
+                raws[:, 0], raws[:, 1] = index[:, 0], 1 << 15
+                return streamed(DescriptorSet.from_raws(
+                    "i", raws, np.zeros((len(index), 2)))).raw_rows
+            queries, database = rows_of(queries), rows_of(database)
 
         def dot(q, d, out):  # the keys of query rows q against database rows d
             out[...] = keys[np.ix_(q[:, 0].astype(int), d[:, 0].astype(int))]
             return out
 
         with tiles(rows, cols, dots):
-            best, first, second = search.top_two(index[:m], index[:n], dot)
+            best, first, second = search.top_two(queries, database, dot)
         ordered = np.sort(keys, axis=1)
         assert best.tolist() == keys.argmax(axis=1).tolist()
         assert first.tolist() == ordered[:, -1].tolist()
@@ -478,9 +507,11 @@ class TestSearchKernel:
     @given(adversarial_sets(), st.sampled_from(THRESHOLD_MODES),
            st.integers(1, 12), st.integers(1, 3), st.integers(1, 4),
            st.integers(1, 5))
-    def test_equals_scalar_composition(self, sets, mode, tile, rows, cols,
-                                       block):
-        queries, db = sets
+    def test_equals_scalar_composition(self, streamed, sets, mode, tile, rows,
+                                       cols, block):
+        queries, db, source = sets
+        if source == "file":  # streamed; the oracle below reads them whole
+            queries, db = streamed(queries), streamed(db)
         cfg = PipelineConfig(block_size=block, threshold_mode=mode)
         with tiles(rows, cols, tile):  # several tiles on both axes
             report = run_pipeline(queries, db, cfg)
@@ -493,19 +524,24 @@ class TestSearchKernel:
 
     @pytest.mark.parametrize("cols", [1, 2, 3, 4])
     @pytest.mark.parametrize("rows", [1, 2])
-    def test_equal_angles_go_to_earliest_index(self, rows, cols):
+    def test_equal_angles_go_to_earliest_index(self, streamed, rows, cols):
         # raws 10171 and 10172 both map to angle 20565: the later row has
         # the larger dot, yet the earlier one is the minimum's index
         raws = np.zeros((4, DESCRIPTOR_LEN), dtype=np.uint16)
         raws[:, 0] = [5, 10171, 10172, 9]
+        # unit norm, so that the rows also stream from a file; the one-hot
+        # queries see raw 0 only
+        raws[:, 1] = np.rint(np.sqrt(2.0 ** 30 - raws[:, 0] ** 2.0))
         db = DescriptorSet.from_raws("d", raws, np.zeros((4, 2)))
         q_raws = np.zeros((2, DESCRIPTOR_LEN), dtype=np.uint16)
         q_raws[:, 0] = 1 << 15
         queries = DescriptorSet.from_raws("q", q_raws, np.zeros((2, 2)))
-        with tiles(rows, cols):
-            report = run_pipeline(queries, db, PipelineConfig())
-        got = [v[1:] for v in verdicts(report.matches)]
-        assert got == [(1, 20565, 20565)] * 2
+        for source in (lambda s: s, streamed):
+            with tiles(rows, cols):
+                report = run_pipeline(source(queries), source(db),
+                                      PipelineConfig())
+            got = [v[1:] for v in verdicts(report.matches)]
+            assert got == [(1, 20565, 20565)] * 2
         assert [v[1:] for v in sequential_verdicts(
             queries, db, PipelineConfig())] == got
 
@@ -551,6 +587,36 @@ class TestSearchKernel:
             for f in dataclasses.fields(strict):
                 assert np.array_equal(getattr(matches, f.name),
                                       getattr(strict, f.name)), f.name
+
+    @pytest.mark.parametrize("engine", ["pipeline", "reference"])
+    @pytest.mark.parametrize("m,n", [(40000, 64), (64, 40000)])
+    def test_streamed_match_peaks_below_a_quarter_of_the_file(
+            self, tmp_path, engine, m, n):
+        """Loading a .siftdb pair and matching it streams both files: the
+        peak stays below a quarter of the larger file, whichever it is."""
+        rows = np.abs(np.random.default_rng(9).standard_normal(
+            (64, DESCRIPTOR_LEN)))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        unit = DescriptorSet.from_floats("u", rows, np.zeros((64, 2))).raws
+        paths = []
+        for name, count in (("q", m), ("d", n)):
+            paths.append(str(tmp_path / f"{name}.siftdb"))
+            save_descriptor_set(DescriptorSet.from_raws(
+                name, unit[np.arange(count) % 64], np.zeros((count, 2))),
+                paths[-1])
+        size = max(map(os.path.getsize, paths))
+        pipeline.arccos_table()  # cached before tracing
+        tracemalloc.start()
+        try:
+            queries, db = map(load_descriptor_set, paths)
+            if engine == "pipeline":
+                run_pipeline(queries, db, PipelineConfig())
+            else:
+                match_all(queries, db)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size // 4
 
     def test_ties_go_to_earliest_index(self):
         raws = np.zeros((3, DESCRIPTOR_LEN), dtype=np.uint16)

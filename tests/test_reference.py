@@ -3,7 +3,7 @@ import io
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from unittest import mock
 
@@ -344,35 +344,50 @@ def listed_csv(rows):
     return buf.getvalue()
 
 
-def report_case(seed, engine, mode, m, n, raw_exact, copies):
+def report_case(seed, engine, mode, m, n, raw_exact, copies, stream=None):
     """Match m random queries (the first ``copies`` duplicating database
-    rows) against n rows with one engine; returns (header, columns)."""
+    rows, and the last database row a copy of the first, so that copies of
+    it tie) against n rows with one engine; returns (header, columns).
+    With ``stream`` the sets are raw-exact and are also matched as streamed
+    from ``.siftdb`` files by ``stream``: those columns must equal the
+    in-memory ones, and they are the ones returned."""
     header = {"engine": engine, "queries": "q", "database": "d",
               "num_queries": m, "num_database": n}
     if not m:  # no engine takes an empty set, but the writers take no rows
         return header, random_columns(seed, 0, engine == "pipeline")
     rng = np.random.default_rng(seed)
     db_rows = random_unit(rng, n)
+    db_rows[-1] = db_rows[0]
     q_rows = random_unit(rng, m)
     copies = min(copies, m)
     q_rows[:copies] = db_rows[rng.integers(0, n, copies)]
 
     def build(rows, name):
         xy = rng.integers(0, 1 << 16, (len(rows), 2))
-        if raw_exact:  # as loaded from .siftdb
+        if raw_exact or stream:  # as loaded from .siftdb
             return DescriptorSet.from_raws(
                 name, make_set(rows).raws, xy)
         return DescriptorSet.from_floats(name, rows, xy)  # as from .siftd
 
+    def match(q, db):
+        if engine == "reference":
+            threshold = 0.6 if mode == "exact_0_6" else 0.4
+            header["threshold"] = threshold
+            return match_all(q, db, threshold)
+        run = run_pipeline(q, db, PipelineConfig(threshold_mode=mode))
+        header.update({"threshold_mode": mode, "clock_hz": run.clock_hz,
+                       "elapsed_seconds_at_clock":
+                       run.elapsed_seconds_at_clock})
+        return run.matches
+
     q, db = build(q_rows, "q"), build(db_rows, "d")
-    if engine == "reference":
-        threshold = 0.6 if mode == "exact_0_6" else 0.4
-        header["threshold"] = threshold
-        return header, match_all(q, db, threshold)
-    run = run_pipeline(q, db, PipelineConfig(threshold_mode=mode))
-    header.update({"threshold_mode": mode, "clock_hz": run.clock_hz,
-                   "elapsed_seconds_at_clock": run.elapsed_seconds_at_clock})
-    return header, run.matches
+    columns = match(q, db)
+    if stream:
+        in_memory, columns = columns, match(stream(q), stream(db))
+        for field in fields(columns):
+            assert np.array_equal(getattr(columns, field.name),
+                                  getattr(in_memory, field.name)), field.name
+    return header, columns
 
 
 def check_report(header, columns, chunk):
@@ -399,12 +414,19 @@ class TestReportWriter:
     @given(st.integers(0, 2 ** 32 - 1),
            st.sampled_from(["reference", "pipeline"]),
            st.sampled_from(["exact_0_6", "binary_10011"]),
-           st.integers(0, 9), st.integers(1, 5), st.booleans(),
-           st.integers(0, 9), st.integers(1, 4))
-    def test_bytes_equal_object_serialization(self, seed, engine, mode, m, n,
-                                              raw_exact, copies, chunk):
-        check_report(*report_case(seed, engine, mode, m, n, raw_exact, copies),
-                     chunk)
+           st.integers(0, 9), st.integers(1, 5),
+           st.sampled_from(["floats", "raws", "file"]),
+           st.integers(0, 9), st.integers(1, 4), st.integers(1, 4))
+    def test_bytes_equal_object_serialization(self, streamed, seed, engine,
+                                              mode, m, n, source, copies,
+                                              chunk, cols):
+        # floats as from .siftd, raws as from_raws, or streamed from .siftdb;
+        # tiles of 1 query row by ``cols`` database rows
+        with mock.patch.multiple(search, TILE_DOTS=1, TILE_ROWS=1,
+                                 TILE_COLS=cols):
+            case = report_case(seed, engine, mode, m, n, source != "floats",
+                               copies, streamed if source == "file" else None)
+        check_report(*case, chunk)
 
     @pytest.mark.parametrize("engine,m,n", [
         ("reference", 0, 3),   # "matches": []
