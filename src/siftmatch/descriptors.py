@@ -17,8 +17,10 @@ its (x, y) column (4 bytes a row) and no raws.  The engines read it through
 buffer (see :mod:`siftmatch.search`), so a match holds a few MiB of scratch
 and a few dozen bytes per query whatever the sizes of its files.
 :attr:`DescriptorSet.raws` reads the whole file once and keeps it, for
-callers that want every raw at once.  A file with an off-norm row is read
-whole and renormalized on load, as a text file is.
+callers that want every raw at once.  Both loaders take each row's norm in
+the pass that reads it; :func:`_renormalized` rescales the off-norm rows
+alone.  A ``.siftdb`` file with one is read whole for its float view, and
+its set is not raw-exact.
 
 Two on-disk formats are supported:
 
@@ -68,10 +70,10 @@ _MIN_TEXT_LINE = 2 * (2 + DESCRIPTOR_LEN) - 1
 # through the binary format.
 NORM_TOLERANCE = 1e-3
 
-# Rows per block when a whole set is checked on load: 256 KiB of float64
-# squares and, for a binary file, 65 KiB of records.  With blocks of 1024
-# rows (1 MiB) a `match` of two 2000-row or two 4000-row files peaked
-# 0.8-0.9 MiB higher in RSS than with 256-row blocks.
+# Records per block when a ``.siftdb`` file is checked on load: 256 KiB of
+# float64 squares and 65 KiB of records.  With blocks of 1024 rows (1 MiB)
+# a `match` of two 2000-row or two 4000-row files peaked 0.8-0.9 MiB higher
+# in RSS than with 256-row blocks.
 _BLOCK_ROWS = 256
 
 
@@ -271,67 +273,22 @@ def _infer_format(path: str) -> str:
                      "expected a .siftd or .siftdb file")
 
 
-def _block_norms(rows: np.ndarray, part: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """L2 norm of each row of the raws or floats ``rows`` into ``out``,
-    squared in the float64 block ``part`` of the same shape.
-
-    Each row's bits equal ``np.linalg.norm``'s over the whole float view:
-    it squares the elements and reduces the last axis of a C-contiguous
-    block with ``np.add.reduce``, as here, and takes one ``sqrt``.  On raws
-    the squares ``(raw * 2**-15)**2`` have at most 32 significant bits and
-    every partial sum of 128 of them at most 39, so each is exact and any
-    summation order gives the same bits.
-    """
-    if rows.dtype.kind == "f":
-        np.square(rows, out=part)
-    else:
-        np.multiply(rows, UQ1_15.lsb, out=part)
-        np.square(part, out=part)
-    np.add.reduce(part, axis=1, out=out)
-    return np.sqrt(out, out=out)
-
-
-def _off_norm(norms: np.ndarray) -> np.ndarray:
-    return np.abs(norms - 1.0) > NORM_TOLERANCE
-
-
-def _row_norms(set_: DescriptorSet) -> np.ndarray:
-    """L2 norm of every descriptor of an in-memory set, :data:`_BLOCK_ROWS`
-    rows at a time.
-
-    The squares go into one float64 block allocated here and reused for
-    every block.  A fresh temporary per block is handed back to the
-    operating system when freed, so ``np.linalg.norm`` per block (the float
-    block, ``x.conj()`` and ``x*x``) faulted in about 7 MiB per MiB checked.
-    """
-    m = len(set_)
-    rows = set_.raws if set_._floats is None else set_._floats
-    norms = np.empty(m)
-    part = np.empty((min(m, _BLOCK_ROWS), DESCRIPTOR_LEN))
-    for start in range(0, m, _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        _block_norms(block, part[:len(block)],
-                     norms[start:start + len(block)])
-    return norms
-
-
-def _check_norms(set_: DescriptorSet, path: str) -> DescriptorSet:
-    norms = _row_norms(set_)
-    off = _off_norm(norms)
-    if not off.any():
-        return set_
-    warnings.warn(
-        f"{path}: {int(off.sum())} of {len(set_)} descriptors are not "
-        "unit-norm; auto-normalizing",
-        stacklevel=3,
-    )
-    if (norms[off] == 0).any():
-        raise DescriptorFormatError(f"{path}: zero descriptor cannot be normalized")
-    floats = set_._float_rows(slice(None)).copy()
-    floats[off] /= norms[off, None]
-    np.clip(floats, 0.0, 1.0, out=floats)
-    return DescriptorSet.from_floats(set_.image_id, floats, set_.xy)
+def _renormalized(path: str, floats: np.ndarray, xy: np.ndarray,
+                  off: list[int], norms: list[float]) -> DescriptorSet:
+    """``floats`` as a set, its off-norm rows ``off``, of L2 norms
+    ``norms``, rescaled to unit norm and clipped to [0, 1] in place, with a
+    warning for the caller of :func:`load_descriptor_set`."""
+    if off:
+        warnings.warn(
+            f"{path}: {len(off)} of {len(floats)} descriptors are not "
+            "unit-norm; auto-normalizing",
+            stacklevel=4,
+        )
+        if 0.0 in norms:
+            raise DescriptorFormatError(f"{path}: zero descriptor cannot be normalized")
+        rows = floats[off] / np.array(norms)[:, None]
+        floats[off] = np.clip(rows, 0.0, 1.0, out=rows)
+    return DescriptorSet.from_floats(path, floats, xy)
 
 
 def load_descriptor_set(path: str) -> DescriptorSet:
@@ -352,9 +309,7 @@ def load_descriptor_set(path: str) -> DescriptorSet:
             f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x}") from None
     if len(loaded) == 0:
         raise DescriptorFormatError(f"{path}: empty set")
-    if isinstance(loaded.raw_rows, _RecordReader):
-        return loaded  # every norm was checked while the file was read
-    return _check_norms(loaded, str(path))
+    return loaded
 
 
 def _load_text(path: str) -> DescriptorSet:
@@ -376,6 +331,7 @@ def _load_text(path: str) -> DescriptorSet:
                 f"{m * _MIN_TEXT_LINE} bytes, {left} follow the header")
         floats = np.empty((m, DESCRIPTOR_LEN), dtype=np.float64)
         xy = np.empty((m, 2), dtype=np.uint16)
+        off, norms = [], []
         for i in range(m):
             line = fh.readline()
             if not line:
@@ -398,31 +354,45 @@ def _load_text(path: str) -> DescriptorSet:
                 raise DescriptorFormatError(f"{path}: descriptor {i} element out of [0, 1]")
             floats[i] = row
             xy[i] = (x, y)
+            # The bits of np.linalg.norm over the rows of ``floats``.
+            norm = np.sqrt(np.add.reduce(np.square(row)))
+            if abs(norm - 1.0) > NORM_TOLERANCE:
+                off.append(i)
+                norms.append(norm)
         if fh.readline().strip():
             raise DescriptorFormatError(f"{path}: trailing data after {m} descriptors")
-    return DescriptorSet.from_floats(str(path), floats, xy)
+    return _renormalized(str(path), floats, xy, off, norms)
 
 
 def _load_binary(path: str) -> DescriptorSet:
     """Check a ``.siftdb`` file in one pass of :data:`_BLOCK_ROWS` records
-    at a time: a streamed set when every norm is in range, else a set of
-    all its raws in memory, for :func:`_check_norms` to renormalize."""
+    at a time: a streamed set when every norm is in range, else the file's
+    float view renormalized by :func:`_renormalized`."""
     reader = _RecordReader(str(path))
     m = len(reader)
     xy = np.empty((m, 2), dtype=np.uint16)
     part = np.empty((min(m, _BLOCK_ROWS), DESCRIPTOR_LEN))
-    norms = np.empty(len(part))
-    in_range = True
+    off, norms = [], []
     for start in range(0, m, _BLOCK_ROWS):
         records = reader.records(start, min(start + _BLOCK_ROWS, m))
         raws = records[:, 2:]
         if raws.max() > (1 << 15):
             raise DescriptorFormatError(f"{path}: element raw above 1.0")
         xy[start:start + len(records)] = records[:, :2]
-        block = _block_norms(raws, part[:len(records)], norms[:len(records)])
-        in_range = in_range and not _off_norm(block).any()
-    return DescriptorSet.from_raws(str(path), reader if in_range
-                                   else reader.read_all(), xy)
+        # Each norm has the bits of np.linalg.norm over the float view: the
+        # squares (raw * 2**-15)**2 have at most 32 significant bits and
+        # every partial sum of 128 of them at most 39, so each is exact and
+        # any summation order gives the same bits.
+        squares = np.multiply(raws, UQ1_15.lsb, out=part[:len(records)])
+        np.square(squares, out=squares)
+        block = np.sqrt(np.add.reduce(squares, axis=1))
+        rows = np.flatnonzero(np.abs(block - 1.0) > NORM_TOLERANCE)
+        off += (start + rows).tolist()
+        norms += block[rows].tolist()
+    if not off:
+        return DescriptorSet.from_raws(str(path), reader, xy)
+    return _renormalized(str(path), reader.read_all() * UQ1_15.lsb, xy, off,
+                         norms)
 
 
 def save_descriptor_set(set_: DescriptorSet, path: str) -> None:

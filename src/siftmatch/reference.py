@@ -156,7 +156,8 @@ def report_json_chunks(header: dict, matches: MatchColumns
                        ) -> Iterator[bytes | bytearray | memoryview]:
     """The ASCII bytes of ``json.dumps({**header, "matches": rows},
     indent=2, allow_nan=False)``, where ``rows`` holds a dict of the report
-    keys per query, in pieces: the head, the rows' text and the tail.
+    keys per query, in pieces: the head, the rows' text and the tail.  A
+    report has at least one row, as both engines reject an empty set.
 
     Raises ``ValueError`` for a non-finite angle or header value before any
     text is produced, so a caller never writes part of a report.
@@ -166,8 +167,6 @@ def report_json_chunks(header: dict, matches: MatchColumns
             raise ValueError("Out of range float values are not JSON compliant")
     head = json.dumps({**header, "matches": []}, indent=2,
                       allow_nan=False).encode("ascii")
-    if not len(matches):
-        return iter((head,))
     return _json_pieces(head[:-len(b"]\n}")], matches)
 
 

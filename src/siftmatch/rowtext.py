@@ -132,8 +132,8 @@ class RowText:
         if values.dtype.kind == "b":
             out[:] = self._booleans[values.view(np.uint8)]
         elif values.dtype.kind == "f":
-            keys, index = np.unique(values.view(np.uint64), return_inverse=True)
-            out[:] = self._reprs[np.searchsorted(self._keys, keys)[index]]
+            out[:] = self._reprs[np.searchsorted(self._keys,
+                                                 values.view(np.uint64))]
         else:
             _digits(values, out)
 

@@ -2,12 +2,15 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import siftmatch
 from siftmatch import cli
@@ -653,3 +656,104 @@ def test_match_memory_is_inputs_plus_fixed_scratch(tmp_path, grandchild):
         "--engine", "pipeline", "-o", str(tmp_path / "out.json")).split())
     assert code == 0
     assert 0 < growth < sum(map(os.path.getsize, inputs)) + _MATCH_SCRATCH
+
+
+# What replaces one field of a .siftd line: values the loader must either
+# reject with one error line or accept, never crash on.
+_TOKENS = [b"nan", b"inf", b"-1", b"1e-400", b"0x1p-3", b"\xff", b""]
+# What replaces one 16-bit word of a .siftdb record.
+_WORDS = [0, 1, 0x8000, 0x8001, 0xFFFF]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The bytes of a valid 6-row query and database file per extension."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    inputs = {}
+    for fmt, ext in (("text", ".siftd"), ("binary", ".siftdb")):
+        prefix = str(directory / fmt)
+        assert run_cli("generate", "-m", "6", "--seed", "3",
+                       "--match-fraction", "0.5", "--noise", "0.02",
+                       "--format", fmt, "-o", prefix) == 0
+        inputs[ext] = [(directory / f"{fmt}_{side}{ext}").read_bytes()
+                       for side in "ab"]
+    return inputs
+
+
+def mutated(data, blob: bytes, ext: str) -> bytes:
+    """``blob`` truncated, with bytes overwritten or inserted, with another
+    header count, with one field or word replaced, or with a zero row."""
+    kind = data.draw(st.sampled_from(
+        ["truncate", "overwrite", "insert", "count", "field", "zero"]))
+    if kind in ("truncate", "overwrite", "insert"):
+        at = data.draw(st.integers(0, len(blob)))
+        some = b"" if kind == "truncate" else data.draw(
+            st.binary(min_size=1, max_size=8))
+        end = at + len(some) if kind == "overwrite" else at
+        return blob[:at] + some + (blob[end:] if kind != "truncate" else b"")
+    if ext == ".siftdb":
+        words = np.frombuffer(blob, dtype="<u2").copy()
+        row = 6 + 130 * data.draw(st.integers(0, 5))
+        if kind == "count":
+            count = data.draw(st.sampled_from([0, 1, 5, 7, 2 ** 32 - 1]))
+            return blob[:8] + count.to_bytes(4, "little") + blob[12:]
+        if kind == "zero":
+            words[row + 2:row + 130] = 0
+        else:
+            words[row + data.draw(st.integers(0, 129))] = data.draw(
+                st.sampled_from(_WORDS))
+        return words.tobytes()
+    lines = blob.split(b"\n")
+    if kind == "count":
+        count = data.draw(st.sampled_from([b"-1", b"0", b"1", b"5", b"7",
+                                           b"", b"x", b"10" * 20]))
+        return b"\n".join([b"SIFTD v1 text m=" + count] + lines[1:])
+    line = data.draw(st.integers(1, 6))
+    fields = lines[line].split(b" ")
+    if kind == "zero":
+        fields[2:] = [b"0"] * (len(fields) - 2)
+    else:
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+            st.sampled_from(_TOKENS))
+    lines[line] = b" ".join(fields)
+    return b"\n".join(lines)
+
+
+def _no_constant(name):
+    raise AssertionError(f"report holds {name}")
+
+
+class TestLoaderFuzz:
+    """A match of a mutated descriptor file writes a strict JSON report or
+    ends in one error line and no output file; nothing else."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_report_or_one_error_line(self, fuzz_inputs, tmp_path, capsys,
+                                      data):
+        ext = data.draw(st.sampled_from([".siftd", ".siftdb"]))
+        blobs = list(fuzz_inputs[ext])
+        side = data.draw(st.integers(0, 1))
+        blobs[side] = mutated(data, blobs[side], ext)
+        paths = [tmp_path / f"{name}{ext}" for name in "qd"]
+        for path, blob in zip(paths, blobs):
+            path.write_bytes(blob)
+        out = tmp_path / "out.json"
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*not unit-norm", UserWarning)
+            code = run_cli("match", "-q", str(paths[0]), "-d", str(paths[1]),
+                           "--engine", data.draw(st.sampled_from(
+                               ["reference", "pipeline"])), "-o", str(out))
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            report = json.loads(out.read_bytes().decode("ascii"),
+                                parse_constant=_no_constant)
+            assert len(report["matches"]) == report["num_queries"] > 0
+        else:
+            assert code == 1
+            assert len(err) == 1, err
+            assert re.match(r"siftmatch: error: (io|format|domain): ", err[0])
+            assert not out.exists()

@@ -8,7 +8,6 @@ import pytest
 
 from siftmatch.descriptors import (
     DESCRIPTOR_LEN,
-    _row_norms,
     Descriptor,
     DescriptorFormatError,
     DescriptorSet,
@@ -173,14 +172,17 @@ class TestValidation:
         assert abs(np.linalg.norm(loaded.floats[0]) - 1.0) < 1e-9
 
     def test_non_normalized_warning_counts_rows(self, tmp_path):
+        # the warning names the caller of load_descriptor_set: this file
         rows = [one_hot(0)[0], np.full(DESCRIPTOR_LEN, 0.05),
                 np.full(DESCRIPTOR_LEN, 0.25)]
-        path = str(tmp_path / "unnorm.siftd")
-        save_descriptor_set(make_set(rows), path)
-        with pytest.warns(UserWarning) as record:
-            load_descriptor_set(path)
-        assert [str(w.message) for w in record] == [
-            f"{path}: 2 of 3 descriptors are not unit-norm; auto-normalizing"]
+        for ext in (".siftd", ".siftdb"):
+            path = str(tmp_path / f"unnorm{ext}")
+            save_descriptor_set(make_set(rows), path)
+            with pytest.warns(UserWarning) as record:
+                load_descriptor_set(path)
+            assert [(str(w.message), w.filename) for w in record] == [(
+                f"{path}: 2 of 3 descriptors are not unit-norm; "
+                "auto-normalizing", __file__)]
 
     def test_fixed_view_matches_quantized_float_view(self, tmp_path, random_set=None):
         q, _, _ = generate_synthetic(9, seed=3, match_fraction=0.0, noise_sigma=0.0)
@@ -295,15 +297,34 @@ class TestSetApi:
         with pytest.raises(ValueError):
             s.floats[0, 0] = 0.5
 
-    @pytest.mark.parametrize("raw_exact", [False, True])
-    def test_blocked_norms_match_whole_matrix(self, raw_exact):
-        # the last block holds one row; renormalization must see the same bits
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_blocked_norms_match_whole_matrix(self, tmp_path, binary):
+        # Norms taken while a file is read renormalize the same bits as the
+        # whole-matrix oracle below.  The last 256-row block holds one row,
+        # itself off-norm, and off-norm rows are mixed in at 0.2-3x.
         rng = np.random.default_rng(4)
-        rows = rng.uniform(0.0, 0.2, (2 * 1024 + 1, DESCRIPTOR_LEN))
-        s = make_set(rows)
-        if raw_exact:
-            s = DescriptorSet.from_raws("r", s.raws, s.xy)
-        assert np.array_equal(_row_norms(s), np.linalg.norm(s.floats, axis=1))
+        rows = np.abs(rng.standard_normal((2 * 256 + 1, DESCRIPTOR_LEN)))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        off = rng.random(len(rows)) < 0.3
+        off[-1] = True
+        rows[off] *= rng.uniform(0.2, 3.0, (off.sum(), 1))
+        np.clip(rows, 0.0, 1.0, out=rows)
+        path = str(tmp_path / ("rows.siftdb" if binary else "rows.siftd"))
+        save_descriptor_set(make_set(rows), path)
+        # the file's floats (make_set made ``rows`` read-only)
+        rows = make_set(rows).raws * UQ1_15.lsb if binary else rows.copy()
+        with pytest.warns(UserWarning, match="not unit-norm"):
+            loaded = load_descriptor_set(path)
+
+        norms = np.linalg.norm(rows, axis=1)
+        scaled = np.abs(norms - 1.0) > 1e-3
+        assert scaled[-1] and not scaled.all()
+        rows[scaled] /= norms[scaled, None]
+        np.clip(rows, 0.0, 1.0, out=rows)
+        oracle = DescriptorSet.from_floats("oracle", rows, loaded.xy)
+        assert np.array_equal(loaded.raws, oracle.raws)
+        assert np.array_equal(loaded.floats.view(np.uint64),
+                              oracle.floats.view(np.uint64))
 
     def test_views_read_only(self, random_set):
         with pytest.raises(ValueError):

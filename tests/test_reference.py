@@ -353,8 +353,6 @@ def report_case(seed, engine, mode, m, n, raw_exact, copies, stream=None):
     in-memory ones, and they are the ones returned."""
     header = {"engine": engine, "queries": "q", "database": "d",
               "num_queries": m, "num_database": n}
-    if not m:  # no engine takes an empty set, but the writers take no rows
-        return header, random_columns(seed, 0, engine == "pipeline")
     rng = np.random.default_rng(seed)
     db_rows = random_unit(rng, n)
     db_rows[-1] = db_rows[0]
@@ -400,8 +398,8 @@ def check_report(header, columns, chunk):
     # Line lists, so that a failure names the first wrong line quickly.
     assert b"".join(pieces).decode("ascii").splitlines(True) == json.dumps(
         {**header, "matches": rows}, indent=2).splitlines(True)
-    # The head, the pieces of rows and the tail; no rows: head and tail as one.
-    assert len(pieces) == (1 if not rows else -(-len(rows) // chunk) + 2)
+    # The head, the pieces of rows and the tail.
+    assert len(pieces) == -(-len(rows) // chunk) + 2
     assert buf.getvalue().decode("ascii").splitlines(True) == \
         listed_csv(rows).splitlines(True)
 
@@ -414,7 +412,7 @@ class TestReportWriter:
     @given(st.integers(0, 2 ** 32 - 1),
            st.sampled_from(["reference", "pipeline"]),
            st.sampled_from(["exact_0_6", "binary_10011"]),
-           st.integers(0, 9), st.integers(1, 5),
+           st.integers(1, 9), st.integers(1, 5),
            st.sampled_from(["floats", "raws", "file"]),
            st.integers(0, 9), st.integers(1, 4), st.integers(1, 4))
     def test_bytes_equal_object_serialization(self, streamed, seed, engine,
@@ -429,14 +427,13 @@ class TestReportWriter:
         check_report(*case, chunk)
 
     @pytest.mark.parametrize("engine,m,n", [
-        ("reference", 0, 3),   # "matches": []
         ("reference", 5, 1),   # second minimum is the pi surrogate
         ("pipeline", 5, 1),    # second minimum is the 0xFFFF sentinel
         ("pipeline", 7, 4),    # chunk boundary inside the rows
     ])
     def test_edge_shapes(self, engine, m, n):
         header, columns = report_case(3, engine, "exact_0_6", m, n, True, 2)
-        if n == 1 and m:
+        if n == 1:
             assert set(columns.second_min_angle.tolist()) == {
                 SECOND_MIN_SURROGATE if engine == "reference"
                 else 0xFFFF * 2.0 ** -14}
