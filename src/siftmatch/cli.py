@@ -32,7 +32,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .reference import (
-    CHUNK_ROWS,
     DEFAULT_THRESHOLD,
     match_all,
     report_json_chunks,
@@ -268,7 +267,7 @@ def cmd_characterize(args) -> int:
 
     def write(fh):
         fh.write(b"x,cordic_arccos,float_arccos,error\n")
-        fh.writelines(rows.pieces(len(x), CHUNK_ROWS))
+        fh.writelines(rows.pieces(len(x)))
 
     _write_out(args.output, write, binary=True)
     abs_error = np.abs(error)
@@ -388,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout = None  # what it still holds would fail again at exit
         print(f"siftmatch: error: io: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: too large a size
         print(f"siftmatch: error: domain: {exc}", file=sys.stderr)
         return 1
 

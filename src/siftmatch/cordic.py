@@ -18,10 +18,10 @@ Everything is integer shift-and-add arithmetic:
   the 45-degree step, accumulating the angle in a wide fixed-point register.
 
 The formats are fixed: inputs are UQ1.15 and angles UQ2.14.
-``sqrt_iterations`` and ``polar_iterations`` are the pipeline depths of the
-two cores; ``PipelineConfig.drain_cycles`` counts them, with the 4-stage
+:data:`SQRT_ITERATIONS` and :data:`POLAR_ITERATIONS` are the pipeline depths
+of the two cores; ``pipeline.DRAIN_CYCLES`` counts them, with the 4-stage
 ``1 - x^2`` block, as the arccos unit's 4 + 37 + 11 = 52 stages.  The square
-root runs exactly ``sqrt_iterations`` micro-rotations; the polar stage's
+root runs exactly ``SQRT_ITERATIONS`` micro-rotations; the polar stage's
 functional rotation count instead follows the output precision
 (UQ2.14's 14 fraction bits + 2 = 16), because a vectoring datapath short
 enough to round at 11 steps could not hit the documented angle accuracy.
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -49,6 +49,8 @@ __all__ = [
     "AngleSample",
     "CordicConfig",
     "DEFAULT_CONFIG",
+    "POLAR_ITERATIONS",
+    "SQRT_ITERATIONS",
     "arccos_raw_batch",
     "arccos_table",
     "cordic_arccos",
@@ -56,6 +58,10 @@ __all__ = [
     "polar_raw_batch",
     "sqrt_raw_batch",
 ]
+
+# Pipeline depths of the square-root and polar cores.
+SQRT_ITERATIONS = 37
+POLAR_ITERATIONS = 11
 
 # Internal datapath widths (guard bits over the 16-bit interfaces).
 _WORK_FRAC = 24   # x/y registers of both cores
@@ -69,23 +75,12 @@ _TABLE_SLICE = 1 << 12
 
 @dataclass(frozen=True)
 class CordicConfig:
-    """Pipeline depths of the arccos unit's two CORDIC cores.
-
-    ``PipelineConfig.drain_cycles`` counts both depths; the square root also
-    iterates exactly ``sqrt_iterations`` times.  The formats and the
-    vectoring stage's rotation count are fixed class attributes.
-    """
-
-    sqrt_iterations: int = 37
-    polar_iterations: int = 11
+    """The arccos unit's fixed formats and the vectoring stage's rotation
+    count, as class attributes; it has no settable field."""
 
     input_format = UQ1_15
     angle_format = UQ2_14
     polar_rotations = UQ2_14.fraction_bits + 2
-
-    def __post_init__(self) -> None:
-        if self.sqrt_iterations < 1 or self.polar_iterations < 1:
-            raise ValueError("iteration counts must be >= 1")
 
 
 DEFAULT_CONFIG = CordicConfig()
@@ -106,7 +101,6 @@ class AngleSample:
         return self.sample.to_real()
 
 
-@lru_cache(maxsize=None)
 def _sqrt_schedule(iterations: int) -> tuple[int, ...]:
     """Hyperbolic iteration indices with the standard repeats at 4, 13, 40, ..."""
     seq: list[int] = []
@@ -132,7 +126,7 @@ def _nint_scaled_inverse_sqrt(scale: int, num: int, den: int) -> int:
     return (math.isqrt(4 * scale * scale * den // num) + 1) // 2
 
 
-@lru_cache(maxsize=None)
+@cache
 def _sqrt_constants(iterations: int) -> tuple[tuple[int, ...], int, int]:
     """(schedule, inverse-gain multiplier, pre-compensated 0.25 offset).
 
@@ -157,7 +151,7 @@ _ATAN_TABLE = (
 )
 
 
-def sqrt_raw_batch(raws, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
+def sqrt_raw_batch(raws) -> np.ndarray:
     """Square root of UQ1.15 raws via hyperbolic vectoring; returns UQ1.15 raws.
 
     The argument is prescaled by 4**k into (0.25, 1] (exactly undone by a
@@ -165,7 +159,7 @@ def sqrt_raw_batch(raws, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
     convergence region and preserves relative accuracy for small arguments.
     """
     r = np.atleast_1d(np.asarray(raws)).astype(np.int64)
-    schedule, inv_gain, quarter = _sqrt_constants(cfg.sqrt_iterations)
+    schedule, inv_gain, quarter = _sqrt_constants(SQRT_ITERATIONS)
     frac = UQ1_15.fraction_bits
 
     # Power-of-4 normalization exponent from the bit length of the raw.
@@ -239,13 +233,14 @@ def one_minus_sq_raw_batch(raws) -> np.ndarray:
 
 def arccos_raw_batch(raws, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
     """arccos of UQ1.15 raws as UQ2.14 raws: atan2(sqrt(1 - x^2), x)."""
+    # Nothing reads cfg: perfbench/oracle.py passes it until ROADMAP item 6.
     r = np.atleast_1d(np.asarray(raws)).astype(np.int64)
-    v = sqrt_raw_batch(one_minus_sq_raw_batch(r), cfg)
+    v = sqrt_raw_batch(one_minus_sq_raw_batch(r))
     return polar_raw_batch(r, v)
 
 
-@lru_cache(maxsize=4)
-def arccos_table(cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
+@cache
+def arccos_table() -> np.ndarray:
     """arccos raws for every representable input, for bulk lookups.
 
     Bit-identical to :func:`arccos_raw_batch`; the pipeline model uses this
@@ -260,14 +255,14 @@ def arccos_table(cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
     for start in range(0, one + 1, _TABLE_SLICE):
         stop = min(start + _TABLE_SLICE, one + 1)
         table[start:stop] = arccos_raw_batch(
-            np.arange(start, stop, dtype=np.int64), cfg)
+            np.arange(start, stop, dtype=np.int64))
     table.setflags(write=False)
     return table
 
 
-def cordic_arccos(x: FxSample, cfg: CordicConfig = DEFAULT_CONFIG) -> AngleSample:
+def cordic_arccos(x: FxSample) -> AngleSample:
     """arccos of a UQ1.15 sample as an angle sample."""
     if x.fmt != UQ1_15:
         raise ValueError(f"arccos input must be {UQ1_15}, got {x.fmt}")
-    raw = int(arccos_raw_batch(x.raw, cfg)[0])
+    raw = int(arccos_raw_batch(x.raw)[0])
     return AngleSample(FxSample(raw, UQ2_14))

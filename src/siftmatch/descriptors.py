@@ -181,16 +181,17 @@ class DescriptorSet:
     :mod:`siftmatch.search`).  Every set built by :meth:`from_raws`, such as
     a ``.siftdb`` load, is raw-exact.  ``raws`` may also be the row reader
     of a checked ``.siftdb`` file: the set is then streamed (see the module
-    docstring).
+    docstring).  The set shares memory with the arrays it is given, through
+    read-only views of its own, and never writes them.
     """
 
     def __init__(self, image_id: str, floats: np.ndarray | None,
                  raws, xy: np.ndarray):
         if not isinstance(raws, _RecordReader):
-            raws = np.asarray(raws, dtype=np.uint16)
-        xy = np.asarray(xy, dtype=np.uint16)
+            raws = np.asarray(raws, dtype=np.uint16).view()
+        xy = np.asarray(xy, dtype=np.uint16).view()
         if floats is not None:
-            floats = np.asarray(floats, dtype=np.float64)
+            floats = np.asarray(floats, dtype=np.float64).view()
             if floats.ndim != 2 or floats.shape[1] != DESCRIPTOR_LEN:
                 raise ValueError(f"floats must be (m, {DESCRIPTOR_LEN})")
             if raws.shape != floats.shape:
@@ -243,7 +244,6 @@ class DescriptorSet:
     def from_floats(cls, image_id: str, floats: np.ndarray,
                     xy: np.ndarray) -> "DescriptorSet":
         """Build a set from float elements; the raw view is quantized from them."""
-        floats = np.asarray(floats, dtype=np.float64)
         raws = quantize_array(floats, UQ1_15).astype(np.uint16)
         return cls(image_id, floats, raws, xy)
 
@@ -432,8 +432,9 @@ def generate_synthetic(count: int, seed: int, match_fraction: float,
     ``floor(match_fraction * count)`` queries are noisy copies of the
     database descriptor with the same index (ground truth lists those
     ``(query, database)`` pairs) and the rest are independent random unit
-    vectors.  Noise is i.i.d. Gaussian, clipped non-negative, renormalized.
-    Fully deterministic in ``seed``.
+    vectors.  Noise is i.i.d. Gaussian, clipped non-negative, renormalized;
+    a ``noise_sigma`` at which a noisy row's norm overflows is a
+    ``ValueError``.  Fully deterministic in ``seed``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -452,7 +453,10 @@ def generate_synthetic(count: int, seed: int, match_fraction: float,
             noisy = database[:planted] + rng.normal(
                 0.0, noise_sigma, (planted, DESCRIPTOR_LEN))
             np.clip(noisy, 0.0, None, out=noisy)
-            norms = np.linalg.norm(noisy, axis=1, keepdims=True)
+            with np.errstate(over="ignore"):  # an overflow is raised below
+                norms = np.linalg.norm(noisy, axis=1, keepdims=True)
+            if not np.isfinite(norms).all():
+                raise ValueError(f"noise_sigma {noise_sigma!r} overflows a norm")
             norms[norms == 0] = 1.0
             queries[:planted] = np.clip(noisy / norms, 0.0, 1.0)
         else:

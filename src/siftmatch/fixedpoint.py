@@ -97,8 +97,10 @@ def quantize_array(values: np.ndarray, fmt: QFormat = UQ1_15) -> np.ndarray:
     nearest, ties to even (``np.rint``), saturating at ``fmt.max_raw``.
 
     Returns int64 raws.  Scaling by ``2**fraction_bits`` only shifts the
-    float exponent, so the rounding applies to the exact input value.
+    float exponent, so the rounding applies to the exact input value.  The
+    rounding and the clip run in place in the one float64 temporary.
     """
-    scaled = np.asarray(values, dtype=np.float64) * 2.0 ** fmt.fraction_bits
-    raws = np.rint(scaled).astype(np.int64)
-    return np.clip(raws, 0, fmt.max_raw)
+    raws = np.multiply(values, 2.0 ** fmt.fraction_bits, dtype=np.float64)
+    np.rint(raws, out=raws)
+    np.clip(raws, 0, fmt.max_raw, out=raws)
+    return raws.astype(np.int64)

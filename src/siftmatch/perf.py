@@ -1,21 +1,24 @@
 """Roofline model: attainable matching throughput vs memory bandwidth.
 
 One matching operation consumes one full descriptor transfer
-(``descriptor_bytes``, 256 by default: 128 16-bit elements, coordinates
-excluded).  A descriptor therefore occupies the memory port for
-``ceil(descriptor_bytes / bytes_per_cycle)`` cycles and throughput is the
-clock rate divided by that, capped at the compute peak of one dot product
-per cycle (``clock_hz`` op/s).  The cycle count is a ceiling because a
-descriptor cannot be dispatched fractionally; at 64 bytes/cycle this yields
-25 M op/s (4 cycles each), not the 24 sometimes quoted for that point.
+(``descriptor_bytes``, 256 by default: the 128 16-bit elements a match
+consumes, as the paper's model counts them, coordinates excluded).  A
+descriptor therefore occupies the memory port for ``ceil(descriptor_bytes /
+bytes_per_cycle)`` cycles and throughput is the clock rate divided by that,
+capped at the compute peak of one dot product per cycle (``clock_hz`` op/s).
+The cycle count is a ceiling because a descriptor cannot be dispatched
+fractionally; at 64 bytes/cycle this yields 25 M op/s (4 cycles each), not
+the 24 sometimes quoted for that point.
 
 The core's own port moves :data:`PORT_BYTES_PER_CYCLE` = 8 bytes per cycle,
 so a 260-byte record (coordinates included) takes :data:`FETCH_CYCLES` =
-ceil(260 / 8) = 33 cycles to fetch; the default query block and the fill of
-``predict_cycles`` use this value too.  The blocking model
-(:func:`effective_throughput_with_blocking`) follows: once the cached block
-holds at least that many queries, a fetched descriptor always has a full
-block to burn cycles against and the core runs at clock rate.
+ceil(260 / 8) = 33 cycles to fetch, one more than the roofline's 32 at this
+port: the fetch moves the whole record, the roofline the payload alone.  The
+default query block and the fill of ``predict_cycles`` use this value too.
+The blocking model (:func:`effective_throughput_with_blocking`) follows:
+once the cached block holds at least that many queries, a fetched descriptor
+always has a full block to burn cycles against and the core runs at clock
+rate.
 """
 
 from __future__ import annotations

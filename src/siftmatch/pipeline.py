@@ -28,7 +28,7 @@ cycle count is analytic and equals :func:`predict_cycles`:
   + ceil(m / block_size) * n * block_size (one dot product slot per cycle;
                                           idle slots of a partial final
                                           block still burn their cycles)
-  + drain_cycles                          (drain of the last result,
+  + DRAIN_CYCLES                          (drain of the last result,
                                           10 + 4 + 37 + 11 + 1 + 3 stages)
 
 Its verdicts come from the tiled search of :mod:`siftmatch.search` on the
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cordic import AngleSample, DEFAULT_CONFIG, arccos_table
+from .cordic import POLAR_ITERATIONS, SQRT_ITERATIONS, AngleSample, arccos_table
 from .descriptors import Descriptor, DescriptorSet
 from .fixedpoint import UQ1_15, UQ2_14, FxSample, round_shift_even
 from .perf import FETCH_CYCLES, RooflineConfig
@@ -69,6 +69,7 @@ from .reference import MatchColumns, match_results
 from .search import exact_dots, nearest_two
 
 __all__ = [
+    "DRAIN_CYCLES",
     "MinPairEntry",
     "PipelineConfig",
     "RunReport",
@@ -85,11 +86,11 @@ THRESHOLD_MODES = ("exact_0_6", "binary_10011")
 _SENTINEL_RAW = UQ2_14.max_raw
 _ANGLE_LSB = UQ2_14.lsb
 
-# Depths of the fixed-latency stages; the CORDIC cores' come from DEFAULT_CONFIG.
-_DOT_PRODUCT_STAGES = 10  # 3 multiplier + 7 adder-tree stages
-_ONE_MINUS_SQUARE_STAGES = 4  # 1 - x^2 ahead of the square root
-_MIN_FIND_STAGES = 1
-_MATCH_CHECK_STAGES = 3
+# Cycles from the last dot product entering the datapath to its verdict,
+# stage by stage: the dot product (3 multiplier + 7 adder-tree stages),
+# 1 - x^2 ahead of the square root, the two CORDIC cores, the min-find and
+# the match check.
+DRAIN_CYCLES = 10 + 4 + SQRT_ITERATIONS + POLAR_ITERATIONS + 1 + 3
 
 
 @dataclass(frozen=True)
@@ -107,12 +108,6 @@ class PipelineConfig:
             raise ValueError("clock_hz must be positive and finite")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ValueError(f"threshold_mode must be one of {THRESHOLD_MODES}")
-
-    @property
-    def drain_cycles(self) -> int:
-        return (_DOT_PRODUCT_STAGES + _ONE_MINUS_SQUARE_STAGES
-                + DEFAULT_CONFIG.sqrt_iterations + DEFAULT_CONFIG.polar_iterations
-                + _MIN_FIND_STAGES + _MATCH_CHECK_STAGES)
 
     def blocks(self, m: int) -> int:
         """Query blocks for ``m`` queries: ``ceil(m / block_size)``."""
@@ -227,7 +222,7 @@ def predict_cycles(m: int, n: int, cfg: PipelineConfig = PipelineConfig()) -> in
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     fill = cfg.block_size * FETCH_CYCLES
-    return fill + cfg.blocks(m) * n * cfg.block_size + cfg.drain_cycles
+    return fill + cfg.blocks(m) * n * cfg.block_size + DRAIN_CYCLES
 
 
 def elapsed_seconds(cycles: int, cfg: PipelineConfig) -> float:

@@ -38,8 +38,8 @@ Results stay columnar from the search to the output file:
 :func:`match_results` wraps the search's arrays in a :class:`MatchColumns`,
 and no row object is ever built.  :func:`report_json_chunks` and
 :func:`write_matches_csv` write the rows column by column through one row
-formatter, :class:`~siftmatch.rowtext.RowText`, :data:`CHUNK_ROWS` rows at a
-time, with no Python call per row.  The bytes equal those of
+formatter, :class:`~siftmatch.rowtext.RowText`, ``rowtext.CHUNK_ROWS`` rows at
+a time, with no Python call per row.  The bytes equal those of
 ``json.dumps(indent=2)`` over each row as a dict of its report keys, and of
 a per-row ``csv.writer`` loop, because each value is written as they write
 it: non-negative ints as their decimal digits, finite floats as their ``repr``
@@ -71,7 +71,6 @@ from .rowtext import RowText
 from .search import nearest_two
 
 __all__ = [
-    "CHUNK_ROWS",
     "MatchColumns",
     "SECOND_MIN_SURROGATE",
     "dot_matrix",
@@ -87,14 +86,6 @@ __all__ = [
 SECOND_MIN_SURROGATE = math.pi
 
 DEFAULT_THRESHOLD = 0.6
-
-# Report rows laid out per fill of the reused byte grid (about 0.7 MB of JSON
-# at 2048 rows).  Each fill costs a few hundred numpy calls whatever its
-# rows, while the grid is alive for the whole report.  Measured on a 40000 x
-# 64 pipeline report (medians of 12 `match` processes on a 2-core host):
-# 1024 rows wrote in 77 ms, 2048 in 67 and 4096 in 66, at a peak RSS of
-# 44.9, 45.0 and 46.2 MiB.
-CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +164,7 @@ def report_json_chunks(header: dict, matches: MatchColumns
 def _json_pieces(head: bytes, matches: MatchColumns
                  ) -> Iterator[bytes | bytearray | memoryview]:
     pieces = RowText(_json_row(matches), ("false", "true")).pieces(
-        len(matches), CHUNK_ROWS)
+        len(matches))
     yield head
     yield memoryview(next(pieces))[1:]  # the first row has no "," before it
     yield from pieces
@@ -193,7 +184,7 @@ def write_matches_csv(matches: MatchColumns, fileobj) -> None:
         ",", "" if matches.min_raw is None else matches.min_raw,
         ",", "" if matches.second_min_raw is None
         else matches.second_min_raw, "\r\n"], ("0", "1"))
-    fileobj.writelines(row.pieces(len(matches), CHUNK_ROWS))
+    fileobj.writelines(row.pieces(len(matches)))
 
 
 def dot_matrix(queries: np.ndarray, database: np.ndarray,

@@ -1,12 +1,17 @@
+import csv
 import dataclasses
+import importlib
+import io
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +20,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import siftmatch
 from siftmatch import cli
 from siftmatch.cli import _agreement, _pipeline_config, build_parser, main
-from siftmatch.cordic import DEFAULT_CONFIG, arccos_raw_batch
+from siftmatch.cordic import CordicConfig, arccos_raw_batch
+from siftmatch.descriptors import load_descriptor_set
 from siftmatch.fixedpoint import UQ1_15, UQ2_14
 from siftmatch.perf import RooflineConfig
 from siftmatch.pipeline import PipelineConfig
@@ -78,6 +84,18 @@ class TestGenerate:
                     "-o", str(tmp_path / "z"))
         assert exc.value.code == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ("-m", "1000000000000"),
+        ("-m", "20", "--match-fraction", "1", "--noise", "1e308"),
+    ])
+    def test_sets_it_cannot_make_are_domain_errors(self, tmp_path, capsys,
+                                                   args):
+        # A numpy MemoryError traceback once, and files that match rejects:
+        # zero or nan query rows from an overflowing norm.
+        assert run_cli("generate", *args, "-o", str(tmp_path / "z")) == 1
+        assert_one_error(capsys, "domain")
         assert not list(tmp_path.iterdir())
 
 
@@ -463,9 +481,34 @@ ROOFLINE_FLAGS = {
 }
 
 
+CONFIG_FLAGS = {PipelineConfig: PIPELINE_FLAGS, RooflineConfig: ROOFLINE_FLAGS}
+
+
+def config_classes() -> set[type]:
+    """Every dataclass named ``*Config`` in the package's modules."""
+    found = set()
+    for path in Path(siftmatch.__file__).parent.glob("[!_]*.py"):
+        module = importlib.import_module(f"siftmatch.{path.stem}")
+        found.update(value for name, value in vars(module).items()
+                     if name.endswith("Config") and isinstance(value, type)
+                     and dataclasses.is_dataclass(value))
+    return found
+
+
 class TestEveryConfigFieldHasAFlag:
     """No config field is reachable only from code: each one a command
     builds can be set from that command's flags."""
+
+    def test_every_config_field_is_in_a_flag_table(self):
+        # The tests below set each table's fields through the CLI, so a
+        # config with a field outside the tables, such as a depth that
+        # only code sets, fails here.  CordicConfig has no field.
+        configs = config_classes()
+        assert {PipelineConfig, RooflineConfig, CordicConfig} <= configs
+        with_fields = {c for c in configs if dataclasses.fields(c)}
+        assert with_fields == set(CONFIG_FLAGS)
+        for config, flags in CONFIG_FLAGS.items():
+            assert {f.name for f in dataclasses.fields(config)} == set(flags)
 
     @pytest.mark.parametrize("command", [("match", "--engine", "pipeline"),
                                          ("compare",)])
@@ -518,7 +561,7 @@ class TestCharacterize:
         bytes are compared, not pinned."""
         raws = np.arange((1 << 15) + 1, dtype=np.int64)
         x = raws * UQ1_15.lsb
-        approx = arccos_raw_batch(raws, DEFAULT_CONFIG) * UQ2_14.lsb
+        approx = arccos_raw_batch(raws) * UQ2_14.lsb
         exact = np.arccos(x)
         error = approx - exact
         rows = ["x,cordic_arccos,float_arccos,error\n"]
@@ -680,17 +723,23 @@ def fuzz_inputs(tmp_path_factory):
     return inputs
 
 
+def spliced(data, blob: bytes, kind: str) -> bytes:
+    """``blob`` truncated at a drawn byte (``kind`` "truncate"), or with a
+    few drawn bytes written over it ("overwrite") or inserted there."""
+    at = data.draw(st.integers(0, len(blob)))
+    some = b"" if kind == "truncate" else data.draw(
+        st.binary(min_size=1, max_size=8))
+    end = at + len(some) if kind == "overwrite" else at
+    return blob[:at] + some + (blob[end:] if kind != "truncate" else b"")
+
+
 def mutated(data, blob: bytes, ext: str) -> bytes:
     """``blob`` truncated, with bytes overwritten or inserted, with another
     header count, with one field or word replaced, or with a zero row."""
     kind = data.draw(st.sampled_from(
         ["truncate", "overwrite", "insert", "count", "field", "zero"]))
     if kind in ("truncate", "overwrite", "insert"):
-        at = data.draw(st.integers(0, len(blob)))
-        some = b"" if kind == "truncate" else data.draw(
-            st.binary(min_size=1, max_size=8))
-        end = at + len(some) if kind == "overwrite" else at
-        return blob[:at] + some + (blob[end:] if kind != "truncate" else b"")
+        return spliced(data, blob, kind)
     if ext == ".siftdb":
         words = np.frombuffer(blob, dtype="<u2").copy()
         row = 6 + 130 * data.draw(st.integers(0, 5))
@@ -757,3 +806,192 @@ class TestLoaderFuzz:
             assert len(err) == 1, err
             assert re.match(r"siftmatch: error: (io|format|domain): ", err[0])
             assert not out.exists()
+
+
+# Each command's argv as (option, value, ...) groups.  A value in braces
+# names a path of the ``argv_inputs`` fixture or of the example's work
+# directory.
+_COMMANDS = {
+    "generate": ("generate", [
+        ("-m", "6"), ("--seed", "3"), ("--match-fraction", "0.5"),
+        ("--noise", "0.02"), ("--format", "binary"), ("-o", "{gen}")]),
+    "match": ("match", [
+        ("-q", "{q}"), ("-d", "{d}"), ("--engine", "pipeline"),
+        ("--threshold", "0.6"), ("--threshold-mode", "exact_0_6"),
+        ("--clock-hz", "1e8"), ("--block-size", "33"), ("--format", "json"),
+        ("-o", "{out}")]),
+    "compare": ("compare", [
+        ("-q", "{q}"), ("-d", "{d}"), ("--threshold", "0.6"),
+        ("--threshold-mode", "binary_10011"), ("--clock-hz", "1e8"),
+        ("--block-size", "7"), ("-o", "{out}")]),
+    "reports": ("compare", [("--reports", "{a}", "{b}"), ("-o", "{out}")]),
+    "roofline": ("roofline", [
+        ("--bandwidths", "1e9,3.2e9"), ("--clock-hz", "1e8"),
+        ("--descriptor-bytes", "256"), ("-o", "{out}")]),
+    "characterize": ("characterize", [("-o", "{out}")]),
+    "bench": ("bench", [
+        ("--sizes", "579,1021"), ("--db-size", "1021"), ("--clock-hz", "1e8"),
+        ("--block-size", "33"), ("--json",), ("-o", "{out}")]),
+}
+# What replaces the value of an option that is not a path or a row count.
+_VALUES = st.sampled_from([
+    "0", "-1", "1", "0.5", "1e8", "nan", "inf", "-inf", "1e308", "5e-324",
+    "", " ", "x", HUGE, "1,2", ",", "0x10", "binary", "text", "json", "csv",
+    "reference", "pipeline", "exact_0_6", "binary_10011",
+]) | st.text(max_size=3).filter(lambda text: not text.startswith("-"))
+# Row counts are small, or 2**50 and more, which every allocator refuses at
+# once: a count in between could really allocate.
+_COUNT = st.one_of(st.integers(-2, 2000), st.integers(2 ** 50, 2 ** 70))
+# Saved-report values that replace a report, its rows or one row's value.
+_JSON_VALUES = [None, True, False, 0, -1, 1.5, 2 ** 70, "x", [], {}, [{}],
+                math.nan]
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    """Paths an argv value may name: a 6-row query and database file in
+    each format, a reference and a pipeline report of them, the truth CSV,
+    a missing file and a directory."""
+    directory = tmp_path_factory.mktemp("argv")
+    for fmt in ("binary", "text"):
+        assert run_cli("generate", "-m", "6", "--seed", "4",
+                       "--match-fraction", "0.5", "--noise", "0.02",
+                       "--format", fmt, "-o", str(directory / fmt)) == 0
+    paths = {"q": directory / "binary_a.siftdb",
+             "d": directory / "binary_b.siftdb",
+             "qt": directory / "text_a.siftd",
+             "a": directory / "a.json", "b": directory / "b.json",
+             "truth": directory / "binary_truth.csv",
+             "missing": directory / "missing.siftdb", "dir": directory}
+    for key, engine in (("a", "reference"), ("b", "pipeline")):
+        assert run_cli("match", "-q", str(paths["q"]), "-d", str(paths["d"]),
+                       "--engine", engine, "-o", str(paths[key])) == 0
+    return paths
+
+
+def mutated_report(data, blob: bytes) -> bytes:
+    """A saved report spliced, nested too deep, or with the report, its
+    rows, one row or one row's value replaced or deleted."""
+    kind = data.draw(st.sampled_from(
+        ["truncate", "overwrite", "insert", "nest", "replace", "delete"]))
+    if kind in ("truncate", "overwrite", "insert"):
+        return spliced(data, blob, kind)
+    if kind == "nest":
+        return b"[" * 100000 + blob
+    report = json.loads(blob)
+    rows = report["matches"]
+    k = data.draw(st.integers(0, len(rows) - 1))
+    key = data.draw(st.sampled_from(["query_index", "matched", "best_index"]))
+    where = data.draw(st.sampled_from(["report", "matches", "row", "key"]))
+    if kind == "delete":
+        if where in ("report", "matches"):
+            del report["matches"]
+        elif where == "row":
+            del rows[k]
+        else:
+            del rows[k][key]
+    else:
+        value = data.draw(st.sampled_from(_JSON_VALUES))
+        if where == "report":
+            report = value
+        elif where == "matches":
+            report["matches"] = value
+        elif where == "row":
+            rows[k] = value
+        else:
+            rows[k][key] = value
+    return json.dumps(report).encode("ascii")
+
+
+def parse_output(command: str, argv: list[str], outputs: list[str]) -> None:
+    """Parse what ``argv`` wrote, by the kind of output its command gives."""
+    if command == "generate":
+        queries, database, truth = outputs
+        assert len(load_descriptor_set(queries)) == len(
+            load_descriptor_set(database))
+        with open(truth, encoding="ascii", newline="") as fh:
+            assert next(csv.reader(fh)) == ["query_index", "db_index"]
+        return
+    with open(outputs[0], "rb") as fh:
+        text = fh.read().decode("ascii")
+    if command in ("compare", "reports") or "--json" in argv or (
+            command == "match" and "csv" not in argv):
+        json.loads(text, parse_constant=_no_constant)
+    elif command == "bench":
+        assert {len(line.split()) for line in text.splitlines()} == {5}
+    else:
+        assert len({len(row) for row in csv.reader(io.StringIO(text))}) == 1
+
+
+class TestArgvFuzz:
+    """A command with one option's value replaced, or a compare of two saved
+    reports one of which is mutated, ends in one of three ways: exit 0 with
+    output that parses, exit 1 with one categorized error line and no output
+    file, or argparse's exit 2.  Any other exception fails the test."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_output_or_one_error_line_or_usage(self, argv_inputs, tmp_path,
+                                               capsys, monkeypatch, data):
+        work = tmp_path / "work"
+        shutil.rmtree(work, ignore_errors=True)
+        work.mkdir()
+        monkeypatch.chdir(work)  # a value taken as a relative path lands here
+        command = data.draw(st.sampled_from(list(_COMMANDS)))
+        name, groups = _COMMANDS[command]
+        paths = {**argv_inputs, "out": work / "out", "gen": work / "gen"}
+        mutate_report = command == "reports" and data.draw(st.booleans())
+        if mutate_report:
+            side = data.draw(st.sampled_from("ab"))
+            paths[side] = work / f"{side}.json"
+            paths[side].write_bytes(mutated_report(
+                data, argv_inputs[side].read_bytes()))
+        groups = [[value.format_map(paths) for value in group]
+                  for group in groups]
+        if not mutate_report:
+            group = data.draw(st.sampled_from(
+                [group for group in groups if len(group) > 1]))
+            at = data.draw(st.integers(1, len(group) - 1))
+            group[at] = data.draw(self.values(group[0], command, work,
+                                              argv_inputs))
+        argv = [name] + [value for group in groups for value in group]
+        prefix = argv[argv.index("-o") + 1]
+        outputs = [prefix]
+        if command == "generate":
+            ext = {"text": ".siftd"}.get(argv[argv.index("--format") + 1],
+                                         ".siftdb")
+            outputs = [f"{prefix}_a{ext}", f"{prefix}_b{ext}",
+                       f"{prefix}_truth.csv"]
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            assert not any(map(os.path.isfile, outputs)), argv
+            return
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            parse_output(command, argv, outputs)
+            return
+        assert code == 1, argv
+        errors = [line for line in err if line.startswith("siftmatch:")]
+        assert len(errors) == 1 and err[-1] == errors[0], err
+        assert re.match(r"siftmatch: error: (io|format|domain): ", errors[0])
+        assert not any(map(os.path.isfile, outputs)), argv
+
+    @staticmethod
+    def values(option: str, command: str, work: Path, inputs: dict):
+        """What may replace a value of ``option``."""
+        if option in ("-m", "--db-size"):
+            return _COUNT.map(str)
+        if option == "--sizes":
+            return st.lists(_COUNT.map(str), min_size=1, max_size=3).map(
+                ",".join)
+        if option == "-o":  # never a path outside ``work``
+            places = [work / "out", work / "missing" / "out"]
+            return st.sampled_from([str(place) for place in places + (
+                [] if command == "generate" else [work])])
+        if option in ("-q", "-d", "--reports"):
+            return st.sampled_from([str(path) for path in inputs.values()])
+        return _VALUES

@@ -39,26 +39,14 @@ def one(kernel, *values: float) -> int:
 
 class TestConfig:
     def test_defaults(self):
-        cfg = CordicConfig()
-        assert cfg.sqrt_iterations == 37
-        assert cfg.polar_iterations == 11
-        assert cfg.polar_rotations == 16  # angle fraction bits + 2
+        assert cordic.SQRT_ITERATIONS == 37
+        assert cordic.POLAR_ITERATIONS == 11
+        assert CordicConfig.polar_rotations == 16  # angle fraction bits + 2
 
     def test_formats_are_fixed(self):
-        assert [f.name for f in dataclasses.fields(CordicConfig)] == [
-            "sqrt_iterations", "polar_iterations"]
+        assert dataclasses.fields(CordicConfig) == ()
         assert DEFAULT_CONFIG.input_format is UQ1_15
         assert DEFAULT_CONFIG.angle_format is UQ2_14
-
-    @pytest.mark.parametrize("kwargs", [
-        {"sqrt_iterations": 0},
-        {"polar_iterations": 0},
-        {"sqrt_iterations": -1},
-        {"polar_iterations": -1},
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            CordicConfig(**kwargs)
 
 
 class TestSqrt:
@@ -194,7 +182,7 @@ class TestDeterminismAndBatch:
             assert cordic_arccos(FxSample(int(raw), UQ1_15)).raw == int(expect)
 
     def test_lookup_table_equals_batch(self):
-        table = arccos_table(DEFAULT_CONFIG)
+        table = arccos_table()
         raws = np.arange(0, 2 ** 16, 97, dtype=np.int64)
         assert np.array_equal(table[raws], arccos_raw_batch(raws).astype(np.uint16))
 

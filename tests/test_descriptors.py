@@ -274,6 +274,14 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="finite"):
             generate_synthetic(5, seed=0, match_fraction=0.5, noise_sigma=sigma)
 
+    @pytest.mark.parametrize("sigma", [1e160, 1e308])
+    def test_overflowing_noise_is_rejected(self, sigma):
+        # The squares of the noisy rows overflow: the norms were inf, and
+        # the rows all zero or nan.
+        with pytest.raises(ValueError, match="overflows"):
+            generate_synthetic(20, seed=0, match_fraction=1.0,
+                               noise_sigma=sigma)
+
 
 class TestSetApi:
     def test_indexing_and_iteration(self, random_set):
@@ -311,8 +319,8 @@ class TestSetApi:
         np.clip(rows, 0.0, 1.0, out=rows)
         path = str(tmp_path / ("rows.siftdb" if binary else "rows.siftd"))
         save_descriptor_set(make_set(rows), path)
-        # the file's floats (make_set made ``rows`` read-only)
-        rows = make_set(rows).raws * UQ1_15.lsb if binary else rows.copy()
+        if binary:  # the file's floats
+            rows = make_set(rows).raws * UQ1_15.lsb
         with pytest.warns(UserWarning, match="not unit-norm"):
             loaded = load_descriptor_set(path)
 
@@ -329,6 +337,14 @@ class TestSetApi:
     def test_views_read_only(self, random_set):
         with pytest.raises(ValueError):
             random_set.floats[0, 0] = 0.5
+
+    def test_caller_arrays_stay_writeable(self, random_set):
+        rows, xy = random_set.floats.copy(), random_set.xy.copy()
+        set_ = DescriptorSet.from_floats("rows", rows, xy)
+        assert rows.flags.writeable and xy.flags.writeable
+        assert not set_.floats.flags.writeable
+        assert not set_.raws.flags.writeable and not set_.xy.flags.writeable
+        assert np.shares_memory(set_.floats, rows)
 
 
 _MEASURE = textwrap.dedent("""

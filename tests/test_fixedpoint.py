@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -84,6 +86,19 @@ class TestFromReal:
         raws = quantize_array(values, UQ1_15)
         for v, r in zip(values, raws):
             assert round(float(v) * 2 ** 15) == int(r)
+
+    def test_peak_memory_is_one_temporary_and_the_result(self):
+        """The rounding and the clip run in place in one float64
+        temporary: the peak is that and the int64 raws, where a rounded
+        copy and a clipped copy made it three arrays of the input's size."""
+        values = np.random.default_rng(6).uniform(0, 1, (4000, DESCRIPTOR_LEN))
+        tracemalloc.start()
+        try:
+            quantize_array(values, UQ1_15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.05 * values.nbytes
 
 
 class TestResize:

@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 
-from siftmatch import reference
+from siftmatch import rowtext
 from siftmatch.cli import main
 from siftmatch.descriptors import generate_synthetic, save_descriptor_set
 
@@ -100,6 +100,6 @@ def test_output_bytes(workdir, args):
 
 @pytest.mark.parametrize("args", MULTI_PIECE, ids=" ".join)
 def test_piece_size_does_not_change_bytes(workdir, args):
-    with mock.patch.object(reference, "CHUNK_ROWS", 97):  # 11 pieces
+    with mock.patch.object(rowtext, "CHUNK_ROWS", 97):  # 11 pieces
         assert main([*args, "-o", "out"]) == 0
     assert sha256("out") == GOLDEN[args]

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from siftmatch.descriptors import generate_synthetic
+from siftmatch.descriptors import RECORD_BYTES, generate_synthetic
 from siftmatch.perf import (
     FETCH_CYCLES,
+    PORT_BYTES_PER_CYCLE,
     RooflineConfig,
     attainable_throughput,
     effective_throughput_with_blocking,
@@ -51,6 +52,15 @@ class TestAttainableThroughput:
         p = attainable_throughput(0.8 * GB)
         assert p.attainable_ops_per_s == 100e6 / 32
         assert p.bound == "memory"
+
+    def test_port_costs_payload_32_and_record_33_cycles(self):
+        # The roofline moves the 256-byte element payload, the fetch the
+        # 260-byte record (perf module docstring).
+        cfg = RooflineConfig()
+        assert (cfg.descriptor_bytes, RECORD_BYTES) == (256, 260)
+        p = attainable_throughput(PORT_BYTES_PER_CYCLE * cfg.clock_hz, cfg)
+        assert p.attainable_ops_per_s == cfg.clock_hz / 32
+        assert FETCH_CYCLES == 33
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siftmatch import pipeline, search
-from siftmatch.cordic import AngleSample, CordicConfig, cordic_arccos
+from siftmatch.cordic import AngleSample, cordic_arccos
 from siftmatch.descriptors import (
     DESCRIPTOR_LEN,
     DescriptorSet,
@@ -66,12 +66,7 @@ def pool():
 
 class TestConfig:
     def test_drain(self):
-        assert PipelineConfig().drain_cycles == 10 + 52 + 1 + 3
-
-    def test_drain_counts_cordic_depths(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "DEFAULT_CONFIG",
-                            CordicConfig(sqrt_iterations=40))
-        assert PipelineConfig().drain_cycles == 10 + 4 + 40 + 11 + 1 + 3
+        assert pipeline.DRAIN_CYCLES == 10 + 52 + 1 + 3
 
     def test_defaults_follow_fetch_time(self):
         assert FETCH_CYCLES == 33 == PipelineConfig().block_size
@@ -82,7 +77,7 @@ class TestConfig:
         busy = cfg.blocks(50) * 9 * block
         assert cfg.blocks(50) == math.ceil(50 / block)
         assert predict_cycles(50, 9, cfg) == \
-            block * FETCH_CYCLES + busy + cfg.drain_cycles
+            block * FETCH_CYCLES + busy + pipeline.DRAIN_CYCLES
 
     @pytest.mark.parametrize("kwargs", [
         {"block_size": 0},

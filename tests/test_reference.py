@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from siftmatch import reference, search
+from siftmatch import rowtext, search
 from siftmatch.descriptors import DESCRIPTOR_LEN, DescriptorSet, generate_synthetic
 from siftmatch.pipeline import PipelineConfig, run_pipeline
 from siftmatch.reference import (
@@ -391,7 +391,7 @@ def report_case(seed, engine, mode, m, n, raw_exact, copies, stream=None):
 def check_report(header, columns, chunk):
     rows = report_rows(columns)
     assert len(columns) == len(rows)
-    with mock.patch.object(reference, "CHUNK_ROWS", chunk):
+    with mock.patch.object(rowtext, "CHUNK_ROWS", chunk):
         pieces = list(report_json_chunks(header, columns))
         buf = io.BytesIO()
         write_matches_csv(columns, buf)
@@ -503,7 +503,7 @@ class TestRowText:
         columns = random_columns(seed, m, raws)
         header = {"engine": "pipeline" if raws else "reference"}
         rows = report_rows(columns)
-        with mock.patch.object(reference, "CHUNK_ROWS", chunk):
+        with mock.patch.object(rowtext, "CHUNK_ROWS", chunk):
             text = b"".join(report_json_chunks(header, columns))
             buf = io.BytesIO()
             write_matches_csv(columns, buf)
@@ -542,7 +542,7 @@ class TestRowText:
                 for data in pieces:
                     self.write(data)
 
-        with mock.patch.object(reference, "CHUNK_ROWS", chunk):
+        with mock.patch.object(rowtext, "CHUNK_ROWS", chunk):
             lengths = list(map(len, report_json_chunks({}, columns)))
             tracemalloc.start()
             try:
