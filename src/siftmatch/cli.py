@@ -8,10 +8,11 @@ machine-parseable ``siftmatch: error: <category>: <message>`` line on stderr
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
+import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .descriptors import (
     save_descriptor_set,
 )
 from .fixedpoint import UQ1_15, UQ2_14
-from .perf import RooflineConfig, roofline_sweep, write_roofline_csv
+from .perf import RooflineConfig, roofline_csv, roofline_sweep
 from .pipeline import (
     THRESHOLD_MODES,
     PipelineConfig,
@@ -34,8 +35,8 @@ from .pipeline import (
 from .reference import (
     DEFAULT_THRESHOLD,
     match_all,
+    report_csv_chunks,
     report_json_chunks,
-    write_matches_csv,
 )
 from .rowtext import RowText
 
@@ -79,25 +80,22 @@ def _list_of(kind):
     return parse
 
 
-def _write_out(path: str | None, writer, binary: bool = False) -> None:
-    """Call ``writer`` with the destination open: the file ``path``, or
-    stdout for ``None`` and ``-``.  A ``binary`` writer gets a handle that
-    takes bytes, any other one a handle that takes ASCII text.  Stdout is
-    flushed before the command returns, so a write error surfaces here."""
+def _write_out(path: str | None, pieces) -> None:
+    """Write ``pieces``, an iterable of ASCII bytes, to the file ``path``, or
+    to stdout for ``None`` and ``-``.  Stdout is flushed before the command
+    returns, so a write error surfaces here."""
     if path is None or path == "-":
-        sys.stdout.flush()  # text written before goes out first
-        writer(sys.stdout.buffer if binary else sys.stdout)
-        sys.stdout.flush()
+        sys.stdout.buffer.writelines(pieces)
+        sys.stdout.buffer.flush()
         return
-    with (open(path, "wb") if binary else
-          open(path, "w", encoding="ascii", newline="")) as fh:
-        writer(fh)
+    with open(path, "wb") as fh:
+        fh.writelines(pieces)
 
 
 def _write_json(path: str | None, obj) -> None:
     # Encode before opening, so an unencodable value leaves no partial file.
-    text = json.dumps(obj, indent=2, allow_nan=False)
-    _write_out(path, lambda fh: fh.write(text))
+    text = json.dumps(obj, indent=2, allow_nan=False).encode("ascii")
+    _write_out(path, [text])
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -117,13 +115,14 @@ def cmd_generate(args) -> int:
     t_path = f"{args.output_prefix}_truth.csv"
     save_descriptor_set(queries, q_path)
     save_descriptor_set(db, d_path)
-    with open(t_path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_index", "db_index"])
-        writer.writerows(truth)
-    print(f"wrote {q_path} ({len(queries)} descriptors), {d_path} "
-          f"({len(db)} descriptors), {t_path} ({len(truth)} planted pairs)",
-          flush=True)  # a write error surfaces here, not at exit
+    index = np.array(truth, dtype=np.int64).reshape(-1, 2)
+    rows = RowText([index[:, 0], ",", index[:, 1], "\r\n"])  # as csv.writer
+    _write_out(t_path, chain([b"query_index,db_index\r\n"],
+                             rows.pieces(len(index))))
+    # Paths as the bytes the file system was given.
+    _write_out(None, [os.fsencode(
+        f"wrote {q_path} ({len(queries)} descriptors), {d_path} "
+        f"({len(db)} descriptors), {t_path} ({len(truth)} planted pairs)\n")])
     return 0
 
 
@@ -153,16 +152,12 @@ def cmd_match(args) -> int:
             "blocks_processed": run.blocks_processed,
             "dot_products_executed": run.dot_products_executed,
         })
+    _write_out(args.output, report_csv_chunks(matches) if args.format == "csv"
+               else report_json_chunks(report, matches))
+    if args.engine == "pipeline":  # after the report: a failed write is one line
         print(f"{run.total_cycles} cycles, "
               f"{run.elapsed_seconds_at_clock * 1e3:.4f} ms at "
               f"{cfg.clock_hz / 1e6:g} MHz", file=sys.stderr)
-
-    if args.format == "csv":
-        _write_out(args.output, lambda fh: write_matches_csv(matches, fh),
-                   binary=True)
-    else:
-        chunks = report_json_chunks(report, matches)
-        _write_out(args.output, lambda fh: fh.writelines(chunks), binary=True)
     return 0
 
 
@@ -252,7 +247,7 @@ def cmd_roofline(args) -> int:
     cfg = RooflineConfig(clock_hz=args.clock_hz,
                          descriptor_bytes=args.descriptor_bytes)
     points = roofline_sweep(cfg, args.bandwidths)
-    _write_out(args.output, lambda fh: write_roofline_csv(points, fh))
+    _write_out(args.output, [roofline_csv(points)])
     return 0
 
 
@@ -264,12 +259,8 @@ def cmd_characterize(args) -> int:
     error = approx - exact
 
     rows = RowText([x, ",", approx, ",", exact, ",", error, "\n"])
-
-    def write(fh):
-        fh.write(b"x,cordic_arccos,float_arccos,error\n")
-        fh.writelines(rows.pieces(len(x)))
-
-    _write_out(args.output, write, binary=True)
+    _write_out(args.output, chain([b"x,cordic_arccos,float_arccos,error\n"],
+                                  rows.pieces(len(x))))
     abs_error = np.abs(error)
     outside = x >= 2.0 ** -8
     print(f"max |error| = {abs_error.max():.3e} rad "
@@ -294,12 +285,11 @@ def cmd_bench(args) -> int:
     if args.json:
         _write_json(args.output, rows)
     else:
-        def write(fh):
-            fh.write(f"{'m':>6} {'n':>6} {'blocks':>7} {'cycles':>12} {'ms':>9}\n")
-            for r in rows:
-                fh.write(f"{r['m']:>6} {r['n']:>6} {r['blocks']:>7} "
-                         f"{r['total_cycles']:>12} {r['elapsed_ms']:>9.4f}\n")
-        _write_out(args.output, write)
+        lines = [f"{'m':>6} {'n':>6} {'blocks':>7} {'cycles':>12} {'ms':>9}\n"]
+        lines += [f"{r['m']:>6} {r['n']:>6} {r['blocks']:>7} "
+                  f"{r['total_cycles']:>12} {r['elapsed_ms']:>9.4f}\n"
+                  for r in rows]
+        _write_out(args.output, ["".join(lines).encode("ascii")])
     return 0
 
 

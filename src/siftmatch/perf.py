@@ -34,8 +34,8 @@ __all__ = [
     "RooflinePoint",
     "attainable_throughput",
     "effective_throughput_with_blocking",
+    "roofline_csv",
     "roofline_sweep",
-    "write_roofline_csv",
 ]
 
 PORT_BYTES_PER_CYCLE = 8
@@ -108,8 +108,8 @@ def effective_throughput_with_blocking(cfg: RooflineConfig, block_size: int) -> 
     return cfg.peak_ops_per_s * block_size / FETCH_CYCLES
 
 
-def write_roofline_csv(points: list[RooflinePoint], fileobj) -> None:
-    """Emit ``bandwidth_bytes_per_s, ops_per_s, bound`` rows for plotting."""
-    fileobj.write("bandwidth_bytes_per_s,ops_per_s,bound\n")
-    for p in points:
-        fileobj.write(f"{p.bandwidth_bytes_per_s!r},{p.attainable_ops_per_s!r},{p.bound}\n")
+def roofline_csv(points: list[RooflinePoint]) -> bytes:
+    """ASCII ``bandwidth_bytes_per_s, ops_per_s, bound`` rows for plotting."""
+    return "".join(["bandwidth_bytes_per_s,ops_per_s,bound\n", *(
+        f"{p.bandwidth_bytes_per_s!r},{p.attainable_ops_per_s!r},{p.bound}\n"
+        for p in points)]).encode("ascii")

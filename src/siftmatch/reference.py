@@ -8,13 +8,14 @@ smallest, and accepts the nearest neighbor only when
 Dot products equal a strict left-to-right sum over the 128 elements, so
 results are bit-reproducible.  :func:`match_all` runs the tiled search of
 :mod:`siftmatch.search`.  When both sets are ``raw_exact`` (every ``.siftdb``
-load) it takes one BLAS GEMM per tile on the integer raws: every partial sum
-is exact, and ``w * 2**-30`` is a power-of-two scaling, so the sums ``w``
-give the left-to-right bits of the float elements ``raw * 2**-15``, and no
-float copy of a set is made.  Other sets (text files, ``from_floats``) take
-the strict-order :func:`dot_matrix` on the float elements, one tile at a
-time, ranked by the negated angle: each such key is the smallest with its
-angle, so they never take the search's follow-up pass.
+load, and a ``.siftd`` load whose elements are all ``raw * 2**-15``) it
+takes one BLAS GEMM per tile on the integer raws: every partial sum is
+exact, and ``w * 2**-30`` is a power-of-two scaling, so the sums ``w`` give
+the left-to-right bits of the float elements ``raw * 2**-15``, and no float
+copy of a set is made.  Other sets (floats off that grid) take the
+strict-order :func:`dot_matrix` on the float elements, one tile at a time,
+ranked by the negated angle: each such key is the smallest with its angle,
+so they never take the search's follow-up pass.
 
 On raw-exact sets the search ranks by the integer dot ``w`` and only the
 two largest dots of a row are mapped to angles, ``arccos(min(w * 2**-30,
@@ -37,7 +38,7 @@ here is stateless.
 Results stay columnar from the search to the output file:
 :func:`match_results` wraps the search's arrays in a :class:`MatchColumns`,
 and no row object is ever built.  :func:`report_json_chunks` and
-:func:`write_matches_csv` write the rows column by column through one row
+:func:`report_csv_chunks` lay out the rows column by column through one row
 formatter, :class:`~siftmatch.rowtext.RowText`, ``rowtext.CHUNK_ROWS`` rows at
 a time, with no Python call per row.  The bytes equal those of
 ``json.dumps(indent=2)`` over each row as a dict of its report keys, and of
@@ -47,13 +48,13 @@ it: non-negative ints as their decimal digits, finite floats as their ``repr``
 and ``None`` as fixed text.  The rows are laid out in a byte grid whose
 padding is NUL; JSON and CSV text never contain NUL, so deleting it removes
 the padding only.  The JSON row template is made from the report keys
-:func:`_json_row` lists, in their order.  The pieces are ASCII bytes,
-written as they are to a binary file.  The report's head is a piece of its
-own, and the first row's leading comma is cut by a ``memoryview``, so no
-piece is copied.  While writing, a report holds one grid reused for every
-fill (about 0.7 MB of JSON at 2048 rows), one piece of text cut from at most
-64 KiB of it, a ``query_index`` column of 8 bytes per row and, per distinct
-angle, its text and 8-byte key.
+:func:`_json_row` lists, in their order.  The pieces are ASCII bytes, for
+the caller to write as they are to a binary file.  The report's head is a
+piece of its own, and the first row's leading comma is cut by a
+``memoryview``, so no piece is copied.  While writing, a report holds one
+grid reused for every fill (about 0.7 MB of JSON at 2048 rows), one piece
+of text cut from at most 64 KiB of it, a ``query_index`` column of 8 bytes
+per row and, per distinct angle, its text and 8-byte key.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ __all__ = [
     "dot_product",
     "match_all",
     "match_results",
+    "report_csv_chunks",
     "report_json_chunks",
-    "write_matches_csv",
 ]
 
 # Stand-in second minimum for a single-descriptor database: no real angle can
@@ -171,12 +172,13 @@ def _json_pieces(head: bytes, matches: MatchColumns
     yield b"\n  ]\n}"
 
 
-def write_matches_csv(matches: MatchColumns, fileobj) -> None:
-    """Emit verdicts as ``k, matched, best_index, qx, qy, bx, by, min_raw,
-    secmin_raw`` (``0``/``1`` for matched, an empty field for a missing raw),
-    each row ended by ``\\r\\n`` as ``csv.writer`` ends it, as ASCII bytes
-    to the binary file ``fileobj``."""
-    fileobj.write(b"k,matched,best_index,qx,qy,bx,by,min_raw,secmin_raw\r\n")
+def report_csv_chunks(matches: MatchColumns
+                      ) -> Iterator[bytes | bytearray]:
+    """The verdicts as CSV rows ``k, matched, best_index, qx, qy, bx, by,
+    min_raw, secmin_raw`` (``0``/``1`` for matched, an empty field for a
+    missing raw), each ended by ``\\r\\n`` as ``csv.writer`` ends it, in
+    ASCII pieces: the header line, then the rows' text."""
+    yield b"k,matched,best_index,qx,qy,bx,by,min_raw,secmin_raw\r\n"
     row = RowText([
         np.arange(len(matches)), ",", matches.matched, ",", matches.best,
         ",", matches.query_xy[:, 0], ",", matches.query_xy[:, 1],
@@ -184,7 +186,7 @@ def write_matches_csv(matches: MatchColumns, fileobj) -> None:
         ",", "" if matches.min_raw is None else matches.min_raw,
         ",", "" if matches.second_min_raw is None
         else matches.second_min_raw, "\r\n"], ("0", "1"))
-    fileobj.writelines(row.pieces(len(matches)))
+    yield from row.pieces(len(matches))
 
 
 def dot_matrix(queries: np.ndarray, database: np.ndarray,

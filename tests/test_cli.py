@@ -147,6 +147,13 @@ class TestMatch:
             f"{blob['total_cycles']} cycles, "
             f"{blob['elapsed_seconds_at_clock'] * 1e3:.4f} ms at {shown}\n")
 
+    def test_failed_write_prints_no_summary(self, dataset, tmp_path, capsys):
+        # The summary line once went out before the report was written.
+        assert run_cli("match", "-q", f"{dataset}_a.siftdb",
+                       "-d", f"{dataset}_b.siftdb", "--engine", "pipeline",
+                       "-o", str(tmp_path / "missing" / "out.json")) == 1
+        assert_one_error(capsys, "io")
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = run_cli("match", "-q", str(tmp_path / "nope.siftdb"),
                        "-d", str(tmp_path / "nope.siftdb"))
@@ -580,7 +587,15 @@ class TestStdout:
     @staticmethod
     def argv(command, dataset, tmp_path):
         """``command`` with the inputs or the output prefix it needs."""
-        if command[0] == "match":
+        if command == ["compare", "--reports"]:
+            reports = [str(tmp_path / f"{engine}.json")
+                       for engine in ("reference", "pipeline")]
+            for engine, report in zip(("reference", "pipeline"), reports):
+                assert run_cli("match", "--engine", engine, "-o", report,
+                               "-q", f"{dataset}_a.siftdb",
+                               "-d", f"{dataset}_b.siftdb") == 0
+            return [*command, *reports]
+        if command[0] in ("match", "compare"):
             return [*command, "-q", f"{dataset}_a.siftdb",
                     "-d", f"{dataset}_b.siftdb"]
         if command[0] == "generate":
@@ -590,9 +605,11 @@ class TestStdout:
     @pytest.mark.parametrize("command", [
         *(["match", "--engine", engine, "--format", fmt]
           for engine in ("reference", "pipeline") for fmt in ("json", "csv")),
-        ["characterize"],
+        ["characterize"], ["roofline"], ["bench"], ["bench", "--json"],
+        ["compare"], ["compare", "--reports"],
     ], ids=["reference-json", "reference-csv", "pipeline-json", "pipeline-csv",
-            "characterize"])
+            "characterize", "roofline", "bench", "bench-json", "compare",
+            "compare-reports"])
     def test_dash_writes_the_file_bytes(self, dataset, tmp_path, capsysbinary,
                                         command):
         args = self.argv(command, dataset, tmp_path)
@@ -903,8 +920,10 @@ def mutated_report(data, blob: bytes) -> bytes:
     return json.dumps(report).encode("ascii")
 
 
-def parse_output(command: str, argv: list[str], outputs: list[str]) -> None:
-    """Parse what ``argv`` wrote, by the kind of output its command gives."""
+def parse_output(command: str, argv: list[str], outputs: list[str],
+                 stdout: bytes) -> None:
+    """Parse what ``argv`` wrote, by the kind of output its command gives:
+    to its output files, or to ``stdout`` for ``-o -``."""
     if command == "generate":
         queries, database, truth = outputs
         assert len(load_descriptor_set(queries)) == len(
@@ -912,8 +931,12 @@ def parse_output(command: str, argv: list[str], outputs: list[str]) -> None:
         with open(truth, encoding="ascii", newline="") as fh:
             assert next(csv.reader(fh)) == ["query_index", "db_index"]
         return
-    with open(outputs[0], "rb") as fh:
-        text = fh.read().decode("ascii")
+    if outputs == ["-"]:
+        text = stdout.decode("ascii")
+    else:
+        assert not stdout
+        with open(outputs[0], "rb") as fh:
+            text = fh.read().decode("ascii")
     if command in ("compare", "reports") or "--json" in argv or (
             command == "match" and "csv" not in argv):
         json.loads(text, parse_constant=_no_constant)
@@ -923,17 +946,23 @@ def parse_output(command: str, argv: list[str], outputs: list[str]) -> None:
         assert len({len(row) for row in csv.reader(io.StringIO(text))}) == 1
 
 
+# The summary lines commands print on stderr after their output.
+_SUMMARY = re.compile(r"\d+ cycles, |agreement: |max \|error\| ")
+
+
 class TestArgvFuzz:
     """A command with one option's value replaced, or a compare of two saved
-    reports one of which is mutated, ends in one of three ways: exit 0 with
-    output that parses, exit 1 with one categorized error line and no output
-    file, or argparse's exit 2.  Any other exception fails the test."""
+    reports one of which is mutated, writing to a file or to stdout, ends in
+    one of three ways: exit 0 with output that parses, exit 1 with one
+    categorized error line, no summary line and no output, or argparse's
+    exit 2 with no output.  Any other exception fails the test."""
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_output_or_one_error_line_or_usage(self, argv_inputs, tmp_path,
-                                               capsys, monkeypatch, data):
+                                               capsysbinary, monkeypatch,
+                                               data):
         work = tmp_path / "work"
         shutil.rmtree(work, ignore_errors=True)
         work.mkdir()
@@ -941,6 +970,8 @@ class TestArgvFuzz:
         command = data.draw(st.sampled_from(list(_COMMANDS)))
         name, groups = _COMMANDS[command]
         paths = {**argv_inputs, "out": work / "out", "gen": work / "gen"}
+        if command != "generate" and data.draw(st.booleans()):
+            paths["out"] = "-"
         mutate_report = command == "reports" and data.draw(st.booleans())
         if mutate_report:
             side = data.draw(st.sampled_from("ab"))
@@ -963,21 +994,25 @@ class TestArgvFuzz:
                                          ".siftdb")
             outputs = [f"{prefix}_a{ext}", f"{prefix}_b{ext}",
                        f"{prefix}_truth.csv"]
-        capsys.readouterr()
+        capsysbinary.readouterr()
         try:
             code = main(argv)
         except SystemExit as exc:
             assert exc.code == 2, argv
+            assert not capsysbinary.readouterr().out, argv
             assert not any(map(os.path.isfile, outputs)), argv
             return
-        err = capsys.readouterr().err.splitlines()
+        out, err = capsysbinary.readouterr()
         if code == 0:
-            parse_output(command, argv, outputs)
+            parse_output(command, argv, outputs, out)
             return
         assert code == 1, argv
+        assert not out, argv
+        err = err.decode().splitlines()
         errors = [line for line in err if line.startswith("siftmatch:")]
         assert len(errors) == 1 and err[-1] == errors[0], err
         assert re.match(r"siftmatch: error: (io|format|domain): ", errors[0])
+        assert not any(map(_SUMMARY.match, err)), err
         assert not any(map(os.path.isfile, outputs)), argv
 
     @staticmethod

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -11,8 +10,8 @@ from siftmatch.perf import (
     RooflineConfig,
     attainable_throughput,
     effective_throughput_with_blocking,
+    roofline_csv,
     roofline_sweep,
-    write_roofline_csv,
 )
 from siftmatch.pipeline import PipelineConfig, run_pipeline
 
@@ -99,9 +98,8 @@ class TestSweep:
                 <= cfg.peak_ops_per_s
 
     def test_csv_emission(self):
-        buf = io.StringIO()
-        write_roofline_csv(roofline_sweep(RooflineConfig(), [3.2 * GB]), buf)
-        lines = buf.getvalue().strip().splitlines()
+        lines = roofline_csv(roofline_sweep(RooflineConfig(), [3.2 * GB])
+                             ).decode("ascii").strip().splitlines()
         assert lines[0] == "bandwidth_bytes_per_s,ops_per_s,bound"
         assert lines[1] == "3200000000.0,12500000.0,memory"
 

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 import os
 import tracemalloc
@@ -31,7 +30,7 @@ from siftmatch.pipeline import (
     predict_cycles,
     run_pipeline,
 )
-from siftmatch.reference import match_all, write_matches_csv
+from siftmatch.reference import match_all, report_csv_chunks
 
 LSB14 = UQ2_14.lsb
 
@@ -625,9 +624,8 @@ class TestReporting:
     def test_csv_rows(self, pool):
         q, db = pool
         report = run_pipeline(subset(q, 3), subset(db, 4), PipelineConfig())
-        buf = io.BytesIO()
-        write_matches_csv(report.matches, buf)
-        lines = buf.getvalue().decode("ascii").strip().splitlines()
+        lines = b"".join(report_csv_chunks(report.matches)).decode(
+            "ascii").strip().splitlines()
         assert lines[0] == "k,matched,best_index,qx,qy,bx,by,min_raw,secmin_raw"
         assert len(lines) == 4
         first = lines[1].split(",")

@@ -20,8 +20,8 @@ from siftmatch.reference import (
     dot_matrix,
     dot_product,
     match_all,
+    report_csv_chunks,
     report_json_chunks,
-    write_matches_csv,
 )
 
 # The keys of a report row, in the order json.dumps writes them.
@@ -393,14 +393,13 @@ def check_report(header, columns, chunk):
     assert len(columns) == len(rows)
     with mock.patch.object(rowtext, "CHUNK_ROWS", chunk):
         pieces = list(report_json_chunks(header, columns))
-        buf = io.BytesIO()
-        write_matches_csv(columns, buf)
+        csv_text = b"".join(report_csv_chunks(columns))
     # Line lists, so that a failure names the first wrong line quickly.
     assert b"".join(pieces).decode("ascii").splitlines(True) == json.dumps(
         {**header, "matches": rows}, indent=2).splitlines(True)
     # The head, the pieces of rows and the tail.
     assert len(pieces) == -(-len(rows) // chunk) + 2
-    assert buf.getvalue().decode("ascii").splitlines(True) == \
+    assert csv_text.decode("ascii").splitlines(True) == \
         listed_csv(rows).splitlines(True)
 
 
@@ -505,12 +504,11 @@ class TestRowText:
         rows = report_rows(columns)
         with mock.patch.object(rowtext, "CHUNK_ROWS", chunk):
             text = b"".join(report_json_chunks(header, columns))
-            buf = io.BytesIO()
-            write_matches_csv(columns, buf)
+            csv_text = b"".join(report_csv_chunks(columns))
         # Line lists, so that a failure names the first wrong line quickly.
         assert text.decode("ascii").splitlines(True) == json.dumps(
             {**header, "matches": rows}, indent=2).splitlines(True)
-        assert buf.getvalue().decode("ascii").splitlines(True) == \
+        assert csv_text.decode("ascii").splitlines(True) == \
             listed_csv(rows).splitlines(True)
 
     def test_random_columns_reach_the_edges(self):
@@ -547,7 +545,7 @@ class TestRowText:
             tracemalloc.start()
             try:
                 Sink().writelines(report_json_chunks({}, columns))
-                write_matches_csv(columns, Sink())
+                Sink().writelines(report_csv_chunks(columns))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
