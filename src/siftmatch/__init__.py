@@ -19,19 +19,16 @@ from .cordic import AngleSample, CordicConfig, cordic_arccos
 from .pipeline import (
     MinPairEntry,
     PipelineConfig,
+    RooflinePoint,
     RunReport,
+    attainable_throughput,
     dot_product_core,
+    effective_throughput_with_blocking,
     match_check,
     min_find,
     predict_cycles,
-    run_pipeline,
-)
-from .perf import (
-    RooflineConfig,
-    RooflinePoint,
-    attainable_throughput,
-    effective_throughput_with_blocking,
     roofline_sweep,
+    run_pipeline,
 )
 
 __version__ = "0.1.0"
@@ -46,7 +43,6 @@ __all__ = [
     "MinPairEntry",
     "PipelineConfig",
     "QFormat",
-    "RooflineConfig",
     "RooflinePoint",
     "RunReport",
     "UQ1_15",

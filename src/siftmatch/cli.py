@@ -24,12 +24,13 @@ from .descriptors import (
     save_descriptor_set,
 )
 from .fixedpoint import UQ1_15, UQ2_14
-from .perf import RooflineConfig, roofline_csv, roofline_sweep
 from .pipeline import (
     THRESHOLD_MODES,
     PipelineConfig,
     elapsed_seconds,
     predict_cycles,
+    roofline_csv,
+    roofline_sweep,
     run_pipeline,
 )
 from .reference import (
@@ -244,7 +245,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_roofline(args) -> int:
-    cfg = RooflineConfig(clock_hz=args.clock_hz,
+    cfg = PipelineConfig(clock_hz=args.clock_hz,
                          descriptor_bytes=args.descriptor_bytes)
     points = roofline_sweep(cfg, args.bandwidths)
     _write_out(args.output, [roofline_csv(points)])
@@ -345,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidths", type=_list_of(float),
                    default=[0.8e9, 1.6e9, 3.2e9, 6.4e9, 12.8e9, 25.6e9, 51.2e9],
                    help="comma-separated bytes/s")
-    p.add_argument("--clock-hz", type=float, default=RooflineConfig.clock_hz)
+    p.add_argument("--clock-hz", type=float, default=PipelineConfig.clock_hz)
     p.add_argument("--descriptor-bytes", type=_positive_int,
-                   default=RooflineConfig.descriptor_bytes)
+                   default=PipelineConfig.descriptor_bytes)
     p.set_defaults(func=cmd_roofline)
 
     p = sub.add_parser("characterize", parents=[output],

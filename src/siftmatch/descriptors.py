@@ -359,8 +359,12 @@ def _load_text(path: str) -> DescriptorSet:
             if abs(norm - 1.0) > NORM_TOLERANCE:
                 off.append(i)
                 norms.append(norm)
-        if fh.readline().strip():
-            raise DescriptorFormatError(f"{path}: trailing data after {m} descriptors")
+        # Whitespace alone may follow, read in bounded chunks: one huge
+        # trailing line must not become a MemoryError.
+        while chunk := fh.read(1 << 16):
+            if chunk.strip():
+                raise DescriptorFormatError(
+                    f"{path}: trailing data after {m} descriptors")
     return _renormalized(str(path), floats, xy, off, norms)
 
 

@@ -1,12 +1,13 @@
-"""Cycle-timed, bit-faithful model of the pipelined matching accelerator.
+"""Cycle-timed, bit-faithful model of the pipelined matching accelerator,
+with the roofline and blocking model that sizes its memory bandwidth.
 
 The modeled core streams database descriptors past a cached block of query
 descriptors:
 
 * queries are split into blocks of ``block_size`` (by default
-  :data:`~siftmatch.perf.FETCH_CYCLES` = 33, the cycles a 260-byte record
-  takes on the 8-byte port: the block cache holds one query per fetch cycle,
-  so compute never starves);
+  :data:`FETCH_CYCLES` = 33, the cycles a 260-byte record takes on the
+  8-byte port: the block cache holds one query per fetch cycle, so compute
+  never starves);
 * every database descriptor entering the datapath performs one dot product
   per cycle against each cached query slot;
 * each dot product is narrowed to UQ1.15 and converted to an angle by the
@@ -51,6 +52,21 @@ smallest integer whose round-half-even narrowing reaches ``x``, so a dot
 ``w' <= w`` has ``g(w') == g(w)`` exactly when ``w' >= W(x)``.  Every value here is an
 integer below 2**53, so all of it is exact in float64.
 
+The roofline (:func:`attainable_throughput`) charges one matching operation
+one transfer of ``descriptor_bytes``, 256 by default: the 128 16-bit
+elements a match consumes, as the paper's model counts them, coordinates
+excluded.  A descriptor holds the memory port for ``ceil(descriptor_bytes /
+bytes_per_cycle)`` cycles, and the op rate is the clock divided by that,
+capped at the compute peak of one dot product per cycle.  The count is a
+ceiling because a descriptor cannot be dispatched fractionally: at 64
+bytes/cycle this gives 25 M op/s (4 cycles each), not the 24 sometimes
+quoted for that point.  The fetch moves the whole 260-byte record, the
+roofline the payload alone, so at the core's 8-byte port the fetch takes 33
+cycles and the roofline 32.  Blocking
+(:func:`effective_throughput_with_blocking`) follows: once the cached block
+holds at least FETCH_CYCLES queries, a fetched descriptor always has a full
+block to burn cycles against, and the core runs at clock rate.
+
 Each invocation is an independent, deterministic state machine.
 """
 
@@ -62,23 +78,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cordic import POLAR_ITERATIONS, SQRT_ITERATIONS, AngleSample, arccos_table
-from .descriptors import Descriptor, DescriptorSet
+from .descriptors import DESCRIPTOR_LEN, RECORD_BYTES, Descriptor, DescriptorSet
 from .fixedpoint import UQ1_15, UQ2_14, FxSample, round_shift_even
-from .perf import FETCH_CYCLES, RooflineConfig
 from .reference import MatchColumns, match_results
 from .search import exact_dots, nearest_two
 
 __all__ = [
     "DRAIN_CYCLES",
+    "FETCH_CYCLES",
     "MinPairEntry",
     "PipelineConfig",
+    "RooflinePoint",
     "RunReport",
+    "attainable_throughput",
     "dot_product_core",
     "dot_raw_matrix",
+    "effective_throughput_with_blocking",
     "elapsed_seconds",
     "match_check",
     "min_find",
     "predict_cycles",
+    "roofline_csv",
+    "roofline_sweep",
     "run_pipeline",
 ]
 
@@ -92,14 +113,18 @@ _ANGLE_LSB = UQ2_14.lsb
 # the match check.
 DRAIN_CYCLES = 10 + 4 + SQRT_ITERATIONS + POLAR_ITERATIONS + 1 + 3
 
+PORT_BYTES_PER_CYCLE = 8
+FETCH_CYCLES = math.ceil(RECORD_BYTES / PORT_BYTES_PER_CYCLE)
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Block geometry, clock and threshold mode of the core."""
+    """Block geometry, clock, threshold mode and roofline transfer size."""
 
     block_size: int = FETCH_CYCLES
-    clock_hz: float = RooflineConfig.clock_hz
+    clock_hz: float = 100e6
     threshold_mode: str = THRESHOLD_MODES[0]
+    descriptor_bytes: int = 2 * DESCRIPTOR_LEN
 
     def __post_init__(self) -> None:
         if self.block_size < 1:
@@ -108,6 +133,8 @@ class PipelineConfig:
             raise ValueError("clock_hz must be positive and finite")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ValueError(f"threshold_mode must be one of {THRESHOLD_MODES}")
+        if self.descriptor_bytes < 1:
+            raise ValueError("descriptor_bytes must be >= 1")
 
     def blocks(self, m: int) -> int:
         """Query blocks for ``m`` queries: ``ceil(m / block_size)``."""
@@ -218,7 +245,14 @@ class RunReport:
 
 
 def predict_cycles(m: int, n: int, cfg: PipelineConfig = PipelineConfig()) -> int:
-    """Closed-form cycle count for matching m queries against n database rows."""
+    """Closed-form cycle count for matching m queries against n database rows.
+
+    It counts compute slots only, ``block_size`` cycles per database
+    descriptor and block at any block size, so it is the run's timing for
+    ``block_size >= FETCH_CYCLES``, the default included.  A smaller block
+    also waits on the port, at the stalled rate that
+    :func:`effective_throughput_with_blocking` gives.
+    """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     fill = cfg.block_size * FETCH_CYCLES
@@ -282,3 +316,55 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
         matches=match_results(queries, db, best, min_angle, second_angle,
                               matched, amin, asec),
     )
+
+
+@dataclass(frozen=True)
+class RooflinePoint:
+    bandwidth_bytes_per_s: float
+    attainable_ops_per_s: float
+    bound: str  # "memory" | "compute"
+
+
+def attainable_throughput(bandwidth: float,
+                          cfg: PipelineConfig = PipelineConfig()) -> RooflinePoint:
+    """Attainable op rate at a given memory bandwidth (bytes/s)."""
+    if not 0 < bandwidth < math.inf:
+        raise ValueError("bandwidth must be positive and finite")
+    bytes_per_cycle = bandwidth / cfg.clock_hz
+    if bytes_per_cycle == math.inf:
+        raise ValueError(f"bandwidth {bandwidth!r} at clock_hz {cfg.clock_hz!r} "
+                         "moves an unbounded number of bytes per cycle")
+    try:
+        cycles_per_descriptor = math.ceil(cfg.descriptor_bytes / bytes_per_cycle)
+    except (ZeroDivisionError, OverflowError):  # no bytes, or too many cycles
+        raise ValueError(f"bandwidth {bandwidth!r} is too small to move a "
+                         "descriptor") from None
+    ops = cfg.clock_hz / cycles_per_descriptor
+    if ops >= cfg.clock_hz:  # the compute peak: one dot product per cycle
+        return RooflinePoint(bandwidth, cfg.clock_hz, "compute")
+    return RooflinePoint(bandwidth, ops, "memory")
+
+
+def roofline_sweep(cfg: PipelineConfig,
+                   bandwidths: list[float]) -> list[RooflinePoint]:
+    """One roofline point per bandwidth; throughput is monotone in bandwidth."""
+    if not bandwidths:
+        raise ValueError("bandwidth list must be non-empty")
+    return [attainable_throughput(bw, cfg) for bw in bandwidths]
+
+
+def effective_throughput_with_blocking(cfg: PipelineConfig) -> float:
+    """Op rate with a block cache of ``cfg.block_size`` queries: the clock
+    rate from ``FETCH_CYCLES`` queries up, where the fetch hides behind the
+    block's compute; a smaller block waits on the port and runs at
+    ``block_size / FETCH_CYCLES`` of it."""
+    if cfg.block_size >= FETCH_CYCLES:
+        return cfg.clock_hz
+    return cfg.clock_hz * cfg.block_size / FETCH_CYCLES
+
+
+def roofline_csv(points: list[RooflinePoint]) -> bytes:
+    """ASCII ``bandwidth_bytes_per_s, ops_per_s, bound`` rows for plotting."""
+    return "".join(["bandwidth_bytes_per_s,ops_per_s,bound\n", *(
+        f"{p.bandwidth_bytes_per_s!r},{p.attainable_ops_per_s!r},{p.bound}\n"
+        for p in points)]).encode("ascii")

@@ -11,10 +11,10 @@ import pytest
 from siftmatch.cordic import AngleSample, arccos_raw_batch
 from siftmatch.descriptors import DescriptorSet, generate_synthetic
 from siftmatch.fixedpoint import UQ1_15, UQ2_14, FxSample
-from siftmatch.perf import RooflineConfig, attainable_throughput
 from siftmatch.pipeline import (
     MinPairEntry,
     PipelineConfig,
+    attainable_throughput,
     match_check,
     min_find,
     predict_cycles,
@@ -67,7 +67,7 @@ def test_criterion_1_timing_reproduction(experiment_scale_sets):
 
 def test_criterion_2_roofline_points():
     """12.5 M op/s at 3.2 GB/s and the 100 M op/s cap at >= 25.6 GB/s, exactly."""
-    cfg = RooflineConfig()
+    cfg = PipelineConfig()
     assert attainable_throughput(3.2 * GB, cfg).attainable_ops_per_s == 12.5e6
     for bw in (25.6 * GB, 51.2 * GB):
         point = attainable_throughput(bw, cfg)

@@ -23,7 +23,6 @@ from siftmatch.cli import _agreement, _pipeline_config, build_parser, main
 from siftmatch.cordic import CordicConfig, arccos_raw_batch
 from siftmatch.descriptors import load_descriptor_set
 from siftmatch.fixedpoint import UQ1_15, UQ2_14
-from siftmatch.perf import RooflineConfig
 from siftmatch.pipeline import PipelineConfig
 from siftmatch.reference import DEFAULT_THRESHOLD
 
@@ -254,6 +253,34 @@ class TestMatch:
             f"siftmatch: error: format: {bad}: non-ASCII byte 0xff")
         assert not out.exists()
 
+    @pytest.mark.parametrize("tail", ["\n\ngarbage here\n",
+                                      "\n" * 5 + "  \n\t\ngarbage here\n",
+                                      " " * (1 << 17) + "x"],
+                             ids=["blank-line", "blank-lines", "long-line"])
+    def test_text_after_blank_lines_is_format_error(self, tmp_path, capsys,
+                                                    tail):
+        prefix = str(tmp_path / "t")
+        run_cli("generate", "-m", "3", "--format", "text", "-o", prefix)
+        bad = tmp_path / "bad.siftd"
+        bad.write_text((tmp_path / "t_a.siftd").read_text() + tail)
+        out = tmp_path / "out.json"
+        assert run_cli("match", "-q", str(bad), "-d", f"{prefix}_b.siftd",
+                       "-o", str(out)) == 1
+        assert assert_one_error(capsys, "format") == (
+            f"siftmatch: error: format: {bad}: trailing data after 3 descriptors")
+        assert not out.exists()
+
+    def test_trailing_whitespace_alone_loads(self, tmp_path):
+        prefix = str(tmp_path / "t")
+        run_cli("generate", "-m", "3", "--format", "text", "-o", prefix)
+        padded = tmp_path / "padded.siftd"
+        padded.write_text((tmp_path / "t_a.siftd").read_text()
+                          + "\n\n  \t\n" + " " * (1 << 17) + "\n")
+        got, want = (load_descriptor_set(str(padded)),
+                     load_descriptor_set(f"{prefix}_a.siftd"))
+        assert np.array_equal(got.floats, want.floats)
+        assert np.array_equal(got.xy, want.xy)
+
     def test_unknown_extension_names_accepted_ones(self, tmp_path, capsys):
         path = str(tmp_path / "set.txt")
         assert run_cli("match", "-q", path, "-d", path) == 1
@@ -471,24 +498,26 @@ class TestDefaults:
 
     def test_roofline_options(self):
         args = build_parser().parse_args(["roofline"])
-        assert RooflineConfig(clock_hz=args.clock_hz,
+        assert PipelineConfig(clock_hz=args.clock_hz,
                               descriptor_bytes=args.descriptor_bytes) \
-            == RooflineConfig()
+            == PipelineConfig()
 
 
-# A flag and a non-default value for every field of the configs the CLI builds.
-PIPELINE_FLAGS = {
-    "block_size": ("--block-size", "7", 7),
-    "clock_hz": ("--clock-hz", "2e8", 2e8),
-    "threshold_mode": ("--threshold-mode", "binary_10011", "binary_10011"),
+# A flag of each PipelineConfig field, with a non-default value for it.
+BLOCK_SIZE = ("block_size", "--block-size", "7", 7)
+CLOCK_HZ = ("clock_hz", "--clock-hz", "2e8", 2e8)
+THRESHOLD_MODE = ("threshold_mode", "--threshold-mode", "binary_10011",
+                  "binary_10011")
+DESCRIPTOR_BYTES = ("descriptor_bytes", "--descriptor-bytes", "260", 260)
+
+# Command -> the flags it passes into the PipelineConfig it builds.
+PIPELINE = ("match", "--engine", "pipeline")
+COMMAND_FLAGS = {
+    PIPELINE: (BLOCK_SIZE, CLOCK_HZ, THRESHOLD_MODE),
+    ("compare",): (BLOCK_SIZE, CLOCK_HZ, THRESHOLD_MODE),
+    ("bench",): (BLOCK_SIZE, CLOCK_HZ),
+    ("roofline",): (CLOCK_HZ, DESCRIPTOR_BYTES),
 }
-ROOFLINE_FLAGS = {
-    "clock_hz": ("--clock-hz", "2e8", 2e8),
-    "descriptor_bytes": ("--descriptor-bytes", "260", 260),
-}
-
-
-CONFIG_FLAGS = {PipelineConfig: PIPELINE_FLAGS, RooflineConfig: ROOFLINE_FLAGS}
 
 
 def config_classes() -> set[type]:
@@ -503,44 +532,48 @@ def config_classes() -> set[type]:
 
 
 class TestEveryConfigFieldHasAFlag:
-    """No config field is reachable only from code: each one a command
-    builds can be set from that command's flags."""
+    """No config field is reachable only from code: each one can be set
+    from the flags of every command that builds the config for it."""
 
     def test_every_config_field_is_in_a_flag_table(self):
-        # The tests below set each table's fields through the CLI, so a
+        # The tests below set each command's fields through the CLI, so a
         # config with a field outside the tables, such as a depth that
         # only code sets, fails here.  CordicConfig has no field.
         configs = config_classes()
-        assert {PipelineConfig, RooflineConfig, CordicConfig} <= configs
-        with_fields = {c for c in configs if dataclasses.fields(c)}
-        assert with_fields == set(CONFIG_FLAGS)
-        for config, flags in CONFIG_FLAGS.items():
-            assert {f.name for f in dataclasses.fields(config)} == set(flags)
+        assert {PipelineConfig, CordicConfig} <= configs
+        assert {c for c in configs if dataclasses.fields(c)} == {PipelineConfig}
+        assert {field for flags in COMMAND_FLAGS.values()
+                for field, *_ in flags} \
+            == {f.name for f in dataclasses.fields(PipelineConfig)}
 
-    @pytest.mark.parametrize("command", [("match", "--engine", "pipeline"),
-                                         ("compare",)])
+    @staticmethod
+    def assert_flags_reach_config(monkeypatch, command, hook, *args):
+        """Run ``command`` once per flag of its table, with ``cli.<hook>``
+        recording each PipelineConfig it is called with."""
+        seen, real = [], getattr(cli, hook)
+        monkeypatch.setattr(cli, hook, lambda *a: seen.extend(
+            x for x in a if isinstance(x, PipelineConfig)) or real(*a))
+        defaults = PipelineConfig()
+        for field, flag, text, value in COMMAND_FLAGS[command]:
+            assert value != getattr(defaults, field)
+            assert run_cli(*command, *args, flag, text) == 0
+            assert seen and all(getattr(cfg, field) == value for cfg in seen)
+            seen.clear()
+
+    @pytest.mark.parametrize("command", [PIPELINE, ("compare",)])
     def test_pipeline_config(self, dataset, tmp_path, monkeypatch, command):
-        seen, real = [], cli.run_pipeline
-        monkeypatch.setattr(cli, "run_pipeline", lambda q, d, cfg:
-                            seen.append(cfg) or real(q, d, cfg))
-        for field in dataclasses.fields(PipelineConfig):
-            flag, text, value = PIPELINE_FLAGS[field.name]
-            assert value != field.default
-            assert run_cli(*command, "-q", f"{dataset}_a.siftdb",
-                           "-d", f"{dataset}_b.siftdb", flag, text,
-                           "-o", str(tmp_path / "out")) == 0
-            assert getattr(seen.pop(), field.name) == value
+        self.assert_flags_reach_config(
+            monkeypatch, command, "run_pipeline", "-q", f"{dataset}_a.siftdb",
+            "-d", f"{dataset}_b.siftdb", "-o", str(tmp_path / "out"))
+
+    def test_bench_config(self, tmp_path, monkeypatch):
+        self.assert_flags_reach_config(monkeypatch, ("bench",), "predict_cycles",
+                                       "-o", str(tmp_path / "out"))
 
     def test_roofline_config(self, tmp_path, monkeypatch):
-        seen, real = [], cli.roofline_sweep
-        monkeypatch.setattr(cli, "roofline_sweep", lambda cfg, bandwidths:
-                            seen.append(cfg) or real(cfg, bandwidths))
-        for field in dataclasses.fields(RooflineConfig):
-            flag, text, value = ROOFLINE_FLAGS[field.name]
-            assert value != field.default
-            assert run_cli("roofline", flag, text,
-                           "-o", str(tmp_path / "out")) == 0
-            assert getattr(seen.pop(), field.name) == value
+        self.assert_flags_reach_config(monkeypatch, ("roofline",),
+                                       "roofline_sweep",
+                                       "-o", str(tmp_path / "out"))
 
 
 class TestCharacterize:

@@ -56,6 +56,16 @@ GOLDEN = {
         "b83e55413230f499905c32c75afe505cfec0f174439363e71bda7f2d1a77d5dc",
     ("roofline",):
         "5cf812f5a30356b48ecbfcffecee3713ac7b1b19628dc391768e5a594f9eb2a5",
+    # Every settable value of PipelineConfig away from its default.
+    ("roofline", "--clock-hz", "2e8", "--descriptor-bytes", "260",
+     "--bandwidths", "1e9,3.2e9,1e12"):
+        "542147a8c29be6bff13b573bd167ef808318374b5cd17a82d4051d93a38390fb",
+    ("bench", "--block-size", "7", "--clock-hz", "5e7"):
+        "a8b1347b520cf86fb5a028b3873e1ef9bca73537815ffff7f7323b1c9504e6b5",
+    ("bench", "--block-size", "7", "--clock-hz", "5e7", "--json"):
+        "de81dce9c301b20f226a0192ce771558425282f69dc80bba208f8c8df33e1edd",
+    (*MATCH, "--engine", "pipeline", "--block-size", "7", "--clock-hz", "5e7"):
+        "3f236a66e46206758076bed540d2824e7a5b1e2ce6728642da88ff8477dae6ab",
     ("characterize",):
         "b28e81c80f7d75c5123d631ff371e563964586c11e8cf0afdbffd104333654fb",
     NEAR:

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from siftmatch.descriptors import RECORD_BYTES, generate_synthetic
-from siftmatch.perf import (
+from siftmatch.pipeline import (
     FETCH_CYCLES,
     PORT_BYTES_PER_CYCLE,
-    RooflineConfig,
+    PipelineConfig,
     attainable_throughput,
     effective_throughput_with_blocking,
     roofline_csv,
     roofline_sweep,
+    run_pipeline,
 )
-from siftmatch.pipeline import PipelineConfig, run_pipeline
 
 GB = 1e9
 
@@ -26,7 +26,7 @@ class TestConfig:
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
-            RooflineConfig(**kwargs)
+            PipelineConfig(**kwargs)
 
 
 class TestAttainableThroughput:
@@ -54,8 +54,8 @@ class TestAttainableThroughput:
 
     def test_port_costs_payload_32_and_record_33_cycles(self):
         # The roofline moves the 256-byte element payload, the fetch the
-        # 260-byte record (perf module docstring).
-        cfg = RooflineConfig()
+        # 260-byte record (pipeline module docstring).
+        cfg = PipelineConfig()
         assert (cfg.descriptor_bytes, RECORD_BYTES) == (256, 260)
         p = attainable_throughput(PORT_BYTES_PER_CYCLE * cfg.clock_hz, cfg)
         assert p.attainable_ops_per_s == cfg.clock_hz / 32
@@ -73,7 +73,7 @@ class TestAttainableThroughput:
 
 class TestSweep:
     def test_canonical_grid(self):
-        points = roofline_sweep(RooflineConfig(),
+        points = roofline_sweep(PipelineConfig(),
                                 [3.2 * GB, 6.4 * GB, 12.8 * GB, 25.6 * GB,
                                  51.2 * GB])
         assert [p.attainable_ops_per_s for p in points] == [
@@ -81,24 +81,24 @@ class TestSweep:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            roofline_sweep(RooflineConfig(), [])
+            roofline_sweep(PipelineConfig(), [])
 
     def test_monotone_in_bandwidth(self):
         rng = np.random.default_rng(1)
         bws = np.sort(rng.uniform(0.05 * GB, 60 * GB, 200))
-        points = roofline_sweep(RooflineConfig(), list(bws))
+        points = roofline_sweep(PipelineConfig(), list(bws))
         rates = [p.attainable_ops_per_s for p in points]
         assert all(a <= b for a, b in zip(rates, rates[1:]))
 
     def test_never_exceeds_peak(self):
-        cfg = RooflineConfig()
+        cfg = PipelineConfig()
         rng = np.random.default_rng(2)
         for bw in rng.uniform(0.01 * GB, 500 * GB, 100):
             assert attainable_throughput(float(bw), cfg).attainable_ops_per_s \
-                <= cfg.peak_ops_per_s
+                <= cfg.clock_hz
 
     def test_csv_emission(self):
-        lines = roofline_csv(roofline_sweep(RooflineConfig(), [3.2 * GB])
+        lines = roofline_csv(roofline_sweep(PipelineConfig(), [3.2 * GB])
                              ).decode("ascii").strip().splitlines()
         assert lines[0] == "bandwidth_bytes_per_s,ops_per_s,bound"
         assert lines[1] == "3200000000.0,12500000.0,memory"
@@ -106,35 +106,32 @@ class TestSweep:
 
 class TestBlocking:
     def test_full_block_hits_clock_rate(self):
-        assert effective_throughput_with_blocking(RooflineConfig(), 33) == 100e6
+        cfg = PipelineConfig(block_size=33)
+        assert effective_throughput_with_blocking(cfg) == 100e6
 
     def test_block_of_fetch_cycles_is_peak(self):
-        cfg = RooflineConfig()
-        assert effective_throughput_with_blocking(cfg, FETCH_CYCLES) \
-            == cfg.peak_ops_per_s
-        assert effective_throughput_with_blocking(cfg, FETCH_CYCLES - 1) \
-            < cfg.peak_ops_per_s
+        cfg = PipelineConfig(block_size=FETCH_CYCLES)
+        assert effective_throughput_with_blocking(cfg) == cfg.clock_hz
+        assert effective_throughput_with_blocking(
+            PipelineConfig(block_size=FETCH_CYCLES - 1)) < cfg.clock_hz
 
     def test_block_of_one_degenerates_to_unblocked(self):
-        got = effective_throughput_with_blocking(RooflineConfig(), 1)
+        got = effective_throughput_with_blocking(PipelineConfig(block_size=1))
         assert got == 100e6 / 33
 
     def test_partial_block_ratio(self):
-        got = effective_throughput_with_blocking(RooflineConfig(), 16)
+        got = effective_throughput_with_blocking(PipelineConfig(block_size=16))
         assert got == pytest.approx(100e6 * 16 / 33)
         assert got == pytest.approx(48.5e6, rel=2e-3)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            effective_throughput_with_blocking(RooflineConfig(), 0)
 
     def test_consistent_with_pipeline_cycle_model(self):
         # ops/s * run time ~= executed dot products (within 1%) at a scale
         # where fill/drain and partial-block idle slots are noise
         q, db, _ = generate_synthetic(1021, seed=6, match_fraction=0.0,
                                       noise_sigma=0.0)
-        report = run_pipeline(q, db, PipelineConfig())
-        rate = effective_throughput_with_blocking(RooflineConfig(), 33)
+        cfg = PipelineConfig()
+        report = run_pipeline(q, db, cfg)
+        rate = effective_throughput_with_blocking(cfg)
         modeled = rate * report.elapsed_seconds_at_clock
         assert abs(modeled - report.dot_products_executed) \
             <= 0.01 * report.dot_products_executed

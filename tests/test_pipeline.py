@@ -18,8 +18,8 @@ from siftmatch.descriptors import (
     save_descriptor_set,
 )
 from siftmatch.fixedpoint import UQ1_15, UQ2_14, FxSample
-from siftmatch.perf import FETCH_CYCLES
 from siftmatch.pipeline import (
+    FETCH_CYCLES,
     THRESHOLD_MODES,
     MinPairEntry,
     PipelineConfig,
