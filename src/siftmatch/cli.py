@@ -304,9 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     # Options shared by several commands, with the configs' defaults.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("-o", "--output", help="default stdout")
-    timing = argparse.ArgumentParser(add_help=False, parents=[output])
-    timing.add_argument("--clock-hz", type=float,
-                        default=PipelineConfig.clock_hz)
+    clock = argparse.ArgumentParser(add_help=False, parents=[output])
+    clock.add_argument("--clock-hz", type=float,
+                       default=PipelineConfig.clock_hz)
+    timing = argparse.ArgumentParser(add_help=False, parents=[clock])
     timing.add_argument("--block-size", type=_positive_int,
                         default=PipelineConfig.block_size)
     engines = argparse.ArgumentParser(add_help=False, parents=[timing])
@@ -342,11 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare two saved match reports instead")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("roofline", parents=[output], help="bandwidth sweep CSV")
+    p = sub.add_parser("roofline", parents=[clock], help="bandwidth sweep CSV")
     p.add_argument("--bandwidths", type=_list_of(float),
                    default=[0.8e9, 1.6e9, 3.2e9, 6.4e9, 12.8e9, 25.6e9, 51.2e9],
                    help="comma-separated bytes/s")
-    p.add_argument("--clock-hz", type=float, default=PipelineConfig.clock_hz)
     p.add_argument("--descriptor-bytes", type=_positive_int,
                    default=PipelineConfig.descriptor_bytes)
     p.set_defaults(func=cmd_roofline)

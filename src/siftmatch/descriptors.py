@@ -170,6 +170,21 @@ class _RecordReader:
             view, offset = view[got:], offset + got
 
 
+class _ScaledRows:
+    """A row source of raws as one of read-only floats ``raw * 2**-15``."""
+
+    def __init__(self, raws):
+        self.raws, self.shape = raws, raws.shape
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows) -> np.ndarray:
+        floats = self.raws[rows] * UQ1_15.lsb
+        floats.setflags(write=False)
+        return floats
+
+
 class DescriptorSet:
     """Ordered, immutable collection of descriptors for one image.
 
@@ -225,20 +240,16 @@ class DescriptorSet:
         return self._raws
 
     @property
+    def float_rows(self):
+        """Float elements as a row source: the floats, or raw_rows scaled."""
+        return _ScaledRows(self._raws) if self._floats is None else self._floats
+
+    @property
     def floats(self) -> np.ndarray:
         """(m, 128) float64 elements; derived from the raws on first access."""
         if self._floats is None:
-            self._floats = self._float_rows(slice(None))
+            self._floats = _ScaledRows(self.raws)[:]
         return self._floats
-
-    def _float_rows(self, rows) -> np.ndarray:
-        """Read-only float elements of ``rows`` (an index or a slice),
-        without deriving the whole float view."""
-        if self._floats is not None:
-            return self._floats[rows]
-        floats = self.raws[rows] * UQ1_15.lsb
-        floats.setflags(write=False)
-        return floats
 
     @classmethod
     def from_floats(cls, image_id: str, floats: np.ndarray,
@@ -257,7 +268,8 @@ class DescriptorSet:
         return len(self.xy)
 
     def __getitem__(self, index: int) -> Descriptor:
-        return Descriptor(elements=self._float_rows(index), raws=self.raws[index],
+        raws = self.raws[index]  # first, so that float_rows wraps an array
+        return Descriptor(elements=self.float_rows[index], raws=raws,
                           x=int(self.xy[index, 0]), y=int(self.xy[index, 1]))
 
     def __iter__(self):

@@ -45,12 +45,9 @@ decreases as ``w`` grows and the table never increases over all 65536 raws
 (both checked exhaustively by the tests), so the angle ``g(w) =
 table[narrow(w)]`` never increases, and only the two largest dots of a row
 are narrowed and looked up.  Distinct raws can share an angle (raws 10171
-and 10172 both map to 20565).  The floor the search's tie rule needs is
-``W(x) = x * 2**15 - 2**14 + (x & 1)``, with ``x`` the smallest raw whose
-angle is at most ``g(w)`` (a search of the reversed table): ``W(x)`` is the
-smallest integer whose round-half-even narrowing reaches ``x``, so a dot
-``w' <= w`` has ``g(w') == g(w)`` exactly when ``w' >= W(x)``.  Every value here is an
-integer below 2**53, so all of it is exact in float64.
+and 10172 both map to 20565), and the search's tie rule finds the smallest
+dot with a tied angle from ``g`` alone.  Every value here is an integer
+below 2**53, so all of it is exact in float64.
 
 The roofline (:func:`attainable_throughput`) charges one matching operation
 one transfer of ``descriptor_bytes``, 256 by default: the 128 16-bit
@@ -220,13 +217,6 @@ def _narrow(dots: np.ndarray) -> np.ndarray:
     return dots.astype(np.intp)
 
 
-def _dot_floor(x: np.ndarray) -> np.ndarray:
-    """The smallest integer dot ``W`` whose narrowing is at least raw ``x``:
-    ``x * 2**15 - 2**14`` rounds half-even to ``x`` when ``x`` is even and
-    to ``x - 1`` when it is odd, which the ``+ (x & 1)`` steps over."""
-    return (x << 15) - (1 << 14) + (x & 1)
-
-
 def dot_raw_matrix(queries: DescriptorSet, db: DescriptorSet) -> np.ndarray:
     """All-pairs UQ1.15 dot raws, bit-identical to :func:`dot_product_core`."""
     return _narrow(exact_dots(queries.raws, db.raws))
@@ -292,12 +282,8 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
     def angle(w):
         return table[_narrow(w.copy())]
 
-    def floor(w):  # W(x), x the smallest raw whose angle is at most w's
-        return _dot_floor(
-            len(table) - np.searchsorted(table[::-1], angle(w), "right"))
-
     best, amin, asec = nearest_two(queries.raw_rows, db.raw_rows, angle,
-                                   floor, _SENTINEL_RAW)
+                                   _SENTINEL_RAW)
     amin = amin.astype(np.int64)
     asec = asec.astype(np.int64)
     min_angle = amin * _ANGLE_LSB

@@ -15,7 +15,9 @@ the left-to-right bits of the float elements ``raw * 2**-15``, and no float
 copy of a set is made.  Other sets (floats off that grid) take the
 strict-order :func:`dot_matrix` on the float elements, one tile at a time,
 ranked by the negated angle: each such key is the smallest with its angle,
-so they never take the search's follow-up pass.
+so they never take the search's follow-up pass.  A raw-exact side of such a
+pair is read through :attr:`~siftmatch.descriptors.DescriptorSet.float_rows`
+as ``raw * 2**-15`` one tile at a time, so a streamed file stays streamed.
 
 On raw-exact sets the search ranks by the integer dot ``w`` and only the
 two largest dots of a row are mapped to angles, ``arccos(min(w * 2**-30,
@@ -32,8 +34,8 @@ at ``w = 2**30``.  Dots above ``2**30`` (rounding in the
 raws can push a self-dot past 1) all clip to angle 0, so equal angles come
 only from equal dots, where the earliest argmax is already right, or from
 clipping, where the minimum's index is the earliest ``j`` with
-``w_j >= 2**30``: that is the search's floor, ``min(w, 2**30)``.  Everything
-here is stateless.
+``w_j >= 2**30``: ``2**30`` is the floor that the search's bisection finds.
+Everything here is stateless.
 
 Results stay columnar from the search to the output file:
 :func:`match_results` wraps the search's arrays in a :class:`MatchColumns`,
@@ -230,13 +232,7 @@ def _strict_keys(queries: np.ndarray, database: np.ndarray,
 def _raw_angle(w: np.ndarray) -> np.ndarray:
     """The angle of integer raw dots ``w``, which are ``w * 2**-30``
     (exactly) in float elements."""
-    return np.arccos(np.minimum(w * UQ1_15.lsb ** 2, 1.0))
-
-
-def _raw_floor(w: np.ndarray) -> np.ndarray:
-    """The smallest raw dot with the angle of ``w``: the angle is strictly
-    decreasing up to ``2**30`` and 0 from there on."""
-    return np.minimum(w, 2.0 ** 30)
+    return _angles(w * UQ1_15.lsb ** 2)
 
 
 def match_results(queries: DescriptorSet, db: DescriptorSet, best: np.ndarray,
@@ -257,10 +253,9 @@ def match_all(queries: DescriptorSet, db: DescriptorSet,
         raise ValueError("query and database sets must be non-empty")
     if queries.raw_exact and db.raw_exact:
         best, low, high = nearest_two(queries.raw_rows, db.raw_rows,
-                                      _raw_angle, _raw_floor,
-                                      SECOND_MIN_SURROGATE)
+                                      _raw_angle, SECOND_MIN_SURROGATE)
     else:  # each key is the smallest with its angle: no follow-up pass
-        best, low, high = nearest_two(queries.floats, db.floats, np.negative,
-                                      np.positive, SECOND_MIN_SURROGATE,
+        best, low, high = nearest_two(queries.float_rows, db.float_rows,
+                                      np.negative, SECOND_MIN_SURROGATE,
                                       _strict_keys)
     return match_results(queries, db, best, low, high, low < threshold * high)

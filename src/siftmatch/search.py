@@ -5,8 +5,7 @@ the exact integer dot for raw-exact sets, and the negated angle for the
 strict-order path.  :func:`top_two` is the one kernel: per query row, the
 earliest index of the largest key and the two largest keys, counting
 duplicates.  :func:`nearest_two` maps those two keys to angles and applies
-the one tie rule.  An engine supplies only two maps: ``angle`` (key to
-angle) and ``floor`` (the smallest key with the same angle as a given key).
+the one tie rule.  An engine supplies only its ``angle`` map, key to angle.
 
 :func:`top_two` tiles both axes: each tile is up to :data:`TILE_COLS`
 database rows times :data:`TILE_ROWS` query rows, or more query rows when
@@ -50,13 +49,20 @@ are ``lo = angle(w1)`` and ``lo2 = angle(w2)`` of the two largest keys
 ``w1 >= w2``.  Distinct keys may share an angle (a narrowing that maps
 several dots to one raw, a table that maps several raws to one angle, or a
 dot clipped to 1), so the earliest index of ``lo`` is the earliest ``j``
-with key ``>= floor(w1)``, not always the earliest argmax.  The two differ
-only when another key shares ``lo``, so only rows with ``lo2 == lo`` and
-``floor(w1) < w1`` take a follow-up pass: over the same tiles, reading only
-those query rows, and only the database rows up to the largest of their
-``best``, which already qualifies.  Other rows keep the earliest argmax.
-With one database row the second angle is the engine's sentinel, and the
-kernel's ``-inf`` never reaches ``angle``.
+with key ``>= f``, the smallest key with angle ``lo``, not always the
+earliest argmax.  The two differ only when another key shares ``lo``, so
+only rows with ``lo2 == lo`` and ``f < w1`` take a follow-up pass: over the
+same tiles, reading only those query rows, and only the database rows up to
+the largest of their ``best``, which already qualifies.  Other rows keep the
+earliest argmax.  With one database row the second angle is the engine's
+sentinel, and the kernel's ``-inf`` never reaches ``angle``.
+
+Each tied row's floor ``f`` comes from ``angle`` alone (:func:`_floor`).
+The angle never increases, so the integer keys ``k <= w1`` with
+``angle(k) == lo`` are the run ``[f, w1]``: a bisection that keeps
+``lo_k < f <= hi_k`` from ``lo_k = -1``, ``hi_k = w1`` ends at ``hi_k = f``
+within 38 steps for keys up to 2**37, all integers exact in float64.  A key
+of at most 0 takes no step and is its own floor, as each strict-order key is.
 
 :func:`exact_dots` is one float64 BLAS GEMM.  On UQ1.15 raws (integers
 below 2**16) each product is below 2**32 and a 128-term sum below
@@ -157,20 +163,30 @@ def top_two(queries, database, dot: Dot = exact_dots):
     return best, first, second
 
 
-def nearest_two(queries, database, angle: KeyMap, floor: KeyMap, sentinel,
+def _floor(angle: KeyMap, w: np.ndarray) -> np.ndarray:
+    """Each key's floor, by the module docstring's bisection."""
+    low, high, target = np.full_like(w, -1.0), w, angle(w)
+    while (live := high - low > 1).any():
+        mid = np.floor((low + high) / 2)
+        same = angle(mid) == target
+        high = np.where(live & same, mid, high)
+        low = np.where(live & ~same, mid, low)
+    return high
+
+
+def nearest_two(queries, database, angle: KeyMap, sentinel,
                 dot: Dot = exact_dots):
     """``(best, lo, lo2)``: per query row, the earliest index of the
     smallest angle and the two smallest angles (``lo2`` is ``sentinel``
     when the database has one row).  ``angle`` maps keys to angles and
-    never increases; ``floor`` maps a key to the smallest key with the same
-    angle.  The tie rule is the module docstring's."""
+    never increases.  The tie rule is the module docstring's."""
     best, w1, w2 = top_two(queries, database, dot)
     lo = angle(w1)
     if len(database) == 1:
         return best, lo, np.full_like(lo, sentinel)
     lo2 = angle(w2)
     tied = np.flatnonzero(lo2 == lo)
-    low = floor(w1[tied])
+    low = _floor(angle, w1[tied])
     shared = low < w1[tied]
     tied, low = tied[shared], low[shared]
     if tied.size:

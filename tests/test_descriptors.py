@@ -222,6 +222,33 @@ class TestNormalize:
         with pytest.raises(DescriptorFormatError, match="zero"):
             load_rows(tmp_path, [np.zeros(DESCRIPTOR_LEN)])
 
+    @pytest.mark.parametrize("ext", [".siftd", ".siftdb"])
+    @pytest.mark.parametrize("offset", [-1.5e-3, -0.5e-3, 0.5e-3, 1.5e-3])
+    def test_norm_tolerance_edge(self, tmp_path, ext, offset):
+        """A row whose norm is 0.5e-3 inside the 1e-3 bound loads unchanged
+        and silently; one 0.5e-3 outside it warns and is rescaled."""
+        row = np.abs(np.random.default_rng(5).standard_normal(DESCRIPTOR_LEN))
+        row *= (1.0 + offset) / np.linalg.norm(row)
+        written = make_set([row])
+        stored = written.floats if ext == ".siftd" else \
+            written.raws * UQ1_15.lsb
+        # quantizing moves the norm by far less than the 0.5e-3 margin
+        assert abs(np.linalg.norm(stored) - 1.0 - offset) < 1e-4
+        path = str(tmp_path / f"edge{ext}")
+        save_descriptor_set(written, path)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            loaded = load_descriptor_set(path)
+        if abs(offset) < 1e-3:
+            assert not record
+            assert np.array_equal(loaded.floats, stored)
+            assert np.array_equal(loaded.raws, written.raws)
+        else:
+            assert [str(w.message) for w in record] == [
+                f"{path}: 1 of 1 descriptors are not unit-norm; "
+                "auto-normalizing"]
+            assert abs(np.linalg.norm(loaded.floats[0]) - 1.0) < 1e-9
+
 
 class TestGenerateSynthetic:
     def test_full_match_no_noise_identity(self):

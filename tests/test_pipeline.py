@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siftmatch import pipeline, search
+from siftmatch import pipeline, reference, search
 from siftmatch.cordic import AngleSample, cordic_arccos
 from siftmatch.descriptors import (
     DESCRIPTOR_LEN,
@@ -539,12 +539,30 @@ class TestSearchKernel:
         assert [v[1:] for v in sequential_verdicts(
             queries, db, PipelineConfig())] == got
 
-    def test_dot_floor_is_the_narrowing_threshold(self):
-        # W(x) is the smallest integer dot whose narrowing reaches x
-        x = np.arange(1 << 16)
-        w = pipeline._dot_floor(x).astype(np.float64)
-        assert (pipeline._narrow(w.copy()) >= x).all()
-        assert (pipeline._narrow(w - 1) < x).all()
+    def test_floor_is_the_smallest_key_with_the_angle(self):
+        # Both raw angle maps, as the engines pass them to the search.  Keys
+        # at, and one off, every narrowing boundary x * 2**15 +- 2**14, the
+        # largest dot 2**37 (raws are at most 2**15), and for the reference
+        # the two ends of its strictly decreasing grid and the clip to 0.
+        table = pipeline.arccos_table()
+        centers = np.arange(1 << 16, dtype=np.float64) * 2 ** 15
+        edges = (centers[:, None] + np.array([-1, 0, 1])
+                 + np.array([[-2 ** 14], [2 ** 14]])[:, None]).ravel()
+        keys = np.append(edges[edges >= 0], 2.0 ** 37)
+        maps = {
+            "pipeline": (lambda w: table[pipeline._narrow(w.copy())], keys),
+            "reference": (reference._raw_angle, np.concatenate([
+                keys, np.arange(2.0 ** 20 + 1),
+                np.arange(2.0 ** 30 - 2 ** 20, 2.0 ** 30 + 2 ** 20 + 1)])),
+        }
+        for name, (angle, every) in maps.items():
+            for w in np.array_split(every, -(-len(every) // (1 << 18))):
+                f = search._floor(angle, w)  # in parts: a few MiB each
+                assert (angle(f) == angle(w)).all(), name
+                assert ((f == 0) | (angle(f - 1) != angle(w))).all(), name
+        # a key of at most 0 (a strict-order negated angle) is its own floor
+        negated = -np.array([0.0, 1e-300, 0.5, math.pi / 2, math.pi])
+        assert search._floor(np.negative, negated).tolist() == negated.tolist()
 
     @pytest.mark.parametrize("engine,repeated", [
         pytest.param(engine, repeated,

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -12,7 +13,13 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from siftmatch import rowtext, search
-from siftmatch.descriptors import DESCRIPTOR_LEN, DescriptorSet, generate_synthetic
+from siftmatch.descriptors import (
+    DESCRIPTOR_LEN,
+    DescriptorSet,
+    generate_synthetic,
+    load_descriptor_set,
+    save_descriptor_set,
+)
 from siftmatch.pipeline import PipelineConfig, run_pipeline
 from siftmatch.reference import (
     SECOND_MIN_SURROGATE,
@@ -330,6 +337,36 @@ class TestBlasPath:
         results = match_all(q, db, 0.6)
         assert results.min_angle.tolist() == angles.min(axis=1).tolist()
 
+    @pytest.mark.parametrize("binary_side", ["queries", "database"])
+    def test_mixed_match_streams_its_siftdb_side(self, tmp_path, binary_side):
+        """A .siftd set against a .siftdb set takes the strict path, which
+        reads the .siftdb side tile by tile: the peak stays below a quarter
+        of that file, and its set still streams after the match."""
+        rng = np.random.default_rng(12)
+        text, binary = str(tmp_path / "t.siftd"), str(tmp_path / "b.siftdb")
+        save_descriptor_set(make_set(random_unit(rng, 64)), text)
+        save_descriptor_set(make_set(random_unit(rng, 65536)), binary)
+        text_set = load_descriptor_set(text)
+
+        def match(binary_set):
+            if binary_side == "queries":
+                return match_all(binary_set, text_set)
+            return match_all(text_set, binary_set)
+
+        tracemalloc.start()
+        try:
+            binary_set = load_descriptor_set(binary)
+            streamed = match(binary_set)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(binary) // 4
+        assert not isinstance(binary_set.raw_rows, np.ndarray)
+        in_memory = match(DescriptorSet.from_raws("b", binary_set.raws,
+                                                  binary_set.xy))
+        for f in fields(streamed):
+            assert np.array_equal(getattr(streamed, f.name),
+                                  getattr(in_memory, f.name)), f.name
 
 def listed_csv(rows):
     """A per-row csv.writer loop over report rows."""
