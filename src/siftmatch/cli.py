@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 for usage errors (argparse), 1 otherwise with a
 machine-parseable ``siftmatch: error: <category>: <message>`` line on stderr
-(categories: io, format, domain).
+(categories: io, format, domain).  A warning, such as an off-norm input, is
+one ``siftmatch: warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -33,19 +35,16 @@ from .pipeline import (
     roofline_sweep,
     run_pipeline,
 )
-from .reference import (
-    DEFAULT_THRESHOLD,
-    match_all,
+from .reference import DEFAULT_THRESHOLD, match_all
+from .rowtext import (
+    ReportFormatError,
+    RowText,
+    report_columns,
     report_csv_chunks,
     report_json_chunks,
 )
-from .rowtext import RowText
 
 _DEFAULT_BENCH_SIZES = (579, 638, 882, 1021)
-
-
-class ReportFormatError(ValueError):
-    """Raised for a saved match report that is not a JSON match report."""
 
 
 def _positive_int(text: str) -> int:
@@ -182,34 +181,9 @@ def _agreement(a: np.ndarray, b: np.ndarray, columns: dict, **header) -> dict:
     }
 
 
-def _report_columns(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """The ``query_index`` and ``matched`` columns of a saved
-    ``siftmatch match`` JSON report."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            report = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            # JSONDecodeError, UnicodeDecodeError, or nesting too deep
-            raise ReportFormatError(f"{path}: not a JSON report: {exc}") from None
-    rows = report.get("matches") if isinstance(report, dict) else None
-    if not isinstance(rows, list) or not all(
-            isinstance(row, dict) and "query_index" in row and "matched" in row
-            for row in rows):
-        raise ReportFormatError(f"{path}: no \"matches\" list of match rows")
-    for k, row in enumerate(rows):
-        if not isinstance(row["matched"], bool):
-            raise ReportFormatError(
-                f"{path}: match row {k}: \"matched\" is not true or false")
-        if type(row["query_index"]) is not int:  # bool is an int subclass
-            raise ReportFormatError(
-                f"{path}: match row {k}: \"query_index\" is not an integer")
-    return (np.fromiter((row["query_index"] for row in rows), object, len(rows)),
-            np.fromiter((row["matched"] for row in rows), bool, len(rows)))
-
-
 def cmd_compare(args) -> int:
     if args.reports:
-        (index, a), (index_b, b) = map(_report_columns, args.reports)
+        (index, a), (index_b, b) = map(report_columns, args.reports)
         if len(a) != len(b):
             raise ValueError(
                 f"mismatched query counts: {len(a)} vs {len(b)}")
@@ -369,7 +343,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # restores showwarning on exit
+            warnings.showwarning = lambda message, *_: print(
+                f"siftmatch: warning: {message}", file=sys.stderr)
+            return args.func(args)
     except (DescriptorFormatError, ReportFormatError) as exc:
         print(f"siftmatch: error: format: {exc}", file=sys.stderr)
         return 1

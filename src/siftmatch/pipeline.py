@@ -77,8 +77,7 @@ import numpy as np
 from .cordic import POLAR_ITERATIONS, SQRT_ITERATIONS, AngleSample, arccos_table
 from .descriptors import DESCRIPTOR_LEN, RECORD_BYTES, Descriptor, DescriptorSet
 from .fixedpoint import UQ1_15, UQ2_14, FxSample, round_shift_even
-from .reference import MatchColumns, match_results
-from .search import exact_dots, nearest_two
+from .search import MatchColumns, exact_dots, nearest_two
 
 __all__ = [
     "DRAIN_CYCLES",
@@ -299,8 +298,8 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
         clock_hz=cfg.clock_hz,
         blocks_processed=cfg.blocks(m),
         dot_products_executed=m * n,
-        matches=match_results(queries, db, best, min_angle, second_angle,
-                              matched, amin, asec),
+        matches=MatchColumns(best, min_angle, second_angle, matched,
+                             queries.xy, db.xy[best], amin, asec),
     )
 
 

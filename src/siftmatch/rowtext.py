@@ -32,15 +32,30 @@ rows per fill keep numpy's per-call cost low; small pieces keep the text
 alive small.  The text goes to the caller as bytes: nothing decodes it to
 ``str`` and nothing encodes it back.  A fresh grid per fill would be handed
 back to the operating system and faulted in again each time.
+
+The match report lives here whole, writers and reader.  A report's rows go
+from the columns of a :class:`~siftmatch.search.MatchColumns` through one
+:class:`RowText`, and no row object is ever built.  Its bytes equal
+``json.dumps(indent=2)`` over one dict of the report keys per row, in
+:func:`_json_row`'s order, and a per-row ``csv.writer`` loop, as both write
+ints with ``str``, floats with ``repr`` and bools and ``None`` as fixed
+text.  The head is a piece of its own and the first row's comma is cut by a
+``memoryview``, so no piece is copied.  A report also holds an 8-byte
+``query_index`` per row.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterator, Sequence
+from itertools import chain
 
 import numpy as np
 
-__all__ = ["RowText"]
+from .search import MatchColumns
+
+__all__ = ["ReportFormatError", "RowText", "report_columns",
+           "report_csv_chunks", "report_json_chunks"]
 
 # Rows laid out per fill of the reused byte grid (about 0.7 MB of a JSON
 # report at 2048 rows).  Each fill costs a few hundred numpy calls whatever
@@ -164,3 +179,100 @@ class RowText:
             for at in range(0, end, _PIECE_BYTES):
                 yield buffer[at:min(at + _PIECE_BYTES, end)].replace(
                     b"\0", b"")
+
+
+class ReportFormatError(ValueError):
+    """Raised for a saved match report that is not a JSON match report."""
+
+
+def _json_row(matches: MatchColumns) -> list:
+    """The template of one report row as json.dumps(indent=2) writes it
+    inside "matches", led by the comma and newline that part it from the row
+    before: every report key in the order of ``columns``, an (x, y) pair as
+    a two-line list."""
+    columns = {
+        "query_index": np.arange(len(matches)),
+        "matched": matches.matched,
+        "best_index": matches.best,
+        "min_angle": matches.min_angle,
+        "second_min_angle": matches.second_min_angle,
+        "query_xy": matches.query_xy,
+        "best_xy": matches.best_xy,
+        "min_raw": matches.min_raw,
+        "second_min_raw": matches.second_min_raw,
+    }
+    row = [",\n    {"]
+    for key, value in columns.items():
+        row.append(f"\n      {json.dumps(key)}: ")
+        if value is None:
+            row.append("null")
+        elif key.endswith("_xy"):
+            row += ["[\n        ", value[:, 0], ",\n        ", value[:, 1],
+                    "\n      ]"]
+        else:
+            row.append(value)
+        row.append(",")
+    row[-1] = "\n    }"
+    return row
+
+
+def report_json_chunks(header: dict, matches: MatchColumns
+                       ) -> Iterator[bytes | bytearray | memoryview]:
+    """The ASCII bytes of ``json.dumps({**header, "matches": rows},
+    indent=2, allow_nan=False)``, where ``rows`` holds a dict of the report
+    keys per query, in pieces: the head, the rows' text and the tail.  A
+    report has at least one row, as both engines reject an empty set.
+
+    Raises ``ValueError`` for a non-finite angle or header value before any
+    text is produced, so a caller never writes part of a report.
+    """
+    for angles in (matches.min_angle, matches.second_min_angle):
+        if not np.isfinite(angles).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+    head = json.dumps({**header, "matches": []}, indent=2,
+                      allow_nan=False).encode("ascii")
+    rows = RowText(_json_row(matches), ("false", "true")).pieces(len(matches))
+    first = memoryview(next(rows))[1:]  # the first row has no "," before it
+    return chain([head[:-len(b"]\n}")]], [first], rows, [b"\n  ]\n}"])
+
+
+def report_csv_chunks(matches: MatchColumns
+                      ) -> Iterator[bytes | bytearray]:
+    """The verdicts as CSV rows ``k, matched, best_index, qx, qy, bx, by,
+    min_raw, secmin_raw`` (``0``/``1`` for matched, an empty field for a
+    missing raw), each ended by ``\\r\\n`` as ``csv.writer`` ends it, in
+    ASCII pieces: the header line, then the rows' text."""
+    yield b"k,matched,best_index,qx,qy,bx,by,min_raw,secmin_raw\r\n"
+    row = RowText([
+        np.arange(len(matches)), ",", matches.matched, ",", matches.best,
+        ",", matches.query_xy[:, 0], ",", matches.query_xy[:, 1],
+        ",", matches.best_xy[:, 0], ",", matches.best_xy[:, 1],
+        ",", "" if matches.min_raw is None else matches.min_raw,
+        ",", "" if matches.second_min_raw is None
+        else matches.second_min_raw, "\r\n"], ("0", "1"))
+    yield from row.pieces(len(matches))
+
+
+def report_columns(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``query_index`` and ``matched`` columns of a saved
+    ``siftmatch match`` JSON report."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            report = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, UnicodeDecodeError, or nesting too deep
+            raise ReportFormatError(f"{path}: not a JSON report: {exc}") from None
+    rows = report.get("matches") if isinstance(report, dict) else None
+    if not isinstance(rows, list) or not all(
+            isinstance(row, dict) and "query_index" in row and "matched" in row
+            for row in rows):
+        raise ReportFormatError(f"{path}: no \"matches\" list of match rows")
+    for k, row in enumerate(rows):
+        if not isinstance(row["matched"], bool):
+            raise ReportFormatError(
+                f"{path}: match row {k}: \"matched\" is not true or false")
+        if type(row["query_index"]) is not int:  # bool is an int subclass
+            raise ReportFormatError(
+                f"{path}: match row {k}: \"query_index\" is not an integer")
+    return (np.fromiter((row["query_index"] for row in rows), object, len(rows)),
+            np.fromiter((row["matched"] for row in rows), bool, len(rows)))

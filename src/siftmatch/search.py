@@ -5,7 +5,8 @@ the exact integer dot for raw-exact sets, and the negated angle for the
 strict-order path.  :func:`top_two` is the one kernel: per query row, the
 earliest index of the largest key and the two largest keys, counting
 duplicates.  :func:`nearest_two` maps those two keys to angles and applies
-the one tie rule.  An engine supplies only its ``angle`` map, key to angle.
+the one tie rule.  An engine supplies only its ``angle`` map, key to angle,
+and hands on its verdicts as one :class:`MatchColumns`.
 
 :func:`top_two` tiles both axes: each tile is up to :data:`TILE_COLS`
 database rows times :data:`TILE_ROWS` query rows, or more query rows when
@@ -75,12 +76,13 @@ engines scale the integer sums only where they map a key to an angle.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["TILE_COLS", "TILE_DOTS", "TILE_ROWS", "exact_dots", "nearest_two",
-           "top_two"]
+__all__ = ["MatchColumns", "TILE_COLS", "TILE_DOTS", "TILE_ROWS", "exact_dots",
+           "nearest_two", "top_two"]
 
 # Tile geometry, measured on a 2-core OpenBLAS host.  A tile is up to
 # TILE_COLS database rows by at least TILE_ROWS query rows: the 4000 x 4000
@@ -97,6 +99,30 @@ TILE_COLS = 1 << 10
 
 Dot = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 KeyMap = Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class MatchColumns:
+    """Verdicts for all queries as columns, one array entry per query.
+
+    ``best`` holds best indices, ``query_xy``/``best_xy`` are (m, 2) and the
+    raw columns are ``None`` for the reference engine.  Every row keeps
+    ``min_angle <= second_min_angle``, and ``matched`` implies that
+    ``best`` is set.  ``min_raw``/``second_min_raw`` are populated only by
+    the fixed-point pipeline engine (UQ2.14 raws).
+    """
+
+    best: np.ndarray
+    min_angle: np.ndarray
+    second_min_angle: np.ndarray
+    matched: np.ndarray
+    query_xy: np.ndarray
+    best_xy: np.ndarray
+    min_raw: np.ndarray | None = None
+    second_min_raw: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.best)
 
 
 def exact_dots(queries: np.ndarray, database: np.ndarray,

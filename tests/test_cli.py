@@ -21,7 +21,7 @@ import siftmatch
 from siftmatch import cli
 from siftmatch.cli import _agreement, _pipeline_config, build_parser, main
 from siftmatch.cordic import CordicConfig, arccos_raw_batch
-from siftmatch.descriptors import load_descriptor_set
+from siftmatch.descriptors import DESCRIPTOR_LEN, load_descriptor_set
 from siftmatch.fixedpoint import UQ1_15, UQ2_14
 from siftmatch.pipeline import PipelineConfig
 from siftmatch.reference import DEFAULT_THRESHOLD
@@ -83,6 +83,16 @@ class TestGenerate:
                     "-o", str(tmp_path / "z"))
         assert exc.value.code == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("fraction", ["2", "-0.5"])
+    def test_match_fraction_outside_0_1_is_usage_error(self, tmp_path, capsys,
+                                                       fraction):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("generate", "-m", "4", "--match-fraction", fraction,
+                    "-o", str(tmp_path / "z"))
+        assert exc.value.code == 2
+        assert "must be in [0, 1]" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args", [
@@ -183,6 +193,25 @@ class TestMatch:
         err = capsys.readouterr().err
         assert "descriptor 1:" in err
         assert err.count("\n") == 1 and err.startswith("siftmatch: error: format:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x,y", [("70000", "5"), ("-1", "5"),
+                                     ("5", "65536")])
+    def test_text_coordinates_out_of_range_is_format_error(self, tmp_path,
+                                                           capsys, x, y):
+        prefix = str(tmp_path / "t")
+        run_cli("generate", "-m", "3", "--format", "text", "-o", prefix)
+        lines = (tmp_path / "t_a.siftd").read_text().splitlines()
+        lines[2] = " ".join([x, y, *lines[2].split()[2:]])
+        bad = tmp_path / "bad.siftd"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert run_cli("match", "-q", str(bad), "-d", f"{prefix}_b.siftd",
+                       "-o", str(out)) == 1
+        assert assert_one_error(capsys, "format") == (
+            f"siftmatch: error: format: {bad}: descriptor 1 coordinates out "
+            "of range")
         assert not out.exists()
 
     def test_count_beyond_the_file_is_format_error(self, tmp_path, capsys):
@@ -405,6 +434,63 @@ class TestCompare:
     def test_needs_inputs(self, capsys):
         assert run_cli("compare") == 1
         assert "error: domain:" in capsys.readouterr().err
+
+
+def off_norm_copy(path: str, out: Path) -> Path:
+    """The ``.siftdb`` file ``path`` with row 5 at half its raws, as
+    ``out``."""
+    blob = bytearray(Path(path).read_bytes())
+    start = 12 + 5 * 260 + 4  # header, five records, the row's x and y
+    raws = np.frombuffer(bytes(blob), "<u2", DESCRIPTOR_LEN, start) // 2
+    blob[start:start + 2 * DESCRIPTOR_LEN] = raws.astype("<u2").tobytes()
+    out.write_bytes(blob)
+    return out
+
+
+class TestWarning:
+    """An off-norm input is one ``siftmatch: warning:`` line on stderr,
+    whatever the working directory and wherever the package is installed."""
+
+    @pytest.mark.parametrize("command,summary", [
+        (("match",), None),
+        (("match", "--engine", "pipeline"), r"\d+ cycles, "),
+        (("compare",), r"agreement: "),
+    ], ids=["match-reference", "match-pipeline", "compare"])
+    def test_one_line(self, dataset, tmp_path, command, summary):
+        queries = off_norm_copy(f"{dataset}_a.siftdb", tmp_path / "off.siftdb")
+        src = os.path.dirname(os.path.dirname(siftmatch.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        errs = []
+        for cwd in (tmp_path / "x", tmp_path / "y"):
+            cwd.mkdir()
+            out = subprocess.run(
+                [sys.executable, "-m", "siftmatch", *command,
+                 "-q", str(queries), "-d", f"{dataset}_b.siftdb", "-o", "out"],
+                cwd=cwd, env=env, capture_output=True, timeout=60)
+            assert out.returncode == 0, out.stderr
+            errs.append(out.stderr)
+        assert errs[0] == errs[1]
+        lines = errs[0].decode("ascii").splitlines()
+        assert lines[0] == (f"siftmatch: warning: {queries}: 1 of 60 "
+                            "descriptors are not unit-norm; auto-normalizing")
+        assert len(lines) == 1 + (summary is not None)
+        assert summary is None or re.match(summary, lines[1])
+        assert ".py:" not in errs[0].decode("ascii")
+
+    def test_filters_still_apply(self, dataset, tmp_path, capsys):
+        """A filter set around ``main`` still silences the warning, and a
+        library caller still gets a ``UserWarning`` once ``main`` returns."""
+        queries = off_norm_copy(f"{dataset}_a.siftdb", tmp_path / "off.siftdb")
+        argv = ("match", "-q", str(queries), "-d", f"{dataset}_b.siftdb",
+                "-o", str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*not unit-norm", UserWarning)
+            assert run_cli(*argv) == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().err.startswith("siftmatch: warning: ")
+        with pytest.warns(UserWarning, match="not unit-norm"):
+            load_descriptor_set(str(queries))
 
 
 class TestRoofline:

@@ -118,6 +118,19 @@ class TestValidation:
         with pytest.raises(DescriptorFormatError, match=r"out of \[0, 1\]"):
             load_descriptor_set(str(path))
 
+    @pytest.mark.parametrize("floats,raws,xy,message", [
+        ((2, 127), (2, 127), (2, 2), r"floats must be \(m, 128\)"),
+        ((128,), (128,), (128, 2), r"floats must be \(m, 128\)"),
+        ((2, 128), (3, 128), (2, 2), "raw view shape must match"),
+        (None, (2, 127), (2, 2), r"raws must be \(m, 128\)"),
+        (None, (2, 128), (2, 3), r"xy must be \(m, 2\)"),
+        ((2, 128), (2, 128), (3, 2), r"xy must be \(m, 2\)"),
+    ])
+    def test_set_shape_errors(self, floats, raws, xy, message):
+        with pytest.raises(ValueError, match=message):
+            DescriptorSet("s", None if floats is None else np.zeros(floats),
+                          np.zeros(raws, np.uint16), np.zeros(xy, np.uint16))
+
     def test_binary_raw_above_one(self, tmp_path):
         records = np.zeros((1, 130), dtype="<u2")
         records[0, 2] = 0x8001  # 1.0 + 1 LSB

@@ -10,6 +10,7 @@ from siftmatch.descriptors import (
     load_descriptor_set,
 )
 from siftmatch.fixedpoint import (
+    FxSample,
     QFormat,
     UQ1_15,
     UQ2_14,
@@ -36,6 +37,19 @@ class TestQFormat:
 
     def test_str(self):
         assert str(UQ2_14) == "UQ2.14"
+
+
+class TestFxSample:
+    @pytest.mark.parametrize("fmt,raw", [(UQ1_15, -1), (UQ1_15, 0x10000),
+                                         (UQ2_14, 0x10000)])
+    def test_raw_out_of_range(self, fmt, raw):
+        with pytest.raises(ValueError, match="out of range"):
+            FxSample(raw, fmt)
+
+    @pytest.mark.parametrize("raw", [np.uint16(7), np.int64(7), 7.0])
+    def test_raw_is_coerced_to_int(self, raw):
+        sample = FxSample(raw, UQ1_15)
+        assert type(sample.raw) is int and sample.raw == 7
 
 
 class TestFromReal:

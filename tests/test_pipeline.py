@@ -30,7 +30,8 @@ from siftmatch.pipeline import (
     predict_cycles,
     run_pipeline,
 )
-from siftmatch.reference import match_all, report_csv_chunks
+from siftmatch.reference import match_all
+from siftmatch.rowtext import report_csv_chunks
 
 LSB14 = UQ2_14.lsb
 

@@ -15,6 +15,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from siftmatch import rowtext, search
 from siftmatch.descriptors import (
     DESCRIPTOR_LEN,
+    Descriptor,
     DescriptorSet,
     generate_synthetic,
     load_descriptor_set,
@@ -23,13 +24,16 @@ from siftmatch.descriptors import (
 from siftmatch.pipeline import PipelineConfig, run_pipeline
 from siftmatch.reference import (
     SECOND_MIN_SURROGATE,
-    MatchColumns,
     dot_matrix,
     dot_product,
     match_all,
+)
+from siftmatch.rowtext import (
+    report_columns,
     report_csv_chunks,
     report_json_chunks,
 )
+from siftmatch.search import MatchColumns
 
 # The keys of a report row, in the order json.dumps writes them.
 REPORT_KEYS = ("query_index", "matched", "best_index", "min_angle",
@@ -104,6 +108,14 @@ class TestDotProduct:
         b = make_set(random_unit(rng))[0]
         assert dot_product(a, b) == dot_product(b, a)
 
+    @pytest.mark.parametrize("sizes", [(DESCRIPTOR_LEN, DESCRIPTOR_LEN - 1),
+                                       (DESCRIPTOR_LEN + 1, DESCRIPTOR_LEN)])
+    def test_element_count_is_checked(self, sizes):
+        a, b = (Descriptor(np.full(k, 0.1), np.zeros(k, np.uint16), 0, 0)
+                for k in sizes)
+        with pytest.raises(ValueError, match="must have 128 elements"):
+            dot_product(a, b)
+
     def test_matrix_matches_scalar_bitwise(self, rng):
         q = make_set(random_unit(rng, 4))
         d = make_set(random_unit(rng, 5))
@@ -158,6 +170,17 @@ class TestMatchOne:
         res = match_row(db, 0, db)
         assert res["min_angle"] == res["second_min_angle"]
         assert not res["matched"]
+
+    @pytest.mark.parametrize("raw_exact", [False, True])
+    def test_duplicate_at_angle_zero_is_rejected(self, raw_exact):
+        # min == second == 0: only the ratio test's strict "<" (0 < 0.6 * 0
+        # is false) rejects the match, on either search path
+        db = make_set([one_hot(0), one_hot(0), one_hot(1)])
+        if raw_exact:
+            db = DescriptorSet.from_raws("d", db.raws, db.xy)
+        res = match_all(db, db)
+        assert res.min_angle[0] == res.second_min_angle[0] == 0.0
+        assert not res.matched[0]
 
     def test_single_entry_db_uses_pi_surrogate(self, rng):
         db = make_set(random_unit(rng))
@@ -489,6 +512,28 @@ class TestReportWriter:
         with pytest.raises(ValueError):
             report_json_chunks(header, bad)
 
+    @pytest.mark.parametrize("engine", ["reference", "pipeline"])
+    @pytest.mark.parametrize("m,n", [(rowtext.CHUNK_ROWS + 300, 8), (5, 1)],
+                             ids=["fills", "one-row-db"])
+    def test_reader_reads_back_what_the_writer_wrote(self, tmp_path, engine,
+                                                     m, n):
+        """``report_columns`` gives back the query indices and the
+        ``matched`` column of a written report: one of several fills and
+        pieces, and one against a one-row database."""
+        header, columns = report_case(6, engine, "exact_0_6", m, n, True,
+                                      m // 7)
+        pieces = list(report_json_chunks(header, columns))
+        path = tmp_path / "report.json"
+        path.write_bytes(b"".join(pieces))
+        index, matched = report_columns(str(path))
+        assert index.tolist() == list(range(m))
+        assert matched.dtype == bool
+        assert np.array_equal(matched, columns.matched)
+        if m > rowtext.CHUNK_ROWS:
+            assert len(pieces) > 4 and 0 < matched.sum() < m
+        if engine == "reference":
+            assert b'"min_raw": null' in bytes(pieces[1])
+
     def test_non_finite_header_is_rejected(self):
         header, columns = report_case(5, "pipeline", "exact_0_6", 4, 3, True, 0)
         with pytest.raises(ValueError):
@@ -547,6 +592,11 @@ class TestRowText:
             {**header, "matches": rows}, indent=2).splitlines(True)
         assert csv_text.decode("ascii").splitlines(True) == \
             listed_csv(rows).splitlines(True)
+
+    @pytest.mark.parametrize("column", [[-1], [3, 0, -2]])
+    def test_negative_integer_column_is_rejected(self, column):
+        with pytest.raises(ValueError, match="negative value"):
+            rowtext.RowText([np.array(column), "\n"])
 
     def test_random_columns_reach_the_edges(self):
         columns = random_columns(0, 130, True)
