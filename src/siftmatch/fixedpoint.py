@@ -70,7 +70,10 @@ class FxSample:
 
     def __post_init__(self) -> None:
         if not isinstance(self.raw, int):
-            object.__setattr__(self, "raw", int(self.raw))
+            raw = int(self.raw)
+            if raw != self.raw:
+                raise ValueError(f"raw {self.raw} is not an integer")
+            object.__setattr__(self, "raw", raw)
         if not 0 <= self.raw <= self.fmt.max_raw:
             raise ValueError(f"raw {self.raw} out of range for {self.fmt}")
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import importlib
 import io
 import json
@@ -491,6 +492,46 @@ class TestWarning:
         assert capsys.readouterr().err.startswith("siftmatch: warning: ")
         with pytest.warns(UserWarning, match="not unit-norm"):
             load_descriptor_set(str(queries))
+
+    @pytest.mark.parametrize("command", ["match", "compare"])
+    def test_warnings_as_errors_is_one_format_line(self, dataset, tmp_path,
+                                                   command):
+        queries = off_norm_copy(f"{dataset}_a.siftdb", tmp_path / "off.siftdb")
+        src = os.path.dirname(os.path.dirname(siftmatch.__file__))
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "siftmatch", command,
+             "-q", str(queries), "-d", f"{dataset}_b.siftdb", "-o", "out"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, timeout=60)
+        assert out.returncode == 1
+        assert out.stderr.decode("ascii").splitlines() == [
+            f"siftmatch: error: format: {queries}: 1 of 60 descriptors are "
+            "not unit-norm; auto-normalizing"]
+        assert not (tmp_path / "out").exists()
+
+
+class TestEntryPoint:
+    """``run`` is the process entry point and freezes the import-time heap;
+    ``main`` is for in-process callers and never freezes."""
+
+    def test_run_freezes_then_returns_mains_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+        assert cli.run() == 7
+        assert calls == ["freeze", "main"]
+
+    def test_main_does_not_freeze(self, dataset, tmp_path):
+        before = gc.get_freeze_count()
+        assert run_cli("match", "-q", f"{dataset}_a.siftdb",
+                       "-d", f"{dataset}_b.siftdb", "--engine", "pipeline",
+                       "-o", str(tmp_path / "out.json")) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_run(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = pyproject.read_text().split("[project.scripts]\n")[1]
+        assert scripts.split("\n")[0] == 'siftmatch = "siftmatch.cli:run"'
 
 
 class TestRoofline:

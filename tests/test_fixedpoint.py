@@ -51,6 +51,11 @@ class TestFxSample:
         sample = FxSample(raw, UQ1_15)
         assert type(sample.raw) is int and sample.raw == 7
 
+    @pytest.mark.parametrize("raw", [7.5, -0.5])
+    def test_non_integral_raw_is_rejected(self, raw):
+        with pytest.raises(ValueError, match="not an integer"):
+            FxSample(raw, UQ1_15)
+
 
 class TestFromReal:
     """quantize_array: nearest-even quantization of reals, saturating high."""

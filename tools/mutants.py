@@ -55,6 +55,7 @@ SEARCH = "src/siftmatch/search.py"
 PIPELINE = "src/siftmatch/pipeline.py"
 REFERENCE = "src/siftmatch/reference.py"
 DESCRIPTORS = "src/siftmatch/descriptors.py"
+CORDIC = "src/siftmatch/cordic.py"
 FIXEDPOINT = "src/siftmatch/fixedpoint.py"
 ROWTEXT = "src/siftmatch/rowtext.py"
 CLI = "src/siftmatch/cli.py"
@@ -131,6 +132,29 @@ MUTANTS = (
     Mutant("set-xy-shape-unchecked", DESCRIPTORS,
            "if xy.shape != (raws.shape[0], 2):", "if False:",
            ("tests/test_descriptors.py::TestValidation",)),
+    # The arccos unit's CORDIC kernels.
+    Mutant("sqrt-repeat-rule", CORDIC,
+           "repeat = 3 * repeat + 1", "repeat = 3 * repeat + 2",
+           ("tests/test_cordic.py::TestBitIdentity",)),
+    Mutant("atan-entry-off-by-one", CORDIC,
+           "52707179, 31114864,", "52707179, 31114865,",
+           ("tests/test_cordic.py::TestBitIdentity",)),
+    Mutant("sqrt-zero-unguarded", CORDIC,
+           "np.where(r > 0, out, 0)", "np.where(r >= 0, out, 0)",
+           ("tests/test_cordic.py::TestSqrt",)),
+    Mutant("polar-origin-unguarded", CORDIC,
+           "np.where((u == 0) & (v == 0), 0, angle)", "angle",
+           ("tests/test_cordic.py::TestPolarAngle",)),
+    Mutant("polar-angle-truncated", CORDIC,
+           "round_shift_even(z, _Z_FRAC - UQ2_14.fraction_bits)",
+           "z >> (_Z_FRAC - UQ2_14.fraction_bits)",
+           ("tests/test_cordic.py::TestBitIdentity",)),
+    Mutant("table-slice-halved", CORDIC,
+           "_TABLE_SLICE = 1 << 12", "_TABLE_SLICE = 1 << 11",
+           ("tests/test_cordic.py",),
+           equivalent="the kernels are elementwise, so the slice length "
+                      "changes how many inputs one run takes, not their "
+                      "angles"),
     # Fixed point.
     Mutant("ties-round-up", FIXEDPOINT,
            "round_up = (r > half) |", "round_up = (r >= half) |",
@@ -140,6 +164,9 @@ MUTANTS = (
            ("tests/test_fixedpoint.py",)),
     Mutant("sample-raw-not-coerced", FIXEDPOINT,
            "if not isinstance(self.raw, int):", "if False:",
+           ("tests/test_fixedpoint.py",)),
+    Mutant("sample-takes-non-integral-raw", FIXEDPOINT,
+           "if raw != self.raw:", "if False:",
            ("tests/test_fixedpoint.py",)),
     # The report: writers and reader.
     Mutant("first-row-keeps-comma", ROWTEXT,
@@ -192,6 +219,13 @@ MUTANTS = (
     Mutant("warning-in-python-format", CLI,
            "warnings.showwarning = lambda", "_ = lambda",
            ("tests/test_cli.py::TestWarning",)),
+    Mutant("warning-as-error-traceback", CLI,
+           "(DescriptorFormatError, ReportFormatError, Warning)",
+           "(DescriptorFormatError, ReportFormatError)",
+           ("tests/test_cli.py::TestWarning",)),
+    Mutant("entry-point-not-frozen", CLI,
+           "    gc.freeze()\n    return main()", "    return main()",
+           ("tests/test_cli.py::TestEntryPoint",)),
 )
 
 
