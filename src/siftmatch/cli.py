@@ -253,6 +253,8 @@ def cmd_characterize(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = PipelineConfig(block_size=args.block_size, clock_hz=args.clock_hz)
+    if not args.sizes:
+        raise ValueError("size list must be non-empty")
     rows = []
     for m in args.sizes:
         cycles = predict_cycles(m, args.db_size, cfg)

@@ -18,9 +18,9 @@ buffer (see :mod:`siftmatch.search`), so a match holds a few MiB of scratch
 and a few dozen bytes per query whatever the sizes of its files.
 :attr:`DescriptorSet.raws` reads the whole file once and keeps it, for
 callers that want every raw at once.  Both loaders take each row's norm in
-the pass that reads it; :func:`_renormalized` rescales the off-norm rows
-alone.  A ``.siftdb`` file with one is read whole for its float view, and
-its set is not raw-exact.
+the pass that reads it; :func:`_renormalize` rescales the off-norm rows
+alone.  A ``.siftdb`` file with one is read whole into raws and their float
+view, and only its off-norm rows are rescaled and quantized again.
 
 Two on-disk formats are supported:
 
@@ -194,10 +194,10 @@ class DescriptorSet:
     view is ``raws * 2**-15``, derived on first access of :attr:`floats` and
     kept, and the engines run exact GEMMs on the raws (see
     :mod:`siftmatch.search`).  Every set built by :meth:`from_raws`, such as
-    a ``.siftdb`` load, is raw-exact.  ``raws`` may also be the row reader
-    of a checked ``.siftdb`` file: the set is then streamed (see the module
-    docstring).  The set shares memory with the arrays it is given, through
-    read-only views of its own, and never writes them.
+    a ``.siftdb`` load with every norm in range, is raw-exact.  ``raws`` may
+    also be the row reader of a checked ``.siftdb`` file: the set is then
+    streamed (see the module docstring).  It shares memory with the arrays
+    it is given, through read-only views of its own, and never writes them.
     """
 
     def __init__(self, image_id: str, floats: np.ndarray | None,
@@ -285,22 +285,21 @@ def _infer_format(path: str) -> str:
                      "expected a .siftd or .siftdb file")
 
 
-def _renormalized(path: str, floats: np.ndarray, xy: np.ndarray,
-                  off: list[int], norms: list[float]) -> DescriptorSet:
-    """``floats`` as a set, its off-norm rows ``off``, of L2 norms
-    ``norms``, rescaled to unit norm and clipped to [0, 1] in place, with a
-    warning for the caller of :func:`load_descriptor_set`."""
+def _renormalize(path: str, floats: np.ndarray, off: list[int],
+                 norms: list[float]) -> None:
+    """Rescale the off-norm rows ``off`` of ``floats``, of L2 norms
+    ``norms``, to unit norm and clip them to [0, 1] in place, warning the
+    caller of :func:`load_descriptor_set`; a zero row raises first."""
+    if 0.0 in norms:
+        raise DescriptorFormatError(f"{path}: zero descriptor cannot be normalized")
     if off:
         warnings.warn(
             f"{path}: {len(off)} of {len(floats)} descriptors are not "
             "unit-norm; auto-normalizing",
             stacklevel=4,
         )
-        if 0.0 in norms:
-            raise DescriptorFormatError(f"{path}: zero descriptor cannot be normalized")
         rows = floats[off] / np.array(norms)[:, None]
         floats[off] = np.clip(rows, 0.0, 1.0, out=rows)
-    return DescriptorSet.from_floats(path, floats, xy)
 
 
 def load_descriptor_set(path: str) -> DescriptorSet:
@@ -377,13 +376,14 @@ def _load_text(path: str) -> DescriptorSet:
             if chunk.strip():
                 raise DescriptorFormatError(
                     f"{path}: trailing data after {m} descriptors")
-    return _renormalized(str(path), floats, xy, off, norms)
+    _renormalize(str(path), floats, off, norms)
+    return DescriptorSet.from_floats(str(path), floats, xy)
 
 
 def _load_binary(path: str) -> DescriptorSet:
     """Check a ``.siftdb`` file in one pass of :data:`_BLOCK_ROWS` records
-    at a time: a streamed set when every norm is in range, else the file's
-    float view renormalized by :func:`_renormalized`."""
+    at a time: a streamed set when every norm is in range, else its raws and
+    float view, off-norm rows renormalized and quantized again."""
     reader = _RecordReader(str(path))
     m = len(reader)
     xy = np.empty((m, 2), dtype=np.uint16)
@@ -407,8 +407,12 @@ def _load_binary(path: str) -> DescriptorSet:
         norms += block[rows].tolist()
     if not off:
         return DescriptorSet.from_raws(str(path), reader, xy)
-    return _renormalized(str(path), reader.read_all() * UQ1_15.lsb, xy, off,
-                         norms)
+    raws = np.array(reader.read_all())
+    floats = raws * UQ1_15.lsb
+    _renormalize(str(path), floats, off, norms)
+    # Every other raw is already quantize_array(raw * 2**-15).
+    raws[off] = quantize_array(floats[off])
+    return DescriptorSet(str(path), floats, raws, xy)
 
 
 def save_descriptor_set(set_: DescriptorSet, path: str) -> None:

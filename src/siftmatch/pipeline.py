@@ -35,8 +35,8 @@ cycle count is analytic and equals :func:`predict_cycles`:
 Its verdicts come from the tiled search of :mod:`siftmatch.search` on the
 16-bit raws of both sets, whatever file they came from: a float64 GEMM on
 one integer-valued tile gives the adder tree's integer sum ``w`` exactly,
-``rint(w * 2**-15)`` (an exact power-of-two scaling, then round-half-even,
-saturated at 0xFFFF) is its narrowing, and :func:`arccos_table` holds
+``quantize_array(w * 2**-30)`` (exact scalings, round-half-even, saturated
+at 0xFFFF) is its narrowing, and :func:`arccos_table` holds
 ``cordic_arccos`` of every UQ1.15 input.  A block flush only resets the
 tracker, so the search equals the scalar composition bit for bit.
 
@@ -76,7 +76,7 @@ import numpy as np
 
 from .cordic import POLAR_ITERATIONS, SQRT_ITERATIONS, AngleSample, arccos_table
 from .descriptors import DESCRIPTOR_LEN, RECORD_BYTES, Descriptor, DescriptorSet
-from .fixedpoint import UQ1_15, UQ2_14, FxSample, round_shift_even
+from .fixedpoint import UQ1_15, UQ2_14, FxSample, quantize_array, round_shift_even
 from .search import MatchColumns, exact_dots, nearest_two
 
 __all__ = [
@@ -208,17 +208,9 @@ def dot_product_core(a: Descriptor, b: Descriptor) -> FxSample:
     return FxSample(min(raw, UQ1_15.max_raw), UQ1_15)
 
 
-def _narrow(dots: np.ndarray) -> np.ndarray:
-    """Saturated nearest-even UQ1.15 raws of exact integer raw dots ``w``, in place."""
-    np.multiply(dots, UQ1_15.lsb, out=dots)
-    np.rint(dots, out=dots)
-    np.minimum(dots, UQ1_15.max_raw, out=dots)
-    return dots.astype(np.intp)
-
-
 def dot_raw_matrix(queries: DescriptorSet, db: DescriptorSet) -> np.ndarray:
     """All-pairs UQ1.15 dot raws, bit-identical to :func:`dot_product_core`."""
-    return _narrow(exact_dots(queries.raws, db.raws))
+    return quantize_array(exact_dots(queries.raws, db.raws) * UQ1_15.lsb ** 2)
 
 
 @dataclass(frozen=True)
@@ -279,7 +271,7 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
     table = arccos_table()
 
     def angle(w):
-        return table[_narrow(w.copy())]
+        return table[quantize_array(w * UQ1_15.lsb ** 2)]
 
     best, amin, asec = nearest_two(queries.raw_rows, db.raw_rows, angle,
                                    _SENTINEL_RAW)

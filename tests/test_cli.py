@@ -22,7 +22,13 @@ import siftmatch
 from siftmatch import cli
 from siftmatch.cli import _agreement, _pipeline_config, build_parser, main
 from siftmatch.cordic import CordicConfig, arccos_raw_batch
-from siftmatch.descriptors import DESCRIPTOR_LEN, load_descriptor_set
+from siftmatch.descriptors import (
+    DESCRIPTOR_LEN,
+    DescriptorSet,
+    generate_synthetic,
+    load_descriptor_set,
+    save_descriptor_set,
+)
 from siftmatch.fixedpoint import UQ1_15, UQ2_14
 from siftmatch.pipeline import PipelineConfig
 from siftmatch.reference import DEFAULT_THRESHOLD
@@ -510,6 +516,34 @@ class TestWarning:
         assert not (tmp_path / "out").exists()
 
 
+class TestZeroDescriptor:
+    """A file with an all-zero descriptor is one ``format`` error line that
+    names it, with no warning before it, even where warnings are errors."""
+
+    @pytest.mark.parametrize("flags", [(), ("-W", "error")],
+                             ids=["default", "warnings-as-errors"])
+    @pytest.mark.parametrize("ext", [".siftdb", ".siftd"])
+    def test_one_error_line(self, tmp_path, ext, flags):
+        queries, db, _ = generate_synthetic(20, 4, 0.5, 0.02)
+        rows = queries.floats.copy()
+        rows[3] = 0.0
+        path = tmp_path / f"zero{ext}"
+        save_descriptor_set(DescriptorSet.from_floats("z", rows, queries.xy),
+                            str(path))
+        save_descriptor_set(db, str(tmp_path / f"db{ext}"))
+        src = os.path.dirname(os.path.dirname(siftmatch.__file__))
+        out = subprocess.run(
+            [sys.executable, *flags, "-m", "siftmatch", "match",
+             "-q", str(path), "-d", f"db{ext}", "-o", "out"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, timeout=60)
+        assert out.returncode == 1
+        assert out.stderr.decode("ascii").splitlines() == [
+            f"siftmatch: error: format: {path}: zero descriptor cannot be "
+            "normalized"]
+        assert not (tmp_path / "out").exists()
+
+
 class TestEntryPoint:
     """``run`` is the process entry point and freezes the import-time heap;
     ``main`` is for in-process callers and never freezes."""
@@ -821,6 +855,15 @@ class TestBench:
         assert rows[0]["total_cycles"] == 607629
         assert math.isclose(rows[1]["elapsed_ms"], 10.45638)
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)],
+                             ids=["table", "json"])
+    def test_empty_sizes_is_error(self, tmp_path, capsys, json_flag):
+        out = tmp_path / "bench.out"
+        assert run_cli("bench", "--sizes", ",", *json_flag,
+                       "-o", str(out)) == 1
+        assert_one_error(capsys, "domain")
+        assert not out.exists()
+
 
 _STARTUP = textwrap.dedent("""
     import sys
@@ -968,11 +1011,9 @@ class TestLoaderFuzz:
         out = tmp_path / "out.json"
         out.unlink(missing_ok=True)
         capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", ".*not unit-norm", UserWarning)
-            code = run_cli("match", "-q", str(paths[0]), "-d", str(paths[1]),
-                           "--engine", data.draw(st.sampled_from(
-                               ["reference", "pipeline"])), "-o", str(out))
+        code = run_cli("match", "-q", str(paths[0]), "-d", str(paths[1]),
+                       "--engine", data.draw(st.sampled_from(
+                           ["reference", "pipeline"])), "-o", str(out))
         err = capsys.readouterr().err.splitlines()
         if code == 0:
             report = json.loads(out.read_bytes().decode("ascii"),
@@ -1181,7 +1222,7 @@ class TestArgvFuzz:
         if option in ("-m", "--db-size"):
             return _COUNT.map(str)
         if option == "--sizes":
-            return st.lists(_COUNT.map(str), min_size=1, max_size=3).map(
+            return st.lists(_COUNT.map(str), max_size=3).map(
                 ",".join)
         if option == "-o":  # never a path outside ``work``
             places = [work / "out", work / "missing" / "out"]

@@ -1,6 +1,7 @@
 import math
 import sys
 import textwrap
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -373,6 +374,27 @@ class TestSetApi:
         assert np.array_equal(loaded.raws, oracle.raws)
         assert np.array_equal(loaded.floats.view(np.uint64),
                               oracle.floats.view(np.uint64))
+
+    def test_off_norm_binary_load_keeps_one_float_view(self, tmp_path):
+        """A .siftdb set with one off-norm row holds its raws (256 bytes a
+        row) and one float64 view (1 KiB a row), and the load quantizes
+        that row alone: it peaks below 1.75 KiB a row."""
+        count = 4096
+        rows = np.abs(np.random.default_rng(3).standard_normal(
+            (count, DESCRIPTOR_LEN)))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows[7] /= 2
+        path = str(tmp_path / "half.siftdb")
+        save_descriptor_set(make_set(rows), path)
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match=f"1 of {count} descriptors"):
+                loaded = load_descriptor_set(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not loaded.raw_exact
+        assert peak < 1.75 * 1024 * count
 
     def test_views_read_only(self, random_set):
         with pytest.raises(ValueError):

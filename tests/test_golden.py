@@ -13,7 +13,11 @@ import pytest
 
 from siftmatch import rowtext
 from siftmatch.cli import main
-from siftmatch.descriptors import generate_synthetic, save_descriptor_set
+from siftmatch.descriptors import (
+    DescriptorSet,
+    generate_synthetic,
+    save_descriptor_set,
+)
 
 # (queries, database) of each fixture: the arguments of generate_synthetic.
 FIXTURES = {
@@ -28,11 +32,16 @@ FIXTURE_SHA256 = {
     "d.siftdb": "c547cd619cd15e64fe69ef122c7358d780600f9d9c35d4881dec961ae9b64859",
     "nq.siftdb": "76e571be900a833f9f28183206dd67056e23031cc6e56be901341057fa299647",
     "nd.siftdb": "39e527cc00e671c4e9caad87ee9abcf25a914269ca3c6b99685ab1dd12b13dd5",
+    "hq.siftdb": "f84c66afaac783f564f7d0edb4fbf4daf6170f555d7f6b6b9e20fb9c88aa050b",
 }
+# The queries of q.siftdb with the raws of this row halved: a load that
+# renormalizes one row and quantizes it again.
+HALF_NORM_ROW = 5
 
 MATCH = ("match", "-q", "q.siftdb", "-d", "d.siftdb")
 NEAR = ("match", "-q", "nq.siftdb", "-d", "nd.siftdb", "--format", "csv")
 NEAR_JSON = ("match", "-q", "nq.siftdb", "-d", "nd.siftdb", "--engine", "pipeline")
+HALF = ("match", "-q", "hq.siftdb", "-d", "d.siftdb")
 # 1000-row reports: written in several pieces when CHUNK_ROWS is patched.
 MULTI_PIECE = (NEAR_JSON, (*NEAR_JSON, "--threshold-mode", "binary_10011"))
 
@@ -78,6 +87,12 @@ GOLDEN = {
         "b6b86a6640b551405222e8fad9ff5e86741ceb1c2df97f5632a443c908d80e8c",
     MULTI_PIECE[1]:
         "81dc389ce794ccb06866931ceef480a95aa4c8f86702872ca02492cc3cbce3d2",
+    (*HALF, "--engine", "pipeline"):
+        "71991a54f595b7c4c16cfb95e63b645549fb7ea4a1d688f68549ca561e444811",
+    (*HALF, "--engine", "pipeline", "--format", "csv"):
+        "c2a10ccd78dec6d7d9ef8479f315fbf67c3bfb2df1757d2ef083bf5b6f6e18ae",
+    (*HALF, "--format", "csv"):
+        "f3bfe59f7856914bd3a5463b592b9db7716ab0d48d4ea527d59c5e4df225a876",
 }
 
 
@@ -92,6 +107,11 @@ def fixture_dir(tmp_path_factory):
     for names, args in FIXTURES.items():
         for name, set_ in zip(names, generate_synthetic(*args)):
             save_descriptor_set(set_, path / name)
+    queries = generate_synthetic(*FIXTURES["q.siftdb", "d.siftdb"])[0]
+    raws = queries.raws.copy()
+    raws[HALF_NORM_ROW] //= 2
+    save_descriptor_set(DescriptorSet.from_raws("hq", raws, queries.xy),
+                        path / "hq.siftdb")
     assert {name: sha256(path / name) for name in FIXTURE_SHA256} \
         == FIXTURE_SHA256
     return path

@@ -545,13 +545,17 @@ class TestSearchKernel:
         # at, and one off, every narrowing boundary x * 2**15 +- 2**14, the
         # largest dot 2**37 (raws are at most 2**15), and for the reference
         # the two ends of its strictly decreasing grid and the clip to 0.
-        table = pipeline.arccos_table()
+        one = DescriptorSet.from_raws("one", np.zeros((1, DESCRIPTOR_LEN)),
+                                      np.zeros((1, 2)))
+        with mock.patch.object(pipeline, "nearest_two",
+                               wraps=search.nearest_two) as spy:
+            run_pipeline(one, one, PipelineConfig())
         centers = np.arange(1 << 16, dtype=np.float64) * 2 ** 15
         edges = (centers[:, None] + np.array([-1, 0, 1])
                  + np.array([[-2 ** 14], [2 ** 14]])[:, None]).ravel()
         keys = np.append(edges[edges >= 0], 2.0 ** 37)
         maps = {
-            "pipeline": (lambda w: table[pipeline._narrow(w.copy())], keys),
+            "pipeline": (spy.call_args.args[2], keys),
             "reference": (reference._raw_angle, np.concatenate([
                 keys, np.arange(2.0 ** 20 + 1),
                 np.arange(2.0 ** 30 - 2 ** 20, 2.0 ** 30 + 2 ** 20 + 1)])),

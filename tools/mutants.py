@@ -60,6 +60,19 @@ FIXEDPOINT = "src/siftmatch/fixedpoint.py"
 ROWTEXT = "src/siftmatch/rowtext.py"
 CLI = "src/siftmatch/cli.py"
 
+# The zero-row check and the off-norm warning in descriptors._renormalize.
+_ZERO_CHECK = (
+    "    if 0.0 in norms:\n"
+    '        raise DescriptorFormatError(f"{path}: zero descriptor cannot be '
+    'normalized")\n')
+_OFF_NORM_WARNING = (
+    "    if off:\n"
+    "        warnings.warn(\n"
+    '            f"{path}: {len(off)} of {len(floats)} descriptors are not "\n'
+    '            "unit-norm; auto-normalizing",\n'
+    "            stacklevel=4,\n"
+    "        )\n")
+
 MUTANTS = (
     # The search kernel: the merge, the follow-up pass and the floor.
     Mutant("merge-takes-equal", SEARCH,
@@ -88,10 +101,6 @@ MUTANTS = (
            equivalent="a row whose floor is its key gets its earliest "
                       "argmax again from the follow-up pass"),
     # The engines.
-    Mutant("narrowing-unsaturated", PIPELINE,
-           "np.minimum(dots, UQ1_15.max_raw, out=dots)",
-           "np.minimum(dots, UQ1_15.max_raw + 1, out=dots)",
-           ("tests/test_pipeline.py",)),
     Mutant("binary-rule-18-32", PIPELINE,
            "(asec << 1) + asec + (asec << 4)", "(asec << 1) + (asec << 4)",
            ("tests/test_pipeline.py",)),
@@ -114,6 +123,14 @@ MUTANTS = (
     Mutant("norm-tolerance-doubled", DESCRIPTORS,
            "NORM_TOLERANCE = 1e-3", "NORM_TOLERANCE = 2e-3",
            ("tests/test_descriptors.py",)),
+    Mutant("off-norm-raws-not-requantized", DESCRIPTORS,
+           "raws[off] = quantize_array(floats[off])", "pass",
+           ("tests/test_descriptors.py::TestSetApi::"
+            "test_blocked_norms_match_whole_matrix",)),
+    Mutant("zero-check-after-warning", DESCRIPTORS,
+           _ZERO_CHECK + _OFF_NORM_WARNING,
+           _OFF_NORM_WARNING + _ZERO_CHECK + "    if off:\n",
+           ("tests/test_cli.py::TestZeroDescriptor",)),
     Mutant("text-coordinates-unchecked", DESCRIPTORS,
            "if not (0 <= x <= _COORD_MAX and 0 <= y <= _COORD_MAX):",
            "if False:",
@@ -155,7 +172,11 @@ MUTANTS = (
            equivalent="the kernels are elementwise, so the slice length "
                       "changes how many inputs one run takes, not their "
                       "angles"),
-    # Fixed point.
+    # Fixed point: the one quantizer also narrows the pipeline's dots.
+    Mutant("narrowing-unsaturated", FIXEDPOINT,
+           "np.clip(raws, 0, fmt.max_raw, out=raws)",
+           "np.clip(raws, 0, fmt.max_raw + 1, out=raws)",
+           ("tests/test_pipeline.py",)),
     Mutant("ties-round-up", FIXEDPOINT,
            "round_up = (r > half) |", "round_up = (r >= half) |",
            ("tests/test_fixedpoint.py",)),
