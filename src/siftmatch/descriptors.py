@@ -6,21 +6,20 @@ two synchronized views: float64 elements and their UQ1.15 quantization, so
 the float reference matcher and the fixed-point hardware model consume the
 same data.  Sets are immutable after construction.
 
-A set loaded from a binary file is raw-exact: its float view is exactly
-``raw * 2**-15``, derived on first access of :attr:`DescriptorSet.floats`.
-The load checks the file in one pass, :data:`_BLOCK_ROWS` records at a
-time, read into one reused buffer: the header, the size, every raw and
-every row's norm.  When every norm is in range the set is *streamed*, as
-the hardware streams its database from DRAM: it holds the open file and
-its (x, y) column (4 bytes a row) and no raws.  The engines read it through
-:attr:`DescriptorSet.raw_rows`, one tile at a time into one reused record
-buffer (see :mod:`siftmatch.search`), so a match holds a few MiB of scratch
-and a few dozen bytes per query whatever the sizes of its files.
-:attr:`DescriptorSet.raws` reads the whole file once and keeps it, for
-callers that want every raw at once.  Both loaders take each row's norm in
-the pass that reads it; :func:`_renormalize` rescales the off-norm rows
-alone.  A ``.siftdb`` file with one is read whole into raws and their float
-view, and only its off-norm rows are rescaled and quantized again.
+A binary file loads as a *streamed* set, as the hardware streams its
+database from DRAM.  The load checks the file in one pass,
+:data:`_BLOCK_ROWS` records at a time, read into one reused buffer: the
+header, the size, every raw and every row's norm.  The set then holds the
+open file and its (x, y) column (4 bytes a row) and no raws.  The engines
+read it through :attr:`DescriptorSet.raw_rows`, one tile at a time into one
+reused record buffer (see :mod:`siftmatch.search`), so a match holds a few
+MiB of scratch and a few dozen bytes per query whatever the sizes of its
+files.  :attr:`DescriptorSet.raws` reads the whole file once and keeps it,
+for callers that want every raw at once.  Both loaders take each row's
+norm in the pass that reads it; :func:`_renormalize` rescales the off-norm
+rows alone.  A binary set keeps those rows as a patch, written over every
+read: their raws quantized again, and their floats.  Every other row's
+float is exactly ``raw * 2**-15``; with no such row the set is raw-exact.
 
 Two on-disk formats are supported:
 
@@ -97,13 +96,14 @@ class _RecordReader:
     Opening checks the magic and that the size matches the header.  A row
     source is what :mod:`siftmatch.search` reads tiles from: ``len``,
     ``shape`` and ``reader[rows]``, with ``rows`` a slice of consecutive
-    rows or an array of row indices.  Each read fills one reused record
-    buffer, grown to the largest read so far, and returns the raws as a
-    view of it that the next read overwrites.  The file stays open from the
-    check to the last read, so a file renamed over the path changes nothing
-    that is read; it is closed when the reader is dropped.  A file that has
-    shrunk since it was opened raises ``OSError``.  Reads share the one
-    buffer, so two threads must not read through one reader at once.
+    rows or row indices, wrapped and range-checked as by an ndarray.  Each
+    read fills one reused record buffer, grown to the largest read so far,
+    writes ``fixed`` (``None`` or sorted ``(rows, raws)``) over its rows and
+    returns the raws as a view that the next read overwrites, so two
+    threads must not read through one reader at once.  The file stays open
+    from the check to the last read, so a file renamed over the path
+    changes nothing that is read; it is closed when the reader is dropped.
+    A file that has shrunk since it was opened raises ``OSError``.
     """
 
     def __init__(self, path: str):
@@ -121,6 +121,7 @@ class _RecordReader:
             raise DescriptorFormatError(
                 f"{path}: payload is {payload} bytes, expected {m * RECORD_BYTES}")
         self.shape = (m, DESCRIPTOR_LEN)
+        self.fixed = None
         self._buffer = np.empty((0, _RECORD_WORDS), dtype="<u2")
 
     def __len__(self) -> int:
@@ -137,13 +138,17 @@ class _RecordReader:
         if isinstance(rows, slice):
             start, stop, _ = rows.indices(len(self))
             return self.records(start, max(start, stop))[:, 2:]
+        index = np.asarray(rows, dtype=np.intp)
+        if ((index < -len(self)) | (index >= len(self))).any():
+            raise IndexError(f"row index out of range for {len(self)} rows")
         # One read per run of consecutive rows: the follow-up pass of the
         # search reads its tied rows this way, in ascending order.
-        records = self._reused(len(rows))
-        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()
-        for k, end in zip(starts, starts[1:] + [len(rows)]):
-            self._read(records[k:end], int(rows[k]))
-        return records[:, 2:]
+        flat = index.reshape(-1) % len(self)
+        records = self._reused(len(flat))
+        starts = np.flatnonzero(np.diff(flat, prepend=-2) != 1).tolist()
+        for k, end in zip(starts, starts[1:] + [len(flat)]):
+            self._read(records[k:end], int(flat[k]))
+        return records[:, 2:].reshape(index.shape + (DESCRIPTOR_LEN,))
 
     def read_all(self) -> np.ndarray:
         """A read-only (m, 128) array of every raw, in memory of its own."""
@@ -168,19 +173,31 @@ class _RecordReader:
                     f"{self.path}: the file ends at byte {offset}; it held "
                     f"{len(self)} descriptors when it was loaded")
             view, offset = view[got:], offset + got
+        if self.fixed is not None:
+            fixed, raws = self.fixed
+            lo, hi = np.searchsorted(fixed, (row, row + len(records)))
+            records[fixed[lo:hi] - row, 2:] = raws[lo:hi]
 
 
 class _ScaledRows:
-    """A row source of raws as one of read-only floats ``raw * 2**-15``."""
+    """A row source of raws as one of read-only floats ``raw * 2**-15``;
+    ``fixed`` is ``None`` or ``(rows, floats)``, sorted rows written over."""
 
-    def __init__(self, raws):
-        self.raws, self.shape = raws, raws.shape
+    def __init__(self, raws, fixed=None):
+        self.raws, self.shape, self.fixed = raws, raws.shape, fixed
 
     def __len__(self) -> int:
         return self.shape[0]
 
     def __getitem__(self, rows) -> np.ndarray:
-        floats = self.raws[rows] * UQ1_15.lsb
+        floats = self.raws[rows] * UQ1_15.lsb  # range-checks ``rows``
+        if self.fixed is not None:
+            fixed, kept = self.fixed
+            index = np.arange(*rows.indices(len(self))) \
+                if isinstance(rows, slice) else np.asarray(rows) % len(self)
+            at = np.searchsorted(fixed, index)
+            hit = fixed.take(at, mode="clip") == index
+            floats[hit] = kept[at[hit]]
         floats.setflags(write=False)
         return floats
 
@@ -195,9 +212,10 @@ class DescriptorSet:
     kept, and the engines run exact GEMMs on the raws (see
     :mod:`siftmatch.search`).  Every set built by :meth:`from_raws`, such as
     a ``.siftdb`` load with every norm in range, is raw-exact.  ``raws`` may
-    also be the row reader of a checked ``.siftdb`` file: the set is then
-    streamed (see the module docstring).  It shares memory with the arrays
-    it is given, through read-only views of its own, and never writes them.
+    also be the row reader of a checked ``.siftdb`` file, and ``floats``
+    its patched float view: the set is then streamed (see the module
+    docstring).  It shares memory with the arrays it is given, through
+    read-only views of its own, and never writes them.
     """
 
     def __init__(self, image_id: str, floats: np.ndarray | None,
@@ -205,7 +223,7 @@ class DescriptorSet:
         if not isinstance(raws, _RecordReader):
             raws = np.asarray(raws, dtype=np.uint16).view()
         xy = np.asarray(xy, dtype=np.uint16).view()
-        if floats is not None:
+        if floats is not None and not isinstance(floats, _ScaledRows):
             floats = np.asarray(floats, dtype=np.float64).view()
             if floats.ndim != 2 or floats.shape[1] != DESCRIPTOR_LEN:
                 raise ValueError(f"floats must be (m, {DESCRIPTOR_LEN})")
@@ -247,8 +265,9 @@ class DescriptorSet:
     @property
     def floats(self) -> np.ndarray:
         """(m, 128) float64 elements; derived from the raws on first access."""
-        if self._floats is None:
-            self._floats = _ScaledRows(self.raws)[:]
+        if not isinstance(self._floats, np.ndarray):
+            fixed = getattr(self._floats, "fixed", None)
+            self._floats = _ScaledRows(self.raws, fixed)[:]
         return self._floats
 
     @classmethod
@@ -268,8 +287,7 @@ class DescriptorSet:
         return len(self.xy)
 
     def __getitem__(self, index: int) -> Descriptor:
-        raws = self.raws[index]  # first, so that float_rows wraps an array
-        return Descriptor(elements=self.float_rows[index], raws=raws,
+        return Descriptor(elements=self.float_rows[index], raws=self.raws[index],
                           x=int(self.xy[index, 0]), y=int(self.xy[index, 1]))
 
     def __iter__(self):
@@ -285,21 +303,17 @@ def _infer_format(path: str) -> str:
                      "expected a .siftd or .siftdb file")
 
 
-def _renormalize(path: str, floats: np.ndarray, off: list[int],
-                 norms: list[float]) -> None:
-    """Rescale the off-norm rows ``off`` of ``floats``, of L2 norms
-    ``norms``, to unit norm and clip them to [0, 1] in place, warning the
-    caller of :func:`load_descriptor_set`; a zero row raises first."""
+def _renormalize(path: str, rows: np.ndarray, norms: list[float],
+                 m: int) -> np.ndarray:
+    """The off-norm ``rows`` of a set of ``m``, of L2 norms ``norms``,
+    rescaled to unit norm and clipped to [0, 1], warning the caller of
+    :func:`load_descriptor_set`; a zero row raises first."""
     if 0.0 in norms:
         raise DescriptorFormatError(f"{path}: zero descriptor cannot be normalized")
-    if off:
-        warnings.warn(
-            f"{path}: {len(off)} of {len(floats)} descriptors are not "
-            "unit-norm; auto-normalizing",
-            stacklevel=4,
-        )
-        rows = floats[off] / np.array(norms)[:, None]
-        floats[off] = np.clip(rows, 0.0, 1.0, out=rows)
+    warnings.warn(f"{path}: {len(rows)} of {m} descriptors are not "
+                  "unit-norm; auto-normalizing", stacklevel=4)
+    rows = rows / np.array(norms)[:, None]
+    return np.clip(rows, 0.0, 1.0, out=rows)
 
 
 def load_descriptor_set(path: str) -> DescriptorSet:
@@ -309,8 +323,8 @@ def load_descriptor_set(path: str) -> DescriptorSet:
 
     Non-unit-norm descriptors trigger a warning and are rescaled to unit
     norm.  Raises :class:`DescriptorFormatError` on malformed input,
-    including an empty set.  A ``.siftdb`` file whose norms are all in
-    range gives a streamed set (see the module docstring).
+    including an empty set.  A ``.siftdb`` file gives a streamed set (see
+    the module docstring).
     """
     fmt = _infer_format(path)
     try:
@@ -376,14 +390,15 @@ def _load_text(path: str) -> DescriptorSet:
             if chunk.strip():
                 raise DescriptorFormatError(
                     f"{path}: trailing data after {m} descriptors")
-    _renormalize(str(path), floats, off, norms)
+    if off:
+        floats[off] = _renormalize(str(path), floats[off], norms, m)
     return DescriptorSet.from_floats(str(path), floats, xy)
 
 
 def _load_binary(path: str) -> DescriptorSet:
     """Check a ``.siftdb`` file in one pass of :data:`_BLOCK_ROWS` records
-    at a time: a streamed set when every norm is in range, else its raws and
-    float view, off-norm rows renormalized and quantized again."""
+    at a time, giving a streamed set; off-norm rows are read again,
+    renormalized and quantized again, and patched over the file's."""
     reader = _RecordReader(str(path))
     m = len(reader)
     xy = np.empty((m, 2), dtype=np.uint16)
@@ -405,14 +420,14 @@ def _load_binary(path: str) -> DescriptorSet:
         rows = np.flatnonzero(np.abs(block - 1.0) > NORM_TOLERANCE)
         off += (start + rows).tolist()
         norms += block[rows].tolist()
-    if not off:
-        return DescriptorSet.from_raws(str(path), reader, xy)
-    raws = np.array(reader.read_all())
-    floats = raws * UQ1_15.lsb
-    _renormalize(str(path), floats, off, norms)
-    # Every other raw is already quantize_array(raw * 2**-15).
-    raws[off] = quantize_array(floats[off])
-    return DescriptorSet(str(path), floats, raws, xy)
+    floats = None
+    if off:
+        kept = _renormalize(str(path), reader[off] * UQ1_15.lsb, norms, m)
+        # Every other raw is already quantize_array(raw * 2**-15).
+        rows = np.array(off)
+        reader.fixed = (rows, quantize_array(kept).astype(np.uint16))
+        floats = _ScaledRows(reader, (rows, kept))
+    return DescriptorSet(str(path), floats, reader, xy)
 
 
 def save_descriptor_set(set_: DescriptorSet, path: str) -> None:

@@ -12,12 +12,12 @@ with every norm in range, or a ``from_raws`` set) it takes one BLAS GEMM per
 tile on the integer raws: every partial sum is exact, and ``w * 2**-30`` is a
 power-of-two scaling, so the sums ``w`` give the left-to-right bits of the
 float elements ``raw * 2**-15``, and no float copy of a set is made.  Other
-sets (``.siftd`` and off-norm ``.siftdb`` loads) take the strict-order
-:func:`dot_matrix` on the float elements, one tile at a time, ranked by the
-negated angle: each such key is the smallest with its angle, so they never
-take the search's follow-up pass.  A raw-exact side of such a pair is read
-through :attr:`~siftmatch.descriptors.DescriptorSet.float_rows` as
-``raw * 2**-15`` one tile at a time, so a streamed file stays streamed.
+pairs (with a ``.siftd`` or an off-norm ``.siftdb`` load) take the
+strict-order :func:`dot_matrix` on the float elements, ranked by the negated
+angle: each such key is the smallest with its angle, so they never take the
+search's follow-up pass.  Both sides are read one tile at a time through
+:attr:`~siftmatch.descriptors.DescriptorSet.float_rows`, so a streamed file
+stays streamed.
 
 On raw-exact sets the search ranks by the integer dot ``w`` and only the
 two largest dots of a row are mapped to angles, ``arccos(min(w * 2**-30,

@@ -34,8 +34,9 @@ def grandchild():
 @pytest.fixture(scope="session")
 def streamed(tmp_path_factory):
     """``stream(set_)``: ``set_`` saved as a ``.siftdb`` file and loaded
-    back, a set that streams its raws from that file.  Its rows must be
-    unit-norm, or the load would renormalize them in memory."""
+    back, a set that streams its raws from that file.  Off-norm rows are
+    renormalized by the load, which warns of them, and patched over the
+    file's rows."""
     directory = tmp_path_factory.mktemp("streamed")
     count = itertools.count()
 

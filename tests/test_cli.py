@@ -921,6 +921,41 @@ def test_match_memory_is_inputs_plus_fixed_scratch(tmp_path, grandchild):
     assert 0 < growth < sum(map(os.path.getsize, inputs)) + _MATCH_SCRATCH
 
 
+_MATCH_PEAK = textwrap.dedent("""
+    import resource, sys, warnings
+    import siftmatch.cli
+    warnings.simplefilter("ignore")
+    code = siftmatch.cli.main(sys.argv[1:])
+    print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB and inherited as on Linux")
+@pytest.mark.parametrize("engine", ["pipeline", "reference"])
+def test_off_norm_row_costs_no_memory(tmp_path, grandchild, engine):
+    """A 20000 x 64 match with one half-norm query row peaks within 2 MiB
+    of the same match on the clean file: the row is a patch, not a copy of
+    the file (which would be 1.25 KiB a row, 24 MiB here)."""
+    rows = np.abs(np.random.default_rng(9).standard_normal((20000, 128)))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    xy = np.zeros((len(rows), 2), dtype=np.uint16)
+    clean = DescriptorSet.from_floats("q", rows, xy)
+    rows[7] /= 2
+    for name, set_ in (("q", clean), ("hq", DescriptorSet.from_floats(
+            "hq", rows, xy)), ("d", DescriptorSet.from_raws(
+                "d", clean.raws[:64], xy[:64]))):
+        save_descriptor_set(set_, str(tmp_path / f"{name}.siftdb"))
+    peaks = {}
+    for name in ("q", "hq"):
+        code, peaks[name] = map(int, grandchild(
+            _MATCH_PEAK, "match", "-q", str(tmp_path / f"{name}.siftdb"),
+            "-d", str(tmp_path / "d.siftdb"), "--engine", engine,
+            "-o", str(tmp_path / f"{name}.json")).split())
+        assert code == 0
+    assert peaks["hq"] - peaks["q"] < 2 << 20
+
+
 # What replaces one field of a .siftd line: values the loader must either
 # reject with one error line or accept, never crash on.
 _TOKENS = [b"nan", b"inf", b"-1", b"1e-400", b"0x1p-3", b"\xff", b""]

@@ -3,10 +3,13 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from siftmatch import search
 from siftmatch.descriptors import (
     DESCRIPTOR_LEN,
     Descriptor,
@@ -17,6 +20,8 @@ from siftmatch.descriptors import (
     save_descriptor_set,
 )
 from siftmatch.fixedpoint import UQ1_15, quantize_array
+from siftmatch.pipeline import run_pipeline
+from siftmatch.reference import match_all
 
 
 def one_hot(idx, x=3, y=4):
@@ -375,11 +380,12 @@ class TestSetApi:
         assert np.array_equal(loaded.floats.view(np.uint64),
                               oracle.floats.view(np.uint64))
 
-    def test_off_norm_binary_load_keeps_one_float_view(self, tmp_path):
-        """A .siftdb set with one off-norm row holds its raws (256 bytes a
-        row) and one float64 view (1 KiB a row), and the load quantizes
-        that row alone: it peaks below 1.75 KiB a row."""
-        count = 4096
+    def test_off_norm_binary_load_keeps_a_patch(self, tmp_path):
+        """A .siftdb set with one off-norm row streams as a clean one does,
+        holding that row's raws and floats alone: its load peaks below
+        0.1 KiB a row, as a clean file's does (a whole raw and float view
+        would be 1.25 KiB a row)."""
+        count = 16384
         rows = np.abs(np.random.default_rng(3).standard_normal(
             (count, DESCRIPTOR_LEN)))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -394,7 +400,31 @@ class TestSetApi:
         finally:
             tracemalloc.stop()
         assert not loaded.raw_exact
-        assert peak < 1.75 * 1024 * count
+        assert not isinstance(loaded.raw_rows, np.ndarray)
+        assert peak < 0.1 * 1024 * count
+
+    @pytest.mark.parametrize("off_norm", [False, True])
+    def test_reader_indices_act_as_on_an_array(self, streamed, random_set,
+                                               off_norm):
+        """Row indices into a streamed set's reader wrap and are
+        range-checked as an ndarray's are, with or without a patch."""
+        raws = random_set.raws.copy()
+        if off_norm:
+            raws[[0, 5, -1]] //= 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reader = streamed(DescriptorSet.from_raws("r", raws,
+                                                      random_set.xy)).raw_rows
+        raws = in_memory(raws, random_set.xy).raws
+        m = len(raws)
+        for rows in ([-1], [0, -1], [m - 1, -m, 4, 5, 6], np.array([-1]),
+                     -2, 5, [], slice(-3, None)):
+            assert np.array_equal(reader[rows], raws[rows]), rows
+        for rows in ([m], [0, -m - 1], m, -m - 1):
+            with pytest.raises(IndexError):
+                raws[rows]
+            with pytest.raises(IndexError):
+                reader[rows]
 
     def test_views_read_only(self, random_set):
         with pytest.raises(ValueError):
@@ -407,6 +437,96 @@ class TestSetApi:
         assert not set_.floats.flags.writeable
         assert not set_.raws.flags.writeable and not set_.xy.flags.writeable
         assert np.shares_memory(set_.floats, rows)
+
+
+def in_memory(raws, xy) -> DescriptorSet:
+    """The set a .siftdb file of ``raws`` loads as, built whole in memory:
+    its off-norm rows renormalized and quantized again, the float view
+    kept."""
+    raws = np.array(raws, dtype=np.uint16)
+    floats = raws * UQ1_15.lsb
+    norms = np.linalg.norm(floats, axis=1)
+    off = np.abs(norms - 1.0) > 1e-3
+    floats[off] = np.clip(floats[off] / norms[off, None], 0.0, 1.0)
+    raws[off] = quantize_array(floats[off])
+    return DescriptorSet("in-memory", floats, raws, xy)
+
+
+def same_bits(a, b) -> bool:
+    """Both ``None``, or arrays of one dtype and shape with the same bytes."""
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def unit_rows(seed: int, count: int) -> np.ndarray:
+    rows = np.abs(np.random.default_rng(seed).standard_normal(
+        (count, DESCRIPTOR_LEN)))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.fixture(scope="module")
+def partners(tmp_path_factory, streamed):
+    """A 24-row set loaded from a .siftd file and one streamed from a clean
+    .siftdb file."""
+    path = str(tmp_path_factory.mktemp("partners") / "p.siftd")
+    save_descriptor_set(make_set(unit_rows(6, 24)), path)
+    return {"text": load_descriptor_set(path),
+            "binary": streamed(make_set(unit_rows(7, 24)))}
+
+
+class TestOffNormPatch:
+    """A .siftdb set with off-norm rows streams, its rows patched as they
+    are read, and equals bit for bit the set built whole in memory."""
+
+    BIG = 300  # one 256-row check block and part of another
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_patched_set_equals_in_memory_set(self, streamed, partners, data):
+        big, tile = self.BIG, data.draw(st.integers(8, 64), label="tile")
+        # the first and last row of each check block and search tile
+        edges = sorted({0, 255, 256, big - 1} | {
+            k for t in range(tile, big, tile) for k in (t - 1, t)})
+        off = sorted(data.draw(st.lists(
+            st.sampled_from(edges) | st.integers(0, big - 1),
+            min_size=1, max_size=6, unique=True), label="off"))
+        factors = data.draw(st.lists(st.sampled_from([0.25, 0.5, 1.5, 2.5]),
+                                     min_size=len(off), max_size=len(off)))
+        side = data.draw(st.sampled_from(["queries", "database"]))
+        partner = partners[data.draw(st.sampled_from(["text", "binary"]))]
+
+        rows = unit_rows(5, big)
+        rows[off] = np.clip(rows[off] * np.array(factors)[:, None], 0.0, 1.0)
+        written = make_set(rows, np.arange(2 * big).reshape(big, 2))
+        with pytest.warns(UserWarning, match=f"{len(off)} of {big} "):
+            loaded = streamed(written)
+        oracle = in_memory(written.raws, written.xy)
+        assert not loaded.raw_exact
+
+        def engines(s):
+            q, d = (s, partner) if side == "queries" else (partner, s)
+            with mock.patch.multiple(search, TILE_ROWS=tile, TILE_COLS=tile,
+                                     TILE_DOTS=1):
+                return match_all(q, d), run_pipeline(q, d).matches
+
+        for got, want in zip(engines(loaded), engines(oracle)):
+            for name in vars(want):
+                assert same_bits(getattr(got, name), getattr(want, name)), name
+        picked = np.array(off + [0, big - 1, 255])
+        for a, b in ((0, big), (tile - 1, 2 * tile + 1), (250, 260)):
+            assert same_bits(loaded.raw_rows[a:b], oracle.raws[a:b])
+            assert same_bits(loaded.float_rows[a:b], oracle.floats[a:b])
+        assert same_bits(loaded.raw_rows[picked], oracle.raws[picked])
+        assert same_bits(loaded.float_rows[picked], oracle.floats[picked])
+        for k in off + [-1, -2, -big, off[0] - big]:
+            got, want = loaded[k], oracle[k]
+            assert same_bits(got.elements, want.elements), k
+            assert same_bits(got.raws, want.raws), k
+            assert (got.x, got.y) == (want.x, want.y)
+        assert same_bits(loaded.raws, oracle.raws)
+        assert same_bits(loaded.floats, oracle.floats)
 
 
 _MEASURE = textwrap.dedent("""

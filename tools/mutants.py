@@ -66,12 +66,8 @@ _ZERO_CHECK = (
     '        raise DescriptorFormatError(f"{path}: zero descriptor cannot be '
     'normalized")\n')
 _OFF_NORM_WARNING = (
-    "    if off:\n"
-    "        warnings.warn(\n"
-    '            f"{path}: {len(off)} of {len(floats)} descriptors are not "\n'
-    '            "unit-norm; auto-normalizing",\n'
-    "            stacklevel=4,\n"
-    "        )\n")
+    '    warnings.warn(f"{path}: {len(rows)} of {m} descriptors are not "\n'
+    '                  "unit-norm; auto-normalizing", stacklevel=4)\n')
 
 MUTANTS = (
     # The search kernel: the merge, the follow-up pass and the floor.
@@ -124,13 +120,28 @@ MUTANTS = (
            "NORM_TOLERANCE = 1e-3", "NORM_TOLERANCE = 2e-3",
            ("tests/test_descriptors.py",)),
     Mutant("off-norm-raws-not-requantized", DESCRIPTORS,
-           "raws[off] = quantize_array(floats[off])", "pass",
+           "quantize_array(kept).astype(np.uint16)", "reader[off].copy()",
            ("tests/test_descriptors.py::TestSetApi::"
             "test_blocked_norms_match_whole_matrix",)),
     Mutant("zero-check-after-warning", DESCRIPTORS,
-           _ZERO_CHECK + _OFF_NORM_WARNING,
-           _OFF_NORM_WARNING + _ZERO_CHECK + "    if off:\n",
+           _ZERO_CHECK + _OFF_NORM_WARNING, _OFF_NORM_WARNING + _ZERO_CHECK,
            ("tests/test_cli.py::TestZeroDescriptor",)),
+    # The patch of a .siftdb set's off-norm rows, over raws and floats.
+    Mutant("raw-patch-window-short", DESCRIPTORS,
+           "(row, row + len(records))", "(row, row + len(records) - 1)",
+           ("tests/test_descriptors.py::TestSetApi::"
+            "test_reader_indices_act_as_on_an_array",)),
+    Mutant("raw-patch-skipped", DESCRIPTORS,
+           "records[fixed[lo:hi] - row, 2:] = raws[lo:hi]", "pass",
+           ("tests/test_descriptors.py::TestSetApi::"
+            "test_reader_indices_act_as_on_an_array",)),
+    Mutant("float-patch-skipped", DESCRIPTORS,
+           "floats[hit] = kept[at[hit]]", "pass",
+           ("tests/test_descriptors.py::TestOffNormPatch",)),
+    Mutant("no-fix-guard-inverted", DESCRIPTORS,
+           "if self.fixed is not None:\n            fixed, raws = self.fixed",
+           "if self.fixed is None:\n            fixed, raws = self.fixed",
+           ("tests/test_descriptors.py::TestRoundTrip",)),
     Mutant("text-coordinates-unchecked", DESCRIPTORS,
            "if not (0 <= x <= _COORD_MAX and 0 <= y <= _COORD_MAX):",
            "if False:",
