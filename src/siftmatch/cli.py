@@ -14,10 +14,12 @@ callers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 from itertools import chain
@@ -42,13 +44,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .reference import DEFAULT_THRESHOLD, match_all
-from .rowtext import (
-    ReportFormatError,
-    RowText,
-    report_columns,
-    report_csv_chunks,
-    report_json_chunks,
-)
+from .rowtext import MatchReport, ReportFormatError, RowText, report_columns
 
 _DEFAULT_BENCH_SIZES = (579, 638, 882, 1021)
 
@@ -86,16 +82,61 @@ def _list_of(kind):
     return parse
 
 
-def _write_out(path: str | None, pieces) -> None:
-    """Write ``pieces``, an iterable of ASCII bytes, to the file ``path``, or
-    to stdout for ``None`` and ``-``.  Stdout is flushed before the command
-    returns, so a write error surfaces here."""
+@contextlib.contextmanager
+def _output(path: str | None):
+    """A ``writelines`` of ASCII bytes to the file ``path``, or to stdout
+    for ``None`` and ``-``, for the ``with`` block.
+
+    A regular file is staged: the block writes a temporary file in the
+    target's directory, which replaces the target when the block ends and
+    is removed when it raises, so a failed command leaves no output file.
+    The temporary file is made with the mode that ``open(path, "wb")``
+    gives the target: an existing target's, else 0o666 less the umask.
+    A symlink is followed, so the file it names is replaced.  Other
+    targets (a FIFO, ``/dev/null``) are written directly, and stdout is
+    flushed when the block ends, so a write error surfaces in it.
+    """
     if path is None or path == "-":
-        sys.stdout.buffer.writelines(pieces)
+        yield sys.stdout.buffer.writelines
         sys.stdout.buffer.flush()
         return
-    with open(path, "wb") as fh:
-        fh.writelines(pieces)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    # A path that names no file ("", "dir/") is left to open() to refuse.
+    if not os.path.basename(path) or (mode is not None
+                                      and not stat.S_ISREG(mode)):
+        with open(path, "wb") as fh:
+            yield fh.writelines
+        return
+    target = os.path.realpath(path)  # through a symlink, as open() writes
+    while True:
+        temp = os.path.join(os.path.dirname(target),
+                            f".siftmatch-{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:  # named by the target, not the temporary
+            raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            yield fh.writelines
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+def _write_out(path: str | None, pieces) -> None:
+    """Write ``pieces``, an iterable of ASCII bytes, through
+    :func:`_output`."""
+    with _output(path) as write:
+        write(pieces)
 
 
 def _write_json(path: str | None, obj) -> None:
@@ -133,33 +174,38 @@ def cmd_generate(args) -> int:
 
 
 def cmd_match(args) -> int:
-    queries = load_descriptor_set(args.queries)
-    db = load_descriptor_set(args.database)
-    report = {
-        "engine": args.engine,
-        "queries": args.queries,
-        "database": args.database,
-        "num_queries": len(queries),
-        "num_database": len(db),
-    }
-    if args.engine == "reference":
-        matches = match_all(queries, db, args.threshold)
-        report["threshold"] = args.threshold
-    else:
-        cfg = _pipeline_config(args)
-        run = run_pipeline(queries, db, cfg)
-        matches = run.matches
-        report.update({
-            "threshold_mode": cfg.threshold_mode,
-            "block_size": cfg.block_size,
-            "clock_hz": cfg.clock_hz,
-            "total_cycles": run.total_cycles,
-            "elapsed_seconds_at_clock": run.elapsed_seconds_at_clock,
-            "blocks_processed": run.blocks_processed,
-            "dot_products_executed": run.dot_products_executed,
-        })
-    _write_out(args.output, report_csv_chunks(matches) if args.format == "csv"
-               else report_json_chunks(report, matches))
+    # Opened first: an unwritable output fails before any load or search.
+    with _output(args.output) as write:
+        queries = load_descriptor_set(args.queries)
+        db = load_descriptor_set(args.database)
+        header = {
+            "engine": args.engine,
+            "queries": args.queries,
+            "database": args.database,
+            "num_queries": len(queries),
+            "num_database": len(db),
+        }
+        if args.engine == "reference":
+            header["threshold"] = args.threshold
+        else:
+            cfg = _pipeline_config(args)
+            header.update(threshold_mode=cfg.threshold_mode,
+                          block_size=cfg.block_size, clock_hz=cfg.clock_hz)
+        report = MatchReport(None if args.format == "csv" else header)
+        # Each band of verdicts is written as soon as the engine has it.
+        if args.engine == "reference":
+            def emit(start, matches):
+                write(report.band(start, matches))
+            match_all(queries, db, args.threshold, emit)
+        else:
+            def emit(start, band):
+                write(report.band(
+                    start, band.matches, total_cycles=band.total_cycles,
+                    elapsed_seconds_at_clock=band.elapsed_seconds_at_clock,
+                    blocks_processed=band.blocks_processed,
+                    dot_products_executed=band.dot_products_executed))
+            run = run_pipeline(queries, db, cfg, emit)
+        write(report.end())
     if args.engine == "pipeline":  # after the report: a failed write is one line
         print(f"{run.total_cycles} cycles, "
               f"{run.elapsed_seconds_at_clock * 1e3:.4f} ms at "

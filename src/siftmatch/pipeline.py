@@ -71,13 +71,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .cordic import POLAR_ITERATIONS, SQRT_ITERATIONS, AngleSample, arccos_table
 from .descriptors import DESCRIPTOR_LEN, RECORD_BYTES, Descriptor, DescriptorSet
 from .fixedpoint import UQ1_15, UQ2_14, FxSample, quantize_array, round_shift_even
-from .search import MatchColumns, exact_dots, nearest_two
+from .search import MatchColumns, exact_dots, in_bands, nearest_two
 
 __all__ = [
     "DRAIN_CYCLES",
@@ -215,14 +216,15 @@ def dot_raw_matrix(queries: DescriptorSet, db: DescriptorSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of one accelerator run: cycle count, timing, and verdicts."""
+    """Outcome of one accelerator run: cycle count, timing, and verdicts
+    (``None`` when they went to an ``emit`` band by band)."""
 
     total_cycles: int
     elapsed_seconds_at_clock: float
     clock_hz: float
     blocks_processed: int
     dot_products_executed: int
-    matches: MatchColumns
+    matches: MatchColumns | None
 
 
 def predict_cycles(m: int, n: int, cfg: PipelineConfig = PipelineConfig()) -> int:
@@ -255,12 +257,21 @@ def elapsed_seconds(cycles: int, cfg: PipelineConfig) -> float:
 
 
 def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
-                 cfg: PipelineConfig = PipelineConfig()) -> RunReport:
+                 cfg: PipelineConfig = PipelineConfig(),
+                 emit: Callable[[int, RunReport], None] | None = None
+                 ) -> RunReport:
     """Run the modeled accelerator: verdicts plus an exact cycle count.
 
     No per-block loop: ``total_cycles`` is :func:`predict_cycles`,
     ``blocks_processed`` is ``cfg.blocks(m)``, and the verdicts come
     from one tiled search (see the module docstring).
+
+    Given ``emit``, the queries are searched in bands, as the core drains a
+    block's verdicts before the next (:func:`~siftmatch.search.in_bands`):
+    ``emit(start, band)`` receives each band's report, whose ``matches``
+    are the verdicts of queries ``start:start + len(band.matches)``, and
+    the report returned has ``matches=None``.  Every other field is the
+    whole run's, and every argument is checked before the first band.
     """
     m, n = len(queries), len(db)
     if m == 0 or n == 0:
@@ -273,26 +284,32 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
     def angle(w):
         return table[quantize_array(w * UQ1_15.lsb ** 2)]
 
-    best, amin, asec = nearest_two(queries.raw_rows, db.raw_rows, angle,
-                                   _SENTINEL_RAW)
-    amin = amin.astype(np.int64)
-    asec = asec.astype(np.int64)
-    min_angle = amin * _ANGLE_LSB
-    second_angle = asec * _ANGLE_LSB
-    if cfg.threshold_mode == "binary_10011":
-        matched = (amin << 5) < (asec << 1) + asec + (asec << 4)
-    else:
-        matched = min_angle < 0.6 * second_angle
+    def report(matches: MatchColumns | None) -> RunReport:
+        return RunReport(
+            total_cycles=cycles,
+            elapsed_seconds_at_clock=elapsed,
+            clock_hz=cfg.clock_hz,
+            blocks_processed=cfg.blocks(m),
+            dot_products_executed=m * n,
+            matches=matches,
+        )
 
-    return RunReport(
-        total_cycles=cycles,
-        elapsed_seconds_at_clock=elapsed,
-        clock_hz=cfg.clock_hz,
-        blocks_processed=cfg.blocks(m),
-        dot_products_executed=m * n,
-        matches=MatchColumns(best, min_angle, second_angle, matched,
-                             queries.xy, db.xy[best], amin, asec),
-    )
+    def band(rows: slice, window) -> RunReport:
+        best, amin, asec = nearest_two(window, db.raw_rows, angle,
+                                       _SENTINEL_RAW)
+        amin = amin.astype(np.int64)
+        asec = asec.astype(np.int64)
+        min_angle = amin * _ANGLE_LSB
+        second_angle = asec * _ANGLE_LSB
+        if cfg.threshold_mode == "binary_10011":
+            matched = (amin << 5) < (asec << 1) + asec + (asec << 4)
+        else:
+            matched = min_angle < 0.6 * second_angle
+        return report(MatchColumns(best, min_angle, second_angle, matched,
+                                   queries.xy[rows], db.xy[best], amin, asec))
+
+    whole = in_bands(queries.raw_rows, band, emit)
+    return report(None) if whole is None else whole
 
 
 @dataclass(frozen=True)

@@ -41,12 +41,13 @@ Everything here is stateless.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 from .descriptors import DESCRIPTOR_LEN, Descriptor, DescriptorSet
 from .fixedpoint import UQ1_15
-from .search import MatchColumns, nearest_two
+from .search import MatchColumns, exact_dots, in_bands, nearest_two
 
 __all__ = [
     "SECOND_MIN_SURROGATE",
@@ -107,18 +108,31 @@ def _raw_angle(w: np.ndarray) -> np.ndarray:
 
 
 def match_all(queries: DescriptorSet, db: DescriptorSet,
-              threshold: float = DEFAULT_THRESHOLD) -> MatchColumns:
-    """Match every query descriptor; output order equals query order."""
+              threshold: float = DEFAULT_THRESHOLD,
+              emit: Callable[[int, MatchColumns], None] | None = None
+              ) -> MatchColumns | None:
+    """Match every query descriptor; output order equals query order.
+
+    Given ``emit``, the queries are searched in bands
+    (:func:`~siftmatch.search.in_bands`): ``emit(start, matches)`` receives
+    the verdicts of queries ``start:start + len(matches)``, after every
+    argument is checked, and ``None`` is returned.
+    """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if len(queries) == 0 or len(db) == 0:
         raise ValueError("query and database sets must be non-empty")
     if queries.raw_exact and db.raw_exact:
-        best, low, high = nearest_two(queries.raw_rows, db.raw_rows,
-                                      _raw_angle, SECOND_MIN_SURROGATE)
+        source, database, angle, dot = (queries.raw_rows, db.raw_rows,
+                                        _raw_angle, exact_dots)
     else:  # each key is the smallest with its angle: no follow-up pass
-        best, low, high = nearest_two(queries.float_rows, db.float_rows,
-                                      np.negative, SECOND_MIN_SURROGATE,
-                                      _strict_keys)
-    return MatchColumns(best, low, high, low < threshold * high, queries.xy,
-                        db.xy[best])
+        source, database, angle, dot = (queries.float_rows, db.float_rows,
+                                        np.negative, _strict_keys)
+
+    def band(rows: slice, window) -> MatchColumns:
+        best, low, high = nearest_two(window, database, angle,
+                                      SECOND_MIN_SURROGATE, dot)
+        return MatchColumns(best, low, high, low < threshold * high,
+                            queries.xy[rows], db.xy[best])
+
+    return in_bands(source, band, emit)

@@ -10,7 +10,10 @@ template as ASCII bytes, some rows at a time:
 - a float column becomes ``repr`` of each value.  ``repr`` runs once per
   distinct 64-bit pattern over all float columns of the template, not once
   per row, and each row gathers its text from that table.  Keying on the bit
-  pattern, not on float equality, keeps ``-0.0`` apart from ``0.0``;
+  pattern, not on float equality, keeps ``-0.0`` apart from ``0.0``.  When
+  a template is followed by another (:meth:`RowText.lay_out`, one per band
+  of a report), the texts of patterns that recur are taken from the last
+  table;
 - a bool column becomes one of two texts, NUL-padded to one width.
 
 The pieces of the rows are laid side by side in one byte grid, each in a
@@ -21,27 +24,33 @@ only, and the bytes equal the rows formatted one at a time with ``str`` of
 each int and ``repr`` of each float.  (A numpy boolean mask would do the same
 with two more grid-sized arrays alive: the mask and the kept bytes.)
 
-Memory: the table holds one text per distinct float value (and its 8-byte
-key).  One grid serves a whole call of :meth:`RowText.pieces`: it is a
-``bytearray`` that a numpy view writes into, the template's text is written
-into it once, and each fill of its rows overwrites only the column spans.
-The filled rows go out as pieces of text, each cut from a slice of at most
-:data:`_PIECE_BYTES` of the grid, so while a piece is made the grid, that
-slice and its text are alive, and never a copy of the whole grid.  Many
-rows per fill keep numpy's per-call cost low; small pieces keep the text
-alive small.  The text goes to the caller as bytes: nothing decodes it to
-``str`` and nothing encodes it back.  A fresh grid per fill would be handed
-back to the operating system and faulted in again each time.
+Memory: the table holds one text per distinct float value of the template
+(and its 8-byte key).  One grid serves a whole call of
+:meth:`RowText.pieces`: it is a ``bytearray`` that a numpy view writes into,
+the template's text is written into it once, and each fill of its rows
+overwrites only the column spans.  The filled rows go out as pieces of
+text, each cut from a slice of at most :data:`_PIECE_BYTES` of the grid, so
+while a piece is made the grid, that slice and its text are alive, and
+never a copy of the whole grid.  Many rows per fill keep numpy's per-call
+cost low; small pieces keep the text alive small.  The text goes to the
+caller as bytes: nothing decodes it to ``str`` and nothing encodes it back.
+A fresh grid per fill would be handed back to the operating system and
+faulted in again each time.  The grid, the template's columns and its table
+are let go with the last piece, so none of them is alive while the next
+band of a report is searched: a grid kept across bands raised the peak RSS
+of a 40000 x 64 pipeline match from 33.1 to 33.9 MiB.
 
-The match report lives here whole, writers and reader.  A report's rows go
-from the columns of a :class:`~siftmatch.search.MatchColumns` through one
-:class:`RowText`, and no row object is ever built.  Its bytes equal
+The match report lives here whole, writers and reader.
+:class:`MatchReport` writes a report band by band, in query order, and
+holds nothing of a band once its text is out.  A band's rows go from the
+columns of a :class:`~siftmatch.search.MatchColumns` through the report's
+one :class:`RowText`, and no row object is ever built.  The bytes equal
 ``json.dumps(indent=2)`` over one dict of the report keys per row, in
 :func:`_json_row`'s order, and a per-row ``csv.writer`` loop, as both write
 ints with ``str``, floats with ``repr`` and bools and ``None`` as fixed
-text.  The head is a piece of its own and the first row's comma is cut by a
-``memoryview``, so no piece is copied.  A report also holds an 8-byte
-``query_index`` per row.
+text, whatever the bands.  The head is a piece of its own and the first
+row's comma is cut by a ``memoryview``, so no piece is copied.  A band also
+holds an 8-byte ``query_index`` per row, counted from its first query.
 """
 
 from __future__ import annotations
@@ -54,12 +63,11 @@ import numpy as np
 
 from .search import MatchColumns
 
-__all__ = ["ReportFormatError", "RowText", "report_columns",
-           "report_csv_chunks", "report_json_chunks"]
+__all__ = ["MatchReport", "ReportFormatError", "RowText", "report_columns"]
 
 # Rows laid out per fill of the reused byte grid (about 0.7 MB of a JSON
 # report at 2048 rows).  Each fill costs a few hundred numpy calls whatever
-# its rows, while the grid is alive for the whole text.  Measured on a 40000
+# its rows, while the grid is alive for a whole template's text.  Measured on a 40000
 # x 64 pipeline report (medians of 12 `match` processes on a 2-core host):
 # 1024 rows wrote in 77 ms, 2048 in 67 and 4096 in 66, at a peak RSS of
 # 44.9, 45.0 and 46.2 MiB.
@@ -71,6 +79,10 @@ _REPR_WIDTH = 24
 # Distinct values given to repr at a time while the table is built: bounds
 # the Python strings alive at once.
 _REPR_BATCH = 4096
+
+# The float table of no bit pattern: keys and texts.
+_NO_TABLE = (np.empty(0, dtype=np.uint64),
+             np.empty((0, _REPR_WIDTH), dtype=np.uint8))
 
 # Grid bytes per piece of text.  A piece is cut from a slice of the grid, and
 # that slice and the piece are all a piece allocates, so they stay small
@@ -98,83 +110,115 @@ def _digits(values: np.ndarray, out: np.ndarray) -> None:
         out[:, j][values < 10 ** (width - 1 - j)] = 0
 
 
-def _repr_table(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct bit patterns of the float64 ``columns``, sorted, and the
-    NUL-padded ``repr`` of each, one grid row per pattern."""
-    keys = np.concatenate([c.view(np.uint64) for c in columns]
-                          or [np.empty(0, dtype=np.uint64)])
-    keys.sort()  # in place: np.unique would copy all keys once more
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
-    table = np.zeros((len(keys), _REPR_WIDTH), dtype=np.uint8)
-    width = 0
-    values = keys.view(np.float64)
-    for start in range(0, len(keys), _REPR_BATCH):
-        texts = list(map(repr, values[start:start + _REPR_BATCH].tolist()))
-        width = max(width, *map(len, texts))
-        table[start:start + len(texts)] = _padded(texts, _REPR_WIDTH)
-    return keys, table[:, :width]
-
-
 class RowText:
     """The rows of ``template`` as text; ``booleans`` are the texts of False
     and True (by default their ``str``).
 
     Each piece of the template is a ``str`` or a 1-D column of bools,
     non-negative integers or float64s, all columns of one length.  The
-    float table is built once, here.
+    float table is built once per template, here and in :meth:`lay_out`.
     """
 
     def __init__(self, template: Sequence,
                  booleans: tuple[str, str] = ("False", "True")):
-        self._keys, self._reprs = _repr_table(
+        self._booleans = _padded(booleans, max(map(len, booleans)))
+        self._known = _NO_TABLE
+        self.lay_out(template)
+
+    def _float_table(self, columns: list[np.ndarray]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct bit patterns of the float64 ``columns``, sorted,
+        and the NUL-padded ``repr`` of each, one grid row per pattern.
+
+        A pattern of the table kept from the last template takes its text
+        from there, and ``repr`` runs on the others.  A table is kept for
+        the next template only where its values recur, at most half of
+        them distinct: so the pipeline's UQ2.14 angles, which recur in
+        every band, go through ``repr`` about once a run, and the
+        reference's angles, nearly all distinct, keep no table alive while
+        the next band is searched.  (Kept, that table raised the peak RSS
+        of a 40000 x 64 reference match by 0.3 MiB, and its growth from
+        10000 to 100000 queries from 1-7 to 9-10 bytes a query.)
+        """
+        keys = np.concatenate([c.view(np.uint64) for c in columns]
+                              or [_NO_TABLE[0]])
+        count = len(keys)
+        keys.sort()  # in place: np.unique would copy all keys once more
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        known_keys, known_texts = self._known
+        at = np.searchsorted(known_keys, keys)
+        found = known_keys.take(at, mode="clip") == keys if len(known_keys) \
+            else np.zeros(len(keys), dtype=bool)
+        table = np.zeros((len(keys), _REPR_WIDTH), dtype=np.uint8)
+        table[found] = known_texts[at[found]]
+        new = np.flatnonzero(~found)
+        values = keys.view(np.float64)
+        for start in range(0, len(new), _REPR_BATCH):
+            rows = new[start:start + _REPR_BATCH]
+            table[rows] = _padded(list(map(repr, values[rows].tolist())),
+                                  _REPR_WIDTH)
+        self._known = (keys, table) if 2 * len(keys) <= count else _NO_TABLE
+        # A text ends at its first NUL, so the widest ends the last column
+        # that holds any byte.
+        return keys, table[:, :np.count_nonzero(table.any(0))]
+
+    def lay_out(self, template: Sequence) -> None:
+        """Take the rows of ``template`` next, in place of the last
+        template's."""
+        keys, reprs = self._float_table(
             [p for p in template if not isinstance(p, str)
              and p.dtype.kind == "f"])
-        self._booleans = _padded(booleans, max(map(len, booleans)))
-        row, self._columns = bytearray(), []
+        row, columns = bytearray(), []
         for piece in template:
             if isinstance(piece, str):
                 row += piece.encode("ascii")
                 continue
             if piece.dtype.kind == "f":
-                width = self._reprs.shape[1]
+                width = reprs.shape[1]
             elif piece.dtype.kind == "b":
                 width = self._booleans.shape[1]
             elif piece.min(initial=0) < 0:
                 raise ValueError("integer column has a negative value")
             else:
                 width = len(str(piece.max(initial=0)))
-            self._columns.append((slice(len(row), len(row) + width), piece))
+            columns.append((slice(len(row), len(row) + width), piece))
             row += bytes(width)
-        self._row = np.frombuffer(bytes(row), dtype=np.uint8)
+        self._layout = (np.frombuffer(bytes(row), dtype=np.uint8), columns,
+                        keys, reprs)
 
-    def _fill(self, out: np.ndarray, column, start: int) -> None:
-        """Write the text of ``column`` from row ``start`` into ``out``."""
-        values = column[start:start + len(out)]
+    def _fill(self, out: np.ndarray, values: np.ndarray, keys: np.ndarray,
+              reprs: np.ndarray) -> None:
+        """Write the text of ``values`` into ``out``; ``keys`` and
+        ``reprs`` are the float table."""
         if values.dtype.kind == "b":
             out[:] = self._booleans[values.view(np.uint8)]
         elif values.dtype.kind == "f":
-            out[:] = self._reprs[np.searchsorted(self._keys,
-                                                 values.view(np.uint64))]
+            out[:] = reprs[np.searchsorted(keys, values.view(np.uint64))]
         else:
             _digits(values, out)
 
     def pieces(self, count: int) -> Iterator[bytearray]:
-        """The ASCII text of rows ``0:count``, laid out :data:`CHUNK_ROWS`
-        rows at a time and handed out in pieces of at most
-        :data:`_PIECE_BYTES` of the grid."""
+        """The ASCII text of rows ``0:count`` of the template, laid out
+        :data:`CHUNK_ROWS` rows at a time and handed out in pieces of at
+        most :data:`_PIECE_BYTES` of the grid.  A template's rows are given
+        once: its columns and float table are let go here, so that they
+        are freed with the last piece, not kept until the next
+        :meth:`lay_out`."""
+        (row, columns, keys, reprs), self._layout = self._layout, None
         rows = min(CHUNK_ROWS, count)
         if not rows:
             return
-        width = len(self._row)
+        width = len(row)
         buffer = bytearray(rows * width)
         grid = np.frombuffer(buffer, dtype=np.uint8).reshape(rows, width)
-        grid[:] = self._row  # every column span is overwritten per piece
+        grid[:] = row  # every column span is overwritten per piece
         for start in range(0, count, rows):
             size = min(rows, count - start)
-            for cut, column in self._columns:
-                self._fill(grid[:size, cut], column, start)
+            for cut, column in columns:
+                self._fill(grid[:size, cut], column[start:start + size],
+                           keys, reprs)
             end = size * width
             for at in range(0, end, _PIECE_BYTES):
                 yield buffer[at:min(at + _PIECE_BYTES, end)].replace(
@@ -185,13 +229,14 @@ class ReportFormatError(ValueError):
     """Raised for a saved match report that is not a JSON match report."""
 
 
-def _json_row(matches: MatchColumns) -> list:
-    """The template of one report row as json.dumps(indent=2) writes it
-    inside "matches", led by the comma and newline that part it from the row
-    before: every report key in the order of ``columns``, an (x, y) pair as
-    a two-line list."""
+def _json_row(start: int, matches: MatchColumns) -> list:
+    """The template of one report row, for the rows of ``matches`` from
+    query ``start`` on, as json.dumps(indent=2) writes it inside "matches",
+    led by the comma and newline that part it from the row before: every
+    report key in the order of ``columns``, an (x, y) pair as a two-line
+    list."""
     columns = {
-        "query_index": np.arange(len(matches)),
+        "query_index": np.arange(start, start + len(matches)),
         "matched": matches.matched,
         "best_index": matches.best,
         "min_angle": matches.min_angle,
@@ -216,41 +261,74 @@ def _json_row(matches: MatchColumns) -> list:
     return row
 
 
-def report_json_chunks(header: dict, matches: MatchColumns
-                       ) -> Iterator[bytes | bytearray | memoryview]:
-    """The ASCII bytes of ``json.dumps({**header, "matches": rows},
-    indent=2, allow_nan=False)``, where ``rows`` holds a dict of the report
-    keys per query, in pieces: the head, the rows' text and the tail.  A
-    report has at least one row, as both engines reject an empty set.
-
-    Raises ``ValueError`` for a non-finite angle or header value before any
-    text is produced, so a caller never writes part of a report.
-    """
-    for angles in (matches.min_angle, matches.second_min_angle):
-        if not np.isfinite(angles).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-    head = json.dumps({**header, "matches": []}, indent=2,
-                      allow_nan=False).encode("ascii")
-    rows = RowText(_json_row(matches), ("false", "true")).pieces(len(matches))
-    first = memoryview(next(rows))[1:]  # the first row has no "," before it
-    return chain([head[:-len(b"]\n}")]], [first], rows, [b"\n  ]\n}"])
-
-
-def report_csv_chunks(matches: MatchColumns
-                      ) -> Iterator[bytes | bytearray]:
-    """The verdicts as CSV rows ``k, matched, best_index, qx, qy, bx, by,
-    min_raw, secmin_raw`` (``0``/``1`` for matched, an empty field for a
-    missing raw), each ended by ``\\r\\n`` as ``csv.writer`` ends it, in
-    ASCII pieces: the header line, then the rows' text."""
-    yield b"k,matched,best_index,qx,qy,bx,by,min_raw,secmin_raw\r\n"
-    row = RowText([
-        np.arange(len(matches)), ",", matches.matched, ",", matches.best,
-        ",", matches.query_xy[:, 0], ",", matches.query_xy[:, 1],
+def _csv_row(start: int, matches: MatchColumns) -> list:
+    """The template of one CSV verdict row, for the rows of ``matches``
+    from query ``start`` on."""
+    return [
+        np.arange(start, start + len(matches)), ",", matches.matched, ",",
+        matches.best, ",", matches.query_xy[:, 0], ",", matches.query_xy[:, 1],
         ",", matches.best_xy[:, 0], ",", matches.best_xy[:, 1],
         ",", "" if matches.min_raw is None else matches.min_raw,
         ",", "" if matches.second_min_raw is None
-        else matches.second_min_raw, "\r\n"], ("0", "1"))
-    yield from row.pieces(len(matches))
+        else matches.second_min_raw, "\r\n"]
+
+
+class MatchReport:
+    """A ``siftmatch match`` report written band by band, in query order:
+    :meth:`band` gives the text of each band of rows, :meth:`end` the text
+    after the last.  One :class:`RowText` lays out every band.
+
+    ``header`` is the JSON report's head: the text joined is the ASCII
+    bytes of ``json.dumps({**header, "matches": rows}, indent=2,
+    allow_nan=False)``, where ``rows`` holds a dict of the report keys per
+    query.  With ``header=None`` it is the CSV verdict rows ``k, matched,
+    best_index, qx, qy, bx, by, min_raw, secmin_raw`` (``0``/``1`` for
+    matched, an empty field for a missing raw) under a header line, each
+    ended by ``\\r\\n`` as ``csv.writer`` ends it.  A report has at least
+    one row, as both engines reject an empty set.
+    """
+
+    def __init__(self, header: dict | None):
+        self._header = header
+        self._text = None
+
+    def band(self, start: int, matches: MatchColumns, **head
+             ) -> Iterator[bytes | bytearray | memoryview]:
+        """The text of the report rows of queries ``start:start +
+        len(matches)``, in pieces; the band at ``start`` 0 comes first and
+        leads with the head, in which ``head`` joins the header.  Take every
+        piece of a band before asking for the next band.
+
+        Raises ``ValueError`` for a non-finite angle or header value before
+        any of the band's text is produced.
+        """
+        json_rows = self._header is not None
+        if json_rows:
+            for angles in (matches.min_angle, matches.second_min_angle):
+                if not np.isfinite(angles).all():
+                    raise ValueError(
+                        "Out of range float values are not JSON compliant")
+        template = (_json_row if json_rows else _csv_row)(start, matches)
+        if self._text is None:
+            self._text = RowText(template, ("false", "true") if json_rows
+                                 else ("0", "1"))
+        else:
+            self._text.lay_out(template)
+        rows = self._text.pieces(len(matches))
+        if start:
+            return rows
+        if not json_rows:
+            return chain(
+                [b"k,matched,best_index,qx,qy,bx,by,min_raw,secmin_raw\r\n"],
+                rows)
+        text = json.dumps({**self._header, **head, "matches": []}, indent=2,
+                          allow_nan=False).encode("ascii")
+        first = memoryview(next(rows))[1:]  # no "," before the first row
+        return chain([text[:-len(b"]\n}")], first], rows)
+
+    def end(self) -> list[bytes]:
+        """The text after the last band."""
+        return [] if self._header is None else [b"\n  ]\n}"]
 
 
 def report_columns(path: str) -> tuple[np.ndarray, np.ndarray]:

@@ -8,9 +8,11 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import siftmatch
-from siftmatch import cli
+from siftmatch import cli, search
 from siftmatch.cli import _agreement, _pipeline_config, build_parser, main
 from siftmatch.cordic import CordicConfig, arccos_raw_batch
 from siftmatch.descriptors import (
@@ -29,7 +31,7 @@ from siftmatch.descriptors import (
     load_descriptor_set,
     save_descriptor_set,
 )
-from siftmatch.fixedpoint import UQ1_15, UQ2_14
+from siftmatch.fixedpoint import UQ1_15, UQ2_14, quantize_array
 from siftmatch.pipeline import PipelineConfig
 from siftmatch.reference import DEFAULT_THRESHOLD
 
@@ -325,6 +327,109 @@ class TestMatch:
             "expected a .siftd or .siftdb file")
 
 
+class TestStagedOutput:
+    """`match -o FILE` opens its output before the loads.  A regular file is
+    written as a temporary file beside it, which replaces it when the run
+    succeeds and is removed when it fails; other files are written in
+    place."""
+
+    @pytest.mark.parametrize("engine", ["reference", "pipeline"])
+    def test_unwritable_output_fails_before_any_work(
+            self, dataset, tmp_path, capsys, monkeypatch, engine):
+        def no_work(*args):
+            raise AssertionError("work began before the output was opened")
+
+        for name in ("load_descriptor_set", "run_pipeline", "match_all"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = str(tmp_path / "missing_dir" / "x.json")
+        assert run_cli("match", "-q", f"{dataset}_a.siftdb",
+                       "-d", f"{dataset}_b.siftdb", "--engine", engine,
+                       "-o", out) == 1
+        assert assert_one_error(capsys, "io") == (
+            f"siftmatch: error: io: [Errno 2] No such file or directory: "
+            f"{out!r}")
+
+    @pytest.mark.parametrize("engine", ["reference", "pipeline"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_read_failing_in_the_third_band(self, tmp_path, capsysbinary,
+                                            monkeypatch, engine, to_file):
+        # Bands of 97 queries; the file keeps 200 of its 300 rows once
+        # loaded, so the third band, from row 194, cannot be read.
+        prefix = str(tmp_path / "t")
+        assert run_cli("generate", "-m", "300", "--seed", "8",
+                       "-o", prefix) == 0
+        queries = f"{prefix}_a.siftdb"
+        load = cli.load_descriptor_set
+
+        def load_then_truncate(path):
+            loaded = load(path)
+            if path == queries:
+                os.truncate(path, 12 + 200 * 260)
+            return loaded
+
+        monkeypatch.setattr(cli, "load_descriptor_set", load_then_truncate)
+        monkeypatch.setattr(search, "BAND_ROWS", 97)
+        capsysbinary.readouterr()
+        out = tmp_path / "out.json"
+        assert run_cli("match", "-q", queries, "-d", f"{prefix}_b.siftdb",
+                       "--engine", engine,
+                       "-o", str(out) if to_file else "-") == 1
+        written, err = capsysbinary.readouterr()
+        assert err.decode("ascii").splitlines() == [
+            f"siftmatch: error: io: {queries}: the file ends at byte "
+            f"{12 + 200 * 260}; it held 300 descriptors when it was loaded"]
+        assert sorted(os.listdir(tmp_path)) == [
+            "t_a.siftdb", "t_b.siftdb", "t_truth.csv"]
+        if not to_file:  # stdout had each band as it was done
+            assert b'"query_index": 193,' in written
+            assert b'"query_index": 194,' not in written
+
+    def test_modes_are_those_open_gives(self, dataset, tmp_path):
+        argv = ("match", "-q", f"{dataset}_a.siftdb", "-d",
+                f"{dataset}_b.siftdb", "--format", "csv", "-o")
+        made, kept = tmp_path / "made.csv", tmp_path / "kept.csv"
+        with open(tmp_path / "plain", "wb"):
+            pass
+        kept.write_bytes(b"old")
+        kept.chmod(0o604)
+        for out in (made, kept):
+            assert run_cli(*argv, str(out)) == 0
+        assert made.stat().st_mode == (tmp_path / "plain").stat().st_mode
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+        assert kept.read_bytes() == made.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == [
+            "demo_a.siftdb", "demo_b.siftdb", "demo_truth.csv", "kept.csv",
+            "made.csv", "plain"]
+
+    def test_symlink_is_written_through(self, dataset, tmp_path):
+        argv = ("match", "-q", f"{dataset}_a.siftdb", "-d",
+                f"{dataset}_b.siftdb", "-o")
+        expected, real = tmp_path / "expected.json", tmp_path / "real.json"
+        link = tmp_path / "link.json"
+        assert run_cli(*argv, str(expected)) == 0
+        real.write_bytes(b"old")
+        link.symlink_to(real.name)
+        assert run_cli(*argv, str(link)) == 0
+        assert link.is_symlink()
+        assert real.read_bytes() == expected.read_bytes()
+
+    def test_fifo_is_written_in_place(self, dataset, tmp_path):
+        argv = ("match", "-q", f"{dataset}_a.siftdb", "-d",
+                f"{dataset}_b.siftdb", "-o")
+        expected, fifo = tmp_path / "expected.json", tmp_path / "fifo"
+        assert run_cli(*argv, str(expected)) == 0
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        assert run_cli(*argv, str(fifo)) == 0
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert got == [expected.read_bytes()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
 class TestCompare:
     def test_engines_agree_on_easy_data(self, dataset, tmp_path, capsys):
         out = str(tmp_path / "cmp.json")
@@ -510,9 +615,10 @@ class TestWarning:
             cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
             capture_output=True, timeout=60)
         assert out.returncode == 1
+        # No rescale happens, so the line does not claim one.
         assert out.stderr.decode("ascii").splitlines() == [
             f"siftmatch: error: format: {queries}: 1 of 60 descriptors are "
-            "not unit-norm; auto-normalizing"]
+            "not unit-norm"]
         assert not (tmp_path / "out").exists()
 
 
@@ -956,6 +1062,59 @@ def test_off_norm_row_costs_no_memory(tmp_path, grandchild, engine):
     assert peaks["hq"] - peaks["q"] < 2 << 20
 
 
+def unit_raws(rng, count: int) -> np.ndarray:
+    """``count`` random unit rows as UQ1.15 raws, made 4096 at a time."""
+    parts = []
+    for start in range(0, count, 4096):
+        rows = np.abs(rng.standard_normal((min(4096, count - start),
+                                           DESCRIPTOR_LEN)))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        parts.append(quantize_array(rows).astype(np.uint16))
+    return np.concatenate(parts)
+
+
+# Peak RSS a match may gain per query: the set's 4-byte (x, y), and slack
+# for the heap, whose layout settles over the first bands (up to about
+# 0.9 MiB between two runs, measured).  Holding every query's verdicts and
+# report text to the end grew 70 bytes a query with the pipeline and 109
+# with the reference; bands grew 4-7 and 1-7 from 10000 to 100000 queries.
+_BYTES_PER_QUERY = 16
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB and inherited as on Linux")
+@pytest.mark.parametrize("engine", ["pipeline", "reference"])
+def test_match_memory_is_flat_in_the_query_count(tmp_path, grandchild,
+                                                  engine):
+    """Peak RSS of a match against 64 rows grows by at most
+    :data:`_BYTES_PER_QUERY` a query from 10000 to 100000 queries: each
+    band of verdicts is written and let go before the next."""
+    rng = np.random.default_rng(12)
+    raws = unit_raws(rng, 100000)
+    xy = rng.integers(0, 1 << 16, (len(raws), 2))
+    counts = (10000, len(raws))
+    for count in counts:
+        save_descriptor_set(DescriptorSet.from_raws("q", raws[:count],
+                                                    xy[:count]),
+                            str(tmp_path / f"q{count}.siftdb"))
+    save_descriptor_set(DescriptorSet.from_raws("d", unit_raws(rng, 64),
+                                                xy[:64]),
+                        str(tmp_path / "d.siftdb"))
+    peaks = []
+    for count in counts:
+        code, peak = map(int, grandchild(
+            _MATCH_PEAK, "match", "-q", str(tmp_path / f"q{count}.siftdb"),
+            "-d", str(tmp_path / "d.siftdb"), "--engine", engine,
+            "-o", str(tmp_path / "out.json")).split())
+        assert code == 0
+        peaks.append(peak)
+    slope = (peaks[1] - peaks[0]) / (counts[1] - counts[0])
+    print(f"{engine}: {slope:.1f} bytes per query "
+          f"(budget {_BYTES_PER_QUERY})")
+    assert slope <= _BYTES_PER_QUERY, (
+        f"{slope:.1f} bytes per query, budget {_BYTES_PER_QUERY}")
+
+
 # What replaces one field of a .siftd line: values the loader must either
 # reject with one error line or accept, never crash on.
 _TOKENS = [b"nan", b"inf", b"-1", b"1e-400", b"0x1p-3", b"\xff", b""]
@@ -1238,6 +1397,9 @@ class TestArgvFuzz:
             assert not capsysbinary.readouterr().out, argv
             assert not any(map(os.path.isfile, outputs)), argv
             return
+        # No temporary file is left beside an output, whatever the exit.
+        assert {path.name for path in work.iterdir()} <= {
+            "a.json", "b.json", *map(os.path.basename, outputs)}, argv
         out, err = capsysbinary.readouterr()
         if code == 0:
             parse_output(command, argv, outputs, out)

@@ -438,6 +438,36 @@ class TestSetApi:
         assert not set_.raws.flags.writeable and not set_.xy.flags.writeable
         assert np.shares_memory(set_.floats, rows)
 
+    @pytest.mark.parametrize("count,ext", [(16384, ".siftdb"),
+                                           (1024, ".siftd")])
+    def test_streamed_set_is_never_read_whole(self, tmp_path, count, ext):
+        """One descriptor of a streamed set reads its row alone, and saving
+        the set reads it a row or a block at a time: the set stays
+        streamed, and neither holds the file's raws (4 MiB and 256 KiB).
+        The text save, the slower, takes the smaller set."""
+        source = make_set(unit_rows(8, count))
+        path = str(tmp_path / "s.siftdb")
+        save_descriptor_set(source, path)
+        s = load_descriptor_set(path)
+        tracemalloc.start()
+        try:
+            first, last = s[0], s[-1]
+            kept = tracemalloc.get_traced_memory()[0]
+            save_descriptor_set(s, str(tmp_path / f"copy{ext}"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not isinstance(s.raw_rows, np.ndarray)
+        assert kept < 64 << 10
+        assert peak < count * DESCRIPTOR_LEN  # half the raws' bytes
+        for d, k in ((first, 0), (last, count - 1)):
+            assert np.array_equal(d.raws, source.raws[k])
+            assert np.array_equal(d.elements, source.raws[k] * UQ1_15.lsb)
+            assert not d.raws.flags.writeable
+        copy = load_descriptor_set(str(tmp_path / f"copy{ext}"))
+        assert np.array_equal(copy.raws, source.raws)
+        assert np.array_equal(copy.xy, source.xy)
+
 
 def in_memory(raws, xy) -> DescriptorSet:
     """The set a .siftdb file of ``raws`` loads as, built whole in memory:

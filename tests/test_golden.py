@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 
-from siftmatch import rowtext
+from siftmatch import rowtext, search
 from siftmatch.cli import main
 from siftmatch.descriptors import (
     DescriptorSet,
@@ -133,3 +133,18 @@ def test_piece_size_does_not_change_bytes(workdir, args):
     with mock.patch.object(rowtext, "CHUNK_ROWS", 97):  # 11 pieces
         assert main([*args, "-o", "out"]) == 0
     assert sha256("out") == GOLDEN[args]
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+@pytest.mark.parametrize("args", list(GOLDEN), ids=" ".join)
+def test_bands_do_not_change_bytes(workdir, capsysbinary, args, to_file):
+    """Queries matched and written 97 at a time, in fills of 41 rows, give
+    the bytes of one band: the 1000-row reports take 11 bands."""
+    with mock.patch.object(search, "BAND_ROWS", 97), \
+            mock.patch.object(rowtext, "CHUNK_ROWS", 41):
+        assert main([*args, "-o", "out" if to_file else "-"]) == 0
+    written = capsysbinary.readouterr().out
+    if to_file:
+        assert not written and sha256("out") == GOLDEN[args]
+    else:
+        assert hashlib.sha256(written).hexdigest() == GOLDEN[args]

@@ -31,7 +31,7 @@ from siftmatch.pipeline import (
     run_pipeline,
 )
 from siftmatch.reference import match_all
-from siftmatch.rowtext import report_csv_chunks
+from siftmatch.rowtext import MatchReport
 
 LSB14 = UQ2_14.lsb
 
@@ -647,7 +647,7 @@ class TestReporting:
     def test_csv_rows(self, pool):
         q, db = pool
         report = run_pipeline(subset(q, 3), subset(db, 4), PipelineConfig())
-        lines = b"".join(report_csv_chunks(report.matches)).decode(
+        lines = b"".join(MatchReport(None).band(0, report.matches)).decode(
             "ascii").strip().splitlines()
         assert lines[0] == "k,matched,best_index,qx,qy,bx,by,min_raw,secmin_raw"
         assert len(lines) == 4

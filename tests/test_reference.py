@@ -1,3 +1,4 @@
+import builtins
 import csv
 import io
 import json
@@ -28,11 +29,7 @@ from siftmatch.reference import (
     dot_product,
     match_all,
 )
-from siftmatch.rowtext import (
-    report_columns,
-    report_csv_chunks,
-    report_json_chunks,
-)
+from siftmatch.rowtext import MatchReport, report_columns
 from siftmatch.search import MatchColumns
 
 # The keys of a report row, in the order json.dumps writes them.
@@ -448,19 +445,116 @@ def report_case(seed, engine, mode, m, n, raw_exact, copies, stream=None):
     return header, columns
 
 
-def check_report(header, columns, chunk):
+def rows_of(columns, rows):
+    """The verdicts of queries ``rows`` (a slice) of ``columns``."""
+    values = (getattr(columns, field.name) for field in fields(columns))
+    return MatchColumns(*(None if value is None else value[rows]
+                          for value in values))
+
+
+def report_pieces(header, columns, band=None):
+    """The pieces of the report of ``columns``, JSON with head ``header``
+    or CSV for ``None``, written ``band`` queries at a time (all at once by
+    default).  The first band is laid out at once, so a ``ValueError`` of
+    the writer is raised here."""
+    report = MatchReport(header)
+    band = band or len(columns)
+    first = report.band(0, rows_of(columns, slice(0, band)))
+
+    def pieces():
+        yield from first
+        for start in range(band, len(columns), band):
+            yield from report.band(start, rows_of(columns,
+                                                  slice(start, start + band)))
+        yield from report.end()
+
+    return pieces()
+
+
+def report_json_chunks(header, columns, band=None):
+    return report_pieces(header, columns, band)
+
+
+def report_csv_chunks(columns, band=None):
+    return report_pieces(None, columns, band)
+
+
+def check_report(header, columns, chunk, band=None):
     rows = report_rows(columns)
     assert len(columns) == len(rows)
     with mock.patch.object(rowtext, "CHUNK_ROWS", chunk):
-        pieces = list(report_json_chunks(header, columns))
-        csv_text = b"".join(report_csv_chunks(columns))
+        pieces = list(report_json_chunks(header, columns, band))
+        csv_text = b"".join(report_csv_chunks(columns, band))
     # Line lists, so that a failure names the first wrong line quickly.
     assert b"".join(pieces).decode("ascii").splitlines(True) == json.dumps(
         {**header, "matches": rows}, indent=2).splitlines(True)
     # The head, the pieces of rows and the tail.
-    assert len(pieces) == -(-len(rows) // chunk) + 2
+    if band is None:
+        assert len(pieces) == -(-len(rows) // chunk) + 2
     assert csv_text.decode("ascii").splitlines(True) == \
         listed_csv(rows).splitlines(True)
+
+
+class TestBands:
+    """Given ``emit``, an engine hands on its verdicts band by band, in
+    query order, once every argument is checked; the bands join to the
+    verdicts of one band."""
+
+    @pytest.mark.parametrize("engine", ["reference", "pipeline"])
+    @pytest.mark.parametrize("source", ["floats", "raws", "file"])
+    def test_bands_join_to_one_band(self, streamed, engine, source):
+        # Database row 0 is row 1 less one raw, so a query equal to row 1
+        # has its largest dot at row 1 and the same pipeline angle at row
+        # 0, which the follow-up pass finds; there is one in every band.
+        rng = np.random.default_rng(8)
+        raws = [make_set(random_unit(rng, count)).raws.copy()
+                for count in (23, 5)]
+        q_raws, db_raws = raws
+        db_raws[0] = db_raws[1]
+        db_raws[0, np.argmin(db_raws[1])] -= 1
+        tied = [2, 9, 16, 22]
+        q_raws[tied] = db_raws[1]
+        sets = [DescriptorSet.from_raws(name, values, rng.integers(
+            0, 1 << 16, (len(values), 2)))
+            for name, values in (("q", q_raws), ("d", db_raws))]
+        if source == "floats":
+            sets = [DescriptorSet.from_floats(s.image_id, s.floats, s.xy)
+                    for s in sets]
+        if source == "file":
+            sets = list(map(streamed, sets))
+        q, db = sets
+
+        def run(emit=None, cfg=PipelineConfig()):
+            if engine == "reference":
+                return match_all(q, db, 0.6, emit)
+            return run_pipeline(q, db, cfg, emit)
+
+        whole, bands = run(), []
+        with mock.patch.object(search, "BAND_ROWS", 7):
+            with pytest.raises(ValueError):  # checked before any band
+                if engine == "reference":
+                    match_all(q, db, 1.5, bands.append)
+                else:
+                    run(bands.append, PipelineConfig(clock_hz=5e-324))
+            result = run(lambda *band: bands.append(band))
+        assert (result if engine == "reference" else result.matches) is None
+        assert [start for start, _ in bands] == [0, 7, 14, 21]
+        if engine == "pipeline":
+            assert whole.matches.best[tied].tolist() == [0] * len(tied)
+            for _, band in bands:
+                assert band.total_cycles == whole.total_cycles
+                assert band.blocks_processed == whole.blocks_processed
+            bands = [(start, band.matches) for start, band in bands]
+            whole = whole.matches
+        for field in fields(whole):
+            value = getattr(whole, field.name)
+            joined = [getattr(band, field.name) for _, band in bands]
+            if value is None:
+                assert joined == [None] * len(bands)
+            else:
+                joined = np.concatenate(joined)
+                assert joined.dtype == value.dtype, field.name
+                assert joined.tobytes() == value.tobytes(), field.name
 
 
 class TestReportWriter:
@@ -473,17 +567,19 @@ class TestReportWriter:
            st.sampled_from(["exact_0_6", "binary_10011"]),
            st.integers(1, 9), st.integers(1, 5),
            st.sampled_from(["floats", "raws", "file"]),
-           st.integers(0, 9), st.integers(1, 4), st.integers(1, 4))
+           st.integers(0, 9), st.integers(1, 4), st.integers(1, 4),
+           st.none() | st.integers(1, 4))
     def test_bytes_equal_object_serialization(self, streamed, seed, engine,
                                               mode, m, n, source, copies,
-                                              chunk, cols):
+                                              chunk, cols, band):
         # floats as from .siftd, raws as from_raws, or streamed from .siftdb;
-        # tiles of 1 query row by ``cols`` database rows
+        # tiles of 1 query row by ``cols`` database rows; the report written
+        # in one band or ``band`` queries at a time
         with mock.patch.multiple(search, TILE_DOTS=1, TILE_ROWS=1,
                                  TILE_COLS=cols):
             case = report_case(seed, engine, mode, m, n, source != "floats",
                                copies, streamed if source == "file" else None)
-        check_report(*case, chunk)
+        check_report(*case, chunk, band)
 
     @pytest.mark.parametrize("engine,m,n", [
         ("reference", 5, 1),   # second minimum is the pi surrogate
@@ -592,6 +688,25 @@ class TestRowText:
             {**header, "matches": rows}, indent=2).splitlines(True)
         assert csv_text.decode("ascii").splitlines(True) == \
             listed_csv(rows).splitlines(True)
+
+    def test_repr_runs_once_per_recurring_pattern(self, monkeypatch):
+        """A report written in bands whose floats recur, as the pipeline's
+        angles do, reuses the text of each bit pattern from the band
+        before: ``repr`` runs once per pattern over all bands, and the
+        bytes are json's.  Each band brings one new pattern too."""
+        m, patterns = 400, np.arange(1, 21) * 2.0 ** -14
+        calls = []
+        monkeypatch.setattr(rowtext, "repr", lambda value: calls.append(
+            value) or builtins.repr(value), raising=False)
+        xy = np.zeros((m, 2), dtype=np.uint16)
+        angles = patterns[np.arange(m) % len(patterns)]
+        second = 1.0 - np.arange(m) // 50 * 2.0 ** -10
+        columns = MatchColumns(np.arange(m), angles, second,
+                               np.ones(m, dtype=bool), xy, xy)
+        text = b"".join(report_json_chunks({}, columns, band=50))
+        assert sorted(calls) == sorted({*angles, *second})
+        assert text.decode("ascii") == json.dumps(
+            {"matches": report_rows(columns)}, indent=2)
 
     @pytest.mark.parametrize("column", [[-1], [3, 0, -2]])
     def test_negative_integer_column_is_rejected(self, column):

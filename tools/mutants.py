@@ -66,8 +66,12 @@ _ZERO_CHECK = (
     '        raise DescriptorFormatError(f"{path}: zero descriptor cannot be '
     'normalized")\n')
 _OFF_NORM_WARNING = (
-    '    warnings.warn(f"{path}: {len(rows)} of {m} descriptors are not "\n'
-    '                  "unit-norm; auto-normalizing", stacklevel=4)\n')
+    '    message = f"{path}: {len(rows)} of {m} descriptors are not unit-norm"\n'
+    "    try:\n"
+    '        warnings.warn(f"{message}; auto-normalizing", stacklevel=4)\n'
+    "    except UserWarning as exc:  # warnings are errors: nothing is "
+    "rescaled\n"
+    "        raise type(exc)(message) from None\n")
 
 MUTANTS = (
     # The search kernel: the merge, the follow-up pass and the floor.
@@ -91,6 +95,19 @@ MUTANTS = (
            "np.full_like(w, -1.0), w, angle(w)",
            "np.full_like(w, 0.0), w, angle(w)",
            ("tests/test_pipeline.py",)),
+    # Bands of queries: their row windows and their size.
+    Mutant("band-window-unshifted", SEARCH,
+           "self.source[self.start + start:self.start + stop]",
+           "self.source[start:stop]",
+           ("tests/test_reference.py::TestBands",)),
+    Mutant("band-index-window-unshifted", SEARCH,
+           "self.source[index % len(self) + self.start]",
+           "self.source[index % len(self)]",
+           ("tests/test_reference.py::TestBands",)),
+    Mutant("one-band-for-all-rows", SEARCH,
+           "BAND_ROWS = 8192", "BAND_ROWS = 1 << 62",
+           ("tests/test_cli.py::test_match_memory_is_flat_in_the_query_count",
+            )),
     Mutant("followup-takes-untied-rows", SEARCH,
            "shared = low < w1[tied]", "shared = low <= w1[tied]",
            ("tests/test_pipeline.py", "tests/test_reference.py"),
@@ -239,6 +256,16 @@ MUTANTS = (
            'len(rows))',
            "np.arange(len(rows)).astype(object)",
            ("tests/test_cli.py::TestCompare",)),
+    Mutant("float-text-reused-for-new-pattern", ROWTEXT,
+           'known_keys.take(at, mode="clip") == keys',
+           'known_keys.take(at, mode="clip") >= keys',
+           ("tests/test_reference.py::TestRowText",)),
+    Mutant("float-text-never-reused", ROWTEXT,
+           "== keys if len(known_keys)", "== keys if False",
+           ("tests/test_reference.py::TestRowText",)),
+    Mutant("float-table-never-kept", ROWTEXT,
+           "if 2 * len(keys) <= count else", "if False else",
+           ("tests/test_reference.py::TestRowText",)),
     Mutant("chunk-rows-2047", ROWTEXT,
            "CHUNK_ROWS = 2048", "CHUNK_ROWS = 2047",
            ("tests/test_reference.py", "tests/test_golden.py"),
@@ -255,6 +282,9 @@ MUTANTS = (
            "(DescriptorFormatError, ReportFormatError, Warning)",
            "(DescriptorFormatError, ReportFormatError)",
            ("tests/test_cli.py::TestWarning",)),
+    Mutant("staged-output-kept-on-error", CLI,
+           "        os.unlink(temp)\n", "        pass\n",
+           ("tests/test_cli.py::TestStagedOutput",)),
     Mutant("entry-point-not-frozen", CLI,
            "    gc.freeze()\n    return main()", "    return main()",
            ("tests/test_cli.py::TestEntryPoint",)),
