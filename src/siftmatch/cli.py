@@ -139,10 +139,10 @@ def _write_out(path: str | None, pieces) -> None:
         write(pieces)
 
 
-def _write_json(path: str | None, obj) -> None:
-    # Encode before opening, so an unencodable value leaves no partial file.
-    text = json.dumps(obj, indent=2, allow_nan=False).encode("ascii")
-    _write_out(path, [text])
+def _json(obj) -> bytes:
+    """``obj`` as the JSON text of a report, encoded whole before the one
+    write, so an unencodable value writes nothing."""
+    return json.dumps(obj, indent=2, allow_nan=False).encode("ascii")
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -234,6 +234,20 @@ def _agreement(a: np.ndarray, b: np.ndarray, columns: dict, **header) -> dict:
 
 
 def cmd_compare(args) -> int:
+    if not (args.reports or args.queries and args.database):
+        raise ValueError("compare needs --queries/--database or --reports")
+    # Opened first: an unwritable output fails before any load or search.
+    with _output(args.output) as write:
+        result = _comparison(args)
+        write([_json(result)])
+    print(f"agreement: {result['agreement_fraction']:.4%} "
+          f"({result['agreements']}/{result['num_queries']})", file=sys.stderr)
+    return 0
+
+
+def _comparison(args) -> dict:
+    """What ``compare`` reports: two saved reports', or the two engines'
+    agreement."""
     if args.reports:
         (index, a), (index_b, b) = map(report_columns, args.reports)
         if len(a) != len(b):
@@ -245,49 +259,42 @@ def cmd_compare(args) -> int:
             k = differ[0]
             raise ValueError(f"reports differ in query_index at row {k}: "
                              f"{index[k]} vs {index_b[k]}")
-        result = _agreement(a, b, {"query_index": index, "a_matched": a,
-                                   "b_matched": b})
-    else:
-        if not (args.queries and args.database):
-            raise ValueError("compare needs --queries/--database or --reports")
-        queries = load_descriptor_set(args.queries)
-        db = load_descriptor_set(args.database)
-        ref = match_all(queries, db, args.threshold)
-        pipe = run_pipeline(queries, db, _pipeline_config(args)).matches
-        # Both angles are 0 when the second is: the ratio is undefined, and
-        # masked (0 <= min <= second, so only 0/0 meets np.ma's domain).
-        ratio = np.ma.divide(ref.min_angle, ref.second_min_angle)
-        result = _agreement(ref.matched, pipe.matched, {
-            "query_index": np.arange(len(ref)),
-            "reference_matched": ref.matched,
-            "pipeline_matched": pipe.matched,
-            "ratio": ratio,
-            "ratio_margin": ratio - args.threshold,
-        }, threshold=args.threshold)
-    _write_json(args.output, result)
-    print(f"agreement: {result['agreement_fraction']:.4%} "
-          f"({result['agreements']}/{result['num_queries']})", file=sys.stderr)
-    return 0
+        return _agreement(a, b, {"query_index": index, "a_matched": a,
+                                 "b_matched": b})
+    queries = load_descriptor_set(args.queries)
+    db = load_descriptor_set(args.database)
+    ref = match_all(queries, db, args.threshold)
+    pipe = run_pipeline(queries, db, _pipeline_config(args)).matches
+    # Both angles are 0 when the second is: the ratio is undefined, and
+    # masked (0 <= min <= second, so only 0/0 meets np.ma's domain).
+    ratio = np.ma.divide(ref.min_angle, ref.second_min_angle)
+    return _agreement(ref.matched, pipe.matched, {
+        "query_index": np.arange(len(ref)),
+        "reference_matched": ref.matched,
+        "pipeline_matched": pipe.matched,
+        "ratio": ratio,
+        "ratio_margin": ratio - args.threshold,
+    }, threshold=args.threshold)
 
 
 def cmd_roofline(args) -> int:
-    cfg = PipelineConfig(clock_hz=args.clock_hz,
-                         descriptor_bytes=args.descriptor_bytes)
-    points = roofline_sweep(cfg, args.bandwidths)
-    _write_out(args.output, [roofline_csv(points)])
+    with _output(args.output) as write:
+        cfg = PipelineConfig(clock_hz=args.clock_hz,
+                             descriptor_bytes=args.descriptor_bytes)
+        write([roofline_csv(roofline_sweep(cfg, args.bandwidths))])
     return 0
 
 
 def cmd_characterize(args) -> int:
-    one = 1 << UQ1_15.fraction_bits
-    x = np.arange(one + 1) * UQ1_15.lsb  # every UQ1.15 x in [0, 1]
-    approx = arccos_table()[:one + 1] * UQ2_14.lsb
-    exact = np.arccos(x)
-    error = approx - exact
-
-    rows = RowText([x, ",", approx, ",", exact, ",", error, "\n"])
-    _write_out(args.output, chain([b"x,cordic_arccos,float_arccos,error\n"],
-                                  rows.pieces(len(x))))
+    with _output(args.output) as write:
+        one = 1 << UQ1_15.fraction_bits
+        x = np.arange(one + 1) * UQ1_15.lsb  # every UQ1.15 x in [0, 1]
+        approx = arccos_table()[:one + 1] * UQ2_14.lsb
+        exact = np.arccos(x)
+        error = approx - exact
+        rows = RowText([x, ",", approx, ",", exact, ",", error, "\n"])
+        write(chain([b"x,cordic_arccos,float_arccos,error\n"],
+                    rows.pieces(len(x))))
     abs_error = np.abs(error)
     outside = x >= 2.0 ** -8
     print(f"max |error| = {abs_error.max():.3e} rad "
@@ -298,27 +305,30 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = PipelineConfig(block_size=args.block_size, clock_hz=args.clock_hz)
     if not args.sizes:
         raise ValueError("size list must be non-empty")
-    rows = []
-    for m in args.sizes:
-        cycles = predict_cycles(m, args.db_size, cfg)
-        rows.append({
-            "m": m,
-            "n": args.db_size,
-            "blocks": cfg.blocks(m),
-            "total_cycles": cycles,
-            "elapsed_ms": elapsed_seconds(cycles, cfg) * 1e3,
-        })
-    if args.json:
-        _write_json(args.output, rows)
-    else:
-        lines = [f"{'m':>6} {'n':>6} {'blocks':>7} {'cycles':>12} {'ms':>9}\n"]
-        lines += [f"{r['m']:>6} {r['n']:>6} {r['blocks']:>7} "
-                  f"{r['total_cycles']:>12} {r['elapsed_ms']:>9.4f}\n"
-                  for r in rows]
-        _write_out(args.output, ["".join(lines).encode("ascii")])
+    with _output(args.output) as write:
+        cfg = PipelineConfig(block_size=args.block_size,
+                             clock_hz=args.clock_hz)
+        rows = []
+        for m in args.sizes:
+            cycles = predict_cycles(m, args.db_size, cfg)
+            rows.append({
+                "m": m,
+                "n": args.db_size,
+                "blocks": cfg.blocks(m),
+                "total_cycles": cycles,
+                "elapsed_ms": elapsed_seconds(cycles, cfg) * 1e3,
+            })
+        if args.json:
+            write([_json(rows)])
+        else:
+            lines = [f"{'m':>6} {'n':>6} {'blocks':>7} {'cycles':>12} "
+                     f"{'ms':>9}\n"]
+            lines += [f"{r['m']:>6} {r['n']:>6} {r['blocks']:>7} "
+                      f"{r['total_cycles']:>12} {r['elapsed_ms']:>9.4f}\n"
+                      for r in rows]
+            write(["".join(lines).encode("ascii")])
     return 0
 
 

@@ -33,11 +33,21 @@ integer arithmetic (the squared gain is an exact fraction, rounded through
 ``math.isqrt``) and the atan table is an integer literal.  Each
 micro-rotation is a branch-free update in place: the sign of ``y`` selects
 the direction by two's-complement negation, not by a select.
+
+The kernels are the oracle, not the production path.  The pipeline looks
+its angles up in :func:`arccos_table`, which reads them from the ROM file
+``arccos_rom.z`` beside this module, as the hardware's unit holds fixed
+outputs, so no command runs a kernel.  :func:`_kernel_table` runs the
+kernels on every input; the tests check the table against it bit for bit
+and check the ROM against it, and a change to a kernel rewrites the ROM
+with ``python tools/arccos_rom.py``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import zlib
 from dataclasses import dataclass
 from functools import cache
 
@@ -68,9 +78,13 @@ _WORK_FRAC = 24   # x/y registers of both cores
 _GAIN_FRAC = 30   # gain pre-compensation constant
 _Z_FRAC = 26      # polar angle accumulator
 
-# Inputs per kernel run while arccos_table is built: bounds its int64
+# Inputs per kernel run while _kernel_table is built: bounds its int64
 # temporaries (about 18 alive at once) to a few hundred KB.
 _TABLE_SLICE = 1 << 12
+
+# The arccos unit's ROM: the angles of raws 0..0x8000 as little-endian
+# uint16, zlib-compressed; tools/arccos_rom.py writes it from _kernel_table.
+_ROM = os.path.join(os.path.dirname(__file__), "arccos_rom.z")
 
 
 @dataclass(frozen=True)
@@ -243,12 +257,35 @@ def arccos_raw_batch(raws, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
 def arccos_table() -> np.ndarray:
     """arccos raws for every representable input, for bulk lookups.
 
-    Bit-identical to :func:`arccos_raw_batch`; the pipeline model uses this
-    to evaluate millions of angles cheaply.  Only the inputs up to 1.0
-    (raw 0x8000) run the kernels: above it ``1 - x^2`` saturates to 0, the
-    square root of 0 is exactly 0, and the angle of ``(x, 0)`` is 0.  The
-    kernels run on :data:`_TABLE_SLICE` inputs at a time, so the build's
-    scratch is a fixed few hundred KB next to the 128 KB table.
+    Read from the arccos unit's ROM, :data:`_ROM`: the kernels' angles for
+    the inputs up to 1.0 (raw 0x8000), so a command runs no kernel.  Above
+    0x8000 every entry is 0: ``1 - x^2`` saturates to 0, the square root of
+    0 is exactly 0, and the angle of ``(x, 0)`` is 0.  The ROM is copied
+    into the table as it is, with no arithmetic, so the lookup costs one
+    file read and the 128 KB table.  Bit-identical to
+    :func:`arccos_raw_batch` (tests check it on every raw against
+    :func:`_kernel_table`).
+    """
+    one = 1 << UQ1_15.fraction_bits
+    with open(_ROM, "rb") as fh:
+        rom = zlib.decompress(fh.read())
+    if len(rom) != 2 * (one + 1):
+        raise ValueError(
+            f"{_ROM}: {len(rom)} bytes, expected {2 * (one + 1)} (the angles "
+            f"of raws 0..{one}); rewrite it with python tools/arccos_rom.py")
+    table = np.zeros(UQ1_15.max_raw + 1, dtype=np.uint16)
+    table[:one + 1] = np.frombuffer(rom, dtype="<u2")
+    table.setflags(write=False)
+    return table
+
+
+def _kernel_table() -> np.ndarray:
+    """:func:`arccos_table` computed by the kernels: the oracle its ROM is
+    written from and checked against.
+
+    Only the inputs up to 1.0 run the kernels, :data:`_TABLE_SLICE` inputs
+    at a time, so the build's scratch is a fixed few hundred KB next to the
+    128 KB table.
     """
     one = 1 << UQ1_15.fraction_bits
     table = np.zeros(UQ1_15.max_raw + 1, dtype=np.uint16)
@@ -256,7 +293,6 @@ def arccos_table() -> np.ndarray:
         stop = min(start + _TABLE_SLICE, one + 1)
         table[start:stop] = arccos_raw_batch(
             np.arange(start, stop, dtype=np.int64))
-    table.setflags(write=False)
     return table
 
 

@@ -31,7 +31,10 @@ indices.  An ndarray is one; so is the file reader of a streamed
 ``.siftdb`` set (:attr:`~siftmatch.descriptors.DescriptorSet.raw_rows`),
 which reads the rows into a reused buffer that its next read overwrites.
 Each tile's rows are cast into the float64 buffers as soon as they are
-read, so neither input is ever held whole.
+read, so neither input is ever held whole.  Every tile operand is read
+:data:`TILE_ROWS` rows at a time, so a reader's buffer holds at most that
+many rows: not a whole database block of :data:`TILE_COLS` rows (266 KB of
+``.siftdb`` records), nor a query tile made taller by a small database.
 
 Per query, a running ``(best, first, second)`` starts at ``-inf`` and holds
 the two largest keys of the database tiles seen so far and the earliest
@@ -195,6 +198,16 @@ def exact_dots(queries: np.ndarray, database: np.ndarray,
                      out=out)
 
 
+def _read(out: np.ndarray, source, start: int,
+          picked: np.ndarray | None = None) -> None:
+    """Cast rows ``start:start + len(out)`` of ``source``, or of its rows
+    ``picked`` when given, into ``out``, :data:`TILE_ROWS` rows a read."""
+    for r in range(0, len(out), TILE_ROWS):
+        piece = out[r:r + TILE_ROWS]
+        rows = slice(start + r, start + r + len(piece))
+        piece[...] = source[rows] if picked is None else source[picked[rows]]
+
+
 def _tiles(queries, database, dot: Dot, picked: np.ndarray | None = None,
            stop: int | None = None):
     """Yield ``(e, tile, keys)`` per tile: the database offset, the slice of
@@ -210,12 +223,11 @@ def _tiles(queries, database, dot: Dot, picked: np.ndarray | None = None,
     flat_keys = np.empty(len(query_tile) * cols)
     for e in range(0, n, cols):
         block = database_block[:n - e]
-        block[...] = database[e:e + len(block)]
+        _read(block, database, e)
         for start in range(0, m, rows):
             tile = slice(start, start + rows)
             part = query_tile[:m - start]
-            part[...] = queries[tile] if picked is None \
-                else queries[picked[tile]]
+            _read(part, queries, start, picked)
             # A contiguous prefix, not a strided slice: BLAS writes into it.
             keys = flat_keys[:len(part) * len(block)].reshape(len(part),
                                                               len(block))

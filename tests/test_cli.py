@@ -328,10 +328,10 @@ class TestMatch:
 
 
 class TestStagedOutput:
-    """`match -o FILE` opens its output before the loads.  A regular file is
-    written as a temporary file beside it, which replaces it when the run
-    succeeds and is removed when it fails; other files are written in
-    place."""
+    """Every command but `generate` opens its `-o FILE` before any load or
+    computation.  A regular file is written as a temporary file beside it,
+    which replaces it when the run succeeds and is removed when it fails;
+    other files are written in place."""
 
     @pytest.mark.parametrize("engine", ["reference", "pipeline"])
     def test_unwritable_output_fails_before_any_work(
@@ -348,6 +348,38 @@ class TestStagedOutput:
         assert assert_one_error(capsys, "io") == (
             f"siftmatch: error: io: [Errno 2] No such file or directory: "
             f"{out!r}")
+
+    @pytest.mark.parametrize("argv, work", [
+        (("compare", "-q", "{q}", "-d", "{d}"),
+         ("load_descriptor_set", "match_all", "run_pipeline")),
+        (("compare", "--reports", "{q}", "{d}"), ("report_columns",)),
+        (("roofline",), ("roofline_sweep", "roofline_csv")),
+        (("characterize",), ("arccos_table", "RowText")),
+        (("bench",), ("predict_cycles", "elapsed_seconds")),
+        (("bench", "--json"), ("predict_cycles", "elapsed_seconds")),
+    ], ids=["compare", "compare-reports", "roofline", "characterize", "bench",
+            "bench-json"])
+    @pytest.mark.parametrize("target", ["missing_dir", "writable"])
+    def test_every_command_opens_its_output_first(
+            self, dataset, tmp_path, capsys, monkeypatch, argv, work, target):
+        # The work raises: into a missing directory it must never begin, and
+        # into a writable one it must leave no file behind.
+        def no_work(*args, **kwargs):
+            raise OSError("work began")
+
+        for name in work:
+            monkeypatch.setattr(cli, name, no_work)
+        before = sorted(os.listdir(tmp_path))
+        out = str(tmp_path / "missing_dir" / "x" if target == "missing_dir"
+                  else tmp_path / "x")
+        argv = [arg.format(q=f"{dataset}_a.siftdb", d=f"{dataset}_b.siftdb")
+                for arg in argv]
+        assert run_cli(*argv, "-o", out) == 1
+        assert assert_one_error(capsys, "io") == (
+            f"siftmatch: error: io: [Errno 2] No such file or directory: "
+            f"{out!r}" if target == "missing_dir"
+            else "siftmatch: error: io: work began")
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("engine", ["reference", "pipeline"])
     @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
@@ -719,11 +751,15 @@ class TestNonFinite:
         assert_one_error(capsys, "domain")
         assert not out.exists()
 
-    def test_unencodable_json_leaves_no_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_unencodable_json_leaves_no_file(self, tmp_path, capsys, to_file):
         out = tmp_path / "bench.json"
         assert run_cli("bench", "--json", "--clock-hz", "1e-310",
-                       "-o", str(out)) == 1
-        assert_one_error(capsys, "domain")
+                       "-o", str(out) if to_file else "-") == 1
+        out_text, err = capsys.readouterr()
+        assert not out_text  # encoded whole before the first write
+        assert err.startswith("siftmatch: error: domain:")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_subnormal_clock_bench_table(self, tmp_path, capsys):
@@ -974,16 +1010,18 @@ class TestBench:
 _STARTUP = textwrap.dedent("""
     import sys
     import siftmatch.cli
-    from siftmatch.cordic import arccos_table
+    from siftmatch.cordic import _sqrt_constants, arccos_table
     arccos_table()
     code = siftmatch.cli.main(sys.argv[1:])
-    print(code, "mpmath" in sys.modules)
+    print(code, "mpmath" in sys.modules, _sqrt_constants.cache_info().misses)
 """)
 
 
 def test_startup_does_not_import_mpmath(dataset, tmp_path):
-    """mpmath is a test-only dependency: importing the CLI, building the
-    arccos table and running a pipeline match must not load it."""
+    """mpmath is a test-only dependency: importing the CLI, reading the
+    arccos table and running a pipeline match must not load it.  Nor do
+    they run a CORDIC kernel: the square root's constants, which its first
+    run computes, are never asked for."""
     src = os.path.dirname(os.path.dirname(siftmatch.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
@@ -991,7 +1029,7 @@ def test_startup_does_not_import_mpmath(dataset, tmp_path):
          "-q", f"{dataset}_a.siftdb", "-d", f"{dataset}_b.siftdb",
          "-o", str(tmp_path / "pipe.json")],
         env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.split() == ["0", "False"]
+    assert out.stdout.split() == ["0", "False", "0"]
 
 
 _MATCH_GROWTH = textwrap.dedent("""
@@ -1004,9 +1042,10 @@ _MATCH_GROWTH = textwrap.dedent("""
 """)
 
 # Scratch of one pipeline match beyond its inputs: the load's norm block,
-# the table build's slices, one search tile and one report piece.  Measured
-# 3.96 MiB at 1000-4000 rows; fresh tiles per tile and the kernels run on
-# all 32769 table inputs at once made it 6.0-7.2 MiB.
+# the arccos table, one search tile and one report piece.  Measured 3.65-3.67
+# MiB at 4000 rows (4.24-4.37 while the table was built by running the
+# kernels in slices); fresh tiles per tile and the kernels run on all 32769
+# table inputs at once made it 6.0-7.2 MiB.
 _MATCH_SCRATCH = 5 << 20
 
 

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import tracemalloc
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,17 +190,17 @@ class TestDeterminismAndBatch:
         assert np.array_equal(table[raws], arccos_raw_batch(raws).astype(np.uint16))
 
     def test_inputs_above_one_are_angle_zero(self):
-        # arccos_table() runs the kernels on raws up to 0x8000 only
+        # the ROM and _kernel_table() hold raws up to 0x8000 only
         raws = np.arange((1 << 15) + 1, 1 << 16, dtype=np.int64)
         assert not arccos_raw_batch(raws).any()
 
     def test_table_build_memory_is_bounded(self):
-        """The table is built a slice of inputs at a time: an uncached build
-        peaks well below the 4.7 MB of running the kernels on all 32769
-        inputs at once."""
+        """The kernels' table is built a slice of inputs at a time: it peaks
+        well below the 4.7 MB of running the kernels on all 32769 inputs at
+        once."""
         tracemalloc.start()
         try:
-            arccos_table.__wrapped__()
+            cordic._kernel_table()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -225,6 +228,12 @@ class TestBitIdentity:
         assert digest == (
             "724abe3e3f6cd285e91e7b02d3e1178e16a51738afecc0e51c3776d7e79006bd")
 
+    def test_table_equals_kernels(self):
+        # The ROM's table against the kernels, on every one of the 65536 raws.
+        table = arccos_table()
+        assert table.dtype == np.uint16 and not table.flags.writeable
+        assert np.array_equal(table, cordic._kernel_table())
+
     def test_sqrt_digest(self):
         out = sqrt_raw_batch(np.arange(UQ1_15.max_raw // 2 + 2, dtype=np.int64))
         assert len(out) == 2 ** 15 + 1  # every UQ1.15 raw in [0, 1]
@@ -250,3 +259,52 @@ class TestBitIdentity:
             want = tuple(int(mp.nint(mp.atan(mp.mpf(2) ** -i) * 2 ** 26))
                          for i in range(CordicConfig.polar_rotations))
         assert cordic._ATAN_TABLE == want
+
+
+_ROM_TOOL = Path(__file__).resolve().parents[1] / "tools" / "arccos_rom.py"
+
+
+@pytest.fixture
+def rom_tool():
+    spec = importlib.util.spec_from_file_location("arccos_rom", _ROM_TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRom:
+    """The ROM file that :func:`arccos_table` reads, and the tool that
+    writes it from the kernels."""
+
+    def test_committed_rom_matches_kernels(self, rom_tool, capsys):
+        assert rom_tool.main(["--check"]) == 0, (
+            "the ROM differs from the kernels: rerun "
+            "python tools/arccos_rom.py")
+        assert not capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", [2 ** 16, 2 ** 16 + 1, 2 ** 16 + 3,
+                                      2 ** 16 + 4])
+    def test_rom_of_wrong_length_is_refused(self, tmp_path, monkeypatch,
+                                            size):
+        rom = tmp_path / "arccos_rom.z"
+        rom.write_bytes(zlib.compress(bytes(size)))
+        monkeypatch.setattr(cordic, "_ROM", str(rom))
+        with pytest.raises(ValueError, match=(
+                f"arccos_rom.z: {size} bytes, expected 65538 "
+                r"\(the angles of raws 0..32768\); rewrite it with "
+                r"python tools/arccos_rom.py")):
+            arccos_table.__wrapped__()
+
+    def test_tool_writes_what_the_table_reads(self, rom_tool, tmp_path,
+                                              monkeypatch, capsys):
+        rom = tmp_path / "arccos_rom.z"
+        rom.write_bytes(zlib.compress(bytes(2 * (2 ** 15 + 1))))
+        monkeypatch.setattr(rom_tool, "ROM", rom)
+        assert rom_tool.main(["--check"]) == 1
+        assert capsys.readouterr().err == (
+            f"{rom} differs from the CORDIC kernels; rewrite it with "
+            "python tools/arccos_rom.py\n")
+        assert rom_tool.main([]) == 0
+        assert rom_tool.main(["--check"]) == 0
+        monkeypatch.setattr(cordic, "_ROM", str(rom))
+        assert np.array_equal(arccos_table.__wrapped__(), arccos_table())

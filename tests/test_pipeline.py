@@ -17,7 +17,7 @@ from siftmatch.descriptors import (
     load_descriptor_set,
     save_descriptor_set,
 )
-from siftmatch.fixedpoint import UQ1_15, UQ2_14, FxSample
+from siftmatch.fixedpoint import UQ1_15, UQ2_14, FxSample, quantize_array
 from siftmatch.pipeline import (
     FETCH_CYCLES,
     THRESHOLD_MODES,
@@ -634,6 +634,40 @@ class TestSearchKernel:
         finally:
             tracemalloc.stop()
         assert peak < size // 4
+
+    @pytest.mark.parametrize("engine", ["pipeline", "reference"])
+    @pytest.mark.parametrize("m,n", [(40, 2 * search.TILE_COLS + 5),
+                                     (600, 64)])
+    def test_sets_are_read_tile_rows_at_a_time(self, tmp_path, monkeypatch,
+                                               engine, m, n):
+        """Streamed sets are read at most TILE_ROWS rows per read, not a
+        TILE_COLS-row database block or a query tile made taller by a small
+        database at once, and each read holds the rows of its offset: the
+        verdicts are those of the whole dot matrix."""
+        rng = np.random.default_rng(10)
+        raws, loaded, reads = [], [], []
+        for name, count in (("q", m), ("d", n)):
+            rows = np.abs(rng.standard_normal((count, DESCRIPTOR_LEN)))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            raws.append(make_set(rows).raws.astype(np.int64))
+            path = str(tmp_path / f"{name}.siftdb")
+            save_descriptor_set(DescriptorSet.from_raws(
+                name, raws[-1], np.zeros((count, 2))), path)
+            loaded.append(load_descriptor_set(path))
+            reader = loaded[-1].raw_rows
+            monkeypatch.setattr(reader, "_reused", lambda rows, reused=(
+                reader._reused): reads.append(rows) or reused(rows))
+        dots = (raws[0] @ raws[1].T) * UQ1_15.lsb ** 2
+        if engine == "pipeline":
+            got = run_pipeline(*loaded, PipelineConfig()).matches
+            angles, lo = (pipeline.arccos_table()[quantize_array(dots)],
+                          got.min_raw)
+        else:
+            got = match_all(*loaded)
+            angles, lo = np.arccos(np.minimum(dots, 1.0)), got.min_angle
+        assert max(reads) <= search.TILE_ROWS and sum(reads) >= m + n
+        assert np.array_equal(got.best, angles.argmin(axis=1))
+        assert np.array_equal(lo, angles.min(axis=1))
 
     def test_ties_go_to_earliest_index(self):
         raws = np.zeros((3, DESCRIPTOR_LEN), dtype=np.uint16)

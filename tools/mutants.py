@@ -6,7 +6,7 @@ should fail once the replacement is made.  An *equivalent* mutant changes no
 result, so no test can fail on it; its entry says why.
 
 For each mutant the harness copies the repository's ``src``, ``tests``,
-``perfbench``, ``pyproject.toml`` and ``README.md`` into a temporary
+``tools``, ``perfbench``, ``pyproject.toml`` and ``README.md`` into a temporary
 directory, applies the mutant there (the working tree is never written) and
 runs pytest on the mutant's tests, stopping at the first failure.  A mutant
 is *killed* when pytest reports a failed test (exit status 1).
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
+COPIED = ("src", "tests", "tools", "perfbench", "pyproject.toml", "README.md")
 IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis")
 TIMEOUT_S = 600  # per mutant; the slowest named test file takes about 40 s
 
@@ -95,6 +95,16 @@ MUTANTS = (
            "np.full_like(w, -1.0), w, angle(w)",
            "np.full_like(w, 0.0), w, angle(w)",
            ("tests/test_pipeline.py",)),
+    # Tile operands, read TILE_ROWS rows at a time.
+    Mutant("tile-read-whole", SEARCH,
+           "piece = out[r:r + TILE_ROWS]", "piece = out[r:]",
+           ("tests/test_pipeline.py::TestSearchKernel::"
+            "test_sets_are_read_tile_rows_at_a_time",)),
+    Mutant("tile-read-unshifted", SEARCH,
+           "rows = slice(start + r, start + r + len(piece))",
+           "rows = slice(r, r + len(piece))",
+           ("tests/test_pipeline.py::TestSearchKernel::"
+            "test_sets_are_read_tile_rows_at_a_time",)),
     # Bands of queries: their row windows and their size.
     Mutant("band-window-unshifted", SEARCH,
            "self.source[self.start + start:self.start + stop]",
@@ -198,8 +208,24 @@ MUTANTS = (
            "_TABLE_SLICE = 1 << 12", "_TABLE_SLICE = 1 << 11",
            ("tests/test_cordic.py",),
            equivalent="the kernels are elementwise, so the slice length "
-                      "changes how many inputs one run takes, not their "
-                      "angles"),
+                      "changes how many inputs one run of _kernel_table "
+                      "takes, not their angles"),
+    # The arccos ROM: how arccos_table reads it.
+    Mutant("rom-reads-one-short", CORDIC,
+           'np.frombuffer(rom, dtype="<u2")',
+           'np.frombuffer(rom, dtype="<u2", count=one)',
+           ("tests/test_cordic.py::TestBitIdentity::test_table_equals_kernels",
+            )),
+    Mutant("rom-read-big-endian", CORDIC,
+           'dtype="<u2")', 'dtype=">u2")',
+           ("tests/test_cordic.py::TestBitIdentity::test_table_equals_kernels",
+            )),
+    Mutant("rom-tail-not-zero", CORDIC,
+           "table = np.zeros(UQ1_15.max_raw + 1, dtype=np.uint16)\n"
+           "    table[:one + 1]",
+           "table = np.ones(UQ1_15.max_raw + 1, dtype=np.uint16)\n"
+           "    table[:one + 1]",
+           ("tests/test_cordic.py::TestBitIdentity::test_table_digest",)),
     # Fixed point: the one quantizer also narrows the pipeline's dots.
     Mutant("narrowing-unsaturated", FIXEDPOINT,
            "np.clip(raws, 0, fmt.max_raw, out=raws)",
