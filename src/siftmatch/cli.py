@@ -37,8 +37,7 @@ from .fixedpoint import UQ1_15, UQ2_14
 from .pipeline import (
     THRESHOLD_MODES,
     PipelineConfig,
-    elapsed_seconds,
-    predict_cycles,
+    modeled_run,
     roofline_csv,
     roofline_sweep,
     run_pipeline,
@@ -189,22 +188,22 @@ def cmd_match(args) -> int:
             header["threshold"] = args.threshold
         else:
             cfg = _pipeline_config(args)
+            run = modeled_run(len(queries), len(db), cfg)
             header.update(threshold_mode=cfg.threshold_mode,
-                          block_size=cfg.block_size, clock_hz=cfg.clock_hz)
+                          block_size=cfg.block_size, clock_hz=cfg.clock_hz,
+                          total_cycles=run.total_cycles,
+                          elapsed_seconds_at_clock=run.elapsed_seconds_at_clock,
+                          blocks_processed=run.blocks_processed,
+                          dot_products_executed=run.dot_products_executed)
         report = MatchReport(None if args.format == "csv" else header)
-        # Each band of verdicts is written as soon as the engine has it.
+
+        def emit(start, matches):  # each band written as the engine has it
+            write(report.band(start, matches))
+
         if args.engine == "reference":
-            def emit(start, matches):
-                write(report.band(start, matches))
             match_all(queries, db, args.threshold, emit)
         else:
-            def emit(start, band):
-                write(report.band(
-                    start, band.matches, total_cycles=band.total_cycles,
-                    elapsed_seconds_at_clock=band.elapsed_seconds_at_clock,
-                    blocks_processed=band.blocks_processed,
-                    dot_products_executed=band.dot_products_executed))
-            run = run_pipeline(queries, db, cfg, emit)
+            run_pipeline(queries, db, cfg, emit)
         write(report.end())
     if args.engine == "pipeline":  # after the report: a failed write is one line
         print(f"{run.total_cycles} cycles, "
@@ -312,13 +311,13 @@ def cmd_bench(args) -> int:
                              clock_hz=args.clock_hz)
         rows = []
         for m in args.sizes:
-            cycles = predict_cycles(m, args.db_size, cfg)
+            run = modeled_run(m, args.db_size, cfg)
             rows.append({
                 "m": m,
                 "n": args.db_size,
-                "blocks": cfg.blocks(m),
-                "total_cycles": cycles,
-                "elapsed_ms": elapsed_seconds(cycles, cfg) * 1e3,
+                "blocks": run.blocks_processed,
+                "total_cycles": run.total_cycles,
+                "elapsed_ms": run.elapsed_seconds_at_clock * 1e3,
             })
         if args.json:
             write([_json(rows)])

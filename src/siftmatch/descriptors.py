@@ -20,11 +20,11 @@ column (72-111 bytes when every verdict was kept to the end).
 :attr:`DescriptorSet.raws` reads the whole file once and keeps it, for
 callers that want every raw at once; indexing one descriptor reads its row
 alone, and saving a set reads it a block at a time.  Both loaders take each
-row's norm in the pass that reads it; :func:`_renormalize` rescales the
-off-norm rows alone.  A binary set keeps those rows as a patch, written over
-every read: their raws quantized again, and their floats.  Every other
-row's float is exactly ``raw * 2**-15``; with no such row the set is
-raw-exact.
+row's norm, and keep each off-norm row, in the one pass that reads it;
+:func:`_renormalize` rescales the off-norm rows alone.  A binary set keeps
+those rows as a patch, written over every read: their raws quantized again,
+and their floats.  Every other row's float is exactly ``raw * 2**-15``;
+with no such row the set is raw-exact.
 
 Two on-disk formats are supported:
 
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixedpoint import UQ1_15, quantize_array
+from .search import _span
 
 __all__ = [
     "DESCRIPTOR_LEN",
@@ -98,17 +99,15 @@ class Descriptor:
 class _RecordReader:
     """The raws of a ``.siftdb`` file as a row source, read on demand.
 
-    Opening checks the magic and that the size matches the header.  A row
-    source is what :mod:`siftmatch.search` reads tiles from: ``len``,
-    ``shape`` and ``reader[rows]``, with ``rows`` a slice of consecutive
-    rows or row indices, wrapped and range-checked as by an ndarray.  Each
-    read fills one reused record buffer, grown to the largest read so far,
-    writes ``fixed`` (``None`` or sorted ``(rows, raws)``) over its rows and
-    returns the raws as a view that the next read overwrites, so two
-    threads must not read through one reader at once.  The file stays open
-    from the check to the last read, so a file renamed over the path
-    changes nothing that is read; it is closed when the reader is dropped.
-    A file that has shrunk since it was opened raises ``OSError``.
+    Opening checks the magic and that the size matches the header.  Each
+    read, ``reader[start:stop]``, fills one reused record buffer, grown to
+    the largest read so far, writes ``fixed`` (``None`` or sorted ``(rows,
+    raws)``) over its rows and returns the raws as a view that the next read
+    overwrites, so two threads must not read through one reader at once.
+    The file stays open from the check to the last read, so a file renamed
+    over the path changes nothing that is read; it is closed when the
+    reader is dropped.  A file that has shrunk since it was opened raises
+    ``OSError``.
     """
 
     def __init__(self, path: str):
@@ -139,21 +138,8 @@ class _RecordReader:
         self._read(records, start)
         return records
 
-    def __getitem__(self, rows) -> np.ndarray:
-        if isinstance(rows, slice):
-            start, stop, _ = rows.indices(len(self))
-            return self.records(start, max(start, stop))[:, 2:]
-        index = np.asarray(rows, dtype=np.intp)
-        if ((index < -len(self)) | (index >= len(self))).any():
-            raise IndexError(f"row index out of range for {len(self)} rows")
-        # One read per run of consecutive rows: the follow-up pass of the
-        # search reads its tied rows this way, in ascending order.
-        flat = index.reshape(-1) % len(self)
-        records = self._reused(len(flat))
-        starts = np.flatnonzero(np.diff(flat, prepend=-2) != 1).tolist()
-        for k, end in zip(starts, starts[1:] + [len(flat)]):
-            self._read(records[k:end], int(flat[k]))
-        return records[:, 2:].reshape(index.shape + (DESCRIPTOR_LEN,))
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.records(*_span(rows, len(self)))[:, 2:]
 
     def read_all(self) -> np.ndarray:
         """A read-only (m, 128) array of every raw, in memory of its own."""
@@ -169,7 +155,8 @@ class _RecordReader:
         return self._buffer[:rows]
 
     def _read(self, records: np.ndarray, row: int) -> None:
-        view = memoryview(records).cast("B")
+        # Flat: memoryview cannot cast a 2-D view of no rows.
+        view = memoryview(records.reshape(-1)).cast("B")
         offset = _BINARY_HEADER_BYTES + row * RECORD_BYTES
         while view.nbytes:
             got = os.preadv(self._file.fileno(), [view], offset)
@@ -178,10 +165,16 @@ class _RecordReader:
                     f"{self.path}: the file ends at byte {offset}; it held "
                     f"{len(self)} descriptors when it was loaded")
             view, offset = view[got:], offset + got
-        if self.fixed is not None:
-            fixed, raws = self.fixed
-            lo, hi = np.searchsorted(fixed, (row, row + len(records)))
-            records[fixed[lo:hi] - row, 2:] = raws[lo:hi]
+        _overwrite(records[:, 2:], self.fixed, row)
+
+
+def _overwrite(out: np.ndarray, patch, first: int) -> None:
+    """Write ``patch``, ``None`` or sorted ``(rows, values)``, over those of
+    its rows that ``out`` holds: rows ``first:first + len(out)``."""
+    if patch is not None:
+        rows, values = patch
+        lo, hi = np.searchsorted(rows, (first, first + len(out)))
+        out[rows[lo:hi] - first] = values[lo:hi]
 
 
 class _ScaledRows:
@@ -194,15 +187,10 @@ class _ScaledRows:
     def __len__(self) -> int:
         return self.shape[0]
 
-    def __getitem__(self, rows) -> np.ndarray:
-        floats = self.raws[rows] * UQ1_15.lsb  # range-checks ``rows``
-        if self.fixed is not None:
-            fixed, kept = self.fixed
-            index = np.arange(*rows.indices(len(self))) \
-                if isinstance(rows, slice) else np.asarray(rows) % len(self)
-            at = np.searchsorted(fixed, index)
-            hit = fixed.take(at, mode="clip") == index
-            floats[hit] = kept[at[hit]]
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop = _span(rows, len(self))
+        floats = self.raws[start:stop] * UQ1_15.lsb
+        _overwrite(floats, self.fixed, start)
         floats.setflags(write=False)
         return floats
 
@@ -258,8 +246,8 @@ class DescriptorSet:
 
     @property
     def raw_rows(self):
-        """The raws as a row source for :mod:`siftmatch.search`: the file
-        reader of a streamed set, else the :attr:`raws` array."""
+        """The raws as a row source for :mod:`siftmatch.search`, read by
+        slices: the file reader of a streamed set, else :attr:`raws`."""
         return self._raws
 
     @property
@@ -292,12 +280,13 @@ class DescriptorSet:
         return len(self.xy)
 
     def __getitem__(self, index: int) -> Descriptor:
-        """One descriptor, read through the row sources: a streamed set
-        reads that row alone and stays streamed."""
-        raws = np.array(self.raw_rows[index])  # out of a reader's buffer
+        """One descriptor, indexed as in a list and read through the row
+        sources: a streamed set reads that row alone and stays streamed."""
+        k = range(len(self))[index]
+        raws = np.array(self.raw_rows[k:k + 1][0])  # out of a reader's buffer
         raws.setflags(write=False)
-        return Descriptor(elements=self.float_rows[index], raws=raws,
-                          x=int(self.xy[index, 0]), y=int(self.xy[index, 1]))
+        return Descriptor(elements=self.float_rows[k:k + 1][0], raws=raws,
+                          x=int(self.xy[k, 0]), y=int(self.xy[k, 1]))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -409,13 +398,13 @@ def _load_text(path: str) -> DescriptorSet:
 
 def _load_binary(path: str) -> DescriptorSet:
     """Check a ``.siftdb`` file in one pass of :data:`_BLOCK_ROWS` records
-    at a time, giving a streamed set; off-norm rows are read again,
-    renormalized and quantized again, and patched over the file's."""
+    at a time, giving a streamed set; the pass keeps the off-norm rows'
+    floats, renormalized, quantized again and patched over the file's."""
     reader = _RecordReader(str(path))
     m = len(reader)
     xy = np.empty((m, 2), dtype=np.uint16)
     part = np.empty((min(m, _BLOCK_ROWS), DESCRIPTOR_LEN))
-    off, norms = [], []
+    off, norms, kept = [], [], []
     for start in range(0, m, _BLOCK_ROWS):
         records = reader.records(start, min(start + _BLOCK_ROWS, m))
         raws = records[:, 2:]
@@ -432,9 +421,10 @@ def _load_binary(path: str) -> DescriptorSet:
         rows = np.flatnonzero(np.abs(block - 1.0) > NORM_TOLERANCE)
         off += (start + rows).tolist()
         norms += block[rows].tolist()
+        kept += list(raws[rows] * UQ1_15.lsb)
     floats = None
     if off:
-        kept = _renormalize(str(path), reader[off] * UQ1_15.lsb, norms, m)
+        kept = _renormalize(str(path), np.array(kept), norms, m)
         # Every other raw is already quantize_array(raw * 2**-15).
         rows = np.array(off)
         reader.fixed = (rows, quantize_array(kept).astype(np.uint16))

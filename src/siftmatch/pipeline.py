@@ -70,7 +70,7 @@ Each invocation is an independent, deterministic state machine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -91,9 +91,9 @@ __all__ = [
     "dot_product_core",
     "dot_raw_matrix",
     "effective_throughput_with_blocking",
-    "elapsed_seconds",
     "match_check",
     "min_find",
+    "modeled_run",
     "predict_cycles",
     "roofline_csv",
     "roofline_sweep",
@@ -242,9 +242,12 @@ def predict_cycles(m: int, n: int, cfg: PipelineConfig = PipelineConfig()) -> in
     return fill + cfg.blocks(m) * n * cfg.block_size + DRAIN_CYCLES
 
 
-def elapsed_seconds(cycles: int, cfg: PipelineConfig) -> float:
-    """Modeled time of ``cycles`` at ``cfg.clock_hz``; ``ValueError`` when a
-    tiny clock or a huge cycle count makes it overflow to infinity."""
+def modeled_run(m: int, n: int,
+                cfg: PipelineConfig = PipelineConfig()) -> RunReport:
+    """The report of a run of ``m`` queries against ``n`` database rows
+    with ``matches=None``; ``ValueError`` when a tiny clock or a huge cycle
+    count makes the modeled time overflow to infinity."""
+    cycles = predict_cycles(m, n, cfg)
     try:
         elapsed = cycles / cfg.clock_hz
     except OverflowError:  # cycles beyond the float range
@@ -253,48 +256,38 @@ def elapsed_seconds(cycles: int, cfg: PipelineConfig) -> float:
     if not math.isfinite(elapsed):
         raise ValueError(f"clock_hz {cfg.clock_hz!r} is too small: "
                          f"{cycles} cycles take {elapsed} s")
-    return elapsed
+    return RunReport(total_cycles=cycles, elapsed_seconds_at_clock=elapsed,
+                     clock_hz=cfg.clock_hz, blocks_processed=cfg.blocks(m),
+                     dot_products_executed=m * n, matches=None)
 
 
 def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
                  cfg: PipelineConfig = PipelineConfig(),
-                 emit: Callable[[int, RunReport], None] | None = None
+                 emit: Callable[[int, MatchColumns], None] | None = None
                  ) -> RunReport:
     """Run the modeled accelerator: verdicts plus an exact cycle count.
 
-    No per-block loop: ``total_cycles`` is :func:`predict_cycles`,
-    ``blocks_processed`` is ``cfg.blocks(m)``, and the verdicts come
-    from one tiled search (see the module docstring).
+    No per-block loop: the report is :func:`modeled_run`'s (its
+    ``total_cycles`` is :func:`predict_cycles`), and the verdicts come from
+    one tiled search (see the module docstring).
 
     Given ``emit``, the queries are searched in bands, as the core drains a
     block's verdicts before the next (:func:`~siftmatch.search.in_bands`):
-    ``emit(start, band)`` receives each band's report, whose ``matches``
-    are the verdicts of queries ``start:start + len(band.matches)``, and
-    the report returned has ``matches=None``.  Every other field is the
-    whole run's, and every argument is checked before the first band.
+    ``emit(start, matches)`` receives the verdicts of queries ``start:start
+    + len(matches)``, and the report returned has ``matches=None``.  Every
+    argument is checked before the first band.
     """
     m, n = len(queries), len(db)
     if m == 0 or n == 0:
         raise ValueError("query and database sets must be non-empty")
 
-    cycles = predict_cycles(m, n, cfg)
-    elapsed = elapsed_seconds(cycles, cfg)
+    run = modeled_run(m, n, cfg)
     table = arccos_table()
 
     def angle(w):
         return table[quantize_array(w * UQ1_15.lsb ** 2)]
 
-    def report(matches: MatchColumns | None) -> RunReport:
-        return RunReport(
-            total_cycles=cycles,
-            elapsed_seconds_at_clock=elapsed,
-            clock_hz=cfg.clock_hz,
-            blocks_processed=cfg.blocks(m),
-            dot_products_executed=m * n,
-            matches=matches,
-        )
-
-    def band(rows: slice, window) -> RunReport:
+    def band(rows: slice, window) -> MatchColumns:
         best, amin, asec = nearest_two(window, db.raw_rows, angle,
                                        _SENTINEL_RAW)
         amin = amin.astype(np.int64)
@@ -305,11 +298,10 @@ def run_pipeline(queries: DescriptorSet, db: DescriptorSet,
             matched = (amin << 5) < (asec << 1) + asec + (asec << 4)
         else:
             matched = min_angle < 0.6 * second_angle
-        return report(MatchColumns(best, min_angle, second_angle, matched,
-                                   queries.xy[rows], db.xy[best], amin, asec))
+        return MatchColumns(best, min_angle, second_angle, matched,
+                            queries.xy[rows], db.xy[best], amin, asec)
 
-    whole = in_bands(queries.raw_rows, band, emit)
-    return report(None) if whole is None else whole
+    return replace(run, matches=in_bands(queries.raw_rows, band, emit))
 
 
 @dataclass(frozen=True)

@@ -292,12 +292,12 @@ class MatchReport:
         self._header = header
         self._text = None
 
-    def band(self, start: int, matches: MatchColumns, **head
+    def band(self, start: int, matches: MatchColumns
              ) -> Iterator[bytes | bytearray | memoryview]:
         """The text of the report rows of queries ``start:start +
         len(matches)``, in pieces; the band at ``start`` 0 comes first and
-        leads with the head, in which ``head`` joins the header.  Take every
-        piece of a band before asking for the next band.
+        leads with the head.  Take every piece of a band before asking for
+        the next band.
 
         Raises ``ValueError`` for a non-finite angle or header value before
         any of the band's text is produced.
@@ -321,7 +321,7 @@ class MatchReport:
             return chain(
                 [b"k,matched,best_index,qx,qy,bx,by,min_raw,secmin_raw\r\n"],
                 rows)
-        text = json.dumps({**self._header, **head, "matches": []}, indent=2,
+        text = json.dumps({**self._header, "matches": []}, indent=2,
                           allow_nan=False).encode("ascii")
         first = memoryview(next(rows))[1:]  # no "," before the first row
         return chain([text[:-len(b"]\n}")], first], rows)

@@ -26,15 +26,17 @@ tile whatever the sizes, no float copy of a whole set is made, and no tile
 allocates memory that the next must fault in again.
 
 Both inputs are row sources: anything with ``len``, ``shape`` and
-``source[rows]`` for a slice of consecutive rows or an array of row
-indices.  An ndarray is one; so is the file reader of a streamed
-``.siftdb`` set (:attr:`~siftmatch.descriptors.DescriptorSet.raw_rows`),
-which reads the rows into a reused buffer that its next read overwrites.
-Each tile's rows are cast into the float64 buffers as soon as they are
-read, so neither input is ever held whole.  Every tile operand is read
-:data:`TILE_ROWS` rows at a time, so a reader's buffer holds at most that
-many rows: not a whole database block of :data:`TILE_COLS` rows (266 KB of
-``.siftdb`` records), nor a query tile made taller by a small database.
+``source[start:stop]``, rows ``start:stop`` bounded as an ndarray bounds
+them, and nothing else (:func:`_span`).  An ndarray is one; so is the file
+reader of a streamed ``.siftdb`` set
+(:attr:`~siftmatch.descriptors.DescriptorSet.raw_rows`), which reads the
+rows into a reused buffer that its next read overwrites.  Each tile's rows
+are cast into the float64 buffers as soon as they are read, so neither
+input is ever held whole.  Every tile operand is read :data:`TILE_ROWS`
+rows at a time, so a reader's buffer holds at most that many rows: not a
+whole database block of :data:`TILE_COLS` rows (266 KB of ``.siftdb``
+records), nor a query tile made taller by a small database.  The follow-up
+pass reads each run of consecutive rows of its ascending rows as one slice.
 
 Per query, a running ``(best, first, second)`` starts at ``-inf`` and holds
 the two largest keys of the database tiles seen so far and the earliest
@@ -88,6 +90,7 @@ engines scale the integer sums only where they map a key to an angle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable
 
 import numpy as np
@@ -147,6 +150,17 @@ class MatchColumns:
         return len(self.best)
 
 
+def _span(rows, length: int) -> tuple[int, int]:
+    """``(start, stop)`` of ``rows``, a slice of consecutive rows of a row
+    source of ``length`` rows, bounded as an ndarray bounds it."""
+    if not isinstance(rows, slice):
+        raise TypeError(f"a row source takes a slice, not {type(rows).__name__}")
+    start, stop, step = rows.indices(length)
+    if step != 1:
+        raise ValueError(f"a row source reads consecutive rows, not step {step}")
+    return start, max(start, stop)
+
+
 class _Window:
     """Rows ``rows`` (a slice of consecutive rows) of a row source, as a row
     source of their own: each read is a read of ``source`` shifted by the
@@ -159,15 +173,9 @@ class _Window:
     def __len__(self) -> int:
         return self.shape[0]
 
-    def __getitem__(self, rows) -> np.ndarray:
-        if isinstance(rows, slice):
-            start, stop, _ = rows.indices(len(self))
-            stop = max(start, stop)
-            return self.source[self.start + start:self.start + stop]
-        index = np.asarray(rows, dtype=np.intp)
-        if ((index < -len(self)) | (index >= len(self))).any():
-            raise IndexError(f"row index out of range for {len(self)} rows")
-        return self.source[index % len(self) + self.start]
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop = _span(rows, len(self))
+        return self.source[self.start + start:self.start + stop]
 
 
 def in_bands(source, band: Callable, emit: Callable | None):
@@ -200,12 +208,19 @@ def exact_dots(queries: np.ndarray, database: np.ndarray,
 
 def _read(out: np.ndarray, source, start: int,
           picked: np.ndarray | None = None) -> None:
-    """Cast rows ``start:start + len(out)`` of ``source``, or of its rows
-    ``picked`` when given, into ``out``, :data:`TILE_ROWS` rows a read."""
+    """Cast rows ``start:start + len(out)`` of ``source``, or its rows
+    ``picked[start:start + len(out)]`` (ascending) when given, into ``out``,
+    at most :data:`TILE_ROWS` rows and one run of consecutive rows a read."""
     for r in range(0, len(out), TILE_ROWS):
         piece = out[r:r + TILE_ROWS]
         rows = slice(start + r, start + r + len(piece))
-        piece[...] = source[rows] if picked is None else source[picked[rows]]
+        if picked is None:
+            piece[...] = source[rows]
+            continue
+        index = picked[rows]
+        ends = np.flatnonzero(np.diff(index) != 1) + 1
+        for a, b in pairwise((0, *ends, len(index))):
+            piece[a:b] = source[index[a]:index[b - 1] + 1]
 
 
 def _tiles(queries, database, dot: Dot, picked: np.ndarray | None = None,

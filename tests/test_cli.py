@@ -339,7 +339,8 @@ class TestStagedOutput:
         def no_work(*args):
             raise AssertionError("work began before the output was opened")
 
-        for name in ("load_descriptor_set", "run_pipeline", "match_all"):
+        for name in ("load_descriptor_set", "modeled_run", "run_pipeline",
+                     "match_all"):
             monkeypatch.setattr(cli, name, no_work)
         out = str(tmp_path / "missing_dir" / "x.json")
         assert run_cli("match", "-q", f"{dataset}_a.siftdb",
@@ -355,8 +356,8 @@ class TestStagedOutput:
         (("compare", "--reports", "{q}", "{d}"), ("report_columns",)),
         (("roofline",), ("roofline_sweep", "roofline_csv")),
         (("characterize",), ("arccos_table", "RowText")),
-        (("bench",), ("predict_cycles", "elapsed_seconds")),
-        (("bench", "--json"), ("predict_cycles", "elapsed_seconds")),
+        (("bench",), ("modeled_run",)),
+        (("bench", "--json"), ("modeled_run",)),
     ], ids=["compare", "compare-reports", "roofline", "characterize", "bench",
             "bench-json"])
     @pytest.mark.parametrize("target", ["missing_dir", "writable"])
@@ -870,7 +871,7 @@ class TestEveryConfigFieldHasAFlag:
             "-d", f"{dataset}_b.siftdb", "-o", str(tmp_path / "out"))
 
     def test_bench_config(self, tmp_path, monkeypatch):
-        self.assert_flags_reach_config(monkeypatch, ("bench",), "predict_cycles",
+        self.assert_flags_reach_config(monkeypatch, ("bench",), "modeled_run",
                                        "-o", str(tmp_path / "out"))
 
     def test_roofline_config(self, tmp_path, monkeypatch):

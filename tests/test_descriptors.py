@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import textwrap
 import tracemalloc
@@ -403,28 +404,61 @@ class TestSetApi:
         assert not isinstance(loaded.raw_rows, np.ndarray)
         assert peak < 0.1 * 1024 * count
 
-    @pytest.mark.parametrize("off_norm", [False, True])
-    def test_reader_indices_act_as_on_an_array(self, streamed, random_set,
-                                               off_norm):
-        """Row indices into a streamed set's reader wrap and are
-        range-checked as an ndarray's are, with or without a patch."""
+    @pytest.mark.parametrize("kind", ["in-memory", "streamed", "patched"])
+    def test_descriptor_indices_act_as_on_a_list(self, streamed, random_set,
+                                                 kind):
+        """One descriptor's index wraps and is range-checked as a list's
+        is, in memory and streamed, with or without a patch."""
         raws = random_set.raws.copy()
-        if off_norm:
+        if kind == "patched":
             raws[[0, 5, -1]] //= 2
+        oracle = in_memory(raws, random_set.xy)
+        s = oracle
+        if kind != "in-memory":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                s = streamed(DescriptorSet.from_raws("r", raws, random_set.xy))
+        m = len(s)
+        for k in (-1, 0, m - 1, -m, 4, 5, 6, -2, np.int64(-1), np.intp(5)):
+            got = s[k]
+            assert same_bits(got.raws, oracle.raws[k]), k
+            assert same_bits(got.elements, oracle.floats[k]), k
+            assert (got.x, got.y) == tuple(oracle.xy[k].tolist()), k
+        for k in (m, -m - 1, np.int64(m)):
+            with pytest.raises(IndexError):
+                s[k]
+
+    @pytest.mark.parametrize("kind", ["streamed", "patched raws",
+                                      "patched floats", "window"])
+    def test_row_sources_take_slices_only(self, streamed, random_set, kind):
+        """A streamed set's row sources and a band window read a slice of
+        consecutive rows, bounded as an ndarray bounds it: an empty range
+        is (0, 128), a step other than 1 a ValueError and anything but a
+        slice a TypeError."""
+        raws = random_set.raws.copy()
+        if kind.startswith("patched"):
+            raws[[0, 5, -1]] //= 2
+        oracle = in_memory(raws, random_set.xy)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            reader = streamed(DescriptorSet.from_raws("r", raws,
-                                                      random_set.xy)).raw_rows
-        raws = in_memory(raws, random_set.xy).raws
-        m = len(raws)
-        for rows in ([-1], [0, -1], [m - 1, -m, 4, 5, 6], np.array([-1]),
-                     -2, 5, [], slice(-3, None)):
-            assert np.array_equal(reader[rows], raws[rows]), rows
-        for rows in ([m], [0, -m - 1], m, -m - 1):
-            with pytest.raises(IndexError):
-                raws[rows]
-            with pytest.raises(IndexError):
-                reader[rows]
+            s = streamed(DescriptorSet.from_raws("r", raws, random_set.xy))
+        source, whole = ((s.float_rows, oracle.floats) if kind.endswith(
+            "floats") else (s.raw_rows, oracle.raws))
+        if kind == "window":
+            source, whole = search._Window(source, slice(2, 12)), whole[2:12]
+        m = len(whole)
+        for rows in (slice(3, 3), slice(10, 5), slice(m + 5, None),
+                     slice(-3, None), slice(2, m + 9), slice(None),
+                     slice(-m - 4, 4), slice(np.int64(1), np.intp(4))):
+            got = source[rows]
+            assert got.shape == whole[rows].shape, rows
+            assert same_bits(got, whole[rows]), rows
+        for rows in (slice(0, 6, 2), slice(None, None, -1)):
+            with pytest.raises(ValueError, match="consecutive rows"):
+                source[rows]
+        for rows in (3, np.int64(3), [0, 1], np.array([1]), (1, 2)):
+            with pytest.raises(TypeError, match="takes a slice"):
+                source[rows]
 
     def test_views_read_only(self, random_set):
         with pytest.raises(ValueError):
@@ -544,12 +578,9 @@ class TestOffNormPatch:
         for got, want in zip(engines(loaded), engines(oracle)):
             for name in vars(want):
                 assert same_bits(getattr(got, name), getattr(want, name)), name
-        picked = np.array(off + [0, big - 1, 255])
         for a, b in ((0, big), (tile - 1, 2 * tile + 1), (250, 260)):
             assert same_bits(loaded.raw_rows[a:b], oracle.raws[a:b])
             assert same_bits(loaded.float_rows[a:b], oracle.floats[a:b])
-        assert same_bits(loaded.raw_rows[picked], oracle.raws[picked])
-        assert same_bits(loaded.float_rows[picked], oracle.floats[picked])
         for k in off + [-1, -2, -big, off[0] - big]:
             got, want = loaded[k], oracle[k]
             assert same_bits(got.elements, want.elements), k
@@ -557,6 +588,60 @@ class TestOffNormPatch:
             assert (got.x, got.y) == (want.x, want.y)
         assert same_bits(loaded.raws, oracle.raws)
         assert same_bits(loaded.floats, oracle.floats)
+
+    @pytest.mark.parametrize("kind", ["raws", "floats", "window"])
+    def test_picked_rows_read_as_a_gather(self, streamed, kind):
+        """The follow-up pass reads its picked rows, which ascend, a slice
+        per run of consecutive rows: single rows, runs that cross a
+        TILE_ROWS piece and a run ending at the last row read as a gather
+        from the whole array does, patched rows among them, from any
+        first picked row on."""
+        big, off = 40, [1, 6, 13, 39]
+        rows = unit_rows(9, big)
+        rows[off] /= 2
+        written = make_set(rows)
+        with pytest.warns(UserWarning, match=f"{len(off)} of {big} "):
+            loaded = streamed(written)
+        oracle = in_memory(written.raws, written.xy)
+        source, whole = {
+            "raws": (loaded.raw_rows, oracle.raws),
+            "floats": (loaded.float_rows, oracle.floats),
+            "window": (search._Window(loaded.raw_rows, slice(3, big)),
+                       oracle.raws[3:]),
+        }[kind]
+        n = len(whole)
+        # pieces of 4: [0 3 5 6] [7 8 9 13] [20 n-4 n-3 n-2] [n-1]
+        picked = np.array([0, 3, 5, 6, 7, 8, 9, 13, 20,
+                           n - 4, n - 3, n - 2, n - 1])
+        for start in (0, 2, 5, len(picked) - 1):
+            out = np.full((len(picked) - start, DESCRIPTOR_LEN), np.nan)
+            with mock.patch.object(search, "TILE_ROWS", 4):
+                search._read(out, source, start, picked)
+            assert same_bits(out, whole[picked[start:]].astype(np.float64)), \
+                start
+
+    def test_load_reads_each_record_once(self, tmp_path, monkeypatch):
+        """The load keeps the off-norm rows' floats from its one check
+        pass: it reads no record a second time."""
+        rows = unit_rows(11, 600)
+        rows[[0, 255, 256, 599]] *= 0.5
+        path = str(tmp_path / "off.siftdb")
+        save_descriptor_set(make_set(rows), path)
+        reads, preadv = [], os.preadv
+
+        def counted(fd, buffers, offset):
+            reads.append((offset, preadv(fd, buffers, offset)))
+            return reads[-1][1]
+
+        monkeypatch.setattr(os, "preadv", counted)
+        with pytest.warns(UserWarning, match="4 of 600 descriptors"):
+            loaded = load_descriptor_set(path)
+        end = 12  # each read starts where the last one ended
+        for offset, got in reads:
+            assert offset == end
+            end += got
+        assert end == 12 + 600 * 260
+        assert not loaded.raw_exact
 
 
 _MEASURE = textwrap.dedent("""

@@ -95,7 +95,7 @@ MUTANTS = (
            "np.full_like(w, -1.0), w, angle(w)",
            "np.full_like(w, 0.0), w, angle(w)",
            ("tests/test_pipeline.py",)),
-    # Tile operands, read TILE_ROWS rows at a time.
+    # Tile operands, read TILE_ROWS rows at a time; picked rows a run a read.
     Mutant("tile-read-whole", SEARCH,
            "piece = out[r:r + TILE_ROWS]", "piece = out[r:]",
            ("tests/test_pipeline.py::TestSearchKernel::"
@@ -105,15 +105,35 @@ MUTANTS = (
            "rows = slice(r, r + len(piece))",
            ("tests/test_pipeline.py::TestSearchKernel::"
             "test_sets_are_read_tile_rows_at_a_time",)),
+    Mutant("run-cut-one-early", SEARCH,
+           "np.flatnonzero(np.diff(index) != 1) + 1",
+           "np.flatnonzero(np.diff(index) != 1)",
+           ("tests/test_descriptors.py::TestOffNormPatch::"
+            "test_picked_rows_read_as_a_gather",)),
+    # Row sources: slices of consecutive rows only.
+    Mutant("empty-range-not-clamped", SEARCH,
+           "return start, max(start, stop)", "return start, stop",
+           ("tests/test_descriptors.py::TestSetApi::"
+            "test_row_sources_take_slices_only",)),
+    Mutant("row-step-unchecked", SEARCH,
+           "if step != 1:", "if False:",
+           ("tests/test_descriptors.py::TestSetApi::"
+            "test_row_sources_take_slices_only",)),
+    Mutant("empty-read-not-flat", DESCRIPTORS,
+           'memoryview(records.reshape(-1)).cast("B")',
+           'memoryview(records).cast("B")',
+           ("tests/test_descriptors.py::TestSetApi::"
+            "test_row_sources_take_slices_only",)),
     # Bands of queries: their row windows and their size.
     Mutant("band-window-unshifted", SEARCH,
            "self.source[self.start + start:self.start + stop]",
            "self.source[start:stop]",
            ("tests/test_reference.py::TestBands",)),
-    Mutant("band-index-window-unshifted", SEARCH,
-           "self.source[index % len(self) + self.start]",
-           "self.source[index % len(self)]",
-           ("tests/test_reference.py::TestBands",)),
+    Mutant("band-window-unbounded", SEARCH,
+           "start, stop = _span(rows, len(self))",
+           "start, stop = _span(rows, len(self.source))",
+           ("tests/test_descriptors.py::TestSetApi::"
+            "test_row_sources_take_slices_only",)),
     Mutant("one-band-for-all-rows", SEARCH,
            "BAND_ROWS = 8192", "BAND_ROWS = 1 << 62",
            ("tests/test_cli.py::test_match_memory_is_flat_in_the_query_count",
@@ -147,27 +167,27 @@ MUTANTS = (
            "NORM_TOLERANCE = 1e-3", "NORM_TOLERANCE = 2e-3",
            ("tests/test_descriptors.py",)),
     Mutant("off-norm-raws-not-requantized", DESCRIPTORS,
-           "quantize_array(kept).astype(np.uint16)", "reader[off].copy()",
+           "reader.fixed = (rows, quantize_array(kept).astype(np.uint16))",
+           "reader.fixed = None",
            ("tests/test_descriptors.py::TestSetApi::"
             "test_blocked_norms_match_whole_matrix",)),
     Mutant("zero-check-after-warning", DESCRIPTORS,
            _ZERO_CHECK + _OFF_NORM_WARNING, _OFF_NORM_WARNING + _ZERO_CHECK,
            ("tests/test_cli.py::TestZeroDescriptor",)),
     # The patch of a .siftdb set's off-norm rows, over raws and floats.
-    Mutant("raw-patch-window-short", DESCRIPTORS,
-           "(row, row + len(records))", "(row, row + len(records) - 1)",
-           ("tests/test_descriptors.py::TestSetApi::"
-            "test_reader_indices_act_as_on_an_array",)),
+    Mutant("patch-window-short", DESCRIPTORS,
+           "(first, first + len(out))", "(first, first + len(out) - 1)",
+           ("tests/test_descriptors.py::TestOffNormPatch::"
+            "test_picked_rows_read_as_a_gather",)),
     Mutant("raw-patch-skipped", DESCRIPTORS,
-           "records[fixed[lo:hi] - row, 2:] = raws[lo:hi]", "pass",
+           "_overwrite(records[:, 2:], self.fixed, row)", "pass",
            ("tests/test_descriptors.py::TestSetApi::"
-            "test_reader_indices_act_as_on_an_array",)),
+            "test_row_sources_take_slices_only",)),
     Mutant("float-patch-skipped", DESCRIPTORS,
-           "floats[hit] = kept[at[hit]]", "pass",
+           "_overwrite(floats, self.fixed, start)", "pass",
            ("tests/test_descriptors.py::TestOffNormPatch",)),
-    Mutant("no-fix-guard-inverted", DESCRIPTORS,
-           "if self.fixed is not None:\n            fixed, raws = self.fixed",
-           "if self.fixed is None:\n            fixed, raws = self.fixed",
+    Mutant("no-patch-guard-inverted", DESCRIPTORS,
+           "if patch is not None:", "if patch is None:",
            ("tests/test_descriptors.py::TestRoundTrip",)),
     Mutant("text-coordinates-unchecked", DESCRIPTORS,
            "if not (0 <= x <= _COORD_MAX and 0 <= y <= _COORD_MAX):",
