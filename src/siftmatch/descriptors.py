@@ -8,18 +8,18 @@ same data.  Sets are immutable after construction.
 
 A binary file loads as a *streamed* set, as the hardware streams its
 database from DRAM.  The load checks the file in one pass,
-:data:`_BLOCK_ROWS` records at a time, read into one reused buffer: the
-header, the size, every raw and every row's norm.  The set then holds the
-open file and its (x, y) column (4 bytes a row) and no raws.  The engines
-read it through :attr:`DescriptorSet.raw_rows`, one tile at a time into one
-reused record buffer (see :mod:`siftmatch.search`), and ``match`` writes
-its verdicts one band of queries at a time, so a match holds a few MiB of
-scratch whatever the sizes of its files: from 10000 to 160000 queries
-against 64 rows its peak RSS grows 4-6 bytes a query, 4 of them the (x, y)
-column (72-111 bytes when every verdict was kept to the end).
-:attr:`DescriptorSet.raws` reads the whole file once and keeps it, for
-callers that want every raw at once; indexing one descriptor reads its row
-alone, and saving a set reads it a block at a time.  Both loaders take each
+:data:`_BLOCK_ROWS` records at a time: the header, the size, every raw and
+every row's norm.  The set then holds the open file and its (x, y) column
+(4 bytes a row) and no raws.  The engines read it through
+:attr:`DescriptorSet.raw_rows`, a few rows a read (see
+:mod:`siftmatch.search`), and ``match`` writes its verdicts one band of
+queries at a time, so a match holds a few MiB of scratch whatever the
+sizes of its files: from 10000 to 160000 queries against 64 rows its peak
+RSS grows 4-6 bytes a query, 4 of them the (x, y) column (72-111 bytes
+when every verdict was kept to the end).  :attr:`DescriptorSet.raws`
+reads the whole file once and keeps it, for callers that want every raw
+at once; indexing one descriptor reads its row alone, and saving a set
+reads it a block at a time.  Both loaders take each
 row's norm, and keep each off-norm row, in the one pass that reads it;
 :func:`_renormalize` rescales the off-norm rows alone.  A binary set keeps
 those rows as a patch, written over every read: their raws quantized again,
@@ -100,10 +100,9 @@ class _RecordReader:
     """The raws of a ``.siftdb`` file as a row source, read on demand.
 
     Opening checks the magic and that the size matches the header.  Each
-    read, ``reader[start:stop]``, fills one reused record buffer, grown to
-    the largest read so far, writes ``fixed`` (``None`` or sorted ``(rows,
-    raws)``) over its rows and returns the raws as a view that the next read
-    overwrites, so two threads must not read through one reader at once.
+    read, ``reader[start:stop]``, reads those records into a new array,
+    writes ``fixed`` (``None`` or sorted ``(rows, raws)``) over its rows and
+    returns their raws, read-only; the reader keeps nothing between reads.
     The file stays open from the check to the last read, so a file renamed
     over the path changes nothing that is read; it is closed when the
     reader is dropped.  A file that has shrunk since it was opened raises
@@ -126,38 +125,17 @@ class _RecordReader:
                 f"{path}: payload is {payload} bytes, expected {m * RECORD_BYTES}")
         self.shape = (m, DESCRIPTOR_LEN)
         self.fixed = None
-        self._buffer = np.empty((0, _RECORD_WORDS), dtype="<u2")
 
     def __len__(self) -> int:
         return self.shape[0]
 
     def records(self, start: int, stop: int) -> np.ndarray:
-        """Records ``start:stop`` as (rows, 130) words in the reused buffer:
-        x, y and the 128 raws."""
-        records = self._reused(stop - start)
-        self._read(records, start)
-        return records
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.records(*_span(rows, len(self)))[:, 2:]
-
-    def read_all(self) -> np.ndarray:
-        """A read-only (m, 128) array of every raw, in memory of its own."""
-        records = np.empty((len(self), _RECORD_WORDS), dtype="<u2")
-        self._read(records, 0)
-        raws = records[:, 2:]
-        raws.setflags(write=False)
-        return raws
-
-    def _reused(self, rows: int) -> np.ndarray:
-        if len(self._buffer) < rows:
-            self._buffer = np.empty((rows, _RECORD_WORDS), dtype="<u2")
-        return self._buffer[:rows]
-
-    def _read(self, records: np.ndarray, row: int) -> None:
+        """Records ``start:stop``, ``fixed`` written over, as a new read-only
+        (rows, 130) array of words: x, y and the 128 raws."""
+        records = np.empty((stop - start, _RECORD_WORDS), dtype="<u2")
         # Flat: memoryview cannot cast a 2-D view of no rows.
         view = memoryview(records.reshape(-1)).cast("B")
-        offset = _BINARY_HEADER_BYTES + row * RECORD_BYTES
+        offset = _BINARY_HEADER_BYTES + start * RECORD_BYTES
         while view.nbytes:
             got = os.preadv(self._file.fileno(), [view], offset)
             if not got:
@@ -165,7 +143,12 @@ class _RecordReader:
                     f"{self.path}: the file ends at byte {offset}; it held "
                     f"{len(self)} descriptors when it was loaded")
             view, offset = view[got:], offset + got
-        _overwrite(records[:, 2:], self.fixed, row)
+        _overwrite(records[:, 2:], self.fixed, start)
+        records.setflags(write=False)
+        return records
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.records(*_span(rows, len(self)))[:, 2:]
 
 
 def _overwrite(out: np.ndarray, patch, first: int) -> None:
@@ -241,7 +224,7 @@ class DescriptorSet:
         """(m, 128) uint16 raws; a streamed set reads its file whole on
         first access and keeps the raws."""
         if isinstance(self._raws, _RecordReader):
-            self._raws = self._raws.read_all()
+            self._raws = self._raws[:]
         return self._raws
 
     @property
@@ -257,10 +240,10 @@ class DescriptorSet:
 
     @property
     def floats(self) -> np.ndarray:
-        """(m, 128) float64 elements; derived from the raws on first access."""
+        """(m, 128) float64 elements: :attr:`float_rows` read whole on first
+        access and kept."""
         if not isinstance(self._floats, np.ndarray):
-            fixed = getattr(self._floats, "fixed", None)
-            self._floats = _ScaledRows(self.raws, fixed)[:]
+            self._floats = self.float_rows[:]
         return self._floats
 
     @classmethod
@@ -283,9 +266,8 @@ class DescriptorSet:
         """One descriptor, indexed as in a list and read through the row
         sources: a streamed set reads that row alone and stays streamed."""
         k = range(len(self))[index]
-        raws = np.array(self.raw_rows[k:k + 1][0])  # out of a reader's buffer
-        raws.setflags(write=False)
-        return Descriptor(elements=self.float_rows[k:k + 1][0], raws=raws,
+        return Descriptor(elements=self.float_rows[k:k + 1][0],
+                          raws=self.raw_rows[k:k + 1][0],
                           x=int(self.xy[k, 0]), y=int(self.xy[k, 1]))
 
     def __iter__(self):

@@ -27,16 +27,17 @@ allocates memory that the next must fault in again.
 
 Both inputs are row sources: anything with ``len``, ``shape`` and
 ``source[start:stop]``, rows ``start:stop`` bounded as an ndarray bounds
-them, and nothing else (:func:`_span`).  An ndarray is one; so is the file
-reader of a streamed ``.siftdb`` set
-(:attr:`~siftmatch.descriptors.DescriptorSet.raw_rows`), which reads the
-rows into a reused buffer that its next read overwrites.  Each tile's rows
-are cast into the float64 buffers as soon as they are read, so neither
-input is ever held whole.  Every tile operand is read :data:`TILE_ROWS`
-rows at a time, so a reader's buffer holds at most that many rows: not a
-whole database block of :data:`TILE_COLS` rows (266 KB of ``.siftdb``
-records), nor a query tile made taller by a small database.  The follow-up
-pass reads each run of consecutive rows of its ascending rows as one slice.
+them, and nothing else (:func:`_span`).  A read returns read-only rows that
+no later read changes.  A read-only ndarray is one; so is the file reader
+of a streamed ``.siftdb`` set
+(:attr:`~siftmatch.descriptors.DescriptorSet.raw_rows`), which reads each
+slice into a new array.  Each tile's rows are cast into the float64 buffers
+as soon as they are read, so neither input is ever held whole.  Every tile
+operand is read :data:`TILE_ROWS` rows at a time, so a read holds at most
+that many rows: not a whole database block of :data:`TILE_COLS` rows
+(266 KB of ``.siftdb`` records), nor a query tile made taller by a small
+database.  The follow-up pass reads each run of consecutive rows of its
+ascending rows as one slice.
 
 Per query, a running ``(best, first, second)`` starts at ``-inf`` and holds
 the two largest keys of the database tiles seen so far and the earliest

@@ -16,6 +16,8 @@ from siftmatch.descriptors import (
     Descriptor,
     DescriptorFormatError,
     DescriptorSet,
+    _RecordReader,
+    _ScaledRows,
     generate_synthetic,
     load_descriptor_set,
     save_descriptor_set,
@@ -459,6 +461,63 @@ class TestSetApi:
         for rows in (3, np.int64(3), [0, 1], np.array([1]), (1, 2)):
             with pytest.raises(TypeError, match="takes a slice"):
                 source[rows]
+
+    @pytest.mark.parametrize("kind", [
+        "in-memory", "reader", "patched reader", "scaled", "patched scaled",
+        "window"])
+    def test_rows_read_stay_as_read(self, streamed, random_set, kind):
+        """Every row source hands out read-only rows of their own: reading
+        other rows, or the same rows again, changes no row read before.  A
+        set's whole views and one descriptor's rows are read-only too."""
+        raws = random_set.raws.copy()
+        if kind.startswith("patched"):
+            raws[[0, 5, -1]] //= 2
+        s = DescriptorSet.from_raws("r", raws, random_set.xy)
+        if kind != "in-memory":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                s = streamed(s)
+        source, type_ = {
+            "in-memory": (s.raw_rows, np.ndarray),
+            "reader": (s.raw_rows, _RecordReader),
+            "patched reader": (s.raw_rows, _RecordReader),
+            "scaled": (s.float_rows, _ScaledRows),
+            "patched scaled": (s.float_rows, _ScaledRows),
+            "window": (search._Window(s.raw_rows, slice(2, 12)),
+                       search._Window),
+        }[kind]
+        assert isinstance(source, type_)
+        patch = getattr(source, "fixed", None)
+        assert (patch is not None) == kind.startswith("patched")
+        first = source[0:4]
+        kept = first.copy()
+        second = source[4:8]
+        assert same_bits(first, kept)
+        both = source[0:8]
+        assert same_bits(first, kept) and same_bits(both[:4], kept)
+        assert same_bits(second, both[4:])
+        for rows in (first, s[3].raws, s[3].elements, s.floats, s.raws):
+            assert not rows.flags.writeable
+
+    @pytest.mark.parametrize("patched", [False, True])
+    def test_streamed_floats_leave_the_raws_unread(self, streamed,
+                                                   random_set, patched):
+        """``floats`` of a streamed set reads its float rows whole, with
+        the bits of the raws read whole and scaled, the patch written over,
+        and does not load and keep the raws on the way."""
+        raws = random_set.raws.copy()
+        if patched:
+            raws[[0, 5, -1]] //= 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            s, t = (streamed(DescriptorSet.from_raws("r", raws,
+                                                     random_set.xy))
+                    for _ in range(2))
+        want = _ScaledRows(t.raws, getattr(t.float_rows, "fixed", None))[:]
+        assert s.floats is s.floats
+        assert same_bits(s.floats, want)
+        assert same_bits(s.floats, in_memory(raws, random_set.xy).floats)
+        assert isinstance(s.raw_rows, _RecordReader)
 
     def test_views_read_only(self, random_set):
         with pytest.raises(ValueError):

@@ -655,8 +655,9 @@ class TestSearchKernel:
                 name, raws[-1], np.zeros((count, 2))), path)
             loaded.append(load_descriptor_set(path))
             reader = loaded[-1].raw_rows
-            monkeypatch.setattr(reader, "_reused", lambda rows, reused=(
-                reader._reused): reads.append(rows) or reused(rows))
+            monkeypatch.setattr(reader, "records", lambda start, stop, read=(
+                reader.records): reads.append(stop - start) or read(
+                    start, stop))
         dots = (raws[0] @ raws[1].T) * UQ1_15.lsb ** 2
         if engine == "pipeline":
             got = run_pipeline(*loaded, PipelineConfig()).matches

@@ -110,7 +110,8 @@ MUTANTS = (
            "np.flatnonzero(np.diff(index) != 1)",
            ("tests/test_descriptors.py::TestOffNormPatch::"
             "test_picked_rows_read_as_a_gather",)),
-    # Row sources: slices of consecutive rows only.
+    # Row sources: slices of consecutive rows only, read-only rows of their
+    # own.
     Mutant("empty-range-not-clamped", SEARCH,
            "return start, max(start, stop)", "return start, stop",
            ("tests/test_descriptors.py::TestSetApi::"
@@ -124,6 +125,10 @@ MUTANTS = (
            'memoryview(records).cast("B")',
            ("tests/test_descriptors.py::TestSetApi::"
             "test_row_sources_take_slices_only",)),
+    Mutant("read-rows-writeable", DESCRIPTORS,
+           "records.setflags(write=False)", "pass",
+           ("tests/test_descriptors.py::TestSetApi::"
+            "test_rows_read_stay_as_read",)),
     # Bands of queries: their row windows and their size.
     Mutant("band-window-unshifted", SEARCH,
            "self.source[self.start + start:self.start + stop]",
@@ -180,7 +185,7 @@ MUTANTS = (
            ("tests/test_descriptors.py::TestOffNormPatch::"
             "test_picked_rows_read_as_a_gather",)),
     Mutant("raw-patch-skipped", DESCRIPTORS,
-           "_overwrite(records[:, 2:], self.fixed, row)", "pass",
+           "_overwrite(records[:, 2:], self.fixed, start)", "pass",
            ("tests/test_descriptors.py::TestSetApi::"
             "test_row_sources_take_slices_only",)),
     Mutant("float-patch-skipped", DESCRIPTORS,
