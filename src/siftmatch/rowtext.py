@@ -7,13 +7,16 @@ template as ASCII bytes, some rows at a time:
 - a column of non-negative integers becomes its decimal
   digits, computed arithmetically into a (rows, width) byte grid whose
   leading zeros are NUL;
-- a float column becomes ``repr`` of each value.  ``repr`` runs once per
-  distinct 64-bit pattern over all float columns of the template, not once
-  per row, and each row gathers its text from that table.  Keying on the bit
-  pattern, not on float equality, keeps ``-0.0`` apart from ``0.0``.  When
-  a template is followed by another (:meth:`RowText.lay_out`, one per band
-  of a report), the texts of patterns that recur are taken from the last
-  table;
+- a float column becomes ``repr`` of each value.  A column whose every
+  value is k * 2**-16, with integer 0 <= k < 2**18 (every UQ2.14 and UQ1.15
+  value, as the pipeline's angles), and none ``-0.0``, is written by integer
+  arithmetic: the exact decimal of each value, trailing zeros dropped but
+  one fraction place kept, which is ``repr``'s text of every such value but
+  the six below 1e-4, given to ``repr`` for its exponent form.  Any other
+  float column is written from a table: ``repr`` runs once per distinct
+  64-bit pattern over all such columns of the template, not once per row,
+  and each row gathers its text from that table.  Keying on the bit
+  pattern, not on float equality, keeps ``-0.0`` apart from ``0.0``;
 - a bool column becomes one of two texts, NUL-padded to one width.
 
 The pieces of the rows are laid side by side in one byte grid, each in a
@@ -24,28 +27,28 @@ only, and the bytes equal the rows formatted one at a time with ``str`` of
 each int and ``repr`` of each float.  (A numpy boolean mask would do the same
 with two more grid-sized arrays alive: the mask and the kept bytes.)
 
-Memory: the table holds one text per distinct float value of the template
-(and its 8-byte key).  One grid serves a whole call of
-:meth:`RowText.pieces`: it is a ``bytearray`` that a numpy view writes into,
-the template's text is written into it once, and each fill of its rows
-overwrites only the column spans.  The filled rows go out as pieces of
-text, each cut from a slice of at most :data:`_PIECE_BYTES` of the grid, so
-while a piece is made the grid, that slice and its text are alive, and
-never a copy of the whole grid.  Many rows per fill keep numpy's per-call
-cost low; small pieces keep the text alive small.  The text goes to the
-caller as bytes: nothing decodes it to ``str`` and nothing encodes it back.
-A fresh grid per fill would be handed back to the operating system and
-faulted in again each time.  The grid, the template's columns and its table
-are let go with the last piece, so none of them is alive while the next
-band of a report is searched: a grid kept across bands raised the peak RSS
-of a 40000 x 64 pipeline match from 33.1 to 33.9 MiB.
+Memory: the table holds one text per distinct float value of its columns
+(and its 8-byte key); a fixed-point column needs none.  One grid serves a
+whole call of :meth:`RowText.pieces`: it is a ``bytearray`` that a numpy
+view writes into, the template's text is written into it once, and each fill
+of its rows overwrites only the column spans.  The filled rows go out as
+pieces of text, each cut from a slice of at most :data:`_PIECE_BYTES` of the
+grid, so while a piece is made the grid, that slice and its text are alive,
+and never a copy of the whole grid.  Many rows per fill keep numpy's
+per-call cost low; small pieces keep the text alive small.  The text goes to
+the caller as bytes: nothing decodes it to ``str`` and nothing encodes it
+back.  A fresh grid per fill would be handed back to the operating system
+and faulted in again each time.  The grid, the template's columns and its
+table are let go with the last piece, so none of them is alive while the
+next band of a report is searched: a grid kept across bands raised the peak
+RSS of a 40000 x 64 pipeline match from 33.1 to 33.9 MiB.
 
 The match report lives here whole, writers and reader.
 :class:`MatchReport` writes a report band by band, in query order, and
 holds nothing of a band once its text is out.  A band's rows go from the
-columns of a :class:`~siftmatch.search.MatchColumns` through the report's
-one :class:`RowText`, and no row object is ever built.  The bytes equal
-``json.dumps(indent=2)`` over one dict of the report keys per row, in
+columns of a :class:`~siftmatch.search.MatchColumns` through a
+:class:`RowText` of their own, and no row object is ever built.  The bytes
+equal ``json.dumps(indent=2)`` over one dict of the report keys per row, in
 :func:`_json_row`'s order, and a per-row ``csv.writer`` loop, as both write
 ints with ``str``, floats with ``repr`` and bools and ``None`` as fixed
 text, whatever the bands.  The head is a piece of its own and the first
@@ -80,14 +83,14 @@ _REPR_WIDTH = 24
 # the Python strings alive at once.
 _REPR_BATCH = 4096
 
-# The float table of no bit pattern: keys and texts.
-_NO_TABLE = (np.empty(0, dtype=np.uint64),
-             np.empty((0, _REPR_WIDTH), dtype=np.uint8))
-
 # Grid bytes per piece of text.  A piece is cut from a slice of the grid, and
 # that slice and the piece are all a piece allocates, so they stay small
 # however many rows the grid holds.
 _PIECE_BYTES = 1 << 16
+
+# The grid of fixed-point floats: every value k * 2**-_GRID_BITS with integer
+# 0 <= k < 2**18, which holds every UQ2.14 and UQ1.15 value.
+_GRID_BITS = 16
 
 
 def _padded(texts: Sequence[str], width: int) -> np.ndarray:
@@ -110,91 +113,124 @@ def _digits(values: np.ndarray, out: np.ndarray) -> None:
         out[:, j][values < 10 ** (width - 1 - j)] = 0
 
 
+def _grid_places(column: np.ndarray) -> int:
+    """The fraction places that write every value of the float64 ``column``
+    as its exact decimal, when each is on the fixed-point grid and none is
+    ``-0.0``; 0 when the column is off the grid.
+
+    A value k * 2**-16 is k * 5**16 / 10**16, so its exact decimal has at
+    most 16 places, and only as many as the lowest set bit of k asks for:
+    a column of UQ2.14 angles needs 14.  One fraction place is always kept,
+    as ``repr`` keeps one.
+    """
+    # The range first: a huge value scaled below would overflow and warn.
+    if not (column.min(initial=0) >= 0 and column.max(initial=0) < 4) \
+            or np.signbit(column).any():
+        return 0
+    scaled = column * 2.0 ** _GRID_BITS
+    k = scaled.astype(np.uint32)
+    if not np.array_equal(k, scaled):
+        return 0
+    low = int(np.bitwise_or.reduce(k, initial=0)) | 1 << (_GRID_BITS - 1)
+    return _GRID_BITS + 1 - (low & -low).bit_length()
+
+
+def _decimals(values: np.ndarray, out: np.ndarray) -> None:
+    """The text of grid values, as :func:`_grid_places` gave ``out``'s
+    width for their column, into ``out``: one integer digit, the point and
+    the fraction places, trailing zeros past the first place NUL.  That is
+    ``repr``'s text of each value but those below 1e-4 (k = 1...6), which
+    ``repr`` writes in exponent form and writes here too."""
+    places = out.shape[1] - 2
+    # values * 10**places, an integer below 4 * 10**places.
+    rest = (values * 2.0 ** places).astype(
+        np.uint32 if places < 10 else np.uint64) * 5 ** places
+    blank = np.ones(len(values), dtype=bool)
+    for j in range(places + 1, 1, -1):
+        higher = rest // 10
+        digit = rest - higher * 10
+        out[:, j] = digit + ord("0")
+        if j > 2:  # the first place is kept, zero or not
+            blank &= digit == 0
+            out[:, j][blank] = 0
+        rest = higher
+    out[:, 0] = rest + ord("0")
+    out[:, 1] = ord(".")
+    tiny = np.flatnonzero((values > 0) & (values < 1e-4))
+    if len(tiny):
+        out[tiny] = _padded(list(map(repr, values[tiny].tolist())),
+                            out.shape[1])
+
+
+def _float_table(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bit patterns of the float64 ``columns``, sorted, and
+    the NUL-padded ``repr`` of each, one grid row per pattern, as wide as
+    the widest text."""
+    keys = np.concatenate([c.view(np.uint64) for c in columns])
+    keys.sort()  # in place: np.unique would copy all keys once more
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    table = np.zeros((len(keys), _REPR_WIDTH), dtype=np.uint8)
+    values = keys.view(np.float64)
+    for start in range(0, len(keys), _REPR_BATCH):
+        rows = slice(start, start + _REPR_BATCH)
+        table[rows] = _padded(list(map(repr, values[rows].tolist())),
+                              _REPR_WIDTH)
+    # A text ends at its first NUL, so the widest ends the last column that
+    # holds any byte.
+    return keys, table[:, :np.count_nonzero(table.any(0))]
+
+
 class RowText:
     """The rows of ``template`` as text; ``booleans`` are the texts of False
     and True (by default their ``str``).
 
     Each piece of the template is a ``str`` or a 1-D column of bools,
-    non-negative integers or float64s, all columns of one length.  The
-    float table is built once per template, here and in :meth:`lay_out`.
+    non-negative integers or float64s, all columns of one length.  Whether
+    a float column is written by :func:`_decimals` or from the float table
+    is chosen here, from the column's own values.
     """
 
     def __init__(self, template: Sequence,
                  booleans: tuple[str, str] = ("False", "True")):
         self._booleans = _padded(booleans, max(map(len, booleans)))
-        self._known = _NO_TABLE
-        self.lay_out(template)
-
-    def _float_table(self, columns: list[np.ndarray]
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct bit patterns of the float64 ``columns``, sorted,
-        and the NUL-padded ``repr`` of each, one grid row per pattern.
-
-        A pattern of the table kept from the last template takes its text
-        from there, and ``repr`` runs on the others.  A table is kept for
-        the next template only where its values recur, at most half of
-        them distinct: so the pipeline's UQ2.14 angles, which recur in
-        every band, go through ``repr`` about once a run, and the
-        reference's angles, nearly all distinct, keep no table alive while
-        the next band is searched.  (Kept, that table raised the peak RSS
-        of a 40000 x 64 reference match by 0.3 MiB, and its growth from
-        10000 to 100000 queries from 1-7 to 9-10 bytes a query.)
-        """
-        keys = np.concatenate([c.view(np.uint64) for c in columns]
-                              or [_NO_TABLE[0]])
-        count = len(keys)
-        keys.sort()  # in place: np.unique would copy all keys once more
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
-        known_keys, known_texts = self._known
-        at = np.searchsorted(known_keys, keys)
-        found = known_keys.take(at, mode="clip") == keys if len(known_keys) \
-            else np.zeros(len(keys), dtype=bool)
-        table = np.zeros((len(keys), _REPR_WIDTH), dtype=np.uint8)
-        table[found] = known_texts[at[found]]
-        new = np.flatnonzero(~found)
-        values = keys.view(np.float64)
-        for start in range(0, len(new), _REPR_BATCH):
-            rows = new[start:start + _REPR_BATCH]
-            table[rows] = _padded(list(map(repr, values[rows].tolist())),
-                                  _REPR_WIDTH)
-        self._known = (keys, table) if 2 * len(keys) <= count else _NO_TABLE
-        # A text ends at its first NUL, so the widest ends the last column
-        # that holds any byte.
-        return keys, table[:, :np.count_nonzero(table.any(0))]
-
-    def lay_out(self, template: Sequence) -> None:
-        """Take the rows of ``template`` next, in place of the last
-        template's."""
-        keys, reprs = self._float_table(
-            [p for p in template if not isinstance(p, str)
-             and p.dtype.kind == "f"])
+        # None for a piece that is not a float column, 0 for a float column
+        # off the grid, which takes its text from the table.
+        places = [None if isinstance(piece, str) or piece.dtype.kind != "f"
+                  else _grid_places(piece) for piece in template]
+        tabled = [piece for piece, n in zip(template, places) if n == 0]
+        table = _float_table(tabled) if tabled else None
         row, columns = bytearray(), []
-        for piece in template:
+        for piece, n in zip(template, places):
             if isinstance(piece, str):
                 row += piece.encode("ascii")
                 continue
-            if piece.dtype.kind == "f":
-                width = reprs.shape[1]
+            if n:
+                width = 2 + n
+            elif piece.dtype.kind == "f":
+                width = table[1].shape[1]
             elif piece.dtype.kind == "b":
                 width = self._booleans.shape[1]
             elif piece.min(initial=0) < 0:
                 raise ValueError("integer column has a negative value")
             else:
                 width = len(str(piece.max(initial=0)))
-            columns.append((slice(len(row), len(row) + width), piece))
+            columns.append((slice(len(row), len(row) + width), piece, n))
             row += bytes(width)
         self._layout = (np.frombuffer(bytes(row), dtype=np.uint8), columns,
-                        keys, reprs)
+                        table)
 
-    def _fill(self, out: np.ndarray, values: np.ndarray, keys: np.ndarray,
-              reprs: np.ndarray) -> None:
-        """Write the text of ``values`` into ``out``; ``keys`` and
-        ``reprs`` are the float table."""
+    def _fill(self, out: np.ndarray, values: np.ndarray, places: int | None,
+              table: tuple[np.ndarray, np.ndarray] | None) -> None:
+        """Write the text of ``values`` into ``out``; ``places`` is their
+        column's from :func:`_grid_places` and ``table`` the float table."""
         if values.dtype.kind == "b":
             out[:] = self._booleans[values.view(np.uint8)]
+        elif places:
+            _decimals(values, out)
         elif values.dtype.kind == "f":
+            keys, reprs = table
             out[:] = reprs[np.searchsorted(keys, values.view(np.uint64))]
         else:
             _digits(values, out)
@@ -204,9 +240,8 @@ class RowText:
         :data:`CHUNK_ROWS` rows at a time and handed out in pieces of at
         most :data:`_PIECE_BYTES` of the grid.  A template's rows are given
         once: its columns and float table are let go here, so that they
-        are freed with the last piece, not kept until the next
-        :meth:`lay_out`."""
-        (row, columns, keys, reprs), self._layout = self._layout, None
+        are freed with the last piece, not kept as long as this object."""
+        (row, columns, table), self._layout = self._layout, None
         rows = min(CHUNK_ROWS, count)
         if not rows:
             return
@@ -216,9 +251,9 @@ class RowText:
         grid[:] = row  # every column span is overwritten per piece
         for start in range(0, count, rows):
             size = min(rows, count - start)
-            for cut, column in columns:
+            for cut, column, places in columns:
                 self._fill(grid[:size, cut], column[start:start + size],
-                           keys, reprs)
+                           places, table)
             end = size * width
             for at in range(0, end, _PIECE_BYTES):
                 yield buffer[at:min(at + _PIECE_BYTES, end)].replace(
@@ -276,7 +311,9 @@ def _csv_row(start: int, matches: MatchColumns) -> list:
 class MatchReport:
     """A ``siftmatch match`` report written band by band, in query order:
     :meth:`band` gives the text of each band of rows, :meth:`end` the text
-    after the last.  One :class:`RowText` lays out every band.
+    after the last.  Each band is laid out by a :class:`RowText` of its own,
+    so nothing is kept from one band to the next: the pipeline's angles
+    are fixed-point and need no float table.
 
     ``header`` is the JSON report's head: the text joined is the ASCII
     bytes of ``json.dumps({**header, "matches": rows}, indent=2,
@@ -290,7 +327,6 @@ class MatchReport:
 
     def __init__(self, header: dict | None):
         self._header = header
-        self._text = None
 
     def band(self, start: int, matches: MatchColumns
              ) -> Iterator[bytes | bytearray | memoryview]:
@@ -308,13 +344,9 @@ class MatchReport:
                 if not np.isfinite(angles).all():
                     raise ValueError(
                         "Out of range float values are not JSON compliant")
-        template = (_json_row if json_rows else _csv_row)(start, matches)
-        if self._text is None:
-            self._text = RowText(template, ("false", "true") if json_rows
-                                 else ("0", "1"))
-        else:
-            self._text.lay_out(template)
-        rows = self._text.pieces(len(matches))
+        rows = RowText((_json_row if json_rows else _csv_row)(start, matches),
+                       ("false", "true") if json_rows else ("0", "1")
+                       ).pieces(len(matches))
         if start:
             return rows
         if not json_rows:

@@ -5,13 +5,14 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from siftmatch import rowtext, search
 from siftmatch.descriptors import (
@@ -648,7 +649,11 @@ EDGE_ANGLES = [0.0, -0.0, 5e-324, 1e-05, 1e-4, 1.5707963267948966, math.pi]
 def random_columns(seed, m, raws):
     """A MatchColumns of m rows built directly, not by an engine: angles from
     EDGE_ANGLES or random finite bit patterns, integers spread over every
-    digit count up to 2**31 (best) and 0xFFFF (xy and raws)."""
+    digit count up to 2**31 (best) and 0xFFFF (xy and raws).  With raws and
+    an odd seed the angles are the pipeline's instead, ``raw * 2**-14`` of
+    the raws (every digit count, 0 and the exponent-form 2**-14 included),
+    so that they are written as fixed-point values, not from the float
+    table."""
     rng = np.random.default_rng(seed)
 
     def angles():
@@ -664,8 +669,13 @@ def random_columns(seed, m, raws):
         return ints(0xFFFF).astype(np.uint16) if raws else None
 
     xy = ints(0xFFFF, (m, 2)).astype(np.uint16)
-    return MatchColumns(ints(2 ** 31), angles(), angles(), rng.random(m) < 0.5,
-                        xy, xy[::-1] ^ 0xFFFF, raw(), raw())
+    columns = MatchColumns(ints(2 ** 31), angles(), angles(),
+                           rng.random(m) < 0.5, xy, xy[::-1] ^ 0xFFFF, raw(),
+                           raw())
+    if raws and seed % 2:
+        return replace(columns, min_angle=columns.min_raw * 2.0 ** -14,
+                       second_min_angle=columns.second_min_raw * 2.0 ** -14)
+    return columns
 
 
 class TestRowText:
@@ -675,6 +685,7 @@ class TestRowText:
     @settings(max_examples=5, deadline=None,
               phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(101, 130))
+    @example(seed=1, m=130)  # an odd seed: fixed-point angles with raws
     @pytest.mark.parametrize("raws", [True, False])
     @pytest.mark.parametrize("chunk", range(1, 8))
     def test_signed_zero_and_digit_widths(self, seed, m, raws, chunk):
@@ -692,24 +703,65 @@ class TestRowText:
         assert csv_text.decode("ascii").splitlines(True) == \
             listed_csv(rows).splitlines(True)
 
-    def test_repr_runs_once_per_recurring_pattern(self, monkeypatch):
-        """A report written in bands whose floats recur, as the pipeline's
-        angles do, reuses the text of each bit pattern from the band
-        before: ``repr`` runs once per pattern over all bands, and the
-        bytes are json's.  Each band brings one new pattern too."""
-        m, patterns = 400, np.arange(1, 21) * 2.0 ** -14
+    def test_pipeline_report_runs_no_repr(self, monkeypatch):
+        """A pipeline report of several bands writes its UQ2.14 angles, 0
+        and the 0xFFFF sentinel among them, as fixed-point decimals: no
+        ``repr`` runs and no float table is searched, and the bytes are
+        json's."""
+        m = 400
         calls = []
         monkeypatch.setattr(rowtext, "repr", lambda value: calls.append(
             value) or builtins.repr(value), raising=False)
+        monkeypatch.setattr(rowtext.np, "searchsorted",
+                            lambda *args, **kwargs: calls.append(args))
+        rng = np.random.default_rng(3)
+        raw = rng.integers(0x80, 0x6488, (m, 2)).astype(np.uint16)
+        raw[::7, 0] = 0  # a query equal to a database row
+        raw[::5, 1] = 0xFFFF  # no second database row
         xy = np.zeros((m, 2), dtype=np.uint16)
-        angles = patterns[np.arange(m) % len(patterns)]
-        second = 1.0 - np.arange(m) // 50 * 2.0 ** -10
-        columns = MatchColumns(np.arange(m), angles, second,
-                               np.ones(m, dtype=bool), xy, xy)
+        columns = MatchColumns(np.arange(m), raw[:, 0] * 2.0 ** -14,
+                               raw[:, 1] * 2.0 ** -14, np.ones(m, dtype=bool),
+                               xy, xy, raw[:, 0].copy(), raw[:, 1].copy())
         text = b"".join(report_json_chunks({}, columns, band=50))
-        assert sorted(calls) == sorted({*angles, *second})
+        assert calls == []
         assert text.decode("ascii") == json.dumps(
             {"matches": report_rows(columns)}, indent=2)
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_fixed_point_grid_is_written_as_repr(self, monkeypatch, stride):
+        """Every k * 2**-16 with integer 0 <= k < 2**18, which holds every
+        UQ2.14 and UQ1.15 value, is written as ``repr`` writes it, in a
+        column of every ``stride``-th k: strides 2 and 4 leave the last one
+        and two of the 16 fraction places zero in every value, so those
+        places are dropped.  ``repr`` runs only on the values below 1e-4,
+        which it writes in exponent form."""
+        calls = []
+        monkeypatch.setattr(rowtext, "repr", lambda value: calls.append(
+            value) or builtins.repr(value), raising=False)
+        values = np.arange(0, 1 << 18, stride) * 2.0 ** -16
+        text = b"".join(rowtext.RowText([values, "\n"]).pieces(len(values)))
+        assert text.decode("ascii").splitlines() == list(
+            map(repr, values.tolist()))
+        assert calls == [v for v in values.tolist() if 0 < v < 1e-4]
+
+    @pytest.mark.parametrize("odd", [-0.0, 4.0, 2.0 ** -17, 0.1,
+                                     1.7976931348623157e308])
+    def test_column_off_the_grid_keeps_the_table(self, monkeypatch, odd):
+        """One value off the fixed-point grid sends a column of grid values
+        to the float table, ``repr`` once per distinct value: negative zero,
+        4.0 at the grid's top, a step finer than 2**-16, a value between
+        steps, and the largest float, which is never scaled, so no warning
+        is raised."""
+        calls = []
+        monkeypatch.setattr(rowtext, "repr", lambda value: calls.append(
+            value) or builtins.repr(value), raising=False)
+        values = np.array([0.5, odd, 1.25, odd, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = b"".join(rowtext.RowText([values, "\n"]).pieces(5))
+        assert text.decode("ascii").splitlines() == list(
+            map(repr, values.tolist()))
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("column", [[-1], [3, 0, -2]])
     def test_negative_integer_column_is_rejected(self, column):
@@ -723,6 +775,11 @@ class TestRowText:
             assert bits >= set(np.array(EDGE_ANGLES).view(np.uint64).tolist())
         assert columns.best.max() > 2 ** 30 and columns.best.min() < 10
         assert columns.min_raw.max() > 0x8000 and columns.min_raw.min() < 10
+        grid = random_columns(1, 130, True)  # the example's seed
+        for angles, raw in ((grid.min_angle, grid.min_raw),
+                            (grid.second_min_angle, grid.second_min_raw)):
+            assert np.array_equal(angles, raw * 2.0 ** -14)
+            assert {0, 1} <= set(raw.tolist()) and raw.max() > 0x8000
 
     @staticmethod
     def write_peak(m, chunk):
@@ -757,19 +814,20 @@ class TestRowText:
         return peak, max(lengths), sum(lengths), len(np.unique(angles))
 
     def test_memory_is_pieces_plus_index_columns(self):
-        """Peak memory of both writers grows with the rows of a piece, the
-        distinct angles and an index column or two, not with the text of whole
-        columns: 40000 rows, 256 rows at a time."""
+        """Peak memory of both writers grows with the rows of a piece and
+        an index column, not with the text of whole columns or the distinct
+        angles: 40000 rows, 256 rows at a time."""
         m = 40000
-        peak, piece, _, distinct = self.write_peak(m, 256)
-        # Per row an 8-byte query_index column and the sorted 8-byte keys of
-        # two angle columns (32 bytes with slack); per distinct angle a
-        # 24-byte text and its 8-byte key; and pieces: the 256-row grid, a
-        # slice of it, its text and the piece the sink's loop still holds
-        # (about four pieces, alive only once the keys are gone, and within
-        # three pieces plus the slack).  Holding the angle text of whole
-        # columns adds about 38 bytes per row and fails.
-        assert peak < 3 * piece + 32 * m + 32 * distinct
+        peak, piece, _, _ = self.write_peak(m, 256)
+        # Per row an 8-byte query_index column and, while an angle column
+        # is checked for the fixed-point grid, its values scaled (8 bytes)
+        # and as integers (4 bytes): 24 bytes with slack.  Pieces: the
+        # 256-row grid, a slice of it, its text and the piece the sink's
+        # loop still holds.  Measured: 0.91 MB; 1.87 MB with a float table
+        # of the angles (sorted keys of both columns, a text per distinct
+        # angle), which fails, as holding the angle text of whole columns
+        # does.
+        assert peak < 3 * piece + 24 * m
 
     def test_report_text_is_never_held_whole(self):
         """A report laid out in one grid holds that grid and a piece or two

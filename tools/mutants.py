@@ -307,15 +307,21 @@ MUTANTS = (
            'len(rows))',
            "np.arange(len(rows)).astype(object)",
            ("tests/test_cli.py::TestCompare",)),
-    Mutant("float-text-reused-for-new-pattern", ROWTEXT,
-           'known_keys.take(at, mode="clip") == keys',
-           'known_keys.take(at, mode="clip") >= keys',
+    # The fixed-point floats: the grid's bounds and the text's rules.
+    Mutant("grid-exponent-form-below-1e-5", ROWTEXT,
+           "(values < 1e-4)", "(values < 1e-5)",
            ("tests/test_reference.py::TestRowText",)),
-    Mutant("float-text-never-reused", ROWTEXT,
-           "== keys if len(known_keys)", "== keys if False",
+    Mutant("grid-top-inclusive", ROWTEXT,
+           "column.max(initial=0) < 4", "column.max(initial=0) <= 4",
            ("tests/test_reference.py::TestRowText",)),
-    Mutant("float-table-never-kept", ROWTEXT,
-           "if 2 * len(keys) <= count else", "if False else",
+    Mutant("grid-takes-negative-zero", ROWTEXT,
+           "or np.signbit(column).any()", "or False",
+           ("tests/test_reference.py::TestRowText",)),
+    Mutant("grid-takes-inexact-values", ROWTEXT,
+           "if not np.array_equal(k, scaled):", "if False:",
+           ("tests/test_reference.py::TestRowText",)),
+    Mutant("grid-first-place-blanked", ROWTEXT,
+           "if j > 2:", "if j > 1:",
            ("tests/test_reference.py::TestRowText",)),
     Mutant("chunk-rows-2047", ROWTEXT,
            "CHUNK_ROWS = 2048", "CHUNK_ROWS = 2047",
