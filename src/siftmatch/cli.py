@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import gc
 import json
 import math
@@ -93,9 +94,12 @@ def _output(path: str | None):
     gives the target: an existing target's, else 0o666 less the umask.
     A symlink is followed, so the file it names is replaced.  Other
     targets (a FIFO, ``/dev/null``) are written directly, and stdout is
-    flushed when the block ends, so a write error surfaces in it.
+    flushed when the block ends, so a write error surfaces in it.  A closed
+    stdout (``sys.stdout`` is ``None``) raises ``OSError`` before the block.
     """
     if path is None or path == "-":
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, "stdout is closed")
         yield sys.stdout.buffer.writelines
         sys.stdout.buffer.flush()
         return

@@ -13,35 +13,34 @@ template as ASCII bytes, some rows at a time:
   arithmetic: the exact decimal of each value, trailing zeros dropped but
   one fraction place kept, which is ``repr``'s text of every such value but
   the six below 1e-4, given to ``repr`` for its exponent form.  Any other
-  float column is written from a table: ``repr`` runs once per distinct
-  64-bit pattern over all such columns of the template, not once per row,
-  and each row gathers its text from that table.  Keying on the bit
-  pattern, not on float equality, keeps ``-0.0`` apart from ``0.0``;
+  float column is given to ``repr`` a fill at a time, each value in a span
+  of :data:`_REPR_WIDTH` bytes, the longest ``repr`` of a float64;
 - a bool column becomes one of two texts, NUL-padded to one width.
 
 The pieces of the rows are laid side by side in one byte grid, each in a
-span as wide as its longest text, and the NUL padding is deleted in one pass
-over the grid's bytes.  Every text written is ASCII without NUL (digits, the
-``repr`` of a float, the template's own text), so that pass removes padding
-only, and the bytes equal the rows formatted one at a time with ``str`` of
-each int and ``repr`` of each float.  (A numpy boolean mask would do the same
-with two more grid-sized arrays alive: the mask and the kept bytes.)
+span as wide as its longest text (an integer's digits, a grid value's
+places, 24 bytes for a float off the grid), and the NUL padding is deleted
+in one pass over the grid's bytes.  Every text written is ASCII without NUL
+(digits, the ``repr`` of a float, the template's own text), so that pass
+removes padding only, and the bytes equal the rows formatted one at a time
+with ``str`` of each int and ``repr`` of each float.  (A numpy boolean mask
+would do the same with two more grid-sized arrays alive: the mask and the
+kept bytes.)
 
-Memory: the table holds one text per distinct float value of its columns
-(and its 8-byte key); a fixed-point column needs none.  One grid serves a
-whole call of :meth:`RowText.pieces`: it is a ``bytearray`` that a numpy
-view writes into, the template's text is written into it once, and each fill
-of its rows overwrites only the column spans.  The filled rows go out as
-pieces of text, each cut from a slice of at most :data:`_PIECE_BYTES` of the
-grid, so while a piece is made the grid, that slice and its text are alive,
-and never a copy of the whole grid.  Many rows per fill keep numpy's
-per-call cost low; small pieces keep the text alive small.  The text goes to
-the caller as bytes: nothing decodes it to ``str`` and nothing encodes it
-back.  A fresh grid per fill would be handed back to the operating system
-and faulted in again each time.  The grid, the template's columns and its
-table are let go with the last piece, so none of them is alive while the
-next band of a report is searched: a grid kept across bands raised the peak
-RSS of a 40000 x 64 pipeline match from 33.1 to 33.9 MiB.
+Memory: a fill keeps nothing for the next but the grid.  One grid
+serves a whole call of :meth:`RowText.pieces`: it is a ``bytearray`` that a
+numpy view writes into, the template's text is written into it once, and
+each fill of its rows overwrites only the column spans.  The filled rows go
+out as pieces of text, each cut from a slice of at most
+:data:`_PIECE_BYTES` of the grid, so while a piece is made the grid, that
+slice and its text are alive, and never a copy of the whole grid.  Many rows
+per fill keep numpy's per-call cost low; small pieces keep the text alive
+small.  The text goes to the caller as bytes: nothing decodes it to ``str``
+and nothing encodes it back.  A fresh grid per fill would be handed back to
+the operating system and faulted in again each time.  The grid and the
+template's columns are let go with the last piece, so neither is alive
+while the next band of a report is searched: a grid kept across bands
+raised the peak RSS of a 40000 x 64 pipeline match from 33.1 to 33.9 MiB.
 
 The match report lives here whole, writers and reader.
 :class:`MatchReport` writes a report band by band, in query order, and
@@ -78,10 +77,6 @@ CHUNK_ROWS = 2048
 
 # The longest repr of a float64, as in "-2.2250738585072014e-308".
 _REPR_WIDTH = 24
-
-# Distinct values given to repr at a time while the table is built: bounds
-# the Python strings alive at once.
-_REPR_BATCH = 4096
 
 # Grid bytes per piece of text.  A piece is cut from a slice of the grid, and
 # that slice and the piece are all a piece allocates, so they stay small
@@ -162,76 +157,48 @@ def _decimals(values: np.ndarray, out: np.ndarray) -> None:
                             out.shape[1])
 
 
-def _float_table(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct bit patterns of the float64 ``columns``, sorted, and
-    the NUL-padded ``repr`` of each, one grid row per pattern, as wide as
-    the widest text."""
-    keys = np.concatenate([c.view(np.uint64) for c in columns])
-    keys.sort()  # in place: np.unique would copy all keys once more
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
-    table = np.zeros((len(keys), _REPR_WIDTH), dtype=np.uint8)
-    values = keys.view(np.float64)
-    for start in range(0, len(keys), _REPR_BATCH):
-        rows = slice(start, start + _REPR_BATCH)
-        table[rows] = _padded(list(map(repr, values[rows].tolist())),
-                              _REPR_WIDTH)
-    # A text ends at its first NUL, so the widest ends the last column that
-    # holds any byte.
-    return keys, table[:, :np.count_nonzero(table.any(0))]
-
-
 class RowText:
     """The rows of ``template`` as text; ``booleans`` are the texts of False
     and True (by default their ``str``).
 
     Each piece of the template is a ``str`` or a 1-D column of bools,
     non-negative integers or float64s, all columns of one length.  Whether
-    a float column is written by :func:`_decimals` or from the float table
-    is chosen here, from the column's own values.
+    a float column is written by :func:`_decimals` or by ``repr`` is chosen
+    here, from the column's own values.
     """
 
     def __init__(self, template: Sequence,
                  booleans: tuple[str, str] = ("False", "True")):
         self._booleans = _padded(booleans, max(map(len, booleans)))
-        # None for a piece that is not a float column, 0 for a float column
-        # off the grid, which takes its text from the table.
-        places = [None if isinstance(piece, str) or piece.dtype.kind != "f"
-                  else _grid_places(piece) for piece in template]
-        tabled = [piece for piece, n in zip(template, places) if n == 0]
-        table = _float_table(tabled) if tabled else None
         row, columns = bytearray(), []
-        for piece, n in zip(template, places):
+        for piece in template:
             if isinstance(piece, str):
                 row += piece.encode("ascii")
                 continue
-            if n:
-                width = 2 + n
-            elif piece.dtype.kind == "f":
-                width = table[1].shape[1]
+            places = None  # a float column's from _grid_places, 0 off the grid
+            if piece.dtype.kind == "f":
+                places = _grid_places(piece)
+                width = 2 + places if places else _REPR_WIDTH
             elif piece.dtype.kind == "b":
                 width = self._booleans.shape[1]
             elif piece.min(initial=0) < 0:
                 raise ValueError("integer column has a negative value")
             else:
                 width = len(str(piece.max(initial=0)))
-            columns.append((slice(len(row), len(row) + width), piece, n))
+            columns.append((slice(len(row), len(row) + width), piece, places))
             row += bytes(width)
-        self._layout = (np.frombuffer(bytes(row), dtype=np.uint8), columns,
-                        table)
+        self._layout = (np.frombuffer(bytes(row), dtype=np.uint8), columns)
 
-    def _fill(self, out: np.ndarray, values: np.ndarray, places: int | None,
-              table: tuple[np.ndarray, np.ndarray] | None) -> None:
+    def _fill(self, out: np.ndarray, values: np.ndarray,
+              places: int | None) -> None:
         """Write the text of ``values`` into ``out``; ``places`` is their
-        column's from :func:`_grid_places` and ``table`` the float table."""
+        column's from :func:`_grid_places`."""
         if values.dtype.kind == "b":
             out[:] = self._booleans[values.view(np.uint8)]
         elif places:
             _decimals(values, out)
         elif values.dtype.kind == "f":
-            keys, reprs = table
-            out[:] = reprs[np.searchsorted(keys, values.view(np.uint64))]
+            out[:] = _padded(list(map(repr, values.tolist())), out.shape[1])
         else:
             _digits(values, out)
 
@@ -239,9 +206,9 @@ class RowText:
         """The ASCII text of rows ``0:count`` of the template, laid out
         :data:`CHUNK_ROWS` rows at a time and handed out in pieces of at
         most :data:`_PIECE_BYTES` of the grid.  A template's rows are given
-        once: its columns and float table are let go here, so that they
-        are freed with the last piece, not kept as long as this object."""
-        (row, columns, table), self._layout = self._layout, None
+        once: its columns are let go here, so that they are freed with the
+        last piece, not kept as long as this object."""
+        (row, columns), self._layout = self._layout, None
         rows = min(CHUNK_ROWS, count)
         if not rows:
             return
@@ -253,7 +220,7 @@ class RowText:
             size = min(rows, count - start)
             for cut, column, places in columns:
                 self._fill(grid[:size, cut], column[start:start + size],
-                           places, table)
+                           places)
             end = size * width
             for at in range(0, end, _PIECE_BYTES):
                 yield buffer[at:min(at + _PIECE_BYTES, end)].replace(
@@ -312,8 +279,7 @@ class MatchReport:
     """A ``siftmatch match`` report written band by band, in query order:
     :meth:`band` gives the text of each band of rows, :meth:`end` the text
     after the last.  Each band is laid out by a :class:`RowText` of its own,
-    so nothing is kept from one band to the next: the pipeline's angles
-    are fixed-point and need no float table.
+    so nothing is kept from one band to the next.
 
     ``header`` is the JSON report's head: the text joined is the ASCII
     bytes of ``json.dumps({**header, "matches": rows}, indent=2,

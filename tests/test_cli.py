@@ -919,7 +919,7 @@ class TestCharacterize:
 
 class TestStdout:
     """``-o -`` writes the bytes that ``-o FILE`` writes, and a closed stdout
-    pipe is one error line."""
+    pipe, or a closed stdout, is one error line."""
 
     @staticmethod
     def argv(command, dataset, tmp_path):
@@ -982,6 +982,24 @@ class TestStdout:
         assert out.returncode == 1, out.stderr
         assert len(err) == 1 and err[0].startswith("siftmatch: error: io:")
         assert "Exception ignored" not in out.stderr
+
+    @pytest.mark.parametrize("command", [
+        ["match"], ["compare"], ["roofline"], ["characterize"], ["bench"],
+        ["generate", "-m", "5"],
+    ], ids=lambda command: command[0])
+    def test_closed_stdout_is_one_io_error(self, dataset, tmp_path, command):
+        """With file descriptor 1 closed (``>&-``), ``sys.stdout`` is
+        ``None``: exit 1 with one ``io`` line and no traceback."""
+        src = os.path.dirname(os.path.dirname(siftmatch.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "siftmatch",
+             *self.argv(command, dataset, tmp_path)],
+            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+            text=True, timeout=60, preexec_fn=lambda: os.close(1))
+        err = out.stderr.splitlines()
+        assert out.returncode == 1, out.stderr
+        assert len(err) == 1 and err[0].startswith("siftmatch: error: io:")
+        assert "Traceback" not in out.stderr
 
 
 class TestBench:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siftmatch import pipeline, reference, search
-from siftmatch.cordic import AngleSample, cordic_arccos
+from siftmatch.cordic import AngleSample, arccos_table, cordic_arccos
 from siftmatch.descriptors import (
     DESCRIPTOR_LEN,
     DescriptorSet,
@@ -230,6 +230,51 @@ class TestMatchCheck:
         if exact != binary:
             ratio = m / s
             assert 0.59375 <= ratio < 0.6
+
+
+class TestRatioRulesAgree:
+    """The ratio rule is written twice, in :func:`match_check` and in
+    :func:`run_pipeline`'s band, and the two agree at every boundary."""
+
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
+    def test_every_boundary(self, monkeypatch, mode):
+        """For every ``min_raw`` the table gives, the smallest matching
+        ``second_raw``, the one below it (when it is still >= ``min_raw``)
+        and the 0xFFFF sentinel, driven through the band by a stand-in
+        search that returns those columns."""
+        def oracle(lo, second):
+            return match_check(MinPairEntry(min=angle(lo),
+                                            second_min=angle(second),
+                                            init_flag=False), mode)
+
+        ratio = {"exact_0_6": 0.6, "binary_10011": 19 / 32}[mode]
+        cases, expected = [], []
+        for lo in range(int(arccos_table().max()) + 1):
+            second = max(lo, int(lo / ratio))  # near the boundary; walk to it
+            while not oracle(lo, second):
+                second += 1
+            while second > lo and oracle(lo, second - 1):
+                second -= 1
+            below = [second - 1] if second > lo else []
+            for sec in (*below, second, 0xFFFF):
+                cases.append((lo, sec))
+                expected.append(oracle(lo, sec))
+        raws = np.array(cases, dtype=np.uint16)
+        m = len(raws)
+        assert m > 2 * 25000 and any(expected) and not all(expected)
+
+        def stand_in(window, database, to_angle, sentinel):
+            assert len(window) == m
+            return np.zeros(m, dtype=np.int64), raws[:, 0], raws[:, 1]
+
+        monkeypatch.setattr(pipeline, "nearest_two", stand_in)
+        zeros = np.zeros(DESCRIPTOR_LEN, dtype=np.uint16)
+        queries = DescriptorSet("q", None, np.broadcast_to(zeros, (m, 128)),
+                                np.broadcast_to(zeros[:2], (m, 2)))
+        db = DescriptorSet("d", None, zeros[None], zeros[None, :2])
+        matches = run_pipeline(queries, db,
+                               PipelineConfig(threshold_mode=mode)).matches
+        assert matches.matched.tolist() == expected
 
 
 class TestCycleModel:

@@ -652,8 +652,7 @@ def random_columns(seed, m, raws):
     digit count up to 2**31 (best) and 0xFFFF (xy and raws).  With raws and
     an odd seed the angles are the pipeline's instead, ``raw * 2**-14`` of
     the raws (every digit count, 0 and the exponent-form 2**-14 included),
-    so that they are written as fixed-point values, not from the float
-    table."""
+    so that they are written as fixed-point values, not by ``repr``."""
     rng = np.random.default_rng(seed)
 
     def angles():
@@ -706,14 +705,11 @@ class TestRowText:
     def test_pipeline_report_runs_no_repr(self, monkeypatch):
         """A pipeline report of several bands writes its UQ2.14 angles, 0
         and the 0xFFFF sentinel among them, as fixed-point decimals: no
-        ``repr`` runs and no float table is searched, and the bytes are
-        json's."""
+        ``repr`` runs, and the bytes are json's."""
         m = 400
         calls = []
         monkeypatch.setattr(rowtext, "repr", lambda value: calls.append(
             value) or builtins.repr(value), raising=False)
-        monkeypatch.setattr(rowtext.np, "searchsorted",
-                            lambda *args, **kwargs: calls.append(args))
         rng = np.random.default_rng(3)
         raw = rng.integers(0x80, 0x6488, (m, 2)).astype(np.uint16)
         raw[::7, 0] = 0  # a query equal to a database row
@@ -746,12 +742,11 @@ class TestRowText:
 
     @pytest.mark.parametrize("odd", [-0.0, 4.0, 2.0 ** -17, 0.1,
                                      1.7976931348623157e308])
-    def test_column_off_the_grid_keeps_the_table(self, monkeypatch, odd):
+    def test_column_off_the_grid_is_written_by_repr(self, monkeypatch, odd):
         """One value off the fixed-point grid sends a column of grid values
-        to the float table, ``repr`` once per distinct value: negative zero,
-        4.0 at the grid's top, a step finer than 2**-16, a value between
-        steps, and the largest float, which is never scaled, so no warning
-        is raised."""
+        to ``repr``, one call per value: negative zero, 4.0 at the grid's
+        top, a step finer than 2**-16, a value between steps, and the
+        largest float, which is never scaled, so no warning is raised."""
         calls = []
         monkeypatch.setattr(rowtext, "repr", lambda value: calls.append(
             value) or builtins.repr(value), raising=False)
@@ -761,7 +756,20 @@ class TestRowText:
             text = b"".join(rowtext.RowText([values, "\n"]).pieces(5))
         assert text.decode("ascii").splitlines() == list(
             map(repr, values.tolist()))
-        assert len(calls) == 4
+        assert len(calls) == len(values)
+
+    def test_widest_repr_is_written_whole(self):
+        """The 24-character repr of the negative smallest normal, and the
+        largest subnormal, are written whole: the bytes are compared, as a
+        narrower span would cut the text with no error."""
+        tiny = 2.2250738585072014e-308
+        values = np.array([-tiny, np.nextafter(tiny, 0), tiny,
+                           -np.nextafter(tiny, 0), 0.5])
+        assert len(repr(-tiny)) == rowtext._REPR_WIDTH == 24
+        text = b"".join(rowtext.RowText([values, ",", values, "\n"])
+                        .pieces(len(values)))
+        assert text == "".join(f"{v!r},{v!r}\n" for v in values.tolist()
+                               ).encode("ascii")
 
     @pytest.mark.parametrize("column", [[-1], [3, 0, -2]])
     def test_negative_integer_column_is_rejected(self, column):
@@ -782,14 +790,16 @@ class TestRowText:
             assert {0, 1} <= set(raw.tolist()) and raw.max() > 0x8000
 
     @staticmethod
-    def write_peak(m, chunk):
+    def write_peak(m, chunk, grid=True):
         """(tracemalloc peak of writing the JSON and CSV reports of ``m``
         rows of pipeline-like columns, ``chunk`` rows at a time; longest
-        JSON piece; bytes of JSON; distinct angles)."""
+        JSON piece; bytes of JSON).  With ``grid`` the angles are the
+        pipeline's, ``raw * 2**-14``; else they are the reference's, the
+        arccos of dots, off the fixed-point grid."""
         rng = np.random.default_rng(7)
         xy = rng.integers(0, 1 << 16, (m, 2)).astype(np.uint16)
         raw = rng.integers(0x1000, 0x6488, (m, 2)).astype(np.uint16)
-        angles = raw * 2.0 ** -14  # the pipeline's UQ2.14 angles
+        angles = raw * 2.0 ** -14 if grid else np.arccos(rng.random((m, 2)))
         columns = MatchColumns(rng.integers(0, 1 << 31, m), angles[:, 0],
                                angles[:, 1], rng.random(m) < 0.5, xy,
                                xy[::-1], raw[:, 0].copy(), raw[:, 1].copy())
@@ -811,22 +821,25 @@ class TestRowText:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        return peak, max(lengths), sum(lengths), len(np.unique(angles))
+        return peak, max(lengths), sum(lengths)
 
-    def test_memory_is_pieces_plus_index_columns(self):
+    @pytest.mark.parametrize("grid", [True, False],
+                             ids=["pipeline-angles", "reference-angles"])
+    def test_memory_is_pieces_plus_index_columns(self, grid):
         """Peak memory of both writers grows with the rows of a piece and
         an index column, not with the text of whole columns or the distinct
-        angles: 40000 rows, 256 rows at a time."""
+        angles: 40000 rows, 256 rows at a time, with angles on the
+        fixed-point grid and off it."""
         m = 40000
-        peak, piece, _, _ = self.write_peak(m, 256)
+        peak, piece, _ = self.write_peak(m, 256, grid)
         # Per row an 8-byte query_index column and, while an angle column
         # is checked for the fixed-point grid, its values scaled (8 bytes)
         # and as integers (4 bytes): 24 bytes with slack.  Pieces: the
         # 256-row grid, a slice of it, its text and the piece the sink's
-        # loop still holds.  Measured: 0.91 MB; 1.87 MB with a float table
-        # of the angles (sorted keys of both columns, a text per distinct
-        # angle), which fails, as holding the angle text of whole columns
-        # does.
+        # loop still holds.  Measured: 0.91 MB with either angles; 3.4 MB
+        # with the reference's written from a float table (sorted keys of
+        # both columns, a text per distinct angle), which fails, as holding
+        # the angle text of whole columns does.
         assert peak < 3 * piece + 24 * m
 
     def test_report_text_is_never_held_whole(self):
@@ -834,6 +847,6 @@ class TestRowText:
         of its text: no copy of the whole text, and the head goes out as a
         piece of its own, not joined to a copy of the first piece."""
         m = 4096
-        peak, _, text, distinct = self.write_peak(m, m)
+        peak, _, text = self.write_peak(m, m)
         # The grid is about the text's size (its NUL padding is a few %).
-        assert peak < 1.5 * text + 32 * m + 32 * distinct
+        assert peak < 1.5 * text + 32 * m

@@ -152,6 +152,9 @@ MUTANTS = (
     Mutant("binary-rule-18-32", PIPELINE,
            "(asec << 1) + asec + (asec << 4)", "(asec << 1) + (asec << 4)",
            ("tests/test_pipeline.py",)),
+    Mutant("binary-rule-non-strict", PIPELINE,
+           "matched = (amin << 5) < (asec", "matched = (amin << 5) <= (asec",
+           ("tests/test_pipeline.py::TestRatioRulesAgree",)),
     Mutant("exact-rule-non-strict", PIPELINE,
            "matched = min_angle < 0.6 * second_angle",
            "matched = min_angle <= 0.6 * second_angle",
@@ -278,8 +281,11 @@ MUTANTS = (
            'else matches.second_min_raw, "\\n"]',
            ("tests/test_reference.py",)),
     Mutant("float-text-keyed-by-value", ROWTEXT,
-           "values.view(np.uint64))]", "(values + 0.0).view(np.uint64))]",
+           "repr, values.tolist()", "repr, (values + 0.0).tolist()",
            ("tests/test_reference.py",)),
+    Mutant("repr-width-23", ROWTEXT,
+           "_REPR_WIDTH = 24", "_REPR_WIDTH = 23",
+           ("tests/test_reference.py::TestRowText",)),
     Mutant("non-finite-angle-passes", ROWTEXT,
            "if not np.isfinite(angles).all():",
            "if not np.isfinite(angles).any():",
@@ -332,6 +338,9 @@ MUTANTS = (
     Mutant("match-fraction-unchecked", CLI,
            "if not 0.0 <= value <= 1.0:", "if False:",
            ("tests/test_cli.py::TestGenerate",)),
+    Mutant("closed-stdout-unchecked", CLI,
+           "if sys.stdout is None:", "if False:",
+           ("tests/test_cli.py::TestStdout",)),
     Mutant("warning-in-python-format", CLI,
            "warnings.showwarning = lambda", "_ = lambda",
            ("tests/test_cli.py::TestWarning",)),
