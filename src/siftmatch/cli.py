@@ -4,7 +4,8 @@ Exit codes: 0 on success, 2 for usage errors (argparse), 1 otherwise with a
 machine-parseable ``siftmatch: error: <category>: <message>`` line on stderr
 (categories: io, format, domain).  A warning, such as an off-norm input, is
 one ``siftmatch: warning: <message>`` line on stderr, or a ``format`` error
-when warnings are errors (``python -W error``).
+when warnings are errors (``python -W error``).  A closed or unwritable
+stderr drops these lines; it changes no exit code and no output.
 
 :func:`run` is the process entry point (``python -m siftmatch`` and the
 ``siftmatch`` script); :func:`main` is the same command for in-process
@@ -135,6 +136,16 @@ def _output(path: str | None):
         raise
 
 
+def _note(line: str) -> None:
+    """Print ``line`` on stderr, or drop it when stderr is closed
+    (``sys.stderr`` is ``None``, where ``print`` would write to stdout) or
+    its write raises ``OSError``: a lost diagnostic must neither fail a
+    command nor land in its output."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
+
+
 def _write_out(path: str | None, pieces) -> None:
     """Write ``pieces``, an iterable of ASCII bytes, through
     :func:`_output`."""
@@ -157,22 +168,25 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def cmd_generate(args) -> int:
-    queries, db, truth = generate_synthetic(
-        args.count, args.seed, args.match_fraction, args.noise)
-    ext = ".siftd" if args.format == "text" else ".siftdb"
-    q_path = f"{args.output_prefix}_a{ext}"
-    d_path = f"{args.output_prefix}_b{ext}"
-    t_path = f"{args.output_prefix}_truth.csv"
-    save_descriptor_set(queries, q_path)
-    save_descriptor_set(db, d_path)
-    index = np.array(truth, dtype=np.int64).reshape(-1, 2)
-    rows = RowText([index[:, 0], ",", index[:, 1], "\r\n"])  # as csv.writer
-    _write_out(t_path, chain([b"query_index,db_index\r\n"],
-                             rows.pieces(len(index))))
-    # Paths as the bytes the file system was given.
-    _write_out(None, [os.fsencode(
-        f"wrote {q_path} ({len(queries)} descriptors), {d_path} "
-        f"({len(db)} descriptors), {t_path} ({len(truth)} planted pairs)\n")])
+    # The summary's stream first: a closed stdout fails before any file.
+    with _output(None) as say:
+        queries, db, truth = generate_synthetic(
+            args.count, args.seed, args.match_fraction, args.noise)
+        ext = ".siftd" if args.format == "text" else ".siftdb"
+        q_path = f"{args.output_prefix}_a{ext}"
+        d_path = f"{args.output_prefix}_b{ext}"
+        t_path = f"{args.output_prefix}_truth.csv"
+        save_descriptor_set(queries, q_path)
+        save_descriptor_set(db, d_path)
+        index = np.array(truth, dtype=np.int64).reshape(-1, 2)
+        rows = RowText([index[:, 0], ",", index[:, 1], "\r\n"])  # csv.writer's
+        _write_out(t_path, chain([b"query_index,db_index\r\n"],
+                                 rows.pieces(len(index))))
+        # Paths as the bytes the file system was given.
+        say([os.fsencode(
+            f"wrote {q_path} ({len(queries)} descriptors), {d_path} "
+            f"({len(db)} descriptors), {t_path} ({len(truth)} planted "
+            "pairs)\n")])
     return 0
 
 
@@ -210,9 +224,9 @@ def cmd_match(args) -> int:
             run_pipeline(queries, db, cfg, emit)
         write(report.end())
     if args.engine == "pipeline":  # after the report: a failed write is one line
-        print(f"{run.total_cycles} cycles, "
+        _note(f"{run.total_cycles} cycles, "
               f"{run.elapsed_seconds_at_clock * 1e3:.4f} ms at "
-              f"{cfg.clock_hz / 1e6:g} MHz", file=sys.stderr)
+              f"{cfg.clock_hz / 1e6:g} MHz")
     return 0
 
 
@@ -243,8 +257,8 @@ def cmd_compare(args) -> int:
     with _output(args.output) as write:
         result = _comparison(args)
         write([_json(result)])
-    print(f"agreement: {result['agreement_fraction']:.4%} "
-          f"({result['agreements']}/{result['num_queries']})", file=sys.stderr)
+    _note(f"agreement: {result['agreement_fraction']:.4%} "
+          f"({result['agreements']}/{result['num_queries']})")
     return 0
 
 
@@ -300,10 +314,10 @@ def cmd_characterize(args) -> int:
                     rows.pieces(len(x))))
     abs_error = np.abs(error)
     outside = x >= 2.0 ** -8
-    print(f"max |error| = {abs_error.max():.3e} rad "
+    _note(f"max |error| = {abs_error.max():.3e} rad "
           f"({abs_error.max() / UQ2_14.lsb:.2f} LSB of UQ2.14); "
           f"outside x < 2^-8: {abs_error[outside].max():.3e} rad "
-          f"({abs_error[outside].max() / UQ2_14.lsb:.2f} LSB)", file=sys.stderr)
+          f"({abs_error[outside].max() / UQ2_14.lsb:.2f} LSB)")
     return 0
 
 
@@ -411,20 +425,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings():  # restores showwarning on exit
-            warnings.showwarning = lambda message, *_: print(
-                f"siftmatch: warning: {message}", file=sys.stderr)
+            warnings.showwarning = lambda message, *_: _note(
+                f"siftmatch: warning: {message}")
             return args.func(args)
     except (DescriptorFormatError, ReportFormatError, Warning) as exc:
         # A Warning is raised only where warnings are errors (-W error).
-        print(f"siftmatch: error: format: {exc}", file=sys.stderr)
+        _note(f"siftmatch: error: format: {exc}")
         return 1
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
             sys.stdout = None  # what it still holds would fail again at exit
-        print(f"siftmatch: error: io: {exc}", file=sys.stderr)
+        _note(f"siftmatch: error: io: {exc}")
         return 1
     except (ValueError, MemoryError) as exc:  # MemoryError: too large a size
-        print(f"siftmatch: error: domain: {exc}", file=sys.stderr)
+        _note(f"siftmatch: error: domain: {exc}")
         return 1
 
 

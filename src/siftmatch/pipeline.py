@@ -5,9 +5,8 @@ The modeled core streams database descriptors past a cached block of query
 descriptors:
 
 * queries are split into blocks of ``block_size`` (by default
-  :data:`FETCH_CYCLES` = 33, the cycles a 260-byte record takes on the
-  8-byte port: the block cache holds one query per fetch cycle, so compute
-  never starves);
+  :data:`FETCH_CYCLES` = 33, one query per cycle of a record's fetch, so
+  compute never starves);
 * every database descriptor entering the datapath performs one dot product
   per cycle against each cached query slot;
 * each dot product is narrowed to UQ1.15 and converted to an angle by the
@@ -22,15 +21,8 @@ descriptors:
 The scalar ops (:func:`dot_product_core`, ``cordic_arccos``,
 :func:`min_find`, :func:`match_check`) are the specification and the test
 oracle.  :func:`run_pipeline` does not re-enact the block schedule: its
-cycle count is analytic and equals :func:`predict_cycles`:
-
-    block_size * FETCH_CYCLES            (serial fill of the first block;
-                                          later fetches overlap compute)
-  + ceil(m / block_size) * n * block_size (one dot product slot per cycle;
-                                          idle slots of a partial final
-                                          block still burn their cycles)
-  + DRAIN_CYCLES                          (drain of the last result,
-                                          10 + 4 + 37 + 11 + 1 + 3 stages)
+cycle count is the closed form :func:`predict_cycles`, fill + m * n + idle
+slots + drain.
 
 Its verdicts come from the tiled search of :mod:`siftmatch.search` on the
 16-bit raws of both sets, whatever file they came from: a float64 GEMM on
@@ -49,22 +41,19 @@ and 10172 both map to 20565), and the search's tie rule finds the smallest
 dot with a tied angle from ``g`` alone.  Every value here is an integer
 below 2**53, so all of it is exact in float64.
 
-The roofline (:func:`attainable_throughput`) charges one matching operation
-one transfer of ``descriptor_bytes``, 256 by default: the 128 16-bit
-elements a match consumes, as the paper's model counts them, coordinates
-excluded.  A descriptor holds the memory port for ``ceil(descriptor_bytes /
-bytes_per_cycle)`` cycles, and the op rate is the clock divided by that,
-capped at the compute peak of one dot product per cycle.  The count is a
-ceiling because a descriptor cannot be dispatched fractionally: at 64
-bytes/cycle this gives 25 M op/s (4 cycles each), not the 24 sometimes
-quoted for that point.  The fetch moves the whole 260-byte record, the
-roofline the payload alone, so at the core's 8-byte port the fetch takes 33
-cycles and the roofline 32.  Blocking
-(:func:`effective_throughput_with_blocking`) follows: once the cached block
-holds at least FETCH_CYCLES queries, a fetched descriptor always has a full
-block to burn cycles against, and the core runs at clock rate.
-
-Each invocation is an independent, deterministic state machine.
+One rate rule, :func:`_rate` (the roofline of Williams, Waterman and
+Patterson, 2009), gives both throughput figures: ``reuse`` dot products per
+transfer of ``nbytes``, which holds the port for ``cycles = ceil(nbytes /
+bytes_per_cycle)`` whole cycles (no fractional dispatch), run at the clock
+when ``reuse >= cycles`` and at ``clock * reuse / cycles`` below.  The
+roofline (:func:`attainable_throughput`) uses a transfer once and moves
+``descriptor_bytes``, by default the 256-byte payload of 128 16-bit
+elements that the paper's model counts: 25 M op/s at 64 bytes/cycle (4
+cycles, not the 24 M sometimes quoted), 3.125 M on the core's 8-byte port
+at 100 MHz (32 cycles).  Blocking (:func:`effective_throughput_with_blocking`)
+uses a fetch ``block_size`` times and moves the whole 260-byte record over
+that port in :data:`FETCH_CYCLES` = 33 cycles: 3.03 M op/s for a block of
+one, the clock rate for a block of 33 or more.
 """
 
 from __future__ import annotations
@@ -228,13 +217,14 @@ class RunReport:
 
 
 def predict_cycles(m: int, n: int, cfg: PipelineConfig = PipelineConfig()) -> int:
-    """Closed-form cycle count for matching m queries against n database rows.
-
-    It counts compute slots only, ``block_size`` cycles per database
-    descriptor and block at any block size, so it is the run's timing for
-    ``block_size >= FETCH_CYCLES``, the default included.  A smaller block
-    also waits on the port, at the stalled rate that
-    :func:`effective_throughput_with_blocking` gives.
+    """Closed-form cycle count for matching m queries against n database
+    rows: ``fill + m * n + idle + DRAIN_CYCLES``.  The fill fetches the
+    first block's ``block_size`` 260-byte records, FETCH_CYCLES each; later
+    fetches overlap compute.  Each dot product takes one slot, and the
+    ``(blocks(m) * block_size - m) * n`` idle slots of a partial final block
+    still burn theirs.  This is the run's timing for ``block_size >=
+    FETCH_CYCLES``, the default included; a smaller block also waits on the
+    port, at the rate of :func:`effective_throughput_with_blocking`.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
@@ -311,9 +301,20 @@ class RooflinePoint:
     bound: str  # "memory" | "compute"
 
 
+def _rate(clock_hz: float, reuse: int, nbytes: int,
+          bytes_per_cycle: float) -> float:
+    """The rate of ``reuse`` dot products per ``nbytes`` moved at
+    ``bytes_per_cycle`` (module docstring), capped by integers: ``clock_hz *
+    reuse / cycles`` can round below the clock at ``reuse == cycles``."""
+    cycles = math.ceil(nbytes / bytes_per_cycle)
+    return clock_hz if reuse >= cycles else clock_hz * reuse / cycles
+
+
 def attainable_throughput(bandwidth: float,
                           cfg: PipelineConfig = PipelineConfig()) -> RooflinePoint:
-    """Attainable op rate at a given memory bandwidth (bytes/s)."""
+    """Roofline op rate at a memory bandwidth (bytes/s): one dot product
+    per ``cfg.descriptor_bytes`` moved (the 256-byte payload by default) at
+    ``bandwidth / clock_hz`` bytes per cycle; "compute" bound at the clock."""
     if not 0 < bandwidth < math.inf:
         raise ValueError("bandwidth must be positive and finite")
     bytes_per_cycle = bandwidth / cfg.clock_hz
@@ -321,14 +322,13 @@ def attainable_throughput(bandwidth: float,
         raise ValueError(f"bandwidth {bandwidth!r} at clock_hz {cfg.clock_hz!r} "
                          "moves an unbounded number of bytes per cycle")
     try:
-        cycles_per_descriptor = math.ceil(cfg.descriptor_bytes / bytes_per_cycle)
+        ops = _rate(cfg.clock_hz, 1, cfg.descriptor_bytes, bytes_per_cycle)
     except (ZeroDivisionError, OverflowError):  # no bytes, or too many cycles
         raise ValueError(f"bandwidth {bandwidth!r} is too small to move a "
                          "descriptor") from None
-    ops = cfg.clock_hz / cycles_per_descriptor
-    if ops >= cfg.clock_hz:  # the compute peak: one dot product per cycle
-        return RooflinePoint(bandwidth, cfg.clock_hz, "compute")
-    return RooflinePoint(bandwidth, ops, "memory")
+    # At reuse 1 the rate is the clock exactly when the rule caps it.
+    return RooflinePoint(bandwidth, ops,
+                         "compute" if ops == cfg.clock_hz else "memory")
 
 
 def roofline_sweep(cfg: PipelineConfig,
@@ -340,13 +340,12 @@ def roofline_sweep(cfg: PipelineConfig,
 
 
 def effective_throughput_with_blocking(cfg: PipelineConfig) -> float:
-    """Op rate with a block cache of ``cfg.block_size`` queries: the clock
-    rate from ``FETCH_CYCLES`` queries up, where the fetch hides behind the
-    block's compute; a smaller block waits on the port and runs at
-    ``block_size / FETCH_CYCLES`` of it."""
-    if cfg.block_size >= FETCH_CYCLES:
-        return cfg.clock_hz
-    return cfg.clock_hz * cfg.block_size / FETCH_CYCLES
+    """Op rate with a block cache of ``cfg.block_size`` queries, each
+    260-byte record fetched over the 8-byte port feeding the whole block:
+    the clock from :data:`FETCH_CYCLES` queries up, ``block_size /
+    FETCH_CYCLES`` of it below, where compute waits on the port."""
+    return _rate(cfg.clock_hz, cfg.block_size, RECORD_BYTES,
+                 PORT_BYTES_PER_CYCLE)
 
 
 def roofline_csv(points: list[RooflinePoint]) -> bytes:

@@ -918,8 +918,9 @@ class TestCharacterize:
 
 
 class TestStdout:
-    """``-o -`` writes the bytes that ``-o FILE`` writes, and a closed stdout
-    pipe, or a closed stdout, is one error line."""
+    """``-o -`` writes the bytes that ``-o FILE`` writes, a closed stdout
+    pipe, or a closed stdout, is one error line, and a closed stderr changes
+    neither stdout nor the exit code."""
 
     @staticmethod
     def argv(command, dataset, tmp_path):
@@ -1000,6 +1001,57 @@ class TestStdout:
         assert out.returncode == 1, out.stderr
         assert len(err) == 1 and err[0].startswith("siftmatch: error: io:")
         assert "Traceback" not in out.stderr
+        if command[0] == "generate":  # the stream is checked before any file
+            assert not list(tmp_path.glob("gen*"))
+
+    @staticmethod
+    def without_stderr(*argv, read_only=False):
+        """``siftmatch argv`` with file descriptor 2 closed (``2>&-``, so
+        ``sys.stderr`` is ``None``), or open for reading only, where each
+        write to it raises ``EBADF``."""
+        src = os.path.dirname(os.path.dirname(siftmatch.__file__))
+        with open(os.devnull, "rb") as null:
+            return subprocess.run(
+                [sys.executable, "-m", "siftmatch", *argv],
+                stdout=subprocess.PIPE, stderr=null if read_only else None,
+                preexec_fn=None if read_only else lambda: os.close(2),
+                env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+    @pytest.mark.parametrize("off_norm", [False, True], ids=["clean", "off-norm"])
+    def test_closed_stderr_leaves_stdout_as_is(self, dataset, tmp_path,
+                                              capsysbinary, off_norm):
+        """The cycle line, and an off-norm input's warning, are dropped, not
+        written into the report on stdout."""
+        queries = f"{dataset}_a.siftdb"
+        if off_norm:
+            queries = str(off_norm_copy(queries, tmp_path / "off.siftdb"))
+        args = ["match", "--engine", "pipeline", "-q", queries,
+                "-d", f"{dataset}_b.siftdb", "-o", "-"]
+        assert run_cli(*args) == 0
+        expected = capsysbinary.readouterr()
+        assert expected.err.count(b"\n") == 1 + off_norm
+        out = self.without_stderr(*args)
+        assert out.returncode == 0
+        assert out.stdout == expected.out
+        json.loads(out.stdout)
+
+    @pytest.mark.parametrize("read_only", [False, True],
+                             ids=["closed", "read-only"])
+    def test_lost_stderr_keeps_a_written_report(self, dataset, tmp_path,
+                                                read_only):
+        """The report file is the only output, and the exit code is 0."""
+        report = tmp_path / "r.json"
+        out = self.without_stderr("match", "--engine", "pipeline",
+                                  "-q", f"{dataset}_a.siftdb",
+                                  "-d", f"{dataset}_b.siftdb",
+                                  "-o", str(report), read_only=read_only)
+        assert (out.returncode, out.stdout) == (0, b"")
+        json.loads(report.read_bytes())
+
+    def test_closed_stderr_error_is_the_exit_code(self, tmp_path):
+        out = self.without_stderr("match", "-q", str(tmp_path / "none"),
+                                  "-d", str(tmp_path / "none"))
+        assert (out.returncode, out.stdout) == (1, b"")
 
 
 class TestBench:

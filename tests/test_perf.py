@@ -1,15 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from siftmatch import pipeline
 from siftmatch.descriptors import RECORD_BYTES, generate_synthetic
 from siftmatch.pipeline import (
+    DRAIN_CYCLES,
     FETCH_CYCLES,
     PORT_BYTES_PER_CYCLE,
     PipelineConfig,
     attainable_throughput,
     effective_throughput_with_blocking,
+    predict_cycles,
     roofline_csv,
     roofline_sweep,
     run_pipeline,
@@ -115,6 +120,14 @@ class TestBlocking:
         assert effective_throughput_with_blocking(
             PipelineConfig(block_size=FETCH_CYCLES - 1)) < cfg.clock_hz
 
+    def test_full_block_is_the_clock_exactly(self):
+        # At this clock clock * 33 / 33 rounds below the clock, so the cap
+        # must be the integer comparison block_size >= FETCH_CYCLES.
+        clock = 8554480697.002527
+        assert clock * 33 / 33 < clock
+        cfg = PipelineConfig(block_size=33, clock_hz=clock)
+        assert effective_throughput_with_blocking(cfg) == clock
+
     def test_block_of_one_degenerates_to_unblocked(self):
         got = effective_throughput_with_blocking(PipelineConfig(block_size=1))
         assert got == 100e6 / 33
@@ -135,3 +148,66 @@ class TestBlocking:
         modeled = rate * report.elapsed_seconds_at_clock
         assert abs(modeled - report.dot_products_executed) \
             <= 0.01 * report.dot_products_executed
+
+
+class TestOneRateRule:
+    """Both throughput figures come from one rule, on the bytes each moves:
+    the roofline the 256-byte payload, the fetch the 260-byte record."""
+
+    def test_both_figures_come_from_the_rule(self, monkeypatch):
+        calls = []
+
+        def rule(*args):
+            calls.append(args)
+            return 1234.5
+
+        monkeypatch.setattr(pipeline, "_rate", rule)
+        cfg = PipelineConfig(block_size=7)
+        assert attainable_throughput(3.2 * GB, cfg) == pipeline.RooflinePoint(
+            3.2 * GB, 1234.5, "memory")
+        assert effective_throughput_with_blocking(cfg) == 1234.5
+        assert calls == [(100e6, 1, 256, 32.0),
+                         (100e6, 7, RECORD_BYTES, PORT_BYTES_PER_CYCLE)]
+
+    @given(clock=st.floats(1.0, 1e12))
+    @example(clock=100e6)
+    def test_one_port_two_byte_counts(self, clock):
+        """On the 8-byte port, the roofline at the 260-byte record is the
+        fetch of a block of one (the 256-byte payload takes 32 cycles:
+        ``test_port_costs_payload_32_and_record_33_cycles``)."""
+        cfg = PipelineConfig(clock_hz=clock)
+        record = attainable_throughput(
+            PORT_BYTES_PER_CYCLE * clock,
+            replace(cfg, descriptor_bytes=RECORD_BYTES))
+        fetch = effective_throughput_with_blocking(replace(cfg, block_size=1))
+        assert record.attainable_ops_per_s == fetch == clock / 33
+
+
+class TestRooflineClaim:
+    """The paper's claim in integers: the modeled core runs at its blocked
+    roof but for the fill, the drain and the idle slots of the last block."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 10 ** 6), n=st.integers(1, 10 ** 6),
+           block_size=st.integers(1, 3 * FETCH_CYCLES),
+           clock=st.floats(1e3, 1e12))
+    @example(m=64, n=40000, block_size=FETCH_CYCLES, clock=100e6)
+    @example(m=100, n=7, block_size=FETCH_CYCLES + 1, clock=8554480697.002527)
+    @example(m=100, n=7, block_size=FETCH_CYCLES - 1, clock=100e6)
+    def test_cycles_are_roof_plus_overheads(self, m, n, block_size, clock):
+        cfg = PipelineConfig(block_size=block_size, clock_hz=clock)
+        idle = (cfg.blocks(m) * block_size - m) * n
+        assert predict_cycles(m, n, cfg) - m * n \
+            == block_size * FETCH_CYCLES + DRAIN_CYCLES + idle
+        rate = effective_throughput_with_blocking(cfg)
+        if block_size >= FETCH_CYCLES:
+            assert rate == clock
+        else:
+            assert rate == clock * block_size / FETCH_CYCLES
+
+    @pytest.mark.parametrize("m, n, percent", [
+        (64, 40000, 96.93), (4000, 4000, 99.35), (16000, 16000, 99.97)])
+    def test_modeled_dot_rate(self, m, n, percent):
+        """``m * n * clock / predict_cycles`` at the default block, as the
+        README quotes it."""
+        assert round(100 * m * n / predict_cycles(m, n), 2) == percent

@@ -167,6 +167,24 @@ MUTANTS = (
            "b.elements.shape != (DESCRIPTOR_LEN,):",
            "if False:",
            ("tests/test_reference.py::TestDotProduct",)),
+    # The one rate rule: its clock cap and its whole cycles per transfer.
+    Mutant("rate-cap-strict", PIPELINE,
+           "clock_hz if reuse >= cycles else", "clock_hz if reuse > cycles else",
+           ("tests/test_perf.py::TestBlocking::"
+            "test_full_block_is_the_clock_exactly",)),
+    Mutant("rate-cap-float-min", PIPELINE,
+           "clock_hz if reuse >= cycles else clock_hz * reuse / cycles",
+           "min(clock_hz, clock_hz * reuse / cycles)",
+           ("tests/test_perf.py::TestBlocking::"
+            "test_full_block_is_the_clock_exactly",)),
+    Mutant("rate-cap-dropped", PIPELINE,
+           "return clock_hz if reuse >= cycles else clock_hz * reuse / cycles",
+           "return clock_hz * reuse / cycles",
+           ("tests/test_perf.py::TestRooflineClaim",)),
+    Mutant("rate-cycles-fractional", PIPELINE,
+           "cycles = math.ceil(nbytes / bytes_per_cycle)",
+           "cycles = nbytes / bytes_per_cycle",
+           ("tests/test_perf.py::TestBlocking",)),
     # Loading descriptors.
     Mutant("raw-range-off-by-one", DESCRIPTORS,
            "if raws.max() > (1 << 15):", "if raws.max() > (1 << 15) + 1:",
@@ -341,6 +359,14 @@ MUTANTS = (
     Mutant("closed-stdout-unchecked", CLI,
            "if sys.stdout is None:", "if False:",
            ("tests/test_cli.py::TestStdout",)),
+    Mutant("closed-stderr-prints-to-stdout", CLI,
+           "if sys.stderr is not None:", "if True:",
+           ("tests/test_cli.py::TestStdout::"
+            "test_closed_stderr_leaves_stdout_as_is",)),
+    Mutant("stderr-write-error-raised", CLI,
+           "contextlib.suppress(OSError)", "contextlib.suppress()",
+           ("tests/test_cli.py::TestStdout::"
+            "test_lost_stderr_keeps_a_written_report",)),
     Mutant("warning-in-python-format", CLI,
            "warnings.showwarning = lambda", "_ = lambda",
            ("tests/test_cli.py::TestWarning",)),
