@@ -31,9 +31,9 @@ import numpy as np
 from .cordic import arccos_table
 from .descriptors import (
     DescriptorFormatError,
+    descriptor_file,
     generate_synthetic,
     load_descriptor_set,
-    save_descriptor_set,
 )
 from .fixedpoint import UQ1_15, UQ2_14
 from .pipeline import (
@@ -85,12 +85,14 @@ def _list_of(kind):
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """A ``writelines`` of ASCII bytes to the file ``path``, or to stdout
+    """A ``writelines`` of byte pieces to the file ``path``, or to stdout
     for ``None`` and ``-``, for the ``with`` block.
 
     A regular file is staged: the block writes a temporary file in the
     target's directory, which replaces the target when the block ends and
     is removed when it raises, so a failed command leaves no output file.
+    Each write to it is flushed, so a write error fails the block before
+    the staged file of an inner block replaces its target.
     The temporary file is made with the mode that ``open(path, "wb")``
     gives the target: an existing target's, else 0o666 less the umask.
     A symlink is followed, so the file it names is replaced.  Other
@@ -129,7 +131,10 @@ def _output(path: str | None):
         with open(fd, "wb") as fh:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
-            yield fh.writelines
+            def write(pieces):
+                fh.writelines(pieces)
+                fh.flush()
+            yield write
         os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
@@ -144,13 +149,6 @@ def _note(line: str) -> None:
     if sys.stderr is not None:
         with contextlib.suppress(OSError):
             print(line, file=sys.stderr)
-
-
-def _write_out(path: str | None, pieces) -> None:
-    """Write ``pieces``, an iterable of ASCII bytes, through
-    :func:`_output`."""
-    with _output(path) as write:
-        write(pieces)
 
 
 def _json(obj) -> bytes:
@@ -168,25 +166,23 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def cmd_generate(args) -> int:
-    # The summary's stream first: a closed stdout fails before any file.
-    with _output(None) as say:
+    ext = ".siftd" if args.format == "text" else ".siftdb"
+    q_path, d_path, t_path = (f"{args.output_prefix}{end}" for end in
+                              (f"_a{ext}", f"_b{ext}", "_truth.csv"))
+    # Opened before the work; stdout innermost, flushed before any rename.
+    with _output(q_path) as write_q, _output(d_path) as write_d, \
+            _output(t_path) as write_t, _output(None) as say:
         queries, db, truth = generate_synthetic(
             args.count, args.seed, args.match_fraction, args.noise)
-        ext = ".siftd" if args.format == "text" else ".siftdb"
-        q_path = f"{args.output_prefix}_a{ext}"
-        d_path = f"{args.output_prefix}_b{ext}"
-        t_path = f"{args.output_prefix}_truth.csv"
-        save_descriptor_set(queries, q_path)
-        save_descriptor_set(db, d_path)
+        write_q(descriptor_file(queries, q_path))
+        write_d(descriptor_file(db, d_path))
         index = np.array(truth, dtype=np.int64).reshape(-1, 2)
         rows = RowText([index[:, 0], ",", index[:, 1], "\r\n"])  # csv.writer's
-        _write_out(t_path, chain([b"query_index,db_index\r\n"],
-                                 rows.pieces(len(index))))
+        write_t(chain([b"query_index,db_index\r\n"], rows.pieces(len(index))))
         # Paths as the bytes the file system was given.
-        say([os.fsencode(
-            f"wrote {q_path} ({len(queries)} descriptors), {d_path} "
-            f"({len(db)} descriptors), {t_path} ({len(truth)} planted "
-            "pairs)\n")])
+        say([os.fsencode(f"wrote {q_path} ({len(queries)} descriptors), "
+                         f"{d_path} ({len(db)} descriptors), {t_path} "
+                         f"({len(truth)} planted pairs)\n")])
     return 0
 
 

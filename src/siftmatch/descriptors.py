@@ -15,16 +15,15 @@ every row's norm.  The set then holds the open file and its (x, y) column
 :mod:`siftmatch.search`), and ``match`` writes its verdicts one band of
 queries at a time, so a match holds a few MiB of scratch whatever the
 sizes of its files: from 10000 to 160000 queries against 64 rows its peak
-RSS grows 4-6 bytes a query, 4 of them the (x, y) column (72-111 bytes
-when every verdict was kept to the end).  :attr:`DescriptorSet.raws`
-reads the whole file once and keeps it, for callers that want every raw
-at once; indexing one descriptor reads its row alone, and saving a set
-reads it a block at a time.  Both loaders take each
-row's norm, and keep each off-norm row, in the one pass that reads it;
-:func:`_renormalize` rescales the off-norm rows alone.  A binary set keeps
-those rows as a patch, written over every read: their raws quantized again,
-and their floats.  Every other row's float is exactly ``raw * 2**-15``;
-with no such row the set is raw-exact.
+RSS grows 4-6 bytes a query, 4 of them the (x, y) column.
+:attr:`DescriptorSet.raws` reads the whole file once and keeps it, for
+callers that want every raw at once; indexing one descriptor reads its row
+alone, and :func:`descriptor_file` reads a set a few rows at a time.  Both
+loaders take each row's norm, and keep each off-norm row, in the one pass
+that reads it; :func:`_renormalize` rescales the off-norm rows alone.  A
+binary set keeps those rows as a patch, written over every read: their raws
+quantized again, and their floats.  Every other row's float is exactly
+``raw * 2**-15``; with no such row the set is raw-exact.
 
 Two on-disk formats are supported:
 
@@ -54,6 +53,7 @@ __all__ = [
     "Descriptor",
     "DescriptorFormatError",
     "DescriptorSet",
+    "descriptor_file",
     "generate_synthetic",
     "load_descriptor_set",
     "save_descriptor_set",
@@ -80,6 +80,8 @@ NORM_TOLERANCE = 1e-3
 # a `match` of two 2000-row or two 4000-row files peaked 0.8-0.9 MiB higher
 # in RSS than with 256-row blocks.
 _BLOCK_ROWS = 256
+# Rows per read of a text save (1024 rows peaked at 66 KB traced, 230 at 64).
+_TEXT_ROWS = 16
 
 
 class DescriptorFormatError(ValueError):
@@ -198,7 +200,9 @@ class DescriptorSet:
                  raws, xy: np.ndarray):
         if not isinstance(raws, _RecordReader):
             raws = np.asarray(raws, dtype=np.uint16).view()
+            raws.setflags(write=False)
         xy = np.asarray(xy, dtype=np.uint16).view()
+        xy.setflags(write=False)
         if floats is not None and not isinstance(floats, _ScaledRows):
             floats = np.asarray(floats, dtype=np.float64).view()
             if floats.ndim != 2 or floats.shape[1] != DESCRIPTOR_LEN:
@@ -215,9 +219,6 @@ class DescriptorSet:
         self.raw_exact = floats is None
         self._raws = raws
         self._floats = floats
-        for arr in (raws, xy):
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
 
     @property
     def raws(self) -> np.ndarray:
@@ -269,9 +270,6 @@ class DescriptorSet:
         return Descriptor(elements=self.float_rows[k:k + 1][0],
                           raws=self.raw_rows[k:k + 1][0],
                           x=int(self.xy[k, 0]), y=int(self.xy[k, 1]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def _infer_format(path: str) -> str:
@@ -414,29 +412,34 @@ def _load_binary(path: str) -> DescriptorSet:
     return DescriptorSet(str(path), floats, reader, xy)
 
 
+def descriptor_file(set_: DescriptorSet, path: str):
+    """``set_`` as the byte pieces of a file in the format that ``path``'s
+    extension names, checked first: the header, then rows read a few at a
+    time through the row sources (a streamed set is never read whole)."""
+    return _file_pieces(set_, _infer_format(path) == "text")
+
+
+def _file_pieces(set_: DescriptorSet, text: bool):
+    m, step = len(set_), _TEXT_ROWS if text else _BLOCK_ROWS
+    yield (f"{_TEXT_HEADER} m={m}\n".encode("ascii") if text
+           else _BINARY_MAGIC + m.to_bytes(4, "little"))
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        if text:
+            xy = set_.xy[rows].tolist()
+            for (x, y), row in zip(xy, set_.float_rows[rows]):
+                values = " ".join(map(repr, row.tolist()))
+                yield f"{x} {y} {values}\n".encode("ascii")
+        else:  # x, y and the raws of each record
+            yield np.concatenate((set_.xy[rows], set_.raw_rows[rows]),
+                                 axis=1, dtype="<u2")
+
+
 def save_descriptor_set(set_: DescriptorSet, path: str) -> None:
-    """Write a set so that :func:`load_descriptor_set` round-trips bit-exactly;
-    the extension names the format, as it does for loading."""
-    fmt = _infer_format(path)
-    if fmt == "text":
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"{_TEXT_HEADER} m={len(set_)}\n")
-            for d in set_:
-                values = " ".join(repr(float(v)) for v in d.elements)
-                fh.write(f"{d.x} {d.y} {values}\n")
-    else:
-        m = len(set_)
-        records = np.empty((min(m, _BLOCK_ROWS), _RECORD_WORDS), dtype="<u2")
-        with open(path, "wb") as fh:
-            fh.write(_BINARY_MAGIC)
-            fh.write(m.to_bytes(4, "little"))
-            # Through the row source, a block at a time: a streamed set is
-            # never read whole.
-            for start in range(0, m, _BLOCK_ROWS):
-                block = records[:min(_BLOCK_ROWS, m - start)]
-                block[:, :2] = set_.xy[start:start + len(block)]
-                block[:, 2:] = set_.raw_rows[start:start + len(block)]
-                fh.write(block)
+    """Write :func:`descriptor_file` of ``set_`` to ``path``."""
+    pieces = descriptor_file(set_, path)  # an unknown extension opens nothing
+    with open(path, "wb") as fh:
+        fh.writelines(pieces)
 
 
 def _random_unit_rows(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -59,6 +59,7 @@ one, the clock rate for a block of 33 or more.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -119,8 +120,8 @@ class PipelineConfig:
             raise ValueError("clock_hz must be positive and finite")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ValueError(f"threshold_mode must be one of {THRESHOLD_MODES}")
-        if self.descriptor_bytes < 1:
-            raise ValueError("descriptor_bytes must be >= 1")
+        if not 1 <= self.descriptor_bytes <= sys.float_info.max:
+            raise ValueError("descriptor_bytes must be >= 1 and fit a float")
 
     def blocks(self, m: int) -> int:
         """Query blocks for ``m`` queries: ``ceil(m / block_size)``."""

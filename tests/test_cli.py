@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import gc
 import importlib
 import io
@@ -328,10 +329,10 @@ class TestMatch:
 
 
 class TestStagedOutput:
-    """Every command but `generate` opens its `-o FILE` before any load or
-    computation.  A regular file is written as a temporary file beside it,
-    which replaces it when the run succeeds and is removed when it fails;
-    other files are written in place."""
+    """Every command opens its `-o FILE`, or `generate` its three files,
+    before any load or computation.  A regular file is written as a
+    temporary file beside it, which replaces it when the run succeeds and is
+    removed when it fails; other files are written in place."""
 
     @pytest.mark.parametrize("engine", ["reference", "pipeline"])
     def test_unwritable_output_fails_before_any_work(
@@ -358,8 +359,9 @@ class TestStagedOutput:
         (("characterize",), ("arccos_table", "RowText")),
         (("bench",), ("modeled_run",)),
         (("bench", "--json"), ("modeled_run",)),
+        (("generate", "-m", "5"), ("generate_synthetic",)),
     ], ids=["compare", "compare-reports", "roofline", "characterize", "bench",
-            "bench-json"])
+            "bench-json", "generate"])
     @pytest.mark.parametrize("target", ["missing_dir", "writable"])
     def test_every_command_opens_its_output_first(
             self, dataset, tmp_path, capsys, monkeypatch, argv, work, target):
@@ -376,10 +378,41 @@ class TestStagedOutput:
         argv = [arg.format(q=f"{dataset}_a.siftdb", d=f"{dataset}_b.siftdb")
                 for arg in argv]
         assert run_cli(*argv, "-o", out) == 1
+        opened = f"{out}_a.siftdb" if argv[0] == "generate" else out
         assert assert_one_error(capsys, "io") == (
             f"siftmatch: error: io: [Errno 2] No such file or directory: "
-            f"{out!r}" if target == "missing_dir"
+            f"{opened!r}" if target == "missing_dir"
             else "siftmatch: error: io: work began")
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "-m", "5"], ["generate", "-m", "5", "--format", "text"],
+        ["match"], ["compare"], ["roofline"], ["characterize"], ["bench"],
+    ], ids=["generate", "generate-text", "match", "compare", "roofline",
+            "characterize", "bench"])
+    def test_file_size_limit_leaves_no_file(self, dataset, tmp_path, command):
+        """Under a 64-byte ``RLIMIT_FSIZE`` (``ulimit -f``) every output
+        write fails with ``EFBIG``, as Python ignores ``SIGXFSZ``: one
+        ``io`` line, exit 1, and neither the output nor a temporary file
+        is left."""
+        import resource
+
+        argv = TestStdout.argv(command, dataset, tmp_path)
+        if command[0] != "generate":
+            argv += ["-o", str(tmp_path / "out")]
+        before = sorted(os.listdir(tmp_path))
+        src = os.path.dirname(os.path.dirname(siftmatch.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "siftmatch", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src,
+                 "PYTHONDONTWRITEBYTECODE": "1"}, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE,
+                                                  (64, 64)))
+        assert out.returncode == 1, out.stderr
+        assert out.stderr.splitlines() == [
+            f"siftmatch: error: io: [Errno {errno.EFBIG}] "
+            f"{os.strerror(errno.EFBIG)}"]
         assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("engine", ["reference", "pipeline"])
@@ -720,6 +753,20 @@ class TestRoofline:
         assert run_cli("roofline", "--bandwidths", "") == 1
         assert "error: domain:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (("--descriptor-bytes", HUGE),
+         "descriptor_bytes must be >= 1 and fit a float"),
+        # 0 bytes a cycle, and a descriptor of infinitely many cycles.
+        (("--bandwidths", "5e-324"),
+         "bandwidth 5e-324 is too small to move a descriptor"),
+        (("--bandwidths", "1e-300"),
+         "bandwidth 1e-300 is too small to move a descriptor"),
+    ], ids=["descriptor-bytes", "zero-bytes-per-cycle", "unbounded-cycles"])
+    def test_domain_error_names_its_argument(self, capsys, args, message):
+        assert run_cli("roofline", *args) == 1
+        assert assert_one_error(capsys, "domain") == (
+            f"siftmatch: error: domain: {message}")
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("value", ["nan", "inf", "1e-310"])
@@ -983,6 +1030,8 @@ class TestStdout:
         assert out.returncode == 1, out.stderr
         assert len(err) == 1 and err[0].startswith("siftmatch: error: io:")
         assert "Exception ignored" not in out.stderr
+        if command[0] == "generate":  # the files wait for the summary
+            assert not list(tmp_path.glob("gen*"))
 
     @pytest.mark.parametrize("command", [
         ["match"], ["compare"], ["roofline"], ["characterize"], ["bench"],

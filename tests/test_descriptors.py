@@ -535,8 +535,8 @@ class TestSetApi:
                                            (1024, ".siftd")])
     def test_streamed_set_is_never_read_whole(self, tmp_path, count, ext):
         """One descriptor of a streamed set reads its row alone, and saving
-        the set reads it a row or a block at a time: the set stays
-        streamed, and neither holds the file's raws (4 MiB and 256 KiB).
+        the set reads it a few rows at a time: the set stays streamed, and
+        neither holds the file's raws (4 MiB and 256 KiB).
         The text save, the slower, takes the smaller set."""
         source = make_set(unit_rows(8, count))
         path = str(tmp_path / "s.siftdb")

@@ -7,11 +7,12 @@ verdicts and indices only.
 """
 
 import hashlib
+import os
 from unittest import mock
 
 import pytest
 
-from siftmatch import rowtext, search
+from siftmatch import descriptors, rowtext, search
 from siftmatch.cli import main
 from siftmatch.descriptors import (
     DescriptorSet,
@@ -95,6 +96,22 @@ GOLDEN = {
         "f3bfe59f7856914bd3a5463b592b9db7716ab0d48d4ea527d59c5e4df225a876",
 }
 
+# The files of `generate` with the arguments of q.siftdb and d.siftdb.
+GENERATE = ("generate", "-m", "60", "--seed", "5", "--match-fraction", "0.5",
+            "--noise", "0.02", "-o", "g")
+TRUTH_SHA256 = "c78da30efd30f5c65535a850d2b54af91ce6f5d9f3b5730b45c99d53cd760505"
+GENERATED = {
+    "binary": {"g_a.siftdb": FIXTURE_SHA256["q.siftdb"],
+               "g_b.siftdb": FIXTURE_SHA256["d.siftdb"],
+               "g_truth.csv": TRUTH_SHA256},
+    "text": {
+        "g_a.siftd":
+            "382818d754800212d3f98293b29c2bae6d4c4f6bd59197a4ff7c42fe3c179017",
+        "g_b.siftd":
+            "d95f3abd3ce6d866370d3fb969d288b6f2956e21d4879483579462290cc0049c",
+        "g_truth.csv": TRUTH_SHA256},
+}
+
 
 def sha256(path) -> str:
     with open(path, "rb") as fh:
@@ -148,3 +165,16 @@ def test_bands_do_not_change_bytes(workdir, capsysbinary, args, to_file):
         assert not written and sha256("out") == GOLDEN[args]
     else:
         assert hashlib.sha256(written).hexdigest() == GOLDEN[args]
+
+
+@pytest.mark.parametrize("pieces", ["default", "small"])
+@pytest.mark.parametrize("fmt", list(GENERATED))
+def test_generate_bytes(tmp_path, monkeypatch, fmt, pieces):
+    """Reads of 7 binary or 3 text rows give the bytes of the default
+    pieces."""
+    monkeypatch.chdir(tmp_path)
+    if pieces == "small":
+        monkeypatch.setattr(descriptors, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(descriptors, "_TEXT_ROWS", 3)
+    assert main([*GENERATE, "--format", fmt]) == 0
+    assert {name: sha256(name) for name in os.listdir()} == GENERATED[fmt]

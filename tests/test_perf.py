@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"clock_hz": 0}, {"descriptor_bytes": 0},
         {"clock_hz": math.nan}, {"clock_hz": math.inf},
-        {"descriptor_bytes": -1},
+        {"descriptor_bytes": -1}, {"descriptor_bytes": 10 ** 400},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -74,6 +75,12 @@ class TestAttainableThroughput:
     def test_rejects_non_finite_and_vanishing(self, bw):
         with pytest.raises(ValueError):
             attainable_throughput(bw)
+
+    def test_largest_float_descriptor_is_moved(self):
+        # The bound on descriptor_bytes is the float range, inclusive.
+        cfg = PipelineConfig(descriptor_bytes=int(sys.float_info.max))
+        p = attainable_throughput(0.8 * GB, cfg)
+        assert p.bound == "memory" and p.attainable_ops_per_s > 0
 
 
 class TestSweep:

@@ -185,6 +185,16 @@ MUTANTS = (
            "cycles = math.ceil(nbytes / bytes_per_cycle)",
            "cycles = nbytes / bytes_per_cycle",
            ("tests/test_perf.py::TestBlocking",)),
+    # The roofline's transfer size: an int beyond the float range is named.
+    Mutant("descriptor-bytes-unbounded", PIPELINE,
+           "1 <= self.descriptor_bytes <= sys.float_info.max",
+           "1 <= self.descriptor_bytes",
+           ("tests/test_cli.py::TestRoofline::"
+            "test_domain_error_names_its_argument",)),
+    Mutant("descriptor-bytes-bound-exclusive", PIPELINE,
+           "1 <= self.descriptor_bytes <= sys.float_info.max",
+           "1 <= self.descriptor_bytes < sys.float_info.max",
+           ("tests/test_perf.py::TestAttainableThroughput",)),
     # Loading descriptors.
     Mutant("raw-range-off-by-one", DESCRIPTORS,
            "if raws.max() > (1 << 15):", "if raws.max() > (1 << 15) + 1:",
@@ -200,6 +210,10 @@ MUTANTS = (
     Mutant("zero-check-after-warning", DESCRIPTORS,
            _ZERO_CHECK + _OFF_NORM_WARNING, _OFF_NORM_WARNING + _ZERO_CHECK,
            ("tests/test_cli.py::TestZeroDescriptor",)),
+    # Saving descriptors: the rows of each read.
+    Mutant("file-rows-unshifted", DESCRIPTORS,
+           "rows = slice(start, start + step)", "rows = slice(0, step)",
+           ("tests/test_golden.py::test_generate_bytes",)),
     # The patch of a .siftdb set's off-norm rows, over raws and floats.
     Mutant("patch-window-short", DESCRIPTORS,
            "(first, first + len(out))", "(first, first + len(out) - 1)",
@@ -377,6 +391,28 @@ MUTANTS = (
     Mutant("staged-output-kept-on-error", CLI,
            "        os.unlink(temp)\n", "        pass\n",
            ("tests/test_cli.py::TestStagedOutput",)),
+    Mutant("staged-write-unflushed", CLI,
+           "                fh.flush()\n", "                pass\n",
+           ("tests/test_cli.py::TestStagedOutput::"
+            "test_file_size_limit_leaves_no_file",)),
+    # generate: three staged files, renamed after the summary's flush.
+    Mutant("generate-summary-outermost", CLI,
+           "    with _output(q_path) as write_q, "
+           "_output(d_path) as write_d, \\\n"
+           "            _output(t_path) as write_t, _output(None) as say:\n",
+           "    with _output(None) as say, _output(q_path) as write_q, \\\n"
+           "            _output(d_path) as write_d, "
+           "_output(t_path) as write_t:\n",
+           ("tests/test_cli.py::TestStdout::"
+            "test_closed_pipe_is_one_io_error",)),
+    Mutant("generate-descriptors-unstaged", CLI,
+           "        write_q(descriptor_file(queries, q_path))\n"
+           "        write_d(descriptor_file(db, d_path))\n",
+           "        from .descriptors import save_descriptor_set\n"
+           "        save_descriptor_set(queries, q_path)\n"
+           "        save_descriptor_set(db, d_path)\n",
+           ("tests/test_cli.py::TestStagedOutput::"
+            "test_file_size_limit_leaves_no_file",)),
     Mutant("entry-point-not-frozen", CLI,
            "    gc.freeze()\n    return main()", "    return main()",
            ("tests/test_cli.py::TestEntryPoint",)),
